@@ -25,7 +25,7 @@ import dataclasses
 
 import numpy as np
 
-from .geometry import TorusGrid
+from .geometry import TorusGrid, wrap_displacement
 from .solvers import conjugate_gradient
 from .spectral import (
     SpectralDecomposition,
@@ -91,9 +91,8 @@ def nodes_in_annulus(grid: TorusGrid, center, r_inner: float,
 def _set_distance(grid: TorusGrid, a_nodes: np.ndarray,
                   b_nodes: np.ndarray) -> float:
     coords = grid.coordinates()
-    delta = coords[a_nodes][:, None, :] - coords[b_nodes][None, :, :]
-    L = grid.side_length
-    delta = (delta + 0.5 * L) % L - 0.5 * L
+    delta = wrap_displacement(coords[a_nodes][:, None, :] - coords[b_nodes][None, :, :],
+                              grid.side_length)
     return float(np.sqrt((delta**2).sum(axis=-1)).min())
 
 

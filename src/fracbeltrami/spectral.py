@@ -56,16 +56,43 @@ class QuadratureWindowWarning(UserWarning):
 
 @dataclasses.dataclass
 class DiscreteLaplaceBeltrami:
-    """Dense operator matrix A together with its quadratic form B = W A."""
+    """Dense operator matrix A together with its quadratic form B = W A.
 
-    matrix: np.ndarray       # (M, M), acts on node vectors
-    form_matrix: np.ndarray  # (M, M), symmetric PSD, u.B.v = <Au, v>_w
+    ``coefficients`` holds the node coefficients C_jk = h^{dim-2} sqrt|g| g^{jk}
+    of the stencil B = sum_jk D+_j' C_jk D+_k, which :meth:`apply_form`
+    applies without touching the dense matrices.
+    """
+
+    matrix: np.ndarray        # (M, M), acts on node vectors
+    form_matrix: np.ndarray   # (M, M), symmetric PSD, u.B.v = <Au, v>_w
+    coefficients: np.ndarray  # (M, dim, dim), the stencil's C_jk per node
     metric: MetricField
     measure: WeightedMeasure
     grid: TorusGrid
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         return self.matrix @ u
+
+    def apply_form(self, X: np.ndarray) -> np.ndarray:
+        """B X for a node vector or an (M, cols) block, by periodic shifts.
+
+        Equals ``form_matrix @ X`` up to summation order; the forward
+        difference (D+_k X)_i = X_{i+e_k} - X_i and its transpose
+        (D+_j' G)_i = G_{i-e_j} - G_i are rolls along the grid axes.
+        """
+        X = np.asarray(X, float)
+        dim = self.grid.dim
+        U = X.reshape(self.grid.shape + X.shape[1:])
+        per_node = self.grid.shape + (1,) * (X.ndim - 1)
+        diffs = [np.roll(U, -1, axis=k) - U for k in range(dim)]
+        out = np.zeros_like(U)
+        for j in range(dim):
+            flux = self.coefficients[:, j, 0].reshape(per_node) * diffs[0]
+            for k in range(1, dim):
+                flux += self.coefficients[:, j, k].reshape(per_node) * diffs[k]
+            out += np.roll(flux, 1, axis=j)
+            out -= flux
+        return out.reshape(X.shape)
 
 
 def assemble_laplacian(metric: MetricField) -> DiscreteLaplaceBeltrami:
@@ -86,11 +113,11 @@ def assemble_laplacian(metric: MetricField) -> DiscreteLaplaceBeltrami:
     forward = [np.roll(idx, -1, axis=a).ravel() for a in range(dim)]
     base = np.arange(m)
 
-    scale = h ** dim / h ** 2
+    coeffs = (h ** dim / h ** 2) * metric.sqrt_det[:, None, None] * metric.inverse_tensor
     b = np.zeros((m, m))
     for j in range(dim):
         for k in range(dim):
-            c = scale * metric.sqrt_det * metric.inverse_tensor[:, j, k]
+            c = coeffs[:, j, k]
             np.add.at(b, (base, base), c)
             np.add.at(b, (base, forward[k]), -c)
             np.add.at(b, (forward[j], base), -c)
@@ -98,8 +125,8 @@ def assemble_laplacian(metric: MetricField) -> DiscreteLaplaceBeltrami:
 
     measure = metric.measure()
     a = b / measure.node_weights[:, None]
-    return DiscreteLaplaceBeltrami(matrix=a, form_matrix=b, metric=metric,
-                                   measure=measure, grid=grid)
+    return DiscreteLaplaceBeltrami(matrix=a, form_matrix=b, coefficients=coeffs,
+                                   metric=metric, measure=measure, grid=grid)
 
 
 @dataclasses.dataclass
@@ -213,12 +240,18 @@ def _check_alpha(alpha: float, *, allow_one: bool) -> None:
         raise ValueError(f"alpha must lie in {span}, got {alpha}")
 
 
+def _spectral_power(lam: np.ndarray, alpha: float) -> np.ndarray:
+    """lam^alpha on the positive eigenvalues and exactly 0 elsewhere."""
+    out = np.zeros_like(lam)
+    np.power(lam, alpha, out=out, where=lam > 0)
+    return out
+
+
 def frac_apply_spectral(dec: SpectralDecomposition, alpha: float,
                         u: np.ndarray) -> np.ndarray:
     """A^alpha u through the eigenpairs, with the zero mode annihilated."""
     _check_alpha(alpha, allow_one=True)
-    lam = dec.eigenvalues
-    powers = np.where(lam > 0, np.power(lam, alpha, where=lam > 0), 0.0)
+    powers = _spectral_power(dec.eigenvalues, alpha)
     return dec.synthesize(dec.project(u) * powers)
 
 
@@ -227,8 +260,7 @@ def frac_energy_matrix(dec: SpectralDecomposition, alpha: float) -> np.ndarray:
     _check_alpha(alpha, allow_one=True)
     key = ("energy", float(alpha))
     if key not in dec._cache:
-        lam = dec.eigenvalues
-        powers = np.where(lam > 0, np.power(lam, alpha, where=lam > 0), 0.0)
+        powers = _spectral_power(dec.eigenvalues, alpha)
         weighted = dec.basis * dec.measure.node_weights[:, None]
         e = (weighted * powers) @ weighted.T
         dec._cache[key] = 0.5 * (e + e.T)

@@ -16,6 +16,8 @@ from fracbeltrami.geometry import (
     make_metric,
     weighted_norm,
 )
+from fracbeltrami.exterior import RegionSpec, solve_exterior_dirichlet
+from fracbeltrami.recovery import PullbackProfile, RadialSquash
 from fracbeltrami.solvers import conjugate_gradient
 from fracbeltrami.spectral import assemble_laplacian, decompose, frac_apply_spectral
 from fracbeltrami.extension import (
@@ -362,6 +364,39 @@ def test_fd_pure_neumann_compatibility(dec_bump):
     assert np.linalg.norm(diff) / np.linalg.norm(ref) < 2e-2
 
 
+BUMP_2D = ConformalBump(2, beta=0.5, sigma=0.3, center=(2.0, 2.0), r0=0.7)
+SQUASH_2D = RadialSquash(dim=2, center=(2.0, 2.0), radius=0.7, strength=0.15)
+
+
+@pytest.mark.parametrize("profile", [
+    BUMP_2D, PullbackProfile(base=BUMP_2D, squash=SQUASH_2D)],
+    ids=["conformal", "pullback"])
+def test_fd_mixed_2d_matches_exterior_solve(profile):
+    # Dirichlet data outside Omega, zero weighted flux on it: the z = 0
+    # trace is the fractional exterior Dirichlet solution, which the
+    # spectral route computes independently.  The pullback metric has
+    # |g^{01}| up to 0.28, so the stencil's cross terms are exercised.
+    alpha = 0.5
+    grid = build_grid(2, 4.0, 16)
+    dec = decompose(assemble_laplacian(make_metric(grid, profile)))
+    config = RegionSpec(omega_center=(2.0, 2.0), omega_radius=0.8,
+                        w1_center=(0.3, 2.0), w1_radius=0.3,
+                        w2_center=(2.0, 0.3), w2_radius=0.3).build(grid)
+    om, ex = config.omega_nodes, config.exterior_nodes
+    x = grid.coordinates()[ex]
+    f = np.cos(0.5 * np.pi * x[:, 0]) + 0.5 * np.sin(0.5 * np.pi * x[:, 1])
+    mesh = graded_mesh(dec, alpha, count=48)
+    fld = fd_extension_solve(dec, alpha, mesh, ex, om, f, np.zeros(len(om)))
+    ref = solve_exterior_dirichlet(dec, alpha, config, f)
+    w = dec.measure.node_weights[om]
+    diff = fld.boundary_values()[om] - ref[om]
+    assert math.sqrt(w @ diff**2 / (w @ ref[om] ** 2)) <= 1e-3
+    assert np.array_equal(fld.boundary_values()[ex], f)
+    # the z-line preconditioner takes out the stiff vertical coupling
+    # (scalar Jacobi needs about 500 iterations here)
+    assert fld.iterations <= 150
+
+
 # ----------------------------------------------------------------------
 # heat-kernel representation and normal series
 
@@ -478,3 +513,55 @@ def test_cg_zero_rhs_and_stall():
     assert iters == 0 and np.all(x == 0.0)
     with pytest.raises(RuntimeError):
         conjugate_gradient(lambda v: s @ v, np.ones(30), rtol=1e-14, max_iter=3)
+
+
+def _spd_system(seed, n=40):
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((n, n))
+    s = m @ m.T + np.diag(np.geomspace(1.0, 1e4, n))
+    return s, rng.standard_normal(n)
+
+
+def test_pcg_matches_direct_solve():
+    s, b = _spd_system(6)
+    inv_diag = 1.0 / np.diag(s)
+    x, iters, res = conjugate_gradient(lambda v: s @ v, b, rtol=1e-12,
+                                       precondition=lambda r: inv_diag * r)
+    assert_allclose(x, np.linalg.solve(s, b), rtol=1e-9)
+    assert 0 < iters <= 40 + 5
+    assert res <= 1e-12
+    # the identity as a preconditioner is plain CG, to the last bit
+    plain = conjugate_gradient(lambda v: s @ v, b, rtol=1e-12)
+    same = conjugate_gradient(lambda v: s @ v, b, rtol=1e-12, precondition=np.copy)
+    assert same[1] == plain[1]
+    assert np.array_equal(same[0], plain[0])
+
+
+def test_pcg_exact_inverse_converges_at_once():
+    s, b = _spd_system(7)
+    inverse = np.linalg.inv(s)
+    inverse = 0.5 * (inverse + inverse.T)
+    x, iters, _ = conjugate_gradient(lambda v: s @ v, b, rtol=1e-9,
+                                     precondition=lambda r: inverse @ r)
+    assert iters == 1
+    assert_allclose(x, np.linalg.solve(s, b), rtol=1e-9)
+
+
+def test_pcg_reports_the_unpreconditioned_residual():
+    # a preconditioner that shrinks residuals by 1e-6 must not make the
+    # stopping test or the reported residual any easier to meet
+    s, b = _spd_system(8)
+    inv_diag = 1e-6 / np.diag(s)
+    x, _, res = conjugate_gradient(lambda v: s @ v, b, rtol=1e-8,
+                                   precondition=lambda r: inv_diag * r)
+    explicit = np.linalg.norm(b - s @ x) / np.linalg.norm(b)
+    assert res <= 1e-8
+    assert res == pytest.approx(explicit, rel=1e-4)
+
+
+def test_pcg_stall_raises():
+    d = np.geomspace(1.0, 1e8, 30)
+    s = np.diag(d)
+    with pytest.raises(RuntimeError):
+        conjugate_gradient(lambda v: s @ v, np.ones(30), rtol=1e-14, max_iter=3,
+                           precondition=lambda r: r / np.sqrt(d))

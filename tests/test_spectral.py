@@ -6,7 +6,9 @@ heat kernel is a wrapped Gaussian, and both fractional routes must agree at
 quadrature accuracy.
 """
 
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from fracbeltrami.geometry import (
     weighted_norm,
 )
 from fracbeltrami.quadrature import LogQuadrature
+from fracbeltrami.recovery import PullbackProfile, RadialSquash
 from fracbeltrami.spectral import (
     DecompositionSizeError,
     QuadratureWindowWarning,
@@ -29,6 +32,7 @@ from fracbeltrami.spectral import (
     energy_form,
     frac_apply_balakrishnan,
     frac_apply_spectral,
+    frac_energy_matrix,
     heat_apply,
     heat_kernel,
     heat_kernel_matrix,
@@ -129,6 +133,25 @@ def test_energy_nonnegative():
     for _ in range(30):
         u = rng.standard_normal(grid.node_count)
         assert weighted_inner(op.apply(u), u, met.measure()) >= -1e-11
+
+
+@pytest.mark.parametrize("dim, profile", [
+    (1, BUMP_1D),
+    (2, BUMP_2D),
+    (2, PullbackProfile(base=BUMP_2D, squash=RadialSquash(
+        dim=2, center=(2.0, 2.0), radius=1.5, strength=0.15))),
+], ids=["bump-1d", "conformal-2d", "pullback-2d"])
+def test_stencil_product_matches_dense_form(dim, profile):
+    grid = build_grid(dim, 4.0, 16 if dim == 1 else 12)
+    op = assemble_laplacian(make_metric(grid, profile))
+    if isinstance(profile, PullbackProfile):  # the cross terms are live
+        assert np.abs(op.metric.inverse_tensor[:, 0, 1]).max() > 0.1
+    block = np.random.default_rng(9).standard_normal((grid.node_count, 5))
+    dense = op.form_matrix @ block
+    tol = 1e-14 * np.abs(dense).max()
+    np.testing.assert_allclose(op.apply_form(block), dense, rtol=0, atol=tol)
+    np.testing.assert_allclose(op.apply_form(block[:, 0]), dense[:, 0],
+                               rtol=0, atol=tol)
 
 
 # ----------------------------------------------------------------------
@@ -345,6 +368,24 @@ def test_frac_symmetric_in_weighted_product(dec_1d_bump):
     a = weighted_inner(frac_apply_spectral(dec_1d_bump, 0.5, u), v, w)
     b = weighted_inner(u, frac_apply_spectral(dec_1d_bump, 0.5, v), w)
     assert a == pytest.approx(b, abs=1e-10)
+
+
+def test_fractional_powers_emit_no_warnings(dec_2d_aniso):
+    # lam^a is taken on the positive eigenvalues only; the zero mode gets an
+    # exact 0 and nothing reads uninitialized memory
+    dec = dataclasses.replace(dec_2d_aniso, _cache={})
+    lam = dec.eigenvalues
+    u = np.random.default_rng(16).standard_normal(dec.node_count)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = frac_apply_spectral(dec, 0.4, u)
+        energy = frac_energy_matrix(dec, 0.4)
+    powers = np.zeros_like(lam)
+    powers[lam > 0] = lam[lam > 0] ** 0.4
+    assert np.array_equal(out, dec.synthesize(dec.project(u) * powers))
+    weighted = dec.basis * dec.measure.node_weights[:, None]
+    e = (weighted * powers) @ weighted.T
+    assert np.array_equal(energy, 0.5 * (e + e.T))
 
 
 @pytest.mark.parametrize("alpha", [0.0, -0.5, 1.5, 2.0])
