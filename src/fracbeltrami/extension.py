@@ -31,6 +31,9 @@ the heat-kernel representation of the Neumann-problem solution
     w^F(x, z) = c^_a int_0^inf e^{t Lap}((-Lap) F)(x) e^{-z^2/4t} t^{a-1} dt,
 
 whose Taylor coefficients in z^2 are the normal-series coefficients C_j.
+The constant is the closed form c^_a = 1/Gamma(a): mode by mode
+int_0^inf e^{-lam t} t^{a-1} dt = Gamma(a) lam^{-a}, so at z = 0 the
+integral is Gamma(a) A^{-a} A F = Gamma(a) A^{1-a} F.
 """
 
 from __future__ import annotations
@@ -444,7 +447,7 @@ def fd_extension_solve(dec_or_op, alpha: float, mesh: ExtensionMesh,
     # relative residual tolerance needs the rescaled system
     # D^{-1/2} S D^{-1/2} y = D^{-1/2} b, x = D^{-1/2} y.  Fixed unknowns
     # get a zero scale, so they stay exactly zero throughout.
-    b_diag = np.diag(op.form_matrix)
+    b_diag = op.form_diagonal()
     vert = np.zeros((P + 1, 1))
     vert[:-1] += cond
     vert[1:] += cond
@@ -495,14 +498,13 @@ def fd_extension_solve(dec_or_op, alpha: float, mesh: ExtensionMesh,
 # heat-kernel representation of the Neumann-problem solution
 
 
-def _representation_setup(dec: SpectralDecomposition, alpha: float,
-                          F: np.ndarray):
-    """Shared pieces: H = A F in modes (zero mode projected out) and w_ref."""
+def _representation_setup(dec: SpectralDecomposition,
+                          F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """F as floats and H = A F in modes (zero mode projected out)."""
     F = np.asarray(F, float)
     h_modes = dec.project(dec.operator.apply(F))
     h_modes[dec.eigenvalues == 0.0] = 0.0
-    w_ref = frac_apply_spectral(dec, 1.0 - alpha, F) if alpha < 1.0 else None
-    return F, h_modes, w_ref
+    return F, h_modes
 
 
 def _representation_raw(dec: SpectralDecomposition, h_modes: np.ndarray,
@@ -521,29 +523,6 @@ def _representation_raw(dec: SpectralDecomposition, h_modes: np.ndarray,
     return val
 
 
-def _calibrated_constant(dec: SpectralDecomposition, alpha: float,
-                         F: np.ndarray, h_modes: np.ndarray,
-                         w_ref: np.ndarray, quad: LogQuadrature) -> float:
-    """One-point calibration of c^_a: match the z = 0 representation against
-    the Poisson/Neumann-problem solution w = A^{1-a} F at the off-support
-    node where that solution is largest.  Cached per (grid, alpha); the
-    measured value sits at 1/Gamma(a) up to quadrature error.
-    """
-    key = ("c_hat", alpha)
-    if key in dec._cache:
-        return dec._cache[key]
-    off = np.flatnonzero(np.asarray(F) == 0.0)
-    if off.size == 0:
-        raise ValueError("calibration needs at least one node outside supp F")
-    x_star = int(off[np.argmax(np.abs(w_ref[off]))])
-    raw = _representation_raw(dec, h_modes, alpha, x_star, 0.0, quad)
-    if raw == 0.0:
-        raise ArithmeticError("degenerate calibration instance: zero raw value")
-    c_hat = float(w_ref[x_star]) / raw
-    dec._cache[key] = c_hat
-    return c_hat
-
-
 def representation_solution(dec: SpectralDecomposition, alpha: float,
                             F: np.ndarray, x_index: int, z: float,
                             quad: LogQuadrature | None = None) -> float:
@@ -554,12 +533,11 @@ def representation_solution(dec: SpectralDecomposition, alpha: float,
         raise ValueError("representation height must satisfy z >= 0")
     if quad is None:
         quad = LogQuadrature.log_uniform()
-    F, h_modes, w_ref = _representation_setup(dec, alpha, F)
+    F, h_modes = _representation_setup(dec, F)
     if F[x_index] != 0.0:
         raise ValueError(
             f"node {x_index} lies inside supp F; the representation holds off-support")
-    c_hat = _calibrated_constant(dec, alpha, F, h_modes, w_ref, quad)
-    return c_hat * _representation_raw(dec, h_modes, alpha, x_index, z, quad)
+    return _representation_raw(dec, h_modes, alpha, x_index, z, quad) / math.gamma(alpha)
 
 
 @dataclasses.dataclass
@@ -606,7 +584,7 @@ def series_coefficients(dec: SpectralDecomposition, alpha: float,
     if quad is None:
         quad = series_quadrature(dec)
     x_indices = np.atleast_1d(np.asarray(x_indices, dtype=int))
-    F, h_modes, w_ref = _representation_setup(dec, alpha, F)
+    F, h_modes = _representation_setup(dec, F)
     if np.any(F[x_indices] != 0.0):
         raise ValueError("all evaluation nodes must lie outside supp F")
     support = np.flatnonzero(F != 0.0)
@@ -624,7 +602,7 @@ def series_coefficients(dec: SpectralDecomposition, alpha: float,
             f"quadrature window t_min = {quad.t_min:.3e} cannot resolve the "
             f"order-{J} weight (integrand peak at {t_peak:.3e}); enlarge the "
             f"window or reduce J")
-    c_hat = _calibrated_constant(dec, alpha, F, h_modes, w_ref, quad)
+    c_hat = 1.0 / math.gamma(alpha)
 
     t = quad.nodes
     series = np.exp(-np.outer(t, dec.eigenvalues)) @ (dec.basis[x_indices] * h_modes).T

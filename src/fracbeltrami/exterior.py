@@ -5,10 +5,14 @@ The torus nodes are split into an interior region Omega and its complement
 
     (-Lap_g)^a u = 0  on Omega,    u = f  on the exterior.
 
-With the dense spectral matrix A^a this is an exact block system: writing
+In the spectral calculus this is an exact block system: writing
 E = W A^a (the weighted energy matrix, symmetric PSD with only constants in
 its kernel), the solution solves E_OO u_O = -E_OE f_E, and the principal
-block is SPD whenever Omega is a proper subset.  On top of the solve sit
+block is SPD whenever Omega is a proper subset.  E is never formed whole:
+with the rows G_S = W_S Phi_S Lambda^{a/2} of the eigenbasis, every block is
+E_ST = G_S G_T', so a solve needs only the rows on Omega and on the support
+of the datum, and factors the |Omega| x |Omega| block directly.  On top of
+the solve sit
 
   * the partial and full Dirichlet-to-Neumann maps  f |-> (A^a u^f)|_W2,
   * the fractional Poisson solve  w^F = A^{1-a} F  for exterior sources,
@@ -26,12 +30,11 @@ import dataclasses
 import numpy as np
 
 from .geometry import TorusGrid, wrap_displacement
-from .solvers import conjugate_gradient
 from .spectral import (
     SpectralDecomposition,
     _check_alpha,
+    _spectral_power,
     frac_apply_spectral,
-    frac_energy_matrix,
 )
 
 __all__ = [
@@ -203,22 +206,37 @@ class RegionSpec:
 # the exterior Dirichlet solve
 
 
+def _half_power_rows(dec: SpectralDecomposition, alpha: float,
+                     nodes: np.ndarray) -> np.ndarray:
+    """Rows Phi_S Lambda^{a/2} of the eigenbasis at the nodes S.
+
+    Scaled by the node weights they give G_S = W_S Phi_S Lambda^{a/2}, and
+    (A^a u)_S = Phi_S Lambda^{a/2} (G' u).
+    """
+    return dec.basis[nodes] * _spectral_power(dec.eigenvalues, 0.5 * alpha)
+
+
 def _solve_blocks(dec: SpectralDecomposition, alpha: float,
-                  config: ExteriorConfig,
-                  f_exterior: np.ndarray) -> tuple[np.ndarray, float]:
-    energy = frac_energy_matrix(dec, alpha)
-    om, ex = config.omega_nodes, config.exterior_nodes
-    f_exterior = np.asarray(f_exterior, dtype=float)
-    if f_exterior.shape != ex.shape:
-        raise ValueError("exterior datum must align with config.exterior_nodes")
-    block = energy[np.ix_(om, om)]
-    rhs = -energy[np.ix_(om, ex)] @ f_exterior
-    u_omega, _, residual = conjugate_gradient(lambda x: block @ x, rhs,
-                                              rtol=1e-12, max_iter=20000)
-    u = np.zeros(dec.node_count)
-    u[ex] = f_exterior
-    u[om] = u_omega
-    return u, residual
+                  config: ExteriorConfig, in_nodes: np.ndarray,
+                  f_in: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Solve E_OO u_O = -E_O,in f for a datum f on the exterior set `in_nodes`.
+
+    Returns u_O, the half-power modes G' u = Lambda^{a/2} Phi' W u of the
+    full solution u (f on `in_nodes`, 0 on the rest of the exterior), and
+    the explicit relative residual ||b - E_OO u_O|| / ||b||.
+    """
+    w = dec.measure.node_weights
+    om = config.omega_nodes
+    g_om = _half_power_rows(dec, alpha, om) * w[om, None]
+    g_in = _half_power_rows(dec, alpha, in_nodes) * w[in_nodes, None]
+    datum_modes = g_in.T @ f_in
+    rhs = -(g_om @ datum_modes)
+    block = g_om @ g_om.T
+    u_omega = np.linalg.solve(block, rhs)
+    b_norm = float(np.linalg.norm(rhs))
+    residual = (float(np.linalg.norm(rhs - block @ u_omega)) / b_norm
+                if b_norm > 0.0 else 0.0)
+    return u_omega, datum_modes + g_om.T @ u_omega, residual
 
 
 def solve_exterior_dirichlet(dec: SpectralDecomposition, alpha: float,
@@ -226,12 +244,20 @@ def solve_exterior_dirichlet(dec: SpectralDecomposition, alpha: float,
                              f_exterior: np.ndarray) -> np.ndarray:
     """Energy solution of (A^a u)|_Omega = 0 with u = f on the exterior.
 
-    Returned as a full node vector; the interior block system is SPD (the
-    only PSD kernel direction, the constant, never fits inside a proper
-    Omega) and is solved by CG to relative residual 1e-12.
+    Returned as a full node vector that keeps the datum verbatim on the
+    exterior.  The interior block E_OO = G_O G_O' is SPD (the only PSD kernel
+    direction, the constant, never fits inside a proper Omega) and is solved
+    directly.
     """
     _check_alpha(alpha, allow_one=False)
-    u, _ = _solve_blocks(dec, alpha, config, f_exterior)
+    f_exterior = np.asarray(f_exterior, dtype=float)
+    if f_exterior.shape != config.exterior_nodes.shape:
+        raise ValueError("exterior datum must align with config.exterior_nodes")
+    u_omega, _, _ = _solve_blocks(dec, alpha, config, config.exterior_nodes,
+                                  f_exterior)
+    u = np.zeros(dec.node_count)
+    u[config.exterior_nodes] = f_exterior
+    u[config.omega_nodes] = u_omega
     return u
 
 
@@ -239,14 +265,14 @@ def coercivity_constant(dec: SpectralDecomposition, alpha: float,
                         config: ExteriorConfig) -> float:
     """Discrete Poincare constant: min of E(u,u)/||u||_w^2 over supp u in Omega.
 
-    The smallest eigenvalue of W^{-1/2} E_OO W^{-1/2}; strictly positive for
-    a proper Omega, and a per-grid diagnostic for the energy estimates.
+    The smallest eigenvalue of W^{-1/2} E_OO W^{-1/2} = R R' with
+    R = W_O^{1/2} Phi_O Lambda^{a/2}; strictly positive for a proper Omega,
+    and a per-grid diagnostic for the energy estimates.
     """
-    energy = frac_energy_matrix(dec, alpha)
     om = config.omega_nodes
-    rw = np.sqrt(dec.measure.node_weights[om])
-    sym = energy[np.ix_(om, om)] / np.outer(rw, rw)
-    return float(np.linalg.eigvalsh(0.5 * (sym + sym.T))[0])
+    root_w = np.sqrt(dec.measure.node_weights[om])
+    rows = _half_power_rows(dec, alpha, om) * root_w[:, None]
+    return float(np.linalg.eigvalsh(rows @ rows.T)[0])
 
 
 # ----------------------------------------------------------------------
@@ -308,12 +334,12 @@ def _dtn(dec: SpectralDecomposition, alpha: float, config: ExteriorConfig,
          label: str) -> DtNRecord:
     _check_alpha(alpha, allow_one=False)
     full = _expand_datum(config, in_nodes, values, label)
-    u, residual = _solve_blocks(dec, alpha, config,
-                                full[config.exterior_nodes])
-    flux = frac_apply_spectral(dec, alpha, u)
+    _, modes, residual = _solve_blocks(dec, alpha, config, in_nodes,
+                                       full[in_nodes])
+    flux = _half_power_rows(dec, alpha, out_nodes) @ modes
     return DtNRecord(alpha=alpha, input_nodes=in_nodes,
                      input_values=full[in_nodes], output_nodes=out_nodes,
-                     output_values=flux[out_nodes],
+                     output_values=flux,
                      output_weights=dec.measure.node_weights[out_nodes],
                      residual=residual)
 

@@ -1,5 +1,9 @@
-"""Conjugate gradients for the symmetric positive (semi)definite systems
-assembled by the extension and exterior modules.
+"""Conjugate gradients for the matrix-free extension solve.
+
+The graded-mesh system of ``extension.fd_extension_solve`` is symmetric
+positive definite and applied only through its stencil, so it is solved
+iteratively; the exterior layer's interior blocks are small and dense and
+are solved directly.
 
 Hand-rolled on purpose: the iteration is tiny, and owning it keeps the
 energy decrease observable through the callback (CG, preconditioned or not,

@@ -7,10 +7,12 @@ The grid operator is
 with periodic forward/backward differences D+/D-.  A is self-adjoint and
 positive semi-definite in the weighted inner product, its kernel is the
 constants, and for the identity metric in 1d it reduces to the classical
-(-1, 2, -1)/h^2 circulant.  All fractional powers are defined through the
-dense eigendecomposition of the symmetrized matrix; the Balakrishnan
-quadrature route and the jump-kernel route below are independent cross-checks
-of that calculus, not substitutes for it.
+(-1, 2, -1)/h^2 circulant.  The operator is held as its stencil
+coefficients and applied by periodic shifts; a dense matrix is assembled only
+for the eigensolve (and on request, as an oracle).  All fractional powers are
+defined through the dense eigendecomposition of the symmetrized matrix; the
+Balakrishnan quadrature route and the jump-kernel route below are independent
+cross-checks of that calculus, not substitutes for it.
 """
 
 from __future__ import annotations
@@ -56,22 +58,72 @@ class QuadratureWindowWarning(UserWarning):
 
 @dataclasses.dataclass
 class DiscreteLaplaceBeltrami:
-    """Dense operator matrix A together with its quadratic form B = W A.
+    """Periodic stencil of A = W^{-1} B and of its quadratic form B = W A.
 
     ``coefficients`` holds the node coefficients C_jk = h^{dim-2} sqrt|g| g^{jk}
-    of the stencil B = sum_jk D+_j' C_jk D+_k, which :meth:`apply_form`
-    applies without touching the dense matrices.
+    of the stencil B = sum_jk D+_j' C_jk D+_k (5 nonzeros per row for a
+    conformal metric, at most 9 otherwise).  They are the only stored
+    representation: :meth:`apply_form` and :meth:`apply` act by periodic
+    shifts, and the dense ``form_matrix`` and ``matrix`` are assembled anew
+    on each access, for the eigensolve and for dense oracles.
     """
 
-    matrix: np.ndarray        # (M, M), acts on node vectors
-    form_matrix: np.ndarray   # (M, M), symmetric PSD, u.B.v = <Au, v>_w
     coefficients: np.ndarray  # (M, dim, dim), the stencil's C_jk per node
     metric: MetricField
     measure: WeightedMeasure
     grid: TorusGrid
 
+    @property
+    def form_matrix(self) -> np.ndarray:
+        """Dense B (M, M), symmetric PSD with u.B.v = <Au, v>_w.
+
+        Scatters the four point masses each (node, j, k) contributes,
+
+            u.B.v = sum_i C_jk,i (D+_j u)_i (D+_k v)_i ,
+
+        so summation by parts on the torus makes B exactly symmetric.
+        """
+        grid = self.grid
+        m = grid.node_count
+        idx = np.arange(m).reshape(grid.shape)
+        # forward[a][i] = flat index of the +1 neighbour of node i along axis a
+        forward = [np.roll(idx, -1, axis=a).ravel() for a in range(grid.dim)]
+        base = np.arange(m)
+        b = np.zeros((m, m))
+        for j in range(grid.dim):
+            for k in range(grid.dim):
+                c = self.coefficients[:, j, k]
+                np.add.at(b, (base, base), c)
+                np.add.at(b, (base, forward[k]), -c)
+                np.add.at(b, (forward[j], base), -c)
+                np.add.at(b, (forward[j], forward[k]), c)
+        return b
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """Dense A = W^{-1} B (M, M), acting on node vectors."""
+        return self.form_matrix / self.measure.node_weights[:, None]
+
+    def form_diagonal(self) -> np.ndarray:
+        """diag(B) from the stencil: B_ii = sum_jk C_jk,i + sum_j C_jj,i-e_j.
+
+        The terms are added in the order :attr:`form_matrix` scatters them,
+        so the result equals ``np.diag(form_matrix)`` bitwise.
+        """
+        dim = self.grid.dim
+        diag = np.zeros(self.grid.node_count)
+        for j in range(dim):
+            for k in range(dim):
+                c = self.coefficients[:, j, k]
+                diag += c
+                if j == k:
+                    diag += np.roll(c.reshape(self.grid.shape), 1, axis=j).ravel()
+        return diag
+
     def apply(self, u: np.ndarray) -> np.ndarray:
-        return self.matrix @ u
+        """A u = W^{-1} B u for a node vector or an (M, cols) block."""
+        bu = self.apply_form(u)
+        return bu / self.measure.node_weights.reshape((-1,) + (1,) * (bu.ndim - 1))
 
     def apply_form(self, X: np.ndarray) -> np.ndarray:
         """B X for a node vector or an (M, cols) block, by periodic shifts.
@@ -96,37 +148,19 @@ class DiscreteLaplaceBeltrami:
 
 
 def assemble_laplacian(metric: MetricField) -> DiscreteLaplaceBeltrami:
-    """Assemble the periodic divergence-form matrix for a sampled metric.
+    """The periodic divergence-form operator of a sampled metric.
 
-    The symmetric form is built directly,
+    Stores the stencil coefficients C_jk = h^{dim-2} sqrt|g| g^{jk} of
 
         u.B.v = h^dim sum_i sqrt|g|_i g^{jk}_i (D+_j u)_i (D+_k v)_i ,
 
-    by scattering the four point masses each (i, j, k) contributes; the
-    operator matrix is then A = W^{-1} B.  Summation by parts on the torus
-    makes A exactly self-adjoint in the weighted product.
+    with A = W^{-1} B; no dense matrix is built.
     """
     grid = metric.grid
-    dim, h, m = grid.dim, grid.spacing, grid.node_count
-    idx = np.arange(m).reshape(grid.shape)
-    # forward[a][i] = flat index of the +1 neighbour of node i along axis a
-    forward = [np.roll(idx, -1, axis=a).ravel() for a in range(dim)]
-    base = np.arange(m)
-
-    coeffs = (h ** dim / h ** 2) * metric.sqrt_det[:, None, None] * metric.inverse_tensor
-    b = np.zeros((m, m))
-    for j in range(dim):
-        for k in range(dim):
-            c = coeffs[:, j, k]
-            np.add.at(b, (base, base), c)
-            np.add.at(b, (base, forward[k]), -c)
-            np.add.at(b, (forward[j], base), -c)
-            np.add.at(b, (forward[j], forward[k]), c)
-
-    measure = metric.measure()
-    a = b / measure.node_weights[:, None]
-    return DiscreteLaplaceBeltrami(matrix=a, form_matrix=b, coefficients=coeffs,
-                                   metric=metric, measure=measure, grid=grid)
+    h = grid.spacing
+    coeffs = (h ** grid.dim / h ** 2) * metric.sqrt_det[:, None, None] * metric.inverse_tensor
+    return DiscreteLaplaceBeltrami(coefficients=coeffs, metric=metric,
+                                   measure=metric.measure(), grid=grid)
 
 
 @dataclasses.dataclass
@@ -144,7 +178,6 @@ class SpectralDecomposition:
     grid: TorusGrid
     metric: MetricField
     measure: WeightedMeasure
-    _cache: dict = dataclasses.field(default_factory=dict, repr=False)
 
     @property
     def node_count(self) -> int:
@@ -165,11 +198,15 @@ def decompose(op: DiscreteLaplaceBeltrami,
     if m > cap:
         raise DecompositionSizeError(
             f"grid has {m} nodes, dense eigendecomposition capped at {cap}")
-    w = op.measure.node_weights
-    root_w = np.sqrt(w)
-    sym = op.form_matrix / np.outer(root_w, root_w)
-    sym = 0.5 * (sym + sym.T)
+    root_w = np.sqrt(op.measure.node_weights)
+    # the freshly assembled B is scaled in place to 0.5 (S + S') with
+    # S = W^{-1/2} B W^{-1/2}; the basis is signed and rescaled in place too
+    sym = op.form_matrix
+    sym /= np.outer(root_w, root_w)
+    sym += sym.T
+    sym *= 0.5
     evals, evecs = np.linalg.eigh(sym)
+    del sym
 
     lam_max = max(float(evals[-1]), 1.0)
     if evals[0] < -1e-10 * lam_max:
@@ -181,10 +218,10 @@ def decompose(op: DiscreteLaplaceBeltrami,
     anchor = np.abs(evecs).argmax(axis=0)
     signs = np.sign(evecs[anchor, np.arange(m)])
     signs[signs == 0] = 1.0
-    evecs = evecs * signs
+    evecs *= signs
 
-    basis = evecs / root_w[:, None]
-    return SpectralDecomposition(eigenvalues=evals, basis=basis, operator=op,
+    evecs /= root_w[:, None]
+    return SpectralDecomposition(eigenvalues=evals, basis=evecs, operator=op,
                                  grid=op.grid, metric=op.metric,
                                  measure=op.measure)
 
@@ -256,15 +293,16 @@ def frac_apply_spectral(dec: SpectralDecomposition, alpha: float,
 
 
 def frac_energy_matrix(dec: SpectralDecomposition, alpha: float) -> np.ndarray:
-    """Symmetric PSD matrix E with u.E.v = <A^alpha u, v>_w (cached per alpha)."""
+    """Dense symmetric PSD matrix E = W A^alpha, u.E.v = <A^alpha u, v>_w.
+
+    Built anew on each call (M x M); the exterior layer forms only the
+    blocks it needs, so this serves as a dense oracle.
+    """
     _check_alpha(alpha, allow_one=True)
-    key = ("energy", float(alpha))
-    if key not in dec._cache:
-        powers = _spectral_power(dec.eigenvalues, alpha)
-        weighted = dec.basis * dec.measure.node_weights[:, None]
-        e = (weighted * powers) @ weighted.T
-        dec._cache[key] = 0.5 * (e + e.T)
-    return dec._cache[key]
+    powers = _spectral_power(dec.eigenvalues, alpha)
+    weighted = dec.basis * dec.measure.node_weights[:, None]
+    e = (weighted * powers) @ weighted.T
+    return 0.5 * (e + e.T)
 
 
 def _window_check(dec: SpectralDecomposition, quad: LogQuadrature,

@@ -1,5 +1,6 @@
 """Exterior Dirichlet solves, DtN records, and the fractional Poisson map:
-dense-block oracles, pairing symmetry, nonlocality, and the source pivot."""
+dense-block oracles, pairing symmetry, nonlocality, and the source pivot,
+on a 1-d grid and on 2-d grids with conformal and cross-term metrics."""
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from fracbeltrami.spectral import (
 from fracbeltrami.extension import fd_extension_solve, graded_mesh
 from fracbeltrami.exterior import (
     DtNRecord,
+    RegionSpec,
     coercivity_constant,
     dtn_full,
     dtn_partial,
@@ -26,14 +28,37 @@ from fracbeltrami.exterior import (
     solve_exterior_dirichlet,
     source_to_solution_map,
 )
+from fracbeltrami.recovery import PullbackProfile, RadialSquash
 
 BUMP_1D = ConformalBump(1, beta=0.6, sigma=0.5, center=(2.0,), r0=1.5)
+
+# 2-d layout on the side-4 torus: at N = 16 (h = 0.25) Omega has 37 nodes
+# and each window 5, all more than 2h apart
+REGION_2D = RegionSpec(omega_center=(2.0, 2.0), omega_radius=0.8,
+                       w1_center=(0.25, 2.0), w1_radius=0.3,
+                       w2_center=(2.0, 0.25), w2_radius=0.3)
+BUMP_2D = ConformalBump(2, beta=0.5, sigma=0.3, center=(2.0, 2.0), r0=0.9)
+
+
+def _pullback(base, strength=0.15):
+    squash = RadialSquash(dim=2, center=(2.0, 2.0), radius=0.9,
+                          strength=strength)
+    return PullbackProfile(base=base, squash=squash)
 
 
 @pytest.fixture(scope="module")
 def dec_bump():
     grid = build_grid(1, 4.0, 32)
     return decompose(assemble_laplacian(make_metric(grid, BUMP_1D)))
+
+
+@pytest.fixture(scope="module", params=["conformal", "pullback"])
+def dec_2d(request):
+    profile = BUMP_2D if request.param == "conformal" else _pullback(BUMP_2D)
+    metric = make_metric(build_grid(2, 4.0, 16), profile)
+    if request.param == "pullback":  # the cross terms are live
+        assert np.abs(metric.inverse_tensor[:, 0, 1]).max() > 0.1
+    return decompose(assemble_laplacian(metric))
 
 
 @pytest.fixture(scope="module")
@@ -248,6 +273,61 @@ def test_dtn_residual_guard():
                   input_values=np.array([1.0]), output_nodes=np.array([1]),
                   output_values=np.array([0.0]),
                   output_weights=np.array([1.0]), residual=1e-8)
+
+
+# ----------------------------------------------------------------------
+# 2-d layouts against the dense energy matrix
+
+
+def _dtn_matrix(dec, alpha, config):
+    """|W2| x |W1| partial DtN matrix, one unit datum per column."""
+    eye = np.eye(len(config.w1_nodes))
+    return np.stack([dtn_partial(dec, alpha, config, e).output_values
+                     for e in eye], axis=1)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.7])
+def test_solve_2d_matches_dense_direct(dec_2d, alpha):
+    config = REGION_2D.build(dec_2d.grid)
+    om, ex = config.omega_nodes, config.exterior_nodes
+    x = dec_2d.grid.coordinates()[ex]
+    f = np.cos(np.pi * x[:, 0] / 2.0) + 0.3 * x[:, 1]
+    u = solve_exterior_dirichlet(dec_2d, alpha, config, f)
+    energy = frac_energy_matrix(dec_2d, alpha)
+    direct = np.linalg.solve(energy[np.ix_(om, om)],
+                             -energy[np.ix_(om, ex)] @ f)
+    assert np.array_equal(u[ex], f)    # datum kept verbatim
+    assert np.max(np.abs(u[om] - direct)) < 1e-10 * np.max(np.abs(direct))
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.7])
+def test_coercivity_2d_matches_dense_block(dec_2d, alpha):
+    config = REGION_2D.build(dec_2d.grid)
+    om = config.omega_nodes
+    energy = frac_energy_matrix(dec_2d, alpha)
+    rw = np.sqrt(dec_2d.measure.node_weights[om])
+    dense = np.linalg.eigvalsh(energy[np.ix_(om, om)] / np.outer(rw, rw))[0]
+    assert coercivity_constant(dec_2d, alpha, config) == pytest.approx(
+        dense, rel=1e-12)
+
+
+@settings(max_examples=6, deadline=None)
+@given(beta=st.floats(0.2, 0.8), sigma=st.floats(0.2, 0.4),
+       strength=st.floats(0.05, 0.2), alpha=st.floats(0.2, 0.8))
+def test_dtn_2d_weighted_symmetry(beta, sigma, strength, alpha):
+    # the energy form is symmetric, so w_W2 Lambda^{W1,W2} is the transpose
+    # of w_W1 Lambda^{W2,W1}, with or without cross terms in the metric
+    base = ConformalBump(2, beta=beta, sigma=sigma, center=(2.0, 2.0), r0=0.9)
+    grid = build_grid(2, 4.0, 16)
+    config = REGION_2D.build(grid)
+    for profile in (base, _pullback(base, strength)):
+        dec = decompose(assemble_laplacian(make_metric(grid, profile)))
+        w = dec.measure.node_weights
+        forward = w[config.w2_nodes, None] * _dtn_matrix(dec, alpha, config)
+        backward = w[config.w1_nodes, None] * _dtn_matrix(dec, alpha,
+                                                          _swapped(config))
+        assert np.max(np.abs(forward - backward.T)) \
+            < 1e-9 * np.max(np.abs(forward))
 
 
 # ----------------------------------------------------------------------
