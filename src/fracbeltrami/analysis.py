@@ -45,7 +45,6 @@ from .geometry import TorusGrid, weighted_inner
 from .spectral import SpectralDecomposition, _check_alpha
 
 __all__ = [
-    "SobolevNormEstimate",
     "sobolev_norm_fourier",
     "diff_quotient_seminorm",
     "RegularityTrend",
@@ -53,27 +52,6 @@ __all__ = [
     "ConstantReport",
     "constant_estimates",
 ]
-
-_METHODS = ("fourier", "difference_quotient")
-
-
-@dataclasses.dataclass(frozen=True)
-class SobolevNormEstimate:
-    """A single measured norm value, tagged with the order and the method."""
-
-    order: float
-    value: float
-    method: str
-
-    def __post_init__(self):
-        if self.method not in _METHODS:
-            raise ValueError(f"unknown method {self.method!r}; expected one of {_METHODS}")
-        if not (np.isfinite(self.value) and self.value >= 0.0):
-            raise ValueError(f"norm value must be finite and nonnegative, got {self.value}")
-
-    def __float__(self) -> float:
-        return float(self.value)
-
 
 def _grid_field(grid: TorusGrid, u: np.ndarray) -> np.ndarray:
     """Reshape a nodal vector to the grid axes, validating shape and finiteness."""
@@ -106,15 +84,13 @@ def _fourier_weighted_norm(grid: TorusGrid, field: np.ndarray, s: float,
     return math.sqrt(scale * float(np.sum(weight * power)))
 
 
-def sobolev_norm_fourier(grid: TorusGrid, u: np.ndarray, s: float) -> SobolevNormEstimate:
+def sobolev_norm_fourier(grid: TorusGrid, u: np.ndarray, s: float) -> float:
     """Flat-symbol Sobolev norm (sum_xi (1+|xi|^2)^s |u^(xi)|^2)^{1/2}.
 
     A constant c has norm |c| sqrt(L^dim) at every order (only the zero mode
     contributes), and s = 0 is the plain L^2 norm.
     """
-    field = _grid_field(grid, u)
-    value = _fourier_weighted_norm(grid, field, float(s))
-    return SobolevNormEstimate(order=float(s), value=value, method="fourier")
+    return _fourier_weighted_norm(grid, _grid_field(grid, u), float(s))
 
 
 def diff_quotient_seminorm(grid: TorusGrid, u: np.ndarray, mu: float, beta: float,
@@ -205,7 +181,7 @@ def regularity_probe(solutions: Sequence[tuple[TorusGrid, np.ndarray]],
         if sizes and grid.points_per_side <= sizes[-1]:
             raise ValueError("refinement sizes must be strictly increasing")
         sizes.append(grid.points_per_side)
-        norms.append(sobolev_norm_fourier(grid, u, s).value)
+        norms.append(sobolev_norm_fourier(grid, u, s))
     trend = RegularityTrend(order=float(s), sizes=tuple(sizes), norms=tuple(norms),
                             verdict="")
     verdict = "BOUNDED" if trend.growth < 2.0 else "GROWING"

@@ -227,10 +227,6 @@ class ExtensionMesh:
     def height(self) -> float:
         return float(self.heights[-1])
 
-    def weight_samples(self) -> np.ndarray:
-        """z^{1-2a} at positive heights (the degenerate weight)."""
-        return self.heights[1:] ** (1.0 - 2.0 * self.alpha)
-
     # exact primitives of the weight: I1 = int z^{1-2a}, I2 = int z^{2-2a}
     def _i1(self, a, b):
         p = 2.0 - 2.0 * self.alpha
@@ -239,11 +235,6 @@ class ExtensionMesh:
     def _i2(self, a, b):
         p = 3.0 - 2.0 * self.alpha
         return (b**p - a**p) / p
-
-    def interval_weights(self) -> np.ndarray:
-        """W_p = int_{z_p}^{z_{p+1}} z^{1-2a} dz, exact (singularity included)."""
-        z = self.heights
-        return self._i1(z[:-1], z[1:])
 
     def conductances(self) -> np.ndarray:
         """Harmonic-mean vertical conductances c_p = (int_cell z^{2a-1} dz)^{-1}.
@@ -259,21 +250,6 @@ class ExtensionMesh:
         p = 2.0 * self.alpha
         return p / (z[1:] ** p - z[:-1] ** p)
 
-    def lumped_weights(self) -> np.ndarray:
-        """V_p = int z^{1-2a} hat_p(z) dz for p = 0..P, exact.
-
-        Row sums of the weighted mass matrix in z (mass lumping); the two
-        boundary hats carry their single half each.
-        """
-        z = self.heights
-        dz = np.diff(z)
-        rise = (self._i2(z[:-1], z[1:]) - z[:-1] * self._i1(z[:-1], z[1:])) / dz
-        fall = (z[1:] * self._i1(z[:-1], z[1:]) - self._i2(z[:-1], z[1:])) / dz
-        v = np.zeros(len(z))
-        v[:-1] += fall                 # falling half of hat_p on [z_p, z_{p+1}]
-        v[1:] += rise                  # rising half of hat_p on [z_{p-1}, z_p]
-        return v
-
     def mass_rows(self) -> tuple[np.ndarray, np.ndarray]:
         """Consistent P1 mass of the weight: (diagonal, codiagonal), exact.
 
@@ -285,7 +261,7 @@ class ExtensionMesh:
             I01 = (-ab S0 + (a+b) S1 - S2) / dz^2
             I11 = (a^2 S0 - 2a S1 + S2) / dz^2
 
-        Row sums reproduce lumped_weights identically; keeping the
+        Row sums are the lumped weights int z^{1-2a} hat_p dz; keeping the
         codiagonal instead of lumping cuts the error constant of the
         discrete trace roughly threefold for a <= 1/2, which is what the
         mixed-solve accuracy budget is spent on.
@@ -356,12 +332,11 @@ class ExtensionField:
         return self.values[:, 0]
 
 
-def fd_extension_solve(dec_or_op, alpha: float, mesh: ExtensionMesh,
-                       dirichlet_nodes: np.ndarray, neumann_nodes: np.ndarray,
+def fd_extension_solve(dec: SpectralDecomposition, alpha: float,
+                       mesh: ExtensionMesh, dirichlet_nodes: np.ndarray,
+                       neumann_nodes: np.ndarray,
                        f_dirichlet: np.ndarray, f_neumann: np.ndarray,
-                       rtol: float = 1e-9, max_iter: int = 20000,
-                       iteration_callback=None,
-                       cap: str = "neumann") -> ExtensionField:
+                       iteration_callback=None) -> ExtensionField:
     """Direct FEM/FD solve of the mixed degenerate problem.
 
     P1 elements in z on the graded mesh with *exact* integrals of the
@@ -372,24 +347,21 @@ def fd_extension_solve(dec_or_op, alpha: float, mesh: ExtensionMesh,
     prescribe the weighted flux lim z^{1-2a} d_z u~ = f_neumann, entering
     the right-hand side as -w_i f_i.  Conjugate gradients on the free
     unknowns of the diagonally scaled system, preconditioned by an exact
-    tridiagonal solve along each node's z-line (block Jacobi over z-lines);
-    the tangential stiffness is applied as a stencil, never as a dense
-    matrix.
+    tridiagonal solve along each node's z-line (block Jacobi over z-lines),
+    stopped at relative residual 1e-9 of the scaled system; the tangential
+    stiffness is applied as a stencil, never as a dense matrix.
 
-    The truncation cap at z = H is reflecting (zero weighted flux) by
-    default: decaying modes see an O(e^{-2 sqrt(lam) H}) trace perturbation
-    either way, but the constant mode -- which extends *unchanged* in the
-    half-space problem -- is exact under reflection, while pinning the cap
-    to zero would charge it a spurious stiffness 2a/H^{2a} that pollutes
-    mixed solves at the 1e-1 level.  Pass cap="dirichlet" for the pinned
-    variant (useful to expose exactly that effect).
+    The truncation cap at z = H is reflecting (zero weighted flux):
+    decaying modes would see an O(e^{-2 sqrt(lam) H}) trace perturbation
+    under a pinned cap too, but the constant mode -- which extends
+    *unchanged* in the half-space problem -- is exact under reflection,
+    while pinning the cap to zero would charge it a spurious stiffness
+    2a/H^{2a} that pollutes mixed solves at the 1e-1 level.
     """
     _check_alpha(alpha, allow_one=False)
-    op = dec_or_op.operator if isinstance(dec_or_op, SpectralDecomposition) else dec_or_op
+    op = dec.operator
     if mesh.alpha != alpha:
         raise ValueError("mesh was graded for a different alpha")
-    if cap not in ("neumann", "dirichlet"):
-        raise ValueError(f"cap must be 'neumann' or 'dirichlet', got {cap!r}")
     w = op.measure.node_weights
     n = len(w)
 
@@ -418,11 +390,6 @@ def fd_extension_solve(dec_or_op, alpha: float, mesh: ExtensionMesh,
 
     # unknowns are stored level-major, X[p, i] = u~(x_i, z_p), so the
     # vertical couplings and the z-line sweeps below run over whole rows
-    fixed = np.zeros((P + 1, n), dtype=bool)
-    fixed[0, dir_nodes] = True
-    if cap == "dirichlet":
-        fixed[P] = True
-
     def apply_full(X: np.ndarray) -> np.ndarray:
         # vertical fluxes G_p = cond_p (X_{p+1} - X_p) between levels
         G = cond * (X[1:] - X[:-1])
@@ -445,14 +412,15 @@ def fd_extension_solve(dec_or_op, alpha: float, mesh: ExtensionMesh,
     # symmetric Jacobi scaling: the assembled diagonal spans many decades on
     # the strongly graded mesh (c_0 ~ z_1^{-2a}), so the meaning of a
     # relative residual tolerance needs the rescaled system
-    # D^{-1/2} S D^{-1/2} y = D^{-1/2} b, x = D^{-1/2} y.  Fixed unknowns
-    # get a zero scale, so they stay exactly zero throughout.
+    # D^{-1/2} S D^{-1/2} y = D^{-1/2} b, x = D^{-1/2} y.  The fixed
+    # unknowns (level 0 at the Dirichlet nodes) get a zero scale, so they
+    # stay exactly zero throughout.
     b_diag = op.form_diagonal()
     vert = np.zeros((P + 1, 1))
     vert[:-1] += cond
     vert[1:] += cond
     inv_scale = 1.0 / np.sqrt(vert * w + diag_m * b_diag)
-    inv_scale[fixed] = 0.0
+    inv_scale[0, dir_nodes] = 0.0
 
     # Preconditioner: block Jacobi over z-lines.  Node i's block of the
     # scaled system couples its own levels only, through w_i (vertical
@@ -486,8 +454,8 @@ def fd_extension_solve(dec_or_op, alpha: float, mesh: ExtensionMesh,
     if iteration_callback is not None:
         callback = lambda y: iteration_callback(y, matvec, b_scaled)
     y, iters, residual = conjugate_gradient(
-        matvec, b_scaled, rtol=rtol, max_iter=max_iter, callback=callback,
-        precondition=precondition)
+        matvec, b_scaled, precondition, rtol=1e-9, max_iter=20000,
+        callback=callback)
 
     values = (lift + y.reshape(P + 1, n) * inv_scale).T.copy()
     return ExtensionField(mesh=mesh, values=values, iterations=iters,

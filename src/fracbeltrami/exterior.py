@@ -310,35 +310,19 @@ class DtNRecord:
                             np.asarray(h, float)))
 
 
-def _expand_datum(config: ExteriorConfig, nodes: np.ndarray,
-                  values: np.ndarray, label: str) -> np.ndarray:
-    """Accept a datum aligned with `nodes`, or a full vector supported there."""
-    values = np.asarray(values, dtype=float)
-    full = np.zeros(config.grid.node_count)
-    if values.shape == nodes.shape:
-        full[nodes] = values
-        return full
-    if values.shape == (config.grid.node_count,):
-        outside = np.setdiff1d(np.flatnonzero(values != 0.0), nodes,
-                               assume_unique=False)
-        if outside.size:
-            raise ValueError(f"datum must be supported in {label}; found "
-                             f"{outside.size} nonzero nodes outside")
-        return values.copy()
-    raise ValueError(f"datum shape {values.shape} matches neither {label} "
-                     f"({nodes.shape}) nor the full grid")
-
-
 def _dtn(dec: SpectralDecomposition, alpha: float, config: ExteriorConfig,
          in_nodes: np.ndarray, values: np.ndarray, out_nodes: np.ndarray,
          label: str) -> DtNRecord:
+    """DtN record for a datum given node by node on `in_nodes`."""
     _check_alpha(alpha, allow_one=False)
-    full = _expand_datum(config, in_nodes, values, label)
-    _, modes, residual = _solve_blocks(dec, alpha, config, in_nodes,
-                                       full[in_nodes])
+    values = np.array(values, dtype=float)
+    if values.shape != in_nodes.shape:
+        raise ValueError(f"datum of shape {values.shape} must align with "
+                         f"{label} of shape {in_nodes.shape}")
+    _, modes, residual = _solve_blocks(dec, alpha, config, in_nodes, values)
     flux = _half_power_rows(dec, alpha, out_nodes) @ modes
     return DtNRecord(alpha=alpha, input_nodes=in_nodes,
-                     input_values=full[in_nodes], output_nodes=out_nodes,
+                     input_values=values, output_nodes=out_nodes,
                      output_values=flux,
                      output_weights=dec.measure.node_weights[out_nodes],
                      residual=residual)
@@ -346,16 +330,22 @@ def _dtn(dec: SpectralDecomposition, alpha: float, config: ExteriorConfig,
 
 def dtn_partial(dec: SpectralDecomposition, alpha: float,
                 config: ExteriorConfig, f_on_w1: np.ndarray) -> DtNRecord:
-    """Partial map Lambda^{W1,W2}: datum on W1, measurement on W2."""
+    """Partial map Lambda^{W1,W2}: datum on W1, measurement on W2.
+
+    ``f_on_w1`` holds one value per node of ``config.w1_nodes``.
+    """
     return _dtn(dec, alpha, config, config.w1_nodes, f_on_w1,
-                config.w2_nodes, "w1")
+                config.w2_nodes, "config.w1_nodes")
 
 
 def dtn_full(dec: SpectralDecomposition, alpha: float, config: ExteriorConfig,
              h_on_exterior: np.ndarray) -> DtNRecord:
-    """Full map Lambda~: datum on the whole exterior, measured there too."""
+    """Full map Lambda~: datum on the whole exterior, measured there too.
+
+    ``h_on_exterior`` holds one value per node of ``config.exterior_nodes``.
+    """
     return _dtn(dec, alpha, config, config.exterior_nodes, h_on_exterior,
-                config.exterior_nodes, "the exterior")
+                config.exterior_nodes, "config.exterior_nodes")
 
 
 # ----------------------------------------------------------------------

@@ -579,19 +579,13 @@ def recover_heat_kernel_samples(dec1: SpectralDecomposition,
     count = int(sample_count)
     if count <= 0:
         raise ValueError("sample_count must be positive")
-    ts = np.empty(count)
-    xs = np.empty(count, dtype=int)
-    ys = np.empty(count, dtype=int)
-    k1 = np.empty(count)
-    k2 = np.empty(count)
-    for k in range(count):
-        ts[k] = t_arr[k % t_arr.size]
-        xs[k] = w1[k % len(w1)]
-        ys[k] = w2[(2 * k + 1) % len(w2)]
-        k1[k] = heat_kernel(dec1, ts[k], xs[k], ys[k])
-        k2[k] = heat_kernel(dec2, ts[k], xs[k], ys[k])
+    k = np.arange(count)
+    ts = t_arr[k % t_arr.size]
+    xs = w1[k % len(w1)]
+    ys = w2[(2 * k + 1) % len(w2)]
     return HeatKernelComparison(t_values=ts, x_indices=xs, y_indices=ys,
-                                kernel_1=k1, kernel_2=k2,
+                                kernel_1=heat_kernel(dec1, ts, xs, ys),
+                                kernel_2=heat_kernel(dec2, ts, xs, ys),
                                 data_defect=data_defect,
                                 data_tol=float(data_tol))
 

@@ -6,7 +6,7 @@ iteratively; the exterior layer's interior blocks are small and dense and
 are solved directly.
 
 Hand-rolled on purpose: the iteration is tiny, and owning it keeps the
-energy decrease observable through the callback (CG, preconditioned or not,
+energy decrease observable through the callback (preconditioned CG
 minimizes the quadratic J(x) = x'Sx/2 - b'x over growing Krylov spaces, so
 J is strictly decreasing -- a cheap structural sanity check on the
 assembled forms).
@@ -22,18 +22,18 @@ import numpy as np
 
 def conjugate_gradient(matvec: Callable[[np.ndarray], np.ndarray],
                        b: np.ndarray,
+                       precondition: Callable[[np.ndarray], np.ndarray],
                        rtol: float = 1e-9,
                        max_iter: int = 5000,
                        callback: Callable[[np.ndarray], None] | None = None,
-                       precondition: Callable[[np.ndarray], np.ndarray] | None = None,
                        ) -> tuple[np.ndarray, int, float]:
-    """Solve S x = b, returning (x, iterations, relative residual).
+    """Preconditioned CG for S x = b: returns (x, iterations, relative residual).
 
     ``precondition`` applies an SPD approximation of S^{-1} to a residual;
-    without it this is plain CG.  Either way the stopping test and the
-    returned residual are those of S x = b itself, ||b - S x|| / ||b||.
-    Raises RuntimeError if the residual has not dropped below
-    rtol * ||b|| after max_iter iterations.
+    ``np.copy`` gives plain CG.  The stopping test and the returned residual
+    are those of S x = b itself, ||b - S x|| / ||b||.  Raises RuntimeError
+    if the residual has not dropped below rtol * ||b|| after max_iter
+    iterations.
     """
     b = np.asarray(b, float)
     x = np.zeros_like(b)
@@ -41,10 +41,10 @@ def conjugate_gradient(matvec: Callable[[np.ndarray], np.ndarray],
     if b_norm == 0.0:
         return x, 0, 0.0
     r = b.copy()
-    z = r if precondition is None else precondition(r)
+    z = precondition(r)
     p = z.copy()
     rr = float(r @ r)
-    rz = rr if precondition is None else float(r @ z)
+    rz = float(r @ z)
     for k in range(1, max_iter + 1):
         Sp = matvec(p)
         alpha = rz / float(p @ Sp)
@@ -55,11 +55,8 @@ def conjugate_gradient(matvec: Callable[[np.ndarray], np.ndarray],
             callback(x)
         if math.sqrt(rr) <= rtol * b_norm:
             return x, k, math.sqrt(rr) / b_norm
-        if precondition is None:
-            z, rz_next = r, rr
-        else:
-            z = precondition(r)
-            rz_next = float(r @ z)
+        z = precondition(r)
+        rz_next = float(r @ z)
         p = z + (rz_next / rz) * p
         rz = rz_next
     raise RuntimeError(

@@ -23,7 +23,7 @@ import warnings
 
 import numpy as np
 
-from .geometry import MetricField, TorusGrid, WeightedMeasure, weighted_inner
+from .geometry import MetricField, TorusGrid, WeightedMeasure
 from .quadrature import LogQuadrature
 
 __all__ = [
@@ -36,8 +36,6 @@ __all__ = [
     "decompose",
     "heat_apply",
     "heat_kernel",
-    "heat_kernel_matrix",
-    "heat_kernel_pairs",
     "frac_apply_spectral",
     "frac_apply_balakrishnan",
     "frac_energy_matrix",
@@ -46,6 +44,9 @@ __all__ = [
 ]
 
 DEFAULT_EIG_CAP = 4096
+# how far the Balakrishnan window may fall short of the spectral time scales
+# [1/lam_max, 1/lam_1] before it is reported
+_WINDOW_SLACK = 10.0
 
 
 class DecompositionSizeError(ValueError):
@@ -65,13 +66,20 @@ class DiscreteLaplaceBeltrami:
     conformal metric, at most 9 otherwise).  They are the only stored
     representation: :meth:`apply_form` and :meth:`apply` act by periodic
     shifts, and the dense ``form_matrix`` and ``matrix`` are assembled anew
-    on each access, for the eigensolve and for dense oracles.
+    on each access, for the eigensolve and for dense oracles.  ``grid`` and
+    ``measure`` are read from ``metric``, so they cannot disagree with it.
     """
 
     coefficients: np.ndarray  # (M, dim, dim), the stencil's C_jk per node
     metric: MetricField
-    measure: WeightedMeasure
-    grid: TorusGrid
+
+    @property
+    def grid(self) -> TorusGrid:
+        return self.metric.grid
+
+    @property
+    def measure(self) -> WeightedMeasure:
+        return self.metric.measure()
 
     @property
     def form_matrix(self) -> np.ndarray:
@@ -159,8 +167,7 @@ def assemble_laplacian(metric: MetricField) -> DiscreteLaplaceBeltrami:
     grid = metric.grid
     h = grid.spacing
     coeffs = (h ** grid.dim / h ** 2) * metric.sqrt_det[:, None, None] * metric.inverse_tensor
-    return DiscreteLaplaceBeltrami(coefficients=coeffs, metric=metric,
-                                   measure=metric.measure(), grid=grid)
+    return DiscreteLaplaceBeltrami(coefficients=coeffs, metric=metric)
 
 
 @dataclasses.dataclass
@@ -169,15 +176,25 @@ class SpectralDecomposition:
 
     Columns of ``basis`` are the eigenvectors phi_k with
     <phi_j, phi_k>_w = delta_jk; eigenvalues are sorted ascending with the
-    zero mode (constants) first and snapped to exactly 0.
+    zero mode (constants) first and snapped to exactly 0.  ``grid``,
+    ``metric`` and ``measure`` are those of ``operator``.
     """
 
     eigenvalues: np.ndarray  # (M,)
     basis: np.ndarray        # (M, M)
     operator: DiscreteLaplaceBeltrami
-    grid: TorusGrid
-    metric: MetricField
-    measure: WeightedMeasure
+
+    @property
+    def grid(self) -> TorusGrid:
+        return self.operator.grid
+
+    @property
+    def metric(self) -> MetricField:
+        return self.operator.metric
+
+    @property
+    def measure(self) -> WeightedMeasure:
+        return self.operator.measure
 
     @property
     def node_count(self) -> int:
@@ -221,9 +238,7 @@ def decompose(op: DiscreteLaplaceBeltrami,
     evecs *= signs
 
     evecs /= root_w[:, None]
-    return SpectralDecomposition(eigenvalues=evals, basis=evecs, operator=op,
-                                 grid=op.grid, metric=op.metric,
-                                 measure=op.measure)
+    return SpectralDecomposition(eigenvalues=evals, basis=evecs, operator=op)
 
 
 # --------------------------------------------------------------------------
@@ -240,30 +255,22 @@ def heat_apply(dec: SpectralDecomposition, t: float, u: np.ndarray) -> np.ndarra
     return dec.synthesize(coeffs)
 
 
-def heat_kernel(dec: SpectralDecomposition, t: float, i: int, j: int) -> float:
-    """Heat kernel value p_t(x_i, x_j) = sum_k e^{-lam_k t} phi_k(i) phi_k(j)."""
-    if t <= 0:
+def heat_kernel(dec: SpectralDecomposition, t, i, j):
+    """Heat kernel p_t(x_i, x_j) = sum_k e^{-lam_k t} phi_k(i) phi_k(j).
+
+    ``t``, ``i`` and ``j`` broadcast against each other like numpy arrays
+    and the result has their broadcast shape: ``np.indices((M, M))`` as
+    (i, j) gives the whole kernel matrix at one time, and ``ts[:, None]``
+    against a pair list (i, j) gives one row per time.  Scalar arguments
+    give a float.  Memory is the broadcast size times M.  The product
+    phi_k(i) phi_k(j) is formed first, so p_t(i, j) == p_t(j, i) bitwise.
+    """
+    t = np.asarray(t, float)
+    if np.any(t <= 0):
         raise ValueError("heat kernel requires t > 0")
-    decay = np.exp(-dec.eigenvalues * t)
-    return float(np.dot(dec.basis[i] * decay, dec.basis[j]))
-
-
-def heat_kernel_matrix(dec: SpectralDecomposition, t: float) -> np.ndarray:
-    if t <= 0:
-        raise ValueError("heat kernel requires t > 0")
-    decay = np.exp(-dec.eigenvalues * t)
-    return (dec.basis * decay) @ dec.basis.T
-
-
-def heat_kernel_pairs(dec: SpectralDecomposition, t_values: np.ndarray,
-                      i_indices: np.ndarray, j_indices: np.ndarray) -> np.ndarray:
-    """Kernel values for a pair list at many times; shape (len(t), len(pairs))."""
-    t_values = np.atleast_1d(np.asarray(t_values, float))
-    if np.any(t_values <= 0):
-        raise ValueError("heat kernel requires t > 0")
-    cross = dec.basis[np.asarray(i_indices)] * dec.basis[np.asarray(j_indices)]
-    decay = np.exp(-np.outer(t_values, dec.eigenvalues))
-    return decay @ cross.T
+    decay = np.exp(-t[..., None] * dec.eigenvalues)
+    values = (dec.basis[i] * dec.basis[j] * decay).sum(axis=-1)
+    return float(values) if values.ndim == 0 else values
 
 
 # --------------------------------------------------------------------------
@@ -305,24 +312,24 @@ def frac_energy_matrix(dec: SpectralDecomposition, alpha: float) -> np.ndarray:
     return 0.5 * (e + e.T)
 
 
-def _window_check(dec: SpectralDecomposition, quad: LogQuadrature,
-                  slack: float) -> None:
+def _window_check(dec: SpectralDecomposition, quad: LogQuadrature) -> None:
     lam = dec.eigenvalues
     positive = lam[lam > 0]
     if positive.size == 0:
         return
     lam_min, lam_max = float(positive[0]), float(positive[-1])
-    if quad.t_min * lam_max > slack or quad.t_max * lam_min < 1.0 / slack:
+    if (quad.t_min * lam_max > _WINDOW_SLACK
+            or quad.t_max * lam_min < 1.0 / _WINDOW_SLACK):
         warnings.warn(
             f"quadrature window [{quad.t_min:.2e}, {quad.t_max:.2e}] does not "
             f"bracket the spectral time scales "
-            f"[{1.0 / lam_max:.2e}, {1.0 / lam_min:.2e}] (slack {slack})",
+            f"[{1.0 / lam_max:.2e}, {1.0 / lam_min:.2e}] (slack {_WINDOW_SLACK})",
             QuadratureWindowWarning, stacklevel=3)
 
 
 def frac_apply_balakrishnan(dec: SpectralDecomposition, alpha: float,
-                            u: np.ndarray, quad: LogQuadrature | None = None,
-                            window_slack: float = 10.0) -> np.ndarray:
+                            u: np.ndarray,
+                            quad: LogQuadrature | None = None) -> np.ndarray:
     """A^alpha u via the semigroup integral
 
         A^alpha u = (1/Gamma(-alpha)) int_0^inf (e^{-tA} u - u) t^{-1-alpha} dt.
@@ -340,7 +347,7 @@ def frac_apply_balakrishnan(dec: SpectralDecomposition, alpha: float,
     _check_alpha(alpha, allow_one=False)
     if quad is None:
         quad = LogQuadrature.log_uniform()
-    _window_check(dec, quad, window_slack)
+    _window_check(dec, quad)
 
     t = quad.nodes
     weights = quad.weights * t ** (-1.0 - alpha)

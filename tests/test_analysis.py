@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 
 from fracbeltrami.analysis import (
     ConstantReport,
-    SobolevNormEstimate,
     constant_estimates,
     diff_quotient_seminorm,
     regularity_probe,
@@ -69,15 +68,15 @@ def probe_levels():
 def test_constant_has_volume_norm_at_every_order(dim, n, s):
     grid = build_grid(dim, SIDE, n)
     est = sobolev_norm_fourier(grid, np.full(grid.node_count, -2.5), s)
-    assert est.method == "fourier" and est.order == s
-    np.testing.assert_allclose(est.value, 2.5 * math.sqrt(SIDE ** dim), rtol=1e-13)
+    assert type(est) is float
+    np.testing.assert_allclose(est, 2.5 * math.sqrt(SIDE ** dim), rtol=1e-13)
 
 
 def test_order_zero_is_plain_l2(grid64):
     rng = np.random.default_rng(7)
     u = rng.standard_normal(grid64.node_count)
     plain = math.sqrt(grid64.spacing * np.sum(u ** 2))
-    np.testing.assert_allclose(float(sobolev_norm_fourier(grid64, u, 0.0)), plain,
+    np.testing.assert_allclose(sobolev_norm_fourier(grid64, u, 0.0), plain,
                                rtol=1e-12)
 
 
@@ -85,11 +84,11 @@ def test_single_mode_scales_by_symbol(grid64):
     x = grid64.coordinates()[:, 0]
     xi0 = 2.0 * np.pi * 5 / SIDE
     u = 2.0 * np.sin(xi0 * x)
-    l2 = sobolev_norm_fourier(grid64, u, 0.0).value
+    l2 = sobolev_norm_fourier(grid64, u, 0.0)
     np.testing.assert_allclose(l2, 2.0 * math.sqrt(SIDE / 2.0), rtol=1e-12)
     for s in (0.8, -0.3, 1.5):
         est = sobolev_norm_fourier(grid64, u, s)
-        np.testing.assert_allclose(est.value, (1.0 + xi0 ** 2) ** (s / 2.0) * l2,
+        np.testing.assert_allclose(est, (1.0 + xi0 ** 2) ** (s / 2.0) * l2,
                                    rtol=1e-11)
 
 
@@ -101,20 +100,9 @@ def test_norm_monotone_in_order(seed, s1, s2):
     grid = build_grid(1, SIDE, 32)
     u = np.random.default_rng(seed).standard_normal(32)
     lo, hi = min(s1, s2), max(s1, s2)
-    a = sobolev_norm_fourier(grid, u, lo).value
-    b = sobolev_norm_fourier(grid, u, hi).value
+    a = sobolev_norm_fourier(grid, u, lo)
+    b = sobolev_norm_fourier(grid, u, hi)
     assert a <= b * (1.0 + 1e-12)
-
-
-def test_norm_estimate_validation():
-    est = SobolevNormEstimate(order=0.5, value=1.25, method="difference_quotient")
-    assert float(est) == 1.25
-    with pytest.raises(ValueError, match="method"):
-        SobolevNormEstimate(order=0.5, value=1.0, method="wavelet")
-    with pytest.raises(ValueError, match="nonnegative"):
-        SobolevNormEstimate(order=0.5, value=-1.0, method="fourier")
-    with pytest.raises(ValueError, match="nonnegative"):
-        SobolevNormEstimate(order=0.5, value=math.nan, method="fourier")
 
 
 def test_fourier_norm_input_validation(grid64):
@@ -146,7 +134,7 @@ def test_diff_quotient_bounded_by_higher_norm(seed, mu, beta):
     u = np.random.default_rng(seed).standard_normal(32)
     h = grid.spacing
     dq = diff_quotient_seminorm(grid, u, mu, beta, [h, 2 * h, 4 * h])
-    bound = 2.0 ** (1.0 - beta) * sobolev_norm_fourier(grid, u, mu + beta).value
+    bound = 2.0 ** (1.0 - beta) * sobolev_norm_fourier(grid, u, mu + beta)
     assert dq <= bound * (1.0 + 1e-12)
 
 
@@ -155,7 +143,7 @@ def test_diff_quotient_symbol_bound_2d():
     u = np.random.default_rng(11).standard_normal(grid.node_count)
     h = grid.spacing
     dq = diff_quotient_seminorm(grid, u, 0.25, 0.6, [h, 2 * h])
-    bound = 2.0 * 2.0 ** 0.4 * sobolev_norm_fourier(grid, u, 0.85).value
+    bound = 2.0 * 2.0 ** 0.4 * sobolev_norm_fourier(grid, u, 0.85)
     assert dq <= bound * (1.0 + 1e-12)
 
 
@@ -202,8 +190,8 @@ def test_certification_ratios_match_golden():
         for k in range(1, 65):
             u += k ** (-gamma) * np.cos(2 * np.pi * k * x / SIDE + 0.7 * k)
         certified = (diff_quotient_seminorm(grid, u, mu, beta, h_list)
-                     + sobolev_norm_fourier(grid, u, mu).value)
-        direct = sobolev_norm_fourier(grid, u, mu + eps).value
+                     + sobolev_norm_fourier(grid, u, mu))
+        direct = sobolev_norm_fourier(grid, u, mu + eps)
         np.testing.assert_allclose(direct / certified, pinned, rtol=1e-12)
         assert direct <= certified  # the measured constants all sit below 1
 

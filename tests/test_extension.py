@@ -207,7 +207,6 @@ def test_mesh_invariants(dec_bump):
     assert mesh.grading >= 1.0
     lam1 = dec_bump.eigenvalues[1]
     assert mesh.height >= 5.0 / math.sqrt(lam1)
-    assert_allclose(mesh.weight_samples(), mesh.heights[1:] ** 0.5)
     with pytest.raises(ValueError):
         graded_mesh(dec_bump, 0.25, height=1.0 / math.sqrt(lam1))
     with pytest.raises(ValueError):
@@ -261,20 +260,13 @@ def _smooth_datum(dec):
 
 def test_fd_cap_treatment_of_constants(dec_bump):
     # the half-space extension carries constants unchanged; the reflecting
-    # cap reproduces that exactly, while a pinned cap visibly suppresses it
+    # cap reproduces that exactly
     n = dec_bump.node_count
     c = np.full(n, 1.8)
     mesh = graded_mesh(dec_bump, 0.5, count=32)
     fld = fd_extension_solve(dec_bump, 0.5, mesh, np.arange(n),
                              np.array([], int), c, np.array([]))
     assert_allclose(fld.values, 1.8, atol=2e-9)
-    pinned = fd_extension_solve(dec_bump, 0.5, mesh, np.arange(n),
-                                np.array([], int), c, np.array([]),
-                                cap="dirichlet")
-    assert np.all(pinned.values[:, -1] == 0.0)
-    with pytest.raises(ValueError):
-        fd_extension_solve(dec_bump, 0.5, mesh, np.arange(n),
-                           np.array([], int), c, np.array([]), cap="robin")
 
 
 @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
@@ -500,7 +492,7 @@ def test_cg_matches_direct_solve():
     m = rng.standard_normal((40, 40))
     s = m @ m.T + 40.0 * np.eye(40)
     b = rng.standard_normal(40)
-    x, iters, res = conjugate_gradient(lambda v: s @ v, b, rtol=1e-12)
+    x, iters, res = conjugate_gradient(lambda v: s @ v, b, np.copy, rtol=1e-12)
     assert_allclose(x, np.linalg.solve(s, b), rtol=1e-9)
     assert 0 < iters <= 40 + 5
     assert res <= 1e-12
@@ -508,10 +500,11 @@ def test_cg_matches_direct_solve():
 
 def test_cg_zero_rhs_and_stall():
     s = np.diag(np.geomspace(1.0, 1e8, 30))
-    x, iters, _ = conjugate_gradient(lambda v: s @ v, np.zeros(30))
+    x, iters, _ = conjugate_gradient(lambda v: s @ v, np.zeros(30), np.copy)
     assert iters == 0 and np.all(x == 0.0)
     with pytest.raises(RuntimeError):
-        conjugate_gradient(lambda v: s @ v, np.ones(30), rtol=1e-14, max_iter=3)
+        conjugate_gradient(lambda v: s @ v, np.ones(30), np.copy, rtol=1e-14,
+                           max_iter=3)
 
 
 def _spd_system(seed, n=40):
@@ -529,11 +522,6 @@ def test_pcg_matches_direct_solve():
     assert_allclose(x, np.linalg.solve(s, b), rtol=1e-9)
     assert 0 < iters <= 40 + 5
     assert res <= 1e-12
-    # the identity as a preconditioner is plain CG, to the last bit
-    plain = conjugate_gradient(lambda v: s @ v, b, rtol=1e-12)
-    same = conjugate_gradient(lambda v: s @ v, b, rtol=1e-12, precondition=np.copy)
-    assert same[1] == plain[1]
-    assert np.array_equal(same[0], plain[0])
 
 
 def test_pcg_exact_inverse_converges_at_once():

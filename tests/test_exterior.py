@@ -252,19 +252,18 @@ def test_dtn_is_nonlocal(dec_bump, config):
     assert np.min(np.abs(rec.output_values)) > 1e-3
 
 
-def test_dtn_accepts_full_vector_with_support_check(dec_bump, config):
-    full = np.zeros(dec_bump.node_count)
-    full[config.w1_nodes] = 1.0
-    rec = dtn_partial(dec_bump, 0.5, config, full)
-    aligned = dtn_partial(dec_bump, 0.5, config,
-                          np.ones(len(config.w1_nodes)))
-    assert_allclose(rec.output_values, aligned.output_values)
-    bad = full.copy()
-    bad[config.omega_nodes[0]] = 0.5
-    with pytest.raises(ValueError, match="supported in"):
-        dtn_partial(dec_bump, 0.5, config, bad)
-    with pytest.raises(ValueError, match="neither"):
-        dtn_partial(dec_bump, 0.5, config, np.ones(2))
+def test_dtn_rejects_unaligned_datum(dec_bump, config):
+    # a datum holds one value per input node; anything else is refused with
+    # the node set and both shapes named
+    m, n1 = dec_bump.node_count, len(config.w1_nodes)
+    for bad in (np.zeros(m), np.ones(2)):
+        msg = rf"\({bad.size},\).*config\.w1_nodes.*\({n1},\)"
+        with pytest.raises(ValueError, match=msg):
+            dtn_partial(dec_bump, 0.5, config, bad)
+    ne = len(config.exterior_nodes)
+    msg = rf"\({m},\).*config\.exterior_nodes.*\({ne},\)"
+    with pytest.raises(ValueError, match=msg):
+        dtn_full(dec_bump, 0.5, config, np.zeros(m))
 
 
 def test_dtn_residual_guard():

@@ -6,6 +6,7 @@ heat kernel is a wrapped Gaussian, and both fractional routes must agree at
 quadrature accuracy.
 """
 
+import dataclasses
 import math
 import warnings
 
@@ -34,8 +35,6 @@ from fracbeltrami.spectral import (
     frac_energy_matrix,
     heat_apply,
     heat_kernel,
-    heat_kernel_matrix,
-    heat_kernel_pairs,
     jump_kernel,
 )
 
@@ -181,6 +180,25 @@ def test_decompose_invariants(dec_2d_aniso):
     np.testing.assert_allclose(rebuilt, dec.operator.matrix, atol=1e-10 * scale)
 
 
+def test_decomposition_stores_geometry_once(dec_2d_aniso):
+    # grid, metric and measure are read through the operator, so a
+    # decomposition rebuilt from its fields carries the same geometry
+    dec = dec_2d_aniso
+    assert [f.name for f in dataclasses.fields(dec.operator)] == [
+        "coefficients", "metric"]
+    assert [f.name for f in dataclasses.fields(dec)] == [
+        "eigenvalues", "basis", "operator"]
+    assert dec.grid is dec.operator.metric.grid
+    assert dec.metric is dec.operator.metric
+    grid = dec.grid
+    expected = dec.metric.sqrt_det * grid.spacing ** grid.dim
+    assert np.array_equal(dec.measure.node_weights, expected)
+    rebuilt = type(dec)(**{f.name: getattr(dec, f.name)
+                           for f in dataclasses.fields(dec)})
+    assert rebuilt.grid is dec.grid
+    assert np.array_equal(rebuilt.measure.node_weights, expected)
+
+
 def test_trace_identity(dec_1d_bump):
     # sum of eigenvalues = trace of A (similarity transforms preserve it)
     assert dec_1d_bump.eigenvalues.sum() == pytest.approx(
@@ -271,8 +289,9 @@ def test_stochastic_completeness(profile):
     met = make_metric(grid, profile)
     dec = decompose(assemble_laplacian(met))
     w = met.measure().node_weights
+    i, j = np.indices((dec.node_count, dec.node_count))
     for t in (0.01, 0.1, 1.0, 10.0):
-        rows = heat_kernel_matrix(dec, t) @ w
+        rows = heat_kernel(dec, t, i, j) @ w
         np.testing.assert_allclose(rows, 1.0, atol=1e-10)
 
 
@@ -292,8 +311,9 @@ def test_heat_kernel_positive_small_torus():
         grid = build_grid(dim, 1.0, N)
         bump = ConformalBump(dim, beta=0.5, sigma=0.1, center=(0.5,) * dim, r0=0.3)
         dec = decompose(assemble_laplacian(make_metric(grid, bump)))
+        i, j = np.indices((dec.node_count, dec.node_count))
         for t in (0.01, 0.1, 1.0, 10.0):
-            assert heat_kernel_matrix(dec, t).min() > 0.0
+            assert heat_kernel(dec, t, i, j).min() > 0.0
 
 
 def test_heat_kernel_matches_wrapped_gaussian():
@@ -321,7 +341,7 @@ def test_heat_kernel_pairs_shape(dec_2d_aniso):
     ts = np.array([0.1, 1.0, 10.0])
     ii = np.array([0, 5, 9])
     jj = np.array([3, 2, 70])
-    block = heat_kernel_pairs(dec_2d_aniso, ts, ii, jj)
+    block = heat_kernel(dec_2d_aniso, ts[:, None], ii, jj)
     assert block.shape == (3, 3)
     for a, t in enumerate(ts):
         for b in range(3):
