@@ -24,8 +24,8 @@ expansion
 carries both the trace constant (the z^{2a} slope) and the derivative
 identity d/dz (z^a K_a(z)) = -z^a K_{1-a}(z).
 
-Three independent routes live here: the analytic Bessel extension, a direct
-finite-difference/FEM solve of the degenerate problem on a graded mesh, and
+Three independent routes live here: the analytic Bessel extension, a
+graded-mesh FEM solve of the degenerate problem (preconditioned CG), and
 the heat-kernel representation of the Neumann-problem solution
 
     w^F(x, z) = c^_a int_0^inf e^{t Lap}((-Lap) F)(x) e^{-z^2/4t} t^{a-1} dt,
@@ -198,7 +198,7 @@ def neumann_trace(sol: ExtensionSolution) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# graded mesh and the direct degenerate solve
+# graded mesh and the degenerate graded-mesh FEM solve
 
 
 @dataclasses.dataclass(frozen=True)
@@ -226,15 +226,6 @@ class ExtensionMesh:
     @property
     def height(self) -> float:
         return float(self.heights[-1])
-
-    # exact primitives of the weight: I1 = int z^{1-2a}, I2 = int z^{2-2a}
-    def _i1(self, a, b):
-        p = 2.0 - 2.0 * self.alpha
-        return (b**p - a**p) / p
-
-    def _i2(self, a, b):
-        p = 3.0 - 2.0 * self.alpha
-        return (b**p - a**p) / p
 
     def conductances(self) -> np.ndarray:
         """Harmonic-mean vertical conductances c_p = (int_cell z^{2a-1} dz)^{-1}.
@@ -268,10 +259,12 @@ class ExtensionMesh:
         """
         z = self.heights
         a, b = z[:-1], z[1:]
-        s0 = self._i1(a, b)
-        s1 = self._i2(a, b)
-        p = 4.0 - 2.0 * self.alpha
-        s2 = (b**p - a**p) / p
+
+        def moment(k):
+            p = k + 2.0 - 2.0 * self.alpha
+            return (b**p - a**p) / p
+
+        s0, s1, s2 = moment(0), moment(1), moment(2)
         dz2 = (b - a) ** 2
         i00 = (b * b * s0 - 2.0 * b * s1 + s2) / dz2
         i01 = (-a * b * s0 + (a + b) * s1 - s2) / dz2
@@ -295,8 +288,8 @@ def graded_mesh(dec: SpectralDecomposition, alpha: float,
     instead) prefers milder compression; kappa = 4 - 2a tracks the measured
     sweet spots to within the P^-2 floor at all of a = 0.25..0.9.  Steeper
     grading makes the assembled diagonal span many decades and the vertical
-    coupling stiff; the direct solver absorbs both with its diagonal scaling
-    and its exact tridiagonal solves along each z-line.  Modes decay
+    coupling stiff; the graded-mesh FEM solve absorbs both with its diagonal
+    scaling and its exact tridiagonal solves along each z-line.  Modes decay
     like e^{-sqrt(lam_1) z}, so the default cap H = 8/sqrt(lam_1) leaves a
     ~3e-4 relative truncation floor in the field away from z = 0; pass a
     larger height when an error budget below that matters.
@@ -321,7 +314,7 @@ def graded_mesh(dec: SpectralDecomposition, alpha: float,
 
 @dataclasses.dataclass
 class ExtensionField:
-    """Direct-solve result: values[i, p] at node i and height z_p."""
+    """Graded-mesh FEM solve result: values[i, p] at node i and height z_p."""
 
     mesh: ExtensionMesh
     values: np.ndarray
@@ -337,7 +330,7 @@ def fd_extension_solve(dec: SpectralDecomposition, alpha: float,
                        neumann_nodes: np.ndarray,
                        f_dirichlet: np.ndarray, f_neumann: np.ndarray,
                        iteration_callback=None) -> ExtensionField:
-    """Direct FEM/FD solve of the mixed degenerate problem.
+    """Graded-mesh FEM solve of the mixed degenerate problem.
 
     P1 elements in z on the graded mesh with *exact* integrals of the
     z^{1-2a} weight (endpoint sampling would misweight the first cell for

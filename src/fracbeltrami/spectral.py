@@ -393,18 +393,21 @@ def jump_kernel(dec: SpectralDecomposition, alpha: float,
         K(z, x) = sqrt|g(z)| sqrt|g(x)| / (2 |Gamma(-alpha)|)
                   * int_0^inf p_t(z, x) t^{-1-alpha} dt ,
 
-    evaluated per eigenmode over the quadrature window, plus two analytic
-    completions for the cut-off ends.  Beyond t_max the kernel has levelled
-    at the constant-mode floor phi_0(z) phi_0(x), whose tail integral
-    t_max^{-alpha}/alpha is added in closed form.  Below t_min the discrete
-    off-diagonal kernel is linear in t, p_t(i, j) ~ -t A_ij / w_j (it decays
-    only polynomially, unlike its continuum counterpart), so the head
-    contributes -A_ij/w_j * t_min^{1-alpha}/(1-alpha); this touches stencil
-    neighbours only but is what makes the nonlocal energy form below agree
-    with the spectral pairing uniformly in the grid spacing.  On the
-    periodic grid the kernel reproduces the Euclidean power law at
-    separations well inside a period; the cancellation of the large
-    per-mode truncation constants is carried by eigenvector completeness.
+    evaluated per eigenmode over the quadrature window, with both cut-off
+    ends completed analytically in the per-mode weights.  Beyond t_max the
+    kernel has levelled at the constant-mode floor phi_0(z) phi_0(x), so the
+    zero mode gains the tail integral t_max^{-alpha}/alpha.  Below t_min,
+    e^{-t lam} = 1 - t lam + O(t^2), so each mode loses the head
+    lam t_min^{1-alpha}/(1-alpha).  Off the diagonal the zeroth-order term
+    sum_k phi_k(i) phi_k(j) vanishes by completeness, and
+    sum_k lam_k phi_k(i) phi_k(j) = B_ij / (w_i w_j) is nonzero only for
+    stencil neighbours: the discrete kernel is linear in t below t_min (it
+    decays only polynomially, unlike its continuum counterpart), and this
+    completion makes the nonlocal energy form below agree with the spectral
+    pairing uniformly in the grid spacing.  On the periodic grid the kernel
+    reproduces the Euclidean power law at separations well inside a period;
+    the cancellation of the large per-mode truncation constants is carried
+    by eigenvector completeness.
     """
     _check_alpha(alpha, allow_one=False)
     if quad is None:
@@ -424,6 +427,7 @@ def jump_kernel(dec: SpectralDecomposition, alpha: float,
     t = quad.nodes
     eta = np.exp(-np.outer(dec.eigenvalues, t)) @ (quad.weights * t ** (-1.0 - alpha))
     eta[dec.eigenvalues == 0] += quad.t_max ** (-alpha) / alpha
+    eta -= dec.eigenvalues * (quad.t_min ** (1.0 - alpha) / (1.0 - alpha))
 
     prefactor = 1.0 / (2.0 * abs(math.gamma(-alpha)))
     s = dec.metric.sqrt_det
@@ -432,12 +436,7 @@ def jump_kernel(dec: SpectralDecomposition, alpha: float,
         core = full[lo, hi]
     else:
         core = ((dec.basis[lo] * eta) * dec.basis[hi]).sum(axis=1)
-    # Head completion: p_t(i, j) = -t B_ij / (w_i w_j) + O(t^2) off the
-    # diagonal, and s_i s_j / (w_i w_j) = h^{-2 dim}.
-    head = (dec.operator.form_matrix[lo, hi]
-            * (quad.t_min ** (1.0 - alpha) / (1.0 - alpha))
-            / dec.grid.spacing ** (2 * dec.grid.dim))
-    values = prefactor * (s[lo] * s[hi] * core - head)
+    values = prefactor * s[lo] * s[hi] * core
     return FracKernel(alpha=alpha, i_indices=ii, j_indices=jj, values=values,
                       window=(quad.t_min, quad.t_max), grid=dec.grid)
 

@@ -26,6 +26,7 @@ from fracbeltrami.quadrature import LogQuadrature
 from fracbeltrami.recovery import PullbackProfile, RadialSquash
 from fracbeltrami.spectral import (
     DecompositionSizeError,
+    DiscreteLaplaceBeltrami,
     QuadratureWindowWarning,
     assemble_laplacian,
     decompose,
@@ -41,6 +42,8 @@ from fracbeltrami.spectral import (
 BUMP_1D = ConformalBump(1, beta=0.6, sigma=0.5, center=(2.0,), r0=1.5)
 BUMP_2D = ConformalBump(2, beta=0.6, sigma=0.5, center=(2.0, 2.0), r0=1.5)
 ANISO_2D = AnisotropicBump(2, beta=0.5, sigma=0.5, center=(2.0, 2.0), r0=1.5)
+PULLBACK_2D = PullbackProfile(base=BUMP_2D, squash=RadialSquash(
+    dim=2, center=(2.0, 2.0), radius=1.5, strength=0.15))
 
 
 @pytest.fixture(scope="module")
@@ -53,6 +56,12 @@ def dec_1d_identity():
 def dec_1d_bump():
     grid = build_grid(1, 4.0, 16)
     return decompose(assemble_laplacian(make_metric(grid, BUMP_1D)))
+
+
+@pytest.fixture(scope="module")
+def dec_2d_pullback():
+    grid = build_grid(2, 4.0, 16)
+    return decompose(assemble_laplacian(make_metric(grid, PULLBACK_2D)))
 
 
 @pytest.fixture(scope="module")
@@ -136,8 +145,7 @@ def test_energy_nonnegative():
 @pytest.mark.parametrize("dim, profile", [
     (1, BUMP_1D),
     (2, BUMP_2D),
-    (2, PullbackProfile(base=BUMP_2D, squash=RadialSquash(
-        dim=2, center=(2.0, 2.0), radius=1.5, strength=0.15))),
+    (2, PULLBACK_2D),
 ], ids=["bump-1d", "conformal-2d", "pullback-2d"])
 def test_stencil_product_matches_dense_form(dim, profile):
     grid = build_grid(dim, 4.0, 16 if dim == 1 else 12)
@@ -526,6 +534,45 @@ def test_jump_kernel_euclidean_decay_1d():
     d = grid.spacing * ks
     slope = np.polyfit(np.log(d), np.log(kernel.values), 1)[0]
     assert slope == pytest.approx(-(1 + 2 * alpha), abs=0.1)
+
+
+@pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
+@pytest.mark.parametrize("case", ["dec_1d_bump", "dec_2d_pullback"])
+def test_jump_kernel_reads_no_dense_form(request, monkeypatch, case, alpha):
+    # Oracle: the per-mode core minus the head completion read from dense B,
+    # -B_ij h^{-2 dim} t_min^{1-a}/(1-a) off the diagonal.  The kernel must
+    # give the same values from the eigenpairs alone.
+    dec = request.getfixturevalue(case)
+    grid, m = dec.grid, dec.node_count
+    if case == "dec_2d_pullback":  # cross-term neighbours carry weight
+        assert np.abs(dec.metric.inverse_tensor[:, 0, 1]).max() > 0.1
+    quad = LogQuadrature.log_uniform()
+    t = quad.nodes
+    eta = np.exp(-np.outer(dec.eigenvalues, t)) @ (quad.weights * t ** (-1.0 - alpha))
+    eta[dec.eigenvalues == 0] += quad.t_max ** (-alpha) / alpha
+    form = dec.operator.form_matrix
+    s = dec.metric.sqrt_det
+    prefactor = 1.0 / (2.0 * abs(math.gamma(-alpha)))
+    side = grid.shape[0]
+    starts = np.arange(0, m, 4)
+    listed = np.concatenate([np.stack([starts, (starts + off) % m], axis=1)
+                             for off in (1, side + 1, m // 2)])
+    assert len(listed) < m  # the row-wise branch
+    cases = [(None, *np.triu_indices(m, 1)), (listed, listed[:, 0], listed[:, 1])]
+    expected = []
+    for _, lo, hi in cases:
+        core = ((dec.basis[lo] * eta) * dec.basis[hi]).sum(axis=1)
+        head = (form[lo, hi] * (quad.t_min ** (1.0 - alpha) / (1.0 - alpha))
+                / grid.spacing ** (2 * grid.dim))
+        expected.append(prefactor * (s[lo] * s[hi] * core - head))
+
+    def no_dense_form(self):
+        raise AssertionError("jump_kernel assembled the dense form matrix")
+
+    monkeypatch.setattr(DiscreteLaplaceBeltrami, "form_matrix", property(no_dense_form))
+    for (pairs, _, _), want in zip(cases, expected):
+        got = jump_kernel(dec, alpha, pairs=pairs).values
+        assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
 
 
 def test_energy_form_vanishes_on_constants(dec_1d_bump):
