@@ -289,7 +289,8 @@ def graded_mesh(dec: SpectralDecomposition, alpha: float,
     sweet spots to within the P^-2 floor at all of a = 0.25..0.9.  Steeper
     grading makes the assembled diagonal span many decades and the vertical
     coupling stiff; the graded-mesh FEM solve absorbs both with its diagonal
-    scaling and its exact tridiagonal solves along each z-line.  Modes decay
+    scaling and its flat-metric preconditioner, which solves the vertical
+    coupling exactly, one tridiagonal z-system per wavenumber.  Modes decay
     like e^{-sqrt(lam_1) z}, so the default cap H = 8/sqrt(lam_1) leaves a
     ~3e-4 relative truncation floor in the field away from z = 0; pass a
     larger height when an error budget below that matters.
@@ -339,10 +340,26 @@ def fd_extension_solve(dec: SpectralDecomposition, alpha: float,
     Dirichlet nodes prescribe u~(x_i, 0) = f_dirichlet; Neumann nodes
     prescribe the weighted flux lim z^{1-2a} d_z u~ = f_neumann, entering
     the right-hand side as -w_i f_i.  Conjugate gradients on the free
-    unknowns of the diagonally scaled system, preconditioned by an exact
-    tridiagonal solve along each node's z-line (block Jacobi over z-lines),
-    stopped at relative residual 1e-9 of the scaled system; the tangential
-    stiffness is applied as a stencil, never as a dense matrix.
+    unknowns of the diagonally scaled system, stopped at relative residual
+    1e-9 of the scaled system; the tangential stiffness is applied as a
+    stencil, never as a dense matrix.
+
+    The preconditioner is the exact inverse of the same mixed system for the
+    Euclidean metric (node weight h^dim, coefficients h^{dim-2} I).  An FFT
+    over the grid axes diagonalizes its tangential stiffness, with symbol
+    mu_k = h^{dim-2} sum_j 4 sin^2(pi k_j / N_j), so levels 1..P split into
+    one tridiagonal z-system per wavenumber.  The level-0 unknowns on the
+    Neumann nodes couple only to level 1; eliminating levels 1..P leaves on
+    them the restriction of a circulant (the flat discrete Dirichlet-to-
+    Neumann map), which is Cholesky-factored once per solve: the
+    capacitance-matrix method of Buzbee, Dorr, George and Golub.  The
+    metric equals the Euclidean one outside its compact support and is
+    uniformly equivalent to it inside, so the preconditioned spectrum is
+    bounded independently of the grid: 4 to 7 iterations from N = 16 to 128
+    on the 2-d test profiles, and one for the Euclidean metric itself.
+    Without Dirichlet nodes (pure Neumann) the circulant's kernel is the
+    constants, and the Neumann-node step divides by its symbol with the zero
+    mode dropped.
 
     The truncation cap at z = H is reflecting (zero weighted flux):
     decaying modes would see an O(e^{-2 sqrt(lam) H}) trace perturbation
@@ -382,7 +399,7 @@ def fd_extension_solve(dec: SpectralDecomposition, alpha: float,
     diag_m, off_m, cond = diag_m[:, None], off_m[:, None], cond[:, None]
 
     # unknowns are stored level-major, X[p, i] = u~(x_i, z_p), so the
-    # vertical couplings and the z-line sweeps below run over whole rows
+    # vertical couplings and the per-level FFTs below run over whole rows
     def apply_full(X: np.ndarray) -> np.ndarray:
         # vertical fluxes G_p = cond_p (X_{p+1} - X_p) between levels
         G = cond * (X[1:] - X[:-1])
@@ -412,31 +429,76 @@ def fd_extension_solve(dec: SpectralDecomposition, alpha: float,
     vert = np.zeros((P + 1, 1))
     vert[:-1] += cond
     vert[1:] += cond
-    inv_scale = 1.0 / np.sqrt(vert * w + diag_m * b_diag)
+    d_half = np.sqrt(vert * w + diag_m * b_diag)
+    inv_scale = 1.0 / d_half
     inv_scale[0, dir_nodes] = 0.0
 
-    # Preconditioner: block Jacobi over z-lines.  Node i's block of the
-    # scaled system couples its own levels only, through w_i (vertical
-    # conductances) + B_ii (consistent z-mass); it has a unit diagonal, and
-    # the zero scales cut the fixed levels out of it.  The graded mesh's
-    # stiff vertical coupling lives in these blocks, so solving them exactly
-    # leaves CG only the tangential coupling.  Thomas factorization of all
-    # blocks at once, K = L diag(pivots) L'.
-    off = (off_m * b_diag - cond * w) * inv_scale[:-1] * inv_scale[1:]
-    pivots = np.ones((P + 1, n))
-    lower = np.empty((P, n))
-    for p in range(P):
-        lower[p] = off[p] / pivots[p]
-        pivots[p + 1] -= lower[p] * off[p]
+    # Preconditioner: D^{1/2} S_flat^{-1} D^{1/2}, with S_flat the same
+    # mixed system for the Euclidean metric (w0 = h^dim, C = h^{dim-2} I);
+    # levels 1..P solve as T_k = w0 K_z + mu_k M_z on the rfftn spectrum.
+    grid = op.grid
+    axes = tuple(range(-grid.dim, 0))
+    w0 = grid.spacing ** grid.dim
+    spectrum = grid.shape[:-1] + (grid.shape[-1] // 2 + 1,)
+    mu = np.zeros(spectrum)
+    for j, nj in enumerate(grid.shape):
+        k = np.arange(spectrum[j]).reshape((-1,) + (1,) * (grid.dim - 1 - j))
+        mu += 4.0 * np.sin(np.pi * k / nj) ** 2
+    mu *= grid.spacing ** (grid.dim - 2)
+    # per-level coefficients as (levels, 1, ..., 1), to broadcast over k
+    level = lambda v: v.reshape((-1,) + (1,) * grid.dim)
+    t_off = level(off_m[1:]) * mu - level(cond[1:]) * w0
+    pivots = level(vert[1:]) * w0 + level(diag_m[1:]) * mu
+    lower = np.empty_like(t_off)
+    for p in range(P - 1):
+        lower[p] = t_off[p] / pivots[p]
+        pivots[p + 1] -= lower[p] * t_off[p]
 
-    def precondition(r: np.ndarray) -> np.ndarray:
-        R = r.reshape(P + 1, n).copy()
-        for p in range(P):
+    def tridiagonal_solve(R: np.ndarray) -> np.ndarray:
+        # T_k^{-1} R in place, R of shape (P, *spectrum)
+        for p in range(P - 1):
             R[p + 1] -= lower[p] * R[p]
         R /= pivots
-        for p in range(P - 1, -1, -1):
+        for p in range(P - 2, -1, -1):
             R[p] -= lower[p] * R[p + 1]
-        return R.ravel()
+        return R
+
+    # level-0 / level-1 coupling c_k, col_k = T_k^{-1} e_1, and the level-0
+    # Schur symbol sigma_k = (w0 K_00 + mu_k M_00) - c_k^2 (T_k^{-1})_11
+    couple = mu * off_m[0, 0] - w0 * cond[0, 0]
+    col = np.zeros((P,) + spectrum)
+    col[0] = 1.0
+    col = tridiagonal_solve(col)
+    sigma = w0 * cond[0, 0] + mu * diag_m[0, 0] - couple**2 * col[0]
+    if dir_nodes.size:
+        # the circulant's kernel at the wrapped lags between Omega nodes
+        kernel = np.fft.irfftn(sigma, s=grid.shape, axes=axes)
+        at = np.unravel_index(neu_nodes, grid.shape)
+        lags = tuple((i[:, None] - i[None, :]) % nj for i, nj in zip(at, grid.shape))
+        chol_inv = np.linalg.inv(np.linalg.cholesky(kernel[lags]))
+
+        def omega_solve(s: np.ndarray) -> np.ndarray:
+            return chol_inv.T @ (chol_inv @ s)
+    else:
+        # pure Neumann: Omega is the whole grid and the circulant's kernel is
+        # the constants, so the zero mode is dropped
+        inv_sigma = np.zeros(spectrum)
+        inv_sigma.flat[1:] = 1.0 / sigma.flat[1:]
+
+        def omega_solve(s: np.ndarray) -> np.ndarray:
+            s_hat = np.fft.rfftn(s.reshape(grid.shape), axes=axes)
+            return np.fft.irfftn(inv_sigma * s_hat, s=grid.shape, axes=axes).ravel()
+
+    def precondition(r: np.ndarray) -> np.ndarray:
+        R = r.reshape(P + 1, n) * d_half
+        V = tridiagonal_solve(
+            np.fft.rfftn(R[1:].reshape((P,) + grid.shape), axes=axes))
+        X = np.zeros((P + 1, n))
+        coupled = np.fft.irfftn(couple * V[0], s=grid.shape, axes=axes).ravel()
+        X[0, neu_nodes] = omega_solve(R[0, neu_nodes] - coupled[neu_nodes])
+        V -= col * (couple * np.fft.rfftn(X[0].reshape(grid.shape), axes=axes))
+        X[1:] = np.fft.irfftn(V, s=grid.shape, axes=axes).reshape(P, n)
+        return (X * d_half).ravel()
 
     def matvec(y: np.ndarray) -> np.ndarray:
         X = y.reshape(P + 1, n) * inv_scale

@@ -1,5 +1,6 @@
-"""Extension module: Bessel profiles, the degenerate direct solve, and the
-heat-kernel representation with its normal series."""
+"""Extension module: Bessel profiles, the graded-mesh FEM solve of the
+degenerate problem, and the heat-kernel representation with its normal
+series."""
 
 import math
 
@@ -197,7 +198,7 @@ def test_numeric_mode_trace_recovers_constant(dec_bump):
 
 
 # ----------------------------------------------------------------------
-# graded mesh and the direct degenerate solve
+# graded mesh and the graded-mesh FEM solve
 
 
 def test_mesh_invariants(dec_bump):
@@ -360,33 +361,58 @@ BUMP_2D = ConformalBump(2, beta=0.5, sigma=0.3, center=(2.0, 2.0), r0=0.7)
 SQUASH_2D = RadialSquash(dim=2, center=(2.0, 2.0), radius=0.7, strength=0.15)
 
 
-@pytest.mark.parametrize("profile", [
+PROFILES_2D = pytest.mark.parametrize("profile", [
     BUMP_2D, PullbackProfile(base=BUMP_2D, squash=SQUASH_2D)],
     ids=["conformal", "pullback"])
-def test_fd_mixed_2d_matches_exterior_solve(profile):
-    # Dirichlet data outside Omega, zero weighted flux on it: the z = 0
-    # trace is the fractional exterior Dirichlet solution, which the
-    # spectral route computes independently.  The pullback metric has
-    # |g^{01}| up to 0.28, so the stencil's cross terms are exercised.
+MIXED_REGION = RegionSpec(omega_center=(2.0, 2.0), omega_radius=0.8,
+                          w1_center=(0.3, 2.0), w1_radius=0.3,
+                          w2_center=(2.0, 0.3), w2_radius=0.3)
+
+
+def _mixed_2d(profile, n):
+    """Dirichlet data outside Omega and zero weighted flux on it, a = 1/2,
+    P = 48: the solve's field and its z = 0 trace error on Omega against
+    the spectral exterior solution, which the mixed problem reproduces."""
     alpha = 0.5
-    grid = build_grid(2, 4.0, 16)
+    grid = build_grid(2, 4.0, n)
     dec = decompose(assemble_laplacian(make_metric(grid, profile)))
-    config = RegionSpec(omega_center=(2.0, 2.0), omega_radius=0.8,
-                        w1_center=(0.3, 2.0), w1_radius=0.3,
-                        w2_center=(2.0, 0.3), w2_radius=0.3).build(grid)
+    config = MIXED_REGION.build(grid)
     om, ex = config.omega_nodes, config.exterior_nodes
     x = grid.coordinates()[ex]
     f = np.cos(0.5 * np.pi * x[:, 0]) + 0.5 * np.sin(0.5 * np.pi * x[:, 1])
     mesh = graded_mesh(dec, alpha, count=48)
     fld = fd_extension_solve(dec, alpha, mesh, ex, om, f, np.zeros(len(om)))
+    assert np.array_equal(fld.boundary_values()[ex], f)
     ref = solve_exterior_dirichlet(dec, alpha, config, f)
     w = dec.measure.node_weights[om]
     diff = fld.boundary_values()[om] - ref[om]
-    assert math.sqrt(w @ diff**2 / (w @ ref[om] ** 2)) <= 1e-3
-    assert np.array_equal(fld.boundary_values()[ex], f)
-    # the z-line preconditioner takes out the stiff vertical coupling
-    # (scalar Jacobi needs about 500 iterations here)
-    assert fld.iterations <= 150
+    return fld, math.sqrt(w @ diff**2 / (w @ ref[om] ** 2))
+
+
+@PROFILES_2D
+def test_fd_mixed_2d_matches_exterior_solve(profile):
+    # the pullback metric has |g^{01}| up to 0.28, so the stencil's cross
+    # terms are exercised
+    fld, trace_error = _mixed_2d(profile, 16)
+    assert trace_error <= 1e-3
+    # the Euclidean preconditioner differs from the system only on the
+    # metric's support, which leaves CG a few iterations (5 and 7 here)
+    assert fld.iterations <= 15
+
+
+def test_fd_flat_metric_preconditioner_is_exact():
+    # for the Euclidean metric the preconditioner is the system's own
+    # inverse, so CG stops after one step
+    fld, trace_error = _mixed_2d(IdentityMetric(dim=2), 16)
+    assert fld.iterations <= 2
+    assert trace_error <= 1e-3
+
+
+@PROFILES_2D
+def test_fd_mixed_iterations_flat_in_n(profile):
+    counts = [_mixed_2d(profile, n)[0].iterations for n in (16, 24, 32)]
+    assert max(counts) <= 10
+    assert max(counts) <= 1.25 * min(counts)
 
 
 # ----------------------------------------------------------------------
