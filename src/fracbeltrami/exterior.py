@@ -11,10 +11,16 @@ its kernel), the solution solves E_OO u_O = -E_OE f_E, and the principal
 block is SPD whenever Omega is a proper subset.  E is never formed whole:
 with the rows G_S = W_S Phi_S Lambda^{a/2} of the eigenbasis, every block is
 E_ST = G_S G_T', so a solve needs only the rows on Omega and on the support
-of the datum, and factors the |Omega| x |Omega| block directly.  On top of
-the solve sit
+of the data, and factors the |Omega| x |Omega| block directly, once for a
+whole block of data given as columns.  On top of the solve sit
 
   * the partial and full Dirichlet-to-Neumann maps  f |-> (A^a u^f)|_W2,
+    one datum at a time as records;
+  * the partial map as its |W2| x |W1| matrix Lambda = Lambda^{W1,W2},
+    from one solve with the |W1| unit data as columns.  Column j is the W2
+    output of the unit datum at W1 node j, so Lambda f is the output of any
+    datum f.  The matrix is all a caller needs to keep of a decomposition
+    to measure the partial map: |W2| x |W1| numbers instead of M x M;
   * the fractional Poisson solve  w^F = A^{1-a} F  for exterior sources,
   * the source-to-solution batches consumed by the recovery pipeline.
 
@@ -47,6 +53,7 @@ __all__ = [
     "DtNRecord",
     "dtn_partial",
     "dtn_full",
+    "dtn_matrix",
     "SourceSolutionRecord",
     "poisson_solve",
     "source_to_solution_map",
@@ -219,11 +226,13 @@ def _half_power_rows(dec: SpectralDecomposition, alpha: float,
 def _solve_blocks(dec: SpectralDecomposition, alpha: float,
                   config: ExteriorConfig, in_nodes: np.ndarray,
                   f_in: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """Solve E_OO u_O = -E_O,in f for a datum f on the exterior set `in_nodes`.
+    """Solve E_OO U_O = -E_O,in F for data F on the exterior set `in_nodes`.
 
-    Returns u_O, the half-power modes G' u = Lambda^{a/2} Phi' W u of the
-    full solution u (f on `in_nodes`, 0 on the rest of the exterior), and
-    the explicit relative residual ||b - E_OO u_O|| / ||b||.
+    ``f_in`` holds one datum per column, shape (|in|, k); E_OO is formed and
+    factored once for all k.  Returns U_O (|O|, k), the half-power modes
+    G' U = Lambda^{a/2} Phi' W U (M, k) of the full solutions U (F on
+    `in_nodes`, 0 on the rest of the exterior), and the worst column's
+    explicit relative residual ||b - E_OO u_O|| / ||b||.
     """
     w = dec.measure.node_weights
     om = config.omega_nodes
@@ -233,10 +242,17 @@ def _solve_blocks(dec: SpectralDecomposition, alpha: float,
     rhs = -(g_om @ datum_modes)
     block = g_om @ g_om.T
     u_omega = np.linalg.solve(block, rhs)
-    b_norm = float(np.linalg.norm(rhs))
-    residual = (float(np.linalg.norm(rhs - block @ u_omega)) / b_norm
-                if b_norm > 0.0 else 0.0)
+    b_norms = np.linalg.norm(rhs, axis=0)
+    r_norms = np.linalg.norm(rhs - block @ u_omega, axis=0)
+    residual = float(np.divide(r_norms, b_norms, out=np.zeros_like(r_norms),
+                               where=b_norms > 0.0).max())
     return u_omega, datum_modes + g_om.T @ u_omega, residual
+
+
+def _require_small_residual(residual: float) -> None:
+    if not residual < 1e-9:
+        raise ArithmeticError(
+            f"DtN solve residual {residual:.2e} exceeds 1e-9")
 
 
 def solve_exterior_dirichlet(dec: SpectralDecomposition, alpha: float,
@@ -254,10 +270,10 @@ def solve_exterior_dirichlet(dec: SpectralDecomposition, alpha: float,
     if f_exterior.shape != config.exterior_nodes.shape:
         raise ValueError("exterior datum must align with config.exterior_nodes")
     u_omega, _, _ = _solve_blocks(dec, alpha, config, config.exterior_nodes,
-                                  f_exterior)
+                                  f_exterior[:, None])
     u = np.zeros(dec.node_count)
     u[config.exterior_nodes] = f_exterior
-    u[config.omega_nodes] = u_omega
+    u[config.omega_nodes] = u_omega[:, 0]
     return u
 
 
@@ -296,9 +312,7 @@ class DtNRecord:
     residual: float
 
     def __post_init__(self):
-        if not self.residual < 1e-9:
-            raise ArithmeticError(
-                f"DtN solve residual {self.residual:.2e} exceeds 1e-9")
+        _require_small_residual(self.residual)
 
     def pairing(self, h: np.ndarray) -> float:
         """Plain nodal pairing sum_i (Lambda f)_i h_i on the output set."""
@@ -319,8 +333,9 @@ def _dtn(dec: SpectralDecomposition, alpha: float, config: ExteriorConfig,
     if values.shape != in_nodes.shape:
         raise ValueError(f"datum of shape {values.shape} must align with "
                          f"{label} of shape {in_nodes.shape}")
-    _, modes, residual = _solve_blocks(dec, alpha, config, in_nodes, values)
-    flux = _half_power_rows(dec, alpha, out_nodes) @ modes
+    _, modes, residual = _solve_blocks(dec, alpha, config, in_nodes,
+                                       values[:, None])
+    flux = _half_power_rows(dec, alpha, out_nodes) @ modes[:, 0]
     return DtNRecord(alpha=alpha, input_nodes=in_nodes,
                      input_values=values, output_nodes=out_nodes,
                      output_values=flux,
@@ -346,6 +361,24 @@ def dtn_full(dec: SpectralDecomposition, alpha: float, config: ExteriorConfig,
     """
     return _dtn(dec, alpha, config, config.exterior_nodes, h_on_exterior,
                 config.exterior_nodes, "config.exterior_nodes")
+
+
+def dtn_matrix(dec: SpectralDecomposition, alpha: float,
+               config: ExteriorConfig) -> np.ndarray:
+    """The partial map Lambda^{W1,W2} as its |W2| x |W1| matrix.
+
+    Column j is the W2 output for the unit datum at W1 node j, so
+    ``dtn_matrix(...) @ f`` is ``dtn_partial(..., f).output_values`` for any
+    datum f on W1.  One solve of E_OO X = -E_O,W1 covers every column, and
+    the worst column's relative residual must stay below 1e-9, as for one
+    DtN record.  The caller holds the matrix; once it is built, the
+    decomposition is no longer needed to measure the partial map.
+    """
+    _check_alpha(alpha, allow_one=False)
+    _, modes, residual = _solve_blocks(dec, alpha, config, config.w1_nodes,
+                                       np.eye(len(config.w1_nodes)))
+    _require_small_residual(residual)
+    return _half_power_rows(dec, alpha, config.w2_nodes) @ modes
 
 
 # ----------------------------------------------------------------------

@@ -210,11 +210,23 @@ class SpectralDecomposition:
 
 def decompose(op: DiscreteLaplaceBeltrami,
               cap: int = DEFAULT_EIG_CAP) -> SpectralDecomposition:
-    """Dense symmetric eigendecomposition of W^{1/2} A W^{-1/2}."""
+    """Dense symmetric eigendecomposition of W^{1/2} A W^{-1/2}.
+
+    The cost is memory as much as time: every M x M float64 matrix takes
+    8 M^2 bytes (42.5 MB at M = 2304, 2-d N = 48), and the call peaks at
+    about five of them -- the scaled form matrix, numpy's working copy of
+    it, the eigenvectors and the 2 M^2 workspace of LAPACK's divide and
+    conquer.  Measured at M = 2304 (x86-64, numpy 2.4, OpenBLAS at 2
+    threads), the peak resident set rises 208 MiB above the caller's, and
+    the result keeps its M x M basis alive for as long as it is referenced.
+    Callers should drop a decomposition once they have read the blocks they
+    need from it (``exterior.dtn_matrix``, say), before the next call.
+    """
     m = op.grid.node_count
     if m > cap:
         raise DecompositionSizeError(
-            f"grid has {m} nodes, dense eigendecomposition capped at {cap}")
+            f"grid has {m} nodes, dense eigendecomposition capped at {cap}; "
+            f"one {m} x {m} float64 matrix takes {8 * m * m / 1e6:.3g} MB")
     root_w = np.sqrt(op.measure.node_weights)
     # the freshly assembled B is scaled in place to 0.5 (S + S') with
     # S = W^{-1/2} B W^{-1/2}; the basis is signed and rescaled in place too

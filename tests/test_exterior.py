@@ -20,6 +20,7 @@ from fracbeltrami.exterior import (
     RegionSpec,
     coercivity_constant,
     dtn_full,
+    dtn_matrix,
     dtn_partial,
     make_exterior_config,
     nodes_in_annulus,
@@ -266,6 +267,39 @@ def test_dtn_rejects_unaligned_datum(dec_bump, config):
         dtn_full(dec_bump, 0.5, config, np.zeros(m))
 
 
+def _assert_columns_are_records(dec, alpha, config):
+    # column j of Lambda is the record of the unit datum at W1 node j, and
+    # Lambda f the record of any datum f
+    lam = dtn_matrix(dec, alpha, config)
+    n1 = len(config.w1_nodes)
+    assert lam.shape == (len(config.w2_nodes), n1)
+    records = np.stack([dtn_partial(dec, alpha, config, e).output_values
+                        for e in np.eye(n1)], axis=1)
+    assert np.max(np.abs(lam - records)) <= 1e-12 * np.max(np.abs(records))
+    f = np.random.default_rng(5).standard_normal(n1)
+    out = dtn_partial(dec, alpha, config, f).output_values
+    assert np.max(np.abs(lam @ f - out)) <= 1e-12 * np.max(np.abs(out))
+
+
+def test_dtn_matrix_columns_are_records(dec_bump, config):
+    _assert_columns_are_records(dec_bump, 0.5, config)
+
+
+def test_dtn_matrix_residual_guard_takes_the_worst_column(dec_bump, config,
+                                                          monkeypatch):
+    # one column solved 1e-6 off: its residual alone trips the guard
+    solve = np.linalg.solve
+
+    def last_column_off(a, b):
+        x = solve(a, b)
+        x[:, -1] *= 1.0 + 1e-6
+        return x
+
+    monkeypatch.setattr(np.linalg, "solve", last_column_off)
+    with pytest.raises(ArithmeticError, match="residual"):
+        dtn_matrix(dec_bump, 0.5, config)
+
+
 def test_dtn_residual_guard():
     with pytest.raises(ArithmeticError, match="residual"):
         DtNRecord(alpha=0.5, input_nodes=np.array([0]),
@@ -276,13 +310,6 @@ def test_dtn_residual_guard():
 
 # ----------------------------------------------------------------------
 # 2-d layouts against the dense energy matrix
-
-
-def _dtn_matrix(dec, alpha, config):
-    """|W2| x |W1| partial DtN matrix, one unit datum per column."""
-    eye = np.eye(len(config.w1_nodes))
-    return np.stack([dtn_partial(dec, alpha, config, e).output_values
-                     for e in eye], axis=1)
 
 
 @pytest.mark.parametrize("alpha", [0.3, 0.7])
@@ -297,6 +324,11 @@ def test_solve_2d_matches_dense_direct(dec_2d, alpha):
                              -energy[np.ix_(om, ex)] @ f)
     assert np.array_equal(u[ex], f)    # datum kept verbatim
     assert np.max(np.abs(u[om] - direct)) < 1e-10 * np.max(np.abs(direct))
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.7])
+def test_dtn_matrix_2d_columns_are_records(dec_2d, alpha):
+    _assert_columns_are_records(dec_2d, alpha, REGION_2D.build(dec_2d.grid))
 
 
 @pytest.mark.parametrize("alpha", [0.3, 0.7])
@@ -322,9 +354,9 @@ def test_dtn_2d_weighted_symmetry(beta, sigma, strength, alpha):
     for profile in (base, _pullback(base, strength)):
         dec = decompose(assemble_laplacian(make_metric(grid, profile)))
         w = dec.measure.node_weights
-        forward = w[config.w2_nodes, None] * _dtn_matrix(dec, alpha, config)
-        backward = w[config.w1_nodes, None] * _dtn_matrix(dec, alpha,
-                                                          _swapped(config))
+        forward = w[config.w2_nodes, None] * dtn_matrix(dec, alpha, config)
+        backward = w[config.w1_nodes, None] * dtn_matrix(dec, alpha,
+                                                         _swapped(config))
         assert np.max(np.abs(forward - backward.T)) \
             < 1e-9 * np.max(np.abs(forward))
 

@@ -8,6 +8,7 @@ and a genuinely different conformal rescaling on small 1D grids.
 """
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -21,8 +22,9 @@ from fracbeltrami.geometry import (
     build_grid,
     make_metric,
 )
+from fracbeltrami import recovery
 from fracbeltrami.quadrature import LogQuadrature
-from fracbeltrami.exterior import RegionSpec, source_to_solution_map
+from fracbeltrami.exterior import RegionSpec, dtn_partial, source_to_solution_map
 from fracbeltrami.recovery import (
     PullbackProfile,
     RadialSquash,
@@ -491,22 +493,36 @@ DATA_1D = [lambda X: np.sin(2.0 * np.pi * X[:, 0] / SIDE),
            lambda X: np.cos(np.pi * X[:, 0])]
 
 
-def test_gauge_experiment_defect_shrinks_under_refinement():
+@pytest.fixture(scope="module")
+def distinct_1d():
+    return dtn_difference_experiment(ALPHA, REGION, BASE_1D,
+                                     IdentityMetric(dim=1), DATA_1D,
+                                     side_length=SIDE, sizes=(16, 32, 64))
+
+
+def test_gauge_experiment_defect_shrinks_under_refinement(distinct_1d):
     report = gauge_experiment(ALPHA, REGION, BASE_1D, SQUASH_1D, DATA_1D,
                               side_length=SIDE, sizes=(16, 32, 64))
     assert report.passed
     assert np.all(np.diff(report.errors) < 0.0)
     assert report.ratios.min() >= 3.0
     assert report.sizes == (16, 32, 64)
+    # the data-free defect reads 1.19e-3, 3.56e-4, 5.44e-5: it shrinks by
+    # 3.3 and 6.5 and ends 72x below the distinct pair's
+    ops = report.operator_defects
+    assert np.all(ops[:-1] / ops[1:] > 3.0)
+    assert ops[-1] < distinct_1d.operator_defects[-1] / 50.0
 
 
-def test_distinct_pair_defect_does_not_shrink():
-    control = dtn_difference_experiment(ALPHA, REGION, BASE_1D,
-                                        IdentityMetric(dim=1), DATA_1D,
-                                        side_length=SIDE, sizes=(16, 32, 64))
+def test_distinct_pair_defect_does_not_shrink(distinct_1d):
+    control = distinct_1d
     assert not control.passed
     assert control.ratios.max() < 2.0
     assert control.relative_errors.min() > 1e-4
+    # the data-free defect is flat: 3.69e-3, 3.89e-3, 3.90e-3
+    ops = control.operator_defects
+    assert ops.min() > 1e-3
+    assert ops.max() / ops.min() < 1.1
 
 
 def test_identical_profiles_measure_identically():
@@ -515,7 +531,76 @@ def test_identical_profiles_measure_identically():
                                        sizes=(16, 32))
     assert report.passed
     assert np.all(report.errors == 0.0)
+    assert np.all(report.operator_defects == 0.0)
     assert np.all(np.isinf(report.ratios))
+
+
+def test_experiment_holds_one_decomposition_at_a_time(monkeypatch):
+    # each metric's decomposition is dropped once its DtN matrix is read, so
+    # no decomposition is alive when the next one is computed
+    made = []
+
+    def tracked(op):
+        alive = [ref for ref in made if ref() is not None]
+        assert not alive, f"{len(alive)} earlier decomposition(s) still alive"
+        dec = decompose(op)
+        made.append(weakref.ref(dec))
+        return dec
+
+    monkeypatch.setattr(recovery, "decompose", tracked)
+    dtn_difference_experiment(ALPHA, REGION, BASE_1D, IdentityMetric(dim=1),
+                              DATA_1D, side_length=SIDE, sizes=(16, 32))
+    assert len(made) == 4
+
+
+# 2-d layout on the side-4 torus: Omega has 21 nodes at N = 12 and 37 at
+# N = 16; the bump and the squash stay inside Omega, so both pairs agree on
+# the exterior
+REGION_2D = RegionSpec(omega_center=(2.0, 2.0), omega_radius=0.8,
+                       w1_center=(0.25, 2.0), w1_radius=0.3,
+                       w2_center=(2.0, 0.25), w2_radius=0.3)
+BASE_2D = ConformalBump(dim=2, beta=0.5, sigma=0.3, center=(2.0, 2.0),
+                        r0=0.75)
+SQUASH_2D = RadialSquash(dim=2, center=(2.0, 2.0), radius=0.75,
+                         strength=0.15)
+DATA_2D = [lambda X: np.exp(-((X - (0.25, 2.0)) ** 2).sum(axis=1) / 0.05),
+           lambda X: np.cos(np.pi * X[:, 1]),
+           lambda X: X[:, 0] - 0.25 + 0.5 * (X[:, 1] - 2.0)]
+
+
+def _per_datum_ladder(profile_a, profile_b, sizes):
+    """(errors, signals) from one dtn_partial record per datum and metric."""
+    errors, signals = [], []
+    for n in sizes:
+        grid = build_grid(2, SIDE, n)
+        config = REGION_2D.build(grid)
+        dec_a = decompose(assemble_laplacian(make_metric(grid, profile_a)))
+        dec_b = decompose(assemble_laplacian(make_metric(grid, profile_b)))
+        w2 = dec_a.measure.node_weights[config.w2_nodes]
+        coords = grid.coordinates()[config.w1_nodes]
+        err = sig = 0.0
+        for f in DATA_2D:
+            out_a = dtn_partial(dec_a, ALPHA, config, f(coords)).output_values
+            out_b = dtn_partial(dec_b, ALPHA, config, f(coords)).output_values
+            err = max(err, math.sqrt(w2 @ (out_a - out_b) ** 2))
+            sig = max(sig, math.sqrt(w2 @ out_a ** 2))
+        errors.append(err)
+        signals.append(sig)
+    return np.array(errors), np.array(signals)
+
+
+@pytest.mark.parametrize("pair", ["gauge", "distinct"])
+def test_2d_experiment_matches_per_datum_records(pair):
+    # the defect is a difference of nearby outputs, so it keeps fewer digits
+    # than the signal when the matrix route reorders the arithmetic
+    other = (PullbackProfile(base=BASE_2D, squash=SQUASH_2D)
+             if pair == "gauge" else IdentityMetric(dim=2))
+    report = dtn_difference_experiment(ALPHA, REGION_2D, BASE_2D, other,
+                                       DATA_2D, side_length=SIDE,
+                                       sizes=(12, 16))
+    errors, signals = _per_datum_ladder(BASE_2D, other, (12, 16))
+    assert_allclose(report.signals, signals, rtol=1e-12, atol=0.0)
+    assert_allclose(report.errors, errors, rtol=1e-8, atol=0.0)
 
 
 def test_experiment_validation():

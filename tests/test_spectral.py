@@ -246,7 +246,9 @@ def test_decompose_is_deterministic():
 def test_decompose_size_cap():
     grid = build_grid(1, 4.0, 16)
     op = assemble_laplacian(make_metric(grid, IdentityMetric(1)))
-    with pytest.raises(DecompositionSizeError):
+    # the message names the dense bytes at the requested size: 8 * 16^2
+    with pytest.raises(DecompositionSizeError,
+                       match=r"16 x 16 float64 matrix takes 0\.00205 MB"):
         decompose(op, cap=8)
 
 
