@@ -10,9 +10,13 @@ constants, and for the identity metric in 1d it reduces to the classical
 (-1, 2, -1)/h^2 circulant.  The operator is held as its stencil
 coefficients and applied by periodic shifts; a dense matrix is assembled only
 for the eigensolve (and on request, as an oracle).  All fractional powers are
-defined through the dense eigendecomposition of the symmetrized matrix; the
-Balakrishnan quadrature route and the jump-kernel route below are independent
-cross-checks of that calculus, not substitutes for it.
+defined through the eigendecomposition of the symmetrized matrix: in closed
+form by Fourier modes when every node has bitwise the same stencil
+coefficients and the same weight (a constant metric, such as the Euclidean
+reference), and by a dense eigensolve otherwise.  In 2-d a conformal metric
+has the same coefficients at every node but varying weights, so it takes the
+dense route.  The Balakrishnan quadrature route and the jump-kernel route
+below are independent cross-checks of that calculus, not substitutes for it.
 """
 
 from __future__ import annotations
@@ -210,47 +214,185 @@ class SpectralDecomposition:
 
 def decompose(op: DiscreteLaplaceBeltrami,
               cap: int = DEFAULT_EIG_CAP) -> SpectralDecomposition:
-    """Dense symmetric eigendecomposition of W^{1/2} A W^{-1/2}.
+    """Eigenpairs of A, by a closed form when A is translation invariant.
 
-    The cost is memory as much as time: every M x M float64 matrix takes
-    8 M^2 bytes (42.5 MB at M = 2304, 2-d N = 48), and the call peaks at
-    about five of them -- the scaled form matrix, numpy's working copy of
-    it, the eigenvectors and the 2 M^2 workspace of LAPACK's divide and
-    conquer.  Measured at M = 2304 (x86-64, numpy 2.4, OpenBLAS at 2
-    threads), the peak resident set rises 208 MiB above the caller's, and
-    the result keeps its M x M basis alive for as long as it is referenced.
-    Callers should drop a decomposition once they have read the blocks they
-    need from it (``exterior.dtn_matrix``, say), before the next call.
+    If every node carries bitwise the same stencil coefficients C_jk and
+    bitwise the same weight w (the identity metric, or any constant metric),
+    A is a circulant and the Fourier modes diagonalise it exactly; see
+    :func:`_fourier_eigenpairs`.  Both conditions are needed: in 2-d a
+    conformal metric has C_jk = sqrt|g| g^{jk} = I at every node (the
+    Dirichlet energy is conformally invariant) while its weights vary.
+
+    Otherwise the eigenpairs come from a dense symmetric eigendecomposition
+    of W^{1/2} A W^{-1/2}.  Its cost is memory as much as time: every
+    M x M float64 matrix takes 8 M^2 bytes (42.5 MB at M = 2304, 2-d
+    N = 48), and the call peaks at about five of them -- the scaled form
+    matrix, numpy's working copy of it, the eigenvectors and the 2 M^2
+    workspace of LAPACK's divide and conquer.  The scaling, symmetrisation
+    and sign steps work on rows, tiles and blocks and add no M x M
+    temporary.  Measured at M = 2304 (x86-64, numpy 2.4, OpenBLAS at 2
+    threads), the peak resident set rises 207 MiB above the caller's; the
+    closed form peaks at its basis and a few tables, 46 MiB.
+
+    Both routes hold an M x M basis, so both obey ``cap``, and both share
+    the zero snap and sign convention of :func:`_finish_eigenpairs`.  The
+    result keeps its basis alive for as long as it is referenced: callers
+    should drop a decomposition once they have read the blocks they need
+    from it (``exterior.dtn_matrix``, say), before the next call.
     """
     m = op.grid.node_count
     if m > cap:
         raise DecompositionSizeError(
             f"grid has {m} nodes, dense eigendecomposition capped at {cap}; "
             f"one {m} x {m} float64 matrix takes {8 * m * m / 1e6:.3g} MB")
-    root_w = np.sqrt(op.measure.node_weights)
-    # the freshly assembled B is scaled in place to 0.5 (S + S') with
-    # S = W^{-1/2} B W^{-1/2}; the basis is signed and rescaled in place too
-    sym = op.form_matrix
-    sym /= np.outer(root_w, root_w)
-    sym += sym.T
-    sym *= 0.5
-    evals, evecs = np.linalg.eigh(sym)
-    del sym
+    w = op.measure.node_weights
+    root_w = np.sqrt(w)
+    if np.all(op.coefficients == op.coefficients[0]) and np.all(w == w[0]):
+        evals, evecs = _fourier_eigenpairs(op.grid, op.coefficients[0], w[0])
+    else:
+        # the freshly assembled B is scaled in place, one row at a time, to
+        # 0.5 (S + S') with S = W^{-1/2} B W^{-1/2}; B is not bitwise
+        # symmetric for every metric
+        sym = op.form_matrix
+        for i in range(m):
+            sym[i] /= root_w[i] * root_w
+        _symmetrise(sym)
+        evals, evecs = np.linalg.eigh(sym)
+        del sym
+    return SpectralDecomposition(
+        eigenvalues=_finish_eigenpairs(evals, evecs, root_w),
+        basis=evecs, operator=op)
 
+
+# row and tile size of the blocked steps.  A freed block stays in the heap,
+# resident, through the next eigensolve; at 64 (a 1.2 MB row block at
+# M = 2304) later blocks reuse it and the peak stays that of the eigensolve.
+_BLOCK = 64
+
+
+def _symmetrise(s: np.ndarray) -> None:
+    """s <- 0.5 (s + s') in place, one pair of mirrored tiles at a time.
+
+    Entry for entry this is (s_ij + s_ji) * 0.5, the same arithmetic as
+    ``0.5 * (s + s.T)``, without its M x M temporaries.
+    """
+    m = s.shape[0]
+    for r0 in range(0, m, _BLOCK):
+        rows = slice(r0, r0 + _BLOCK)
+        for c0 in range(r0, m, _BLOCK):
+            cols = slice(c0, c0 + _BLOCK)
+            tile = s[rows, cols] + s[cols, rows].T
+            tile *= 0.5
+            s[rows, cols] = tile
+            s[cols, rows] = tile.T
+
+
+def _finish_eigenpairs(evals: np.ndarray, evecs: np.ndarray,
+                       root_w: np.ndarray) -> np.ndarray:
+    """Zero snap, sign convention and W-scaling shared by both routes.
+
+    ``evals`` ascend and ``evecs`` are the matching Euclidean-orthonormal
+    eigenvectors of W^{1/2} A W^{-1/2}.  Eigenvalues below 1e-12 lam_max are
+    snapped to 0 (and a clearly negative one is an error); each eigenvector
+    is signed so that its largest-magnitude entry (the first, on ties) is
+    positive, then divided by W^{1/2} in place, so ``evecs`` becomes the
+    W-orthonormal basis.  Returns the snapped eigenvalues.
+    """
     lam_max = max(float(evals[-1]), 1.0)
     if evals[0] < -1e-10 * lam_max:
         raise ArithmeticError(
             f"eigensolve produced spurious negative eigenvalue {evals[0]:.3e}")
     evals = np.where(evals < 1e-12 * lam_max, 0.0, evals)
-
-    # deterministic sign convention: largest-magnitude entry positive
-    anchor = np.abs(evecs).argmax(axis=0)
-    signs = np.sign(evecs[anchor, np.arange(m)])
-    signs[signs == 0] = 1.0
-    evecs *= signs
-
+    evecs *= _signs_of_largest(evecs)
     evecs /= root_w[:, None]
-    return SpectralDecomposition(eigenvalues=evals, basis=evecs, operator=op)
+    return evals
+
+
+def _signs_of_largest(v: np.ndarray) -> np.ndarray:
+    """Per column, the sign of its first largest-magnitude entry (0 -> 1).
+
+    Equals ``np.sign(v[np.abs(v).argmax(axis=0), cols])``, reduced one block
+    of rows at a time: a column's anchor moves to a later block only where
+    that block holds a strictly larger magnitude.  A max over contiguous
+    rows is about 3x faster than an argmax down the columns.
+    """
+    m = v.shape[1]
+    best = np.full(m, -1.0)
+    anchor_values = np.zeros(m)
+    for r0 in range(0, v.shape[0], _BLOCK):
+        rows = v[r0:r0 + _BLOCK]
+        mag = np.abs(rows)
+        top = mag.max(axis=0)
+        later = np.flatnonzero(top > best)
+        first = (mag[:, later] == top[later]).argmax(axis=0)
+        best[later] = top[later]
+        anchor_values[later] = rows[first, later]
+    signs = np.sign(anchor_values)
+    signs[signs == 0] = 1.0
+    return signs
+
+
+def _fourier_eigenpairs(grid: TorusGrid, coefficients: np.ndarray,
+                        weight: float) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form eigenpairs of a translation-invariant operator.
+
+    With the same C_jk and w at every node, A maps the Fourier mode
+    e^{i theta.n} (theta_j = 2 pi k_j / N) to lam_theta times itself, with
+
+        lam_theta = sigma(theta) / w,
+        sigma(theta) = sum_jk C_jk (e^{-i theta_j} - 1)(e^{i theta_k} - 1).
+
+    The real basis takes one frequency of each conjugate pair +-theta and
+    gives it the modes sqrt(2/M) cos(theta.n) and sqrt(2/M) sin(theta.n); a
+    self-conjugate theta (every k_j 0 or N/2) gives 1/sqrt(M) cos(theta.n).
+    The modes are ordered by a stable ascending sort of lam (ties keep the
+    frequency order, cosine before sine), and the columns, orthonormal in
+    the Euclidean product, are built in that order from per-axis cos/sin
+    tables, in 2-d one grid row at a time:
+
+        cos(a + b) = cos a cos b - sin a sin b,
+        sin(a + b) = sin a cos b + cos a sin b,
+
+    with a the phase along the first axis and b along the second.
+    """
+    n, dim, m = grid.points_per_side, grid.dim, grid.node_count
+    freqs = np.indices(grid.shape).reshape(dim, m)
+    partner = np.ravel_multi_index(tuple(-freqs % n), grid.shape)
+    index = np.arange(m)
+    keep = index <= partner
+    pairs = index[keep] < partner[keep]
+    # one cosine mode per kept frequency, followed by a sine mode for a pair
+    counts = np.where(pairs, 2, 1)
+    freqs = np.repeat(freqs[:, keep], counts, axis=1)
+    of_pair = np.repeat(pairs, counts)
+    is_sin = np.zeros(m, bool)
+    is_sin[np.flatnonzero(of_pair)[1::2]] = True
+    scale = np.where(of_pair, math.sqrt(2.0 / m), math.sqrt(1.0 / m))
+
+    z = np.exp(2j * np.pi * freqs / n) - 1.0
+    sigma = np.einsum("jk,jc,kc->c", coefficients, z.conj(), z).real
+    evals = sigma / weight
+    order = np.argsort(evals, kind="stable")
+    evals, freqs, is_sin, scale = (evals[order], freqs[:, order],
+                                   is_sin[order], scale[order])
+
+    # phase[k, n] = theta_k n is symmetric, so a column gather of either table
+    # is indexed [node coordinate, mode]
+    phase = 2.0 * np.pi * (np.outer(np.arange(n), np.arange(n)) % n) / n
+    cos_table, sin_table = np.cos(phase), np.sin(phase)
+    cos_a, sin_a = cos_table[:, freqs[0]], sin_table[:, freqs[0]]  # (N, M)
+    p = np.where(is_sin, sin_a, cos_a) * scale
+    if dim == 1:
+        return evals, p
+    # value of mode c at node (i, j): p[i, c] cos_b[j, c] + q[i, c] sin_b[j, c]
+    q = np.where(is_sin, cos_a, -sin_a) * scale
+    cos_b, sin_b = cos_table[:, freqs[1]], sin_table[:, freqs[1]]
+    basis = np.empty((m, m))
+    for i in range(n):
+        rows = basis[i * n:(i + 1) * n]
+        np.multiply(cos_b, p[i], out=rows)
+        rows += sin_b * q[i]
+    return evals, basis
 
 
 # --------------------------------------------------------------------------

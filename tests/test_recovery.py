@@ -603,6 +603,18 @@ def test_2d_experiment_matches_per_datum_records(pair):
     assert_allclose(report.errors, errors, rtol=1e-8, atol=0.0)
 
 
+def test_euclidean_reference_needs_no_eigensolve(monkeypatch):
+    # the identity metric has the same stencil and weight at every node, so
+    # only BASE_2D is decomposed by a dense eigensolve: one call per size
+    eigh = np.linalg.eigh
+    calls = []
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda a: calls.append(a.shape[0]) or eigh(a))
+    dtn_difference_experiment(ALPHA, REGION_2D, BASE_2D, IdentityMetric(dim=2),
+                              DATA_2D, side_length=SIDE, sizes=(12, 16))
+    assert calls == [12 ** 2, 16 ** 2]
+
+
 def test_experiment_validation():
     with pytest.raises(ValueError, match="two grid sizes"):
         dtn_difference_experiment(ALPHA, REGION, BASE_1D, BASE_1D, DATA_1D,

@@ -22,12 +22,14 @@ from fracbeltrami.geometry import (
     weighted_inner,
     weighted_norm,
 )
+from fracbeltrami.exterior import RegionSpec, dtn_matrix
 from fracbeltrami.quadrature import LogQuadrature
 from fracbeltrami.recovery import PullbackProfile, RadialSquash
 from fracbeltrami.spectral import (
     DecompositionSizeError,
     DiscreteLaplaceBeltrami,
     QuadratureWindowWarning,
+    SpectralDecomposition,
     assemble_laplacian,
     decompose,
     energy_form,
@@ -214,13 +216,18 @@ def test_trace_identity(dec_1d_bump):
     )
 
 
-@pytest.mark.parametrize("dim, profile", [(1, BUMP_1D), (2, ANISO_2D)],
-                         ids=["bump-1d", "aniso-2d"])
-def test_decompose_pins_dense_reference(dim, profile):
+@pytest.mark.parametrize("dim, n, profile",
+                         [(1, 16, BUMP_1D), (2, 12, ANISO_2D), (2, 16, BUMP_2D)],
+                         ids=["bump-1d", "aniso-2d", "conformal-2d"])
+def test_decompose_pins_dense_reference(dim, n, profile):
     # the eigensolve sees exactly 0.5 (S + S') with S = W^{-1/2} B W^{-1/2},
     # so its eigenpairs equal this out-of-place reference to the last bit
-    grid = build_grid(dim, 4.0, 16 if dim == 1 else 12)
+    grid = build_grid(dim, 4.0, n)
     op = assemble_laplacian(make_metric(grid, profile))
+    if profile is BUMP_2D:
+        # a 2-d conformal metric has the same stencil at every node but not
+        # the same weight: it must not take the closed-form route
+        assert np.all(op.coefficients == op.coefficients[0])
     dec = decompose(op)
     root_w = np.sqrt(op.measure.node_weights)
     sym = op.form_matrix / np.outer(root_w, root_w)
@@ -232,6 +239,67 @@ def test_decompose_pins_dense_reference(dim, profile):
     signs[signs == 0] = 1.0
     assert np.array_equal(dec.eigenvalues, evals)
     assert np.array_equal(dec.basis, evecs * signs / root_w[:, None])
+
+
+@dataclasses.dataclass(frozen=True)
+class ConstantProfile:
+    """The same metric tensor at every node."""
+
+    tensor: tuple
+
+    @property
+    def dim(self) -> int:
+        return len(self.tensor)
+
+    def sample(self, points, side_length):
+        g = np.asarray(self.tensor, float)
+        return np.broadcast_to(g, (len(points),) + g.shape).copy()
+
+
+def _eigh_reference(op):
+    """The dense-eigensolve decomposition, formed here as an oracle."""
+    root_w = np.sqrt(op.measure.node_weights)
+    sym = op.form_matrix / np.outer(root_w, root_w)
+    evals, evecs = np.linalg.eigh(0.5 * (sym + sym.T))
+    evals = np.where(evals < 1e-12 * max(float(evals[-1]), 1.0), 0.0, evals)
+    return SpectralDecomposition(eigenvalues=evals,
+                                 basis=evecs / root_w[:, None], operator=op)
+
+
+@pytest.mark.parametrize("dim, n, profile", [
+    (1, 16, IdentityMetric(1)),
+    (2, 12, IdentityMetric(2)),
+    (2, 16, IdentityMetric(2)),
+    (2, 12, ConstantProfile(((1.3, 0.4), (0.4, 0.9)))),
+], ids=["identity-1d", "identity-2d-12", "identity-2d-16", "constant-aniso-2d"])
+def test_closed_form_matches_dense_eigensolve(monkeypatch, dim, n, profile):
+    grid = build_grid(dim, 4.0, n)
+    op = assemble_laplacian(make_metric(grid, profile))
+    eigh = np.linalg.eigh
+    calls = []
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda a: calls.append(a.shape) or eigh(a))
+    dec = decompose(op)
+    monkeypatch.undo()
+    assert calls == []  # translation invariant: no dense eigensolve
+    ref = _eigh_reference(op)
+    lam_max = float(ref.eigenvalues[-1])
+    w = op.measure.node_weights
+    assert dec.eigenvalues[0] == 0.0
+    assert np.abs(dec.eigenvalues - ref.eigenvalues).max() <= 1e-12 * lam_max
+    gram = dec.basis.T @ (dec.basis * w[:, None])
+    assert np.abs(gram - np.eye(grid.node_count)).max() <= 1e-13
+    residual = op.matrix @ dec.basis - dec.basis * dec.eigenvalues
+    assert np.linalg.norm(residual) <= 1e-12 * lam_max
+    # eigenspaces are degenerate, so the bases differ; functions of A agree
+    energy, energy_ref = frac_energy_matrix(dec, 0.5), frac_energy_matrix(ref, 0.5)
+    assert np.abs(energy - energy_ref).max() <= 1e-12 * np.abs(energy_ref).max()
+    region = RegionSpec(omega_center=(2.0,) * dim, omega_radius=0.55,
+                        w1_center=(0.5,) + (2.0,) * (dim - 1), w1_radius=0.3,
+                        w2_center=(3.4,) + (0.5,) * (dim - 1), w2_radius=0.3)
+    config = region.build(grid)
+    lam, lam_ref = dtn_matrix(dec, 0.5, config), dtn_matrix(ref, 0.5, config)
+    assert np.abs(lam - lam_ref).max() <= 1e-10 * np.abs(lam_ref).max()
 
 
 def test_decompose_is_deterministic():
