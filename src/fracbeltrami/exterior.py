@@ -237,7 +237,11 @@ def _solve_blocks(dec: SpectralDecomposition, alpha: float,
     w = dec.measure.node_weights
     om = config.omega_nodes
     g_om = _half_power_rows(dec, alpha, om) * w[om, None]
-    g_in = _half_power_rows(dec, alpha, in_nodes) * w[in_nodes, None]
+    # G_in = W_in Phi_in Lambda^{a/2}, scaled in place in the gathered copy:
+    # one |in| x M block (near M x M for the exterior), not three
+    g_in = dec.basis[in_nodes]
+    g_in *= _spectral_power(dec.eigenvalues, 0.5 * alpha)
+    g_in *= w[in_nodes, None]
     datum_modes = g_in.T @ f_in
     rhs = -(g_om @ datum_modes)
     block = g_om @ g_om.T

@@ -128,19 +128,34 @@ class IdentityMetric:
         return np.broadcast_to(np.eye(self.dim), (m, self.dim, self.dim)).copy()
 
 
-def _check_bump_params(dim, beta, sigma, r0, center):
-    if beta <= -1.0:
-        raise ValueError(f"bump amplitude beta must exceed -1 for ellipticity, got {beta}")
-    if sigma <= 0.0:
-        raise ValueError("sigma must be positive")
-    if r0 <= 0.0:
-        raise ValueError("support radius r0 must be positive")
-    if len(center) != dim:
-        raise ValueError(f"center has {len(center)} components, expected {dim}")
+class _BumpFactor:
+    """Parameter checks and the factor 1 + beta * bump(r) of the bump
+    profiles, with r the wrapped distance to ``center`` and the support
+    radius ``_bump_r0`` (the profile's ``r0`` unless it says otherwise)."""
+
+    @property
+    def _bump_r0(self) -> float:
+        return self.r0
+
+    def __post_init__(self):
+        if self.beta <= -1.0:
+            raise ValueError(f"bump amplitude beta must exceed -1 for ellipticity, got {self.beta}")
+        if self.sigma <= 0.0:
+            raise ValueError("sigma must be positive")
+        if self._bump_r0 <= 0.0:
+            raise ValueError("support radius r0 must be positive")
+        if len(self.center) != self.dim:
+            raise ValueError(f"center has {len(self.center)} components, expected {self.dim}")
+        object.__setattr__(self, "center", tuple(float(c) for c in self.center))
+
+    def _factor(self, points: np.ndarray, side_length: float) -> np.ndarray:
+        delta = wrap_displacement(points - self.center, side_length)
+        r2 = (delta ** 2).sum(axis=1)
+        return 1.0 + self.beta * _bump_factor(r2, self.sigma, self._bump_r0)
 
 
 @dataclasses.dataclass(frozen=True)
-class ConformalBump:
+class ConformalBump(_BumpFactor):
     """Metric ``(1 + beta * bump(r)) * I`` around ``center``.
 
     ``bump`` equals 1 at the center (so g = (1+beta) I there), has Gaussian
@@ -153,20 +168,13 @@ class ConformalBump:
     center: tuple
     r0: float
 
-    def __post_init__(self):
-        _check_bump_params(self.dim, self.beta, self.sigma, self.r0, self.center)
-        object.__setattr__(self, "center", tuple(float(c) for c in self.center))
-
     def sample(self, points: np.ndarray, side_length: float) -> np.ndarray:
-        delta = wrap_displacement(np.asarray(points, float) - self.center,
-                                  side_length)
-        r2 = (delta ** 2).sum(axis=1)
-        factor = 1.0 + self.beta * _bump_factor(r2, self.sigma, self.r0)
+        factor = self._factor(np.asarray(points, float), side_length)
         return factor[:, None, None] * np.eye(self.dim)
 
 
 @dataclasses.dataclass(frozen=True)
-class ConformalRescale:
+class ConformalRescale(_BumpFactor):
     """Metric ``(1 + beta * bump(r)) * g_base`` for any base profile.
 
     Multiplies an existing metric by a localized conformal factor; with
@@ -181,11 +189,6 @@ class ConformalRescale:
     center: tuple
     bump_r0: float
 
-    def __post_init__(self):
-        _check_bump_params(self.dim, self.beta, self.sigma, self.bump_r0,
-                           self.center)
-        object.__setattr__(self, "center", tuple(float(c) for c in self.center))
-
     @property
     def dim(self) -> int:
         return self.base.dim
@@ -194,17 +197,19 @@ class ConformalRescale:
     def r0(self) -> float:
         return max(self.bump_r0, float(getattr(self.base, "r0", 0.0) or 0.0))
 
+    @property
+    def _bump_r0(self) -> float:
+        return self.bump_r0
+
     def sample(self, points: np.ndarray, side_length: float) -> np.ndarray:
         points = np.asarray(points, dtype=float)
-        delta = wrap_displacement(points - self.center, side_length)
-        r2 = (delta ** 2).sum(axis=1)
-        factor = 1.0 + self.beta * _bump_factor(r2, self.sigma, self.bump_r0)
+        factor = self._factor(points, side_length)
         return factor[:, None, None] * np.asarray(
             self.base.sample(points, side_length), float)
 
 
 @dataclasses.dataclass(frozen=True)
-class AnisotropicBump:
+class AnisotropicBump(_BumpFactor):
     """Metric scaling a single coordinate direction: g_aa = 1 + beta * bump(r)."""
 
     dim: int
@@ -215,19 +220,15 @@ class AnisotropicBump:
     axis: int = 0
 
     def __post_init__(self):
-        _check_bump_params(self.dim, self.beta, self.sigma, self.r0, self.center)
+        super().__post_init__()
         if not 0 <= self.axis < self.dim:
             raise ValueError(f"axis {self.axis} out of range for dim {self.dim}")
-        object.__setattr__(self, "center", tuple(float(c) for c in self.center))
 
     def sample(self, points: np.ndarray, side_length: float) -> np.ndarray:
         points = np.asarray(points, dtype=float)
-        delta = wrap_displacement(points - self.center, side_length)
-        r2 = (delta ** 2).sum(axis=1)
-        factor = 1.0 + self.beta * _bump_factor(r2, self.sigma, self.r0)
         g = np.broadcast_to(np.eye(self.dim),
                             (points.shape[0], self.dim, self.dim)).copy()
-        g[:, self.axis, self.axis] = factor
+        g[:, self.axis, self.axis] = self._factor(points, side_length)
         return g
 
 

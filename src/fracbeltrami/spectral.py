@@ -8,20 +8,22 @@ with periodic forward/backward differences D+/D-.  A is self-adjoint and
 positive semi-definite in the weighted inner product, its kernel is the
 constants, and for the identity metric in 1d it reduces to the classical
 (-1, 2, -1)/h^2 circulant.  The operator is held as its stencil
-coefficients and applied by periodic shifts; a dense matrix is assembled only
-for the eigensolve (and on request, as an oracle).  All fractional powers are
-defined through the eigendecomposition of the symmetrized matrix: in closed
-form by Fourier modes when every node has bitwise the same stencil
-coefficients and the same weight (a constant metric, such as the Euclidean
-reference), and by a dense eigensolve otherwise.  In 2-d a conformal metric
-has the same coefficients at every node but varying weights, so it takes the
-dense route.  The Balakrishnan quadrature route and the jump-kernel route
-below are independent cross-checks of that calculus, not substitutes for it.
+coefficients and applied by periodic shifts (``apply_form``, the one place
+that states the stencil); the dense matrix, its diagonal and the Fourier
+symbol are read off that product.  All fractional powers are defined through
+the eigendecomposition of the symmetric matrix: in closed form by Fourier
+modes when every node has bitwise the same stencil coefficients and the same
+weight (a constant metric, such as the Euclidean reference), and by a dense
+eigensolve otherwise.  In 2-d a conformal metric has the same coefficients
+at every node but varying weights, so it takes the dense route.  The
+Balakrishnan quadrature route and the jump-kernel route below are
+independent cross-checks of that calculus, not substitutes for it.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 import warnings
 
@@ -67,11 +69,11 @@ class DiscreteLaplaceBeltrami:
 
     ``coefficients`` holds the node coefficients C_jk = h^{dim-2} sqrt|g| g^{jk}
     of the stencil B = sum_jk D+_j' C_jk D+_k (5 nonzeros per row for a
-    conformal metric, at most 9 otherwise).  They are the only stored
-    representation: :meth:`apply_form` and :meth:`apply` act by periodic
-    shifts, and the dense ``form_matrix`` and ``matrix`` are assembled anew
-    on each access, for the eigensolve and for dense oracles.  ``grid`` and
-    ``measure`` are read from ``metric``, so they cannot disagree with it.
+    conformal metric, at most 7 otherwise).  They are the only stored
+    representation and :meth:`apply_form` the only code that states the
+    stencil; ``form_matrix``, ``matrix`` and :meth:`form_diagonal` are read
+    off it anew on each access.  ``grid`` and ``measure`` are read from
+    ``metric``, so they cannot disagree with it.
     """
 
     coefficients: np.ndarray  # (M, dim, dim), the stencil's C_jk per node
@@ -89,26 +91,24 @@ class DiscreteLaplaceBeltrami:
     def form_matrix(self) -> np.ndarray:
         """Dense B (M, M), symmetric PSD with u.B.v = <Au, v>_w.
 
-        Scatters the four point masses each (node, j, k) contributes,
-
-            u.B.v = sum_i C_jk,i (D+_j u)_i (D+_k v)_i ,
-
-        so summation by parts on the torus makes B exactly symmetric.
+        Read off :meth:`apply_form` by probing (Curtis-Powell-Reid): with
+        nodes coloured by index modulo p on every axis, p the smallest
+        divisor of N that is at least 3, the stencil's steps -1, 0, +1 fall
+        in distinct colours, so B_ij = (B 1_colour(j))_i.  (p must divide N
+        or the colours clash at the wrap; for N = 2q, q prime, p = q.)  Each
+        pair of opposite offsets is read once and mirrored, so B is
+        symmetric to the bit.
         """
-        grid = self.grid
-        m = grid.node_count
-        idx = np.arange(m).reshape(grid.shape)
-        # forward[a][i] = flat index of the +1 neighbour of node i along axis a
-        forward = [np.roll(idx, -1, axis=a).ravel() for a in range(grid.dim)]
-        base = np.arange(m)
+        grid, n, m = self.grid, self.grid.points_per_side, self.grid.node_count
+        probes, coords, colour = self._probe(
+            next(p for p in range(3, n + 1) if n % p == 0))
+        rows = np.arange(m)
         b = np.zeros((m, m))
-        for j in range(grid.dim):
-            for k in range(grid.dim):
-                c = self.coefficients[:, j, k]
-                np.add.at(b, (base, base), c)
-                np.add.at(b, (base, forward[k]), -c)
-                np.add.at(b, (forward[j], base), -c)
-                np.add.at(b, (forward[j], forward[k]), c)
+        for offset in itertools.product((-1, 0, 1), repeat=grid.dim):
+            if offset >= (0,) * grid.dim:  # the others are mirrors
+                cols = np.ravel_multi_index(coords + np.array(offset)[:, None],
+                                            grid.shape, mode="wrap")
+                b[rows, cols] = b[cols, rows] = probes[rows, colour[cols]]
         return b
 
     @property
@@ -117,20 +117,26 @@ class DiscreteLaplaceBeltrami:
         return self.form_matrix / self.measure.node_weights[:, None]
 
     def form_diagonal(self) -> np.ndarray:
-        """diag(B) from the stencil: B_ii = sum_jk C_jk,i + sum_j C_jj,i-e_j.
+        """diag(B), equal to ``np.diag(form_matrix)`` bitwise.
 
-        The terms are added in the order :attr:`form_matrix` scatters them,
-        so the result equals ``np.diag(form_matrix)`` bitwise.
+        A parity colouring separates every node from its stencil
+        neighbours, so B_ii = (B 1_colour(i))_i.
         """
-        dim = self.grid.dim
-        diag = np.zeros(self.grid.node_count)
-        for j in range(dim):
-            for k in range(dim):
-                c = self.coefficients[:, j, k]
-                diag += c
-                if j == k:
-                    diag += np.roll(c.reshape(self.grid.shape), 1, axis=j).ravel()
-        return diag
+        probes, _, colour = self._probe(2)
+        return probes[np.arange(colour.size), colour]
+
+    def _probe(self, period: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """B X, the node coordinates (dim, M) and the node colours.
+
+        Node i's colour is its coordinates modulo ``period``, which must
+        divide N; column c of X is the indicator of colour c.
+        """
+        grid = self.grid
+        coords = np.indices(grid.shape).reshape(grid.dim, -1)
+        colour = np.ravel_multi_index(coords % period, (period,) * grid.dim)
+        indicators = np.zeros((grid.node_count, period ** grid.dim))
+        indicators[np.arange(grid.node_count), colour] = 1.0
+        return self.apply_form(indicators), coords, colour
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         """A u = W^{-1} B u for a node vector or an (M, cols) block."""
@@ -140,8 +146,8 @@ class DiscreteLaplaceBeltrami:
     def apply_form(self, X: np.ndarray) -> np.ndarray:
         """B X for a node vector or an (M, cols) block, by periodic shifts.
 
-        Equals ``form_matrix @ X`` up to summation order; the forward
-        difference (D+_k X)_i = X_{i+e_k} - X_i and its transpose
+        The one statement of the stencil: the forward difference
+        (D+_k X)_i = X_{i+e_k} - X_i and its transpose
         (D+_j' G)_i = G_{i-e_j} - G_i are rolls along the grid axes.
         """
         X = np.asarray(X, float)
@@ -228,11 +234,11 @@ def decompose(op: DiscreteLaplaceBeltrami,
     M x M float64 matrix takes 8 M^2 bytes (42.5 MB at M = 2304, 2-d
     N = 48), and the call peaks at about five of them -- the scaled form
     matrix, numpy's working copy of it, the eigenvectors and the 2 M^2
-    workspace of LAPACK's divide and conquer.  The scaling, symmetrisation
-    and sign steps work on rows, tiles and blocks and add no M x M
-    temporary.  Measured at M = 2304 (x86-64, numpy 2.4, OpenBLAS at 2
-    threads), the peak resident set rises 207 MiB above the caller's; the
-    closed form peaks at its basis and a few tables, 46 MiB.
+    workspace of LAPACK's divide and conquer.  The scaling and sign steps
+    work on rows and row blocks and add no M x M temporary.  Measured at
+    M = 2304 (x86-64, numpy 2.4, OpenBLAS at 2 threads), the peak resident
+    set rises 207 MiB above the caller's; the closed form peaks at its basis
+    and a few tables, 46 MiB.
 
     Both routes hold an M x M basis, so both obey ``cap``, and both share
     the zero snap and sign convention of :func:`_finish_eigenpairs`.  The
@@ -248,15 +254,13 @@ def decompose(op: DiscreteLaplaceBeltrami,
     w = op.measure.node_weights
     root_w = np.sqrt(w)
     if np.all(op.coefficients == op.coefficients[0]) and np.all(w == w[0]):
-        evals, evecs = _fourier_eigenpairs(op.grid, op.coefficients[0], w[0])
+        evals, evecs = _fourier_eigenpairs(op, w[0])
     else:
-        # the freshly assembled B is scaled in place, one row at a time, to
-        # 0.5 (S + S') with S = W^{-1/2} B W^{-1/2}; B is not bitwise
-        # symmetric for every metric
+        # the freshly assembled B, symmetric to the bit, is scaled in place,
+        # one row at a time, to S = W^{-1/2} B W^{-1/2}, also symmetric
         sym = op.form_matrix
         for i in range(m):
             sym[i] /= root_w[i] * root_w
-        _symmetrise(sym)
         evals, evecs = np.linalg.eigh(sym)
         del sym
     return SpectralDecomposition(
@@ -264,27 +268,10 @@ def decompose(op: DiscreteLaplaceBeltrami,
         basis=evecs, operator=op)
 
 
-# row and tile size of the blocked steps.  A freed block stays in the heap,
+# rows per block of the sign step.  A freed block stays in the heap,
 # resident, through the next eigensolve; at 64 (a 1.2 MB row block at
 # M = 2304) later blocks reuse it and the peak stays that of the eigensolve.
 _BLOCK = 64
-
-
-def _symmetrise(s: np.ndarray) -> None:
-    """s <- 0.5 (s + s') in place, one pair of mirrored tiles at a time.
-
-    Entry for entry this is (s_ij + s_ji) * 0.5, the same arithmetic as
-    ``0.5 * (s + s.T)``, without its M x M temporaries.
-    """
-    m = s.shape[0]
-    for r0 in range(0, m, _BLOCK):
-        rows = slice(r0, r0 + _BLOCK)
-        for c0 in range(r0, m, _BLOCK):
-            cols = slice(c0, c0 + _BLOCK)
-            tile = s[rows, cols] + s[cols, rows].T
-            tile *= 0.5
-            s[rows, cols] = tile
-            s[cols, rows] = tile.T
 
 
 def _finish_eigenpairs(evals: np.ndarray, evecs: np.ndarray,
@@ -332,15 +319,15 @@ def _signs_of_largest(v: np.ndarray) -> np.ndarray:
     return signs
 
 
-def _fourier_eigenpairs(grid: TorusGrid, coefficients: np.ndarray,
+def _fourier_eigenpairs(op: DiscreteLaplaceBeltrami,
                         weight: float) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form eigenpairs of a translation-invariant operator.
 
-    With the same C_jk and w at every node, A maps the Fourier mode
-    e^{i theta.n} (theta_j = 2 pi k_j / N) to lam_theta times itself, with
-
-        lam_theta = sigma(theta) / w,
-        sigma(theta) = sum_jk C_jk (e^{-i theta_j} - 1)(e^{i theta_k} - 1).
+    With the same C_jk and w at every node, B is a circulant, and A maps the
+    Fourier mode e^{i theta.n} (theta_j = 2 pi k_j / N) to lam_theta times
+    itself, with lam_theta = sigma(theta) / w.  The symbol sigma is the DFT
+    of B's column at node 0, read off ``op.apply_form`` on the unit vector
+    e_0, so the stencil is stated only there.
 
     The real basis takes one frequency of each conjugate pair +-theta and
     gives it the modes sqrt(2/M) cos(theta.n) and sqrt(2/M) sin(theta.n); a
@@ -355,7 +342,10 @@ def _fourier_eigenpairs(grid: TorusGrid, coefficients: np.ndarray,
 
     with a the phase along the first axis and b along the second.
     """
+    grid = op.grid
     n, dim, m = grid.points_per_side, grid.dim, grid.node_count
+    column = op.apply_form(np.eye(1, m).ravel()).reshape(grid.shape)
+    symbol = np.fft.fftn(column).real.ravel()
     freqs = np.indices(grid.shape).reshape(dim, m)
     partner = np.ravel_multi_index(tuple(-freqs % n), grid.shape)
     index = np.arange(m)
@@ -369,9 +359,7 @@ def _fourier_eigenpairs(grid: TorusGrid, coefficients: np.ndarray,
     is_sin[np.flatnonzero(of_pair)[1::2]] = True
     scale = np.where(of_pair, math.sqrt(2.0 / m), math.sqrt(1.0 / m))
 
-    z = np.exp(2j * np.pi * freqs / n) - 1.0
-    sigma = np.einsum("jk,jc,kc->c", coefficients, z.conj(), z).real
-    evals = sigma / weight
+    evals = np.repeat(symbol[keep], counts) / weight
     order = np.argsort(evals, kind="stable")
     evals, freqs, is_sin, scale = (evals[order], freqs[:, order],
                                    is_sin[order], scale[order])

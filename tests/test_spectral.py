@@ -166,6 +166,47 @@ def test_stencil_product_matches_dense_form(dim, profile):
     np.testing.assert_allclose(op.apply(block[:, 0]), dense_a[:, 0],
                                rtol=0, atol=tol_a)
     assert np.array_equal(op.form_diagonal(), np.diag(op.form_matrix))
+    # an oracle independent of apply_form and of the probes that read B off
+    # it: u.B.v = sum_i sum_jk C_jk,i (D+_j u)_i (D+_k v)_i, with D+ written
+    # by index arithmetic
+    u, v = block[:, 1], block[:, 2]
+    energy = _stencil_energy(op, u, v)
+    for got in (u @ op.form_matrix @ v, u @ op.apply_form(v)):
+        assert abs(got - energy) <= 1e-13 * abs(energy)
+
+
+def _stencil_energy(op, u, v):
+    """sum_i sum_jk C_jk,i (D+_j u)_i (D+_k v)_i, node by node."""
+    grid = op.grid
+    n = grid.points_per_side
+    coords = np.indices(grid.shape).reshape(grid.dim, -1)
+    forward = []  # forward[j][i] = flat index of node i + e_j
+    for j in range(grid.dim):
+        shifted = coords.copy()
+        shifted[j] = (shifted[j] + 1) % n
+        forward.append(np.ravel_multi_index(tuple(shifted), grid.shape))
+    du = [u[forward[j]] - u for j in range(grid.dim)]
+    dv = [v[forward[k]] - v for k in range(grid.dim)]
+    return sum(float(np.sum(op.coefficients[:, j, k] * du[j] * dv[k]))
+               for j in range(grid.dim) for k in range(grid.dim))
+
+
+@pytest.mark.parametrize("n", [4, 6, 10, 12, 16])
+@pytest.mark.parametrize("dim, profile", [
+    (1, BUMP_1D),
+    (2, ANISO_2D),
+    (2, PULLBACK_2D),
+], ids=["bump-1d", "aniso-2d", "pullback-2d"])
+def test_form_matrix_is_read_off_the_stencil(dim, profile, n):
+    # column j of B is B e_j; the probes read the same entries, mirror each
+    # pair of opposite offsets, and so give a B symmetric to the bit
+    grid = build_grid(dim, 4.0, n)
+    op = assemble_laplacian(make_metric(grid, profile))
+    form = op.form_matrix
+    columns = op.apply_form(np.eye(grid.node_count))
+    assert np.abs(form - columns).max() <= 1e-15 * np.abs(columns).max()
+    assert np.array_equal(form != 0, columns != 0)
+    assert np.array_equal(form, form.T)
 
 
 # ----------------------------------------------------------------------
@@ -217,11 +258,13 @@ def test_trace_identity(dec_1d_bump):
 
 
 @pytest.mark.parametrize("dim, n, profile",
-                         [(1, 16, BUMP_1D), (2, 12, ANISO_2D), (2, 16, BUMP_2D)],
-                         ids=["bump-1d", "aniso-2d", "conformal-2d"])
+                         [(1, 16, BUMP_1D), (2, 12, ANISO_2D), (2, 16, BUMP_2D),
+                          (2, 16, PULLBACK_2D)],
+                         ids=["bump-1d", "aniso-2d", "conformal-2d", "pullback-2d"])
 def test_decompose_pins_dense_reference(dim, n, profile):
-    # the eigensolve sees exactly 0.5 (S + S') with S = W^{-1/2} B W^{-1/2},
-    # so its eigenpairs equal this out-of-place reference to the last bit
+    # the eigensolve sees S = W^{-1/2} B W^{-1/2}, symmetric to the bit, so
+    # S = 0.5 (S + S') and its eigenpairs equal this out-of-place reference
+    # to the last bit
     grid = build_grid(dim, 4.0, n)
     op = assemble_laplacian(make_metric(grid, profile))
     if profile is BUMP_2D:
