@@ -45,7 +45,9 @@ import numpy as np
 
 from .quadrature import LogQuadrature
 from .solvers import conjugate_gradient
-from .spectral import SpectralDecomposition, _check_alpha, frac_apply_spectral
+from .geometry import TorusGrid
+from .spectral import (SpectralDecomposition, _check_alpha, _phase_tables,
+                       frac_apply_spectral)
 
 __all__ = [
     "bessel_k",
@@ -290,10 +292,10 @@ def graded_mesh(dec: SpectralDecomposition, alpha: float,
     grading makes the assembled diagonal span many decades and the vertical
     coupling stiff; the graded-mesh FEM solve absorbs both with its diagonal
     scaling and its flat-metric preconditioner, which solves the vertical
-    coupling exactly, one tridiagonal z-system per wavenumber.  Modes decay
-    like e^{-sqrt(lam_1) z}, so the default cap H = 8/sqrt(lam_1) leaves a
-    ~3e-4 relative truncation floor in the field away from z = 0; pass a
-    larger height when an error budget below that matters.
+    coupling exactly, one tridiagonal z-system per flat tangential mode.
+    Modes decay like e^{-sqrt(lam_1) z}, so the default cap H = 8/sqrt(lam_1)
+    leaves a ~3e-4 relative truncation floor in the field away from z = 0;
+    pass a larger height when an error budget below that matters.
     """
     _check_alpha(alpha, allow_one=False)
     positive = dec.eigenvalues[dec.eigenvalues > 0]
@@ -326,6 +328,41 @@ class ExtensionField:
         return self.values[:, 0]
 
 
+def _flat_modes(grid: TorusGrid):
+    """Real orthonormal eigenbasis of the Euclidean stiffness on ``grid``.
+
+    The stiffness h^{dim-2} sum_j D+_j' D+_j is a Kronecker sum of 1-d
+    periodic second differences, so a tensor product of 1-d eigenbases
+    diagonalises it (Lynch, Rice and Thomas, Numer. Math. 1964).  Along one
+    axis, column c of the (N, N) table Q is the mode of frequency c,
+    sqrt(2/N) cos(2 pi c n / N) for 0 < c < N/2 and sqrt(2/N) sin(2 pi c n / N)
+    for c > N/2 (minus the sine of frequency N - c), with 1/sqrt(N) cos at
+    c = 0 and c = N/2; the second difference maps it to 4 sin^2(pi c / N)
+    times itself.  Mode k = (c_0, ..., c_{dim-1}), flattened like the nodes,
+    has eigenvalue mu_k = h^{dim-2} sum_j 4 sin^2(pi c_j / N).
+
+    Returns ``to_modes``, ``to_nodes`` and ``mu``: the transforms apply Q^T
+    and Q along every grid axis to the rows of a (rows, M) array or to one
+    node vector, as GEMMs over whole levels, and mu has shape (M,).
+    """
+    n, dim = grid.points_per_side, grid.dim
+    cos_table, sin_table = _phase_tables(n)
+    c = np.arange(n)
+    scale = np.where((c == 0) | (2 * c == n), math.sqrt(1.0 / n), math.sqrt(2.0 / n))
+    q = np.where(2 * c <= n, cos_table, sin_table) * scale
+    axis_mu = 4.0 * np.sin(np.pi * c / n) ** 2
+    mu = axis_mu if dim == 1 else np.add.outer(axis_mu, axis_mu).ravel()
+    mu = mu * grid.spacing ** (dim - 2)
+
+    def transform(X: np.ndarray, along: np.ndarray) -> np.ndarray:
+        Y = X.reshape(-1, n) @ along           # the last axis, every row at once
+        if dim == 2:
+            Y = along.T @ Y.reshape(-1, n, n)  # the first, one level at a time
+        return Y.reshape(X.shape)
+
+    return (lambda X: transform(X, q)), (lambda Y: transform(Y, q.T)), mu
+
+
 def fd_extension_solve(dec: SpectralDecomposition, alpha: float,
                        mesh: ExtensionMesh, dirichlet_nodes: np.ndarray,
                        neumann_nodes: np.ndarray,
@@ -345,10 +382,15 @@ def fd_extension_solve(dec: SpectralDecomposition, alpha: float,
     stencil, never as a dense matrix.
 
     The preconditioner is the exact inverse of the same mixed system for the
-    Euclidean metric (node weight h^dim, coefficients h^{dim-2} I).  An FFT
-    over the grid axes diagonalizes its tangential stiffness, with symbol
-    mu_k = h^{dim-2} sum_j 4 sin^2(pi k_j / N_j), so levels 1..P split into
-    one tridiagonal z-system per wavenumber.  The level-0 unknowns on the
+    Euclidean metric (node weight h^dim, coefficients h^{dim-2} I).  Its
+    tangential stiffness is a Kronecker sum of periodic second differences,
+    diagonalised by a real orthonormal tensor product of cos/sin modes with
+    eigenvalues mu_k = h^{dim-2} sum_j 4 sin^2(pi k_j / N) (:func:`_flat_modes`;
+    the transforms are small GEMMs over whole levels), so levels 1..P split
+    into one tridiagonal z-system per mode.  Those are factored by
+    elimination once per solve, not diagonalised: the z-pencil of a steeply
+    graded mesh is ill-conditioned, and its eigenbasis loses the exactness
+    that keeps the iteration count low.  The level-0 unknowns on the
     Neumann nodes couple only to level 1; eliminating levels 1..P leaves on
     them the restriction of a circulant (the flat discrete Dirichlet-to-
     Neumann map), which is Cholesky-factored once per solve: the
@@ -399,7 +441,7 @@ def fd_extension_solve(dec: SpectralDecomposition, alpha: float,
     diag_m, off_m, cond = diag_m[:, None], off_m[:, None], cond[:, None]
 
     # unknowns are stored level-major, X[p, i] = u~(x_i, z_p), so the
-    # vertical couplings and the per-level FFTs below run over whole rows
+    # vertical couplings and the mode transforms below run over whole rows
     def apply_full(X: np.ndarray) -> np.ndarray:
         # vertical fluxes G_p = cond_p (X_{p+1} - X_p) between levels
         G = cond * (X[1:] - X[:-1])
@@ -435,27 +477,23 @@ def fd_extension_solve(dec: SpectralDecomposition, alpha: float,
 
     # Preconditioner: D^{1/2} S_flat^{-1} D^{1/2}, with S_flat the same
     # mixed system for the Euclidean metric (w0 = h^dim, C = h^{dim-2} I);
-    # levels 1..P solve as T_k = w0 K_z + mu_k M_z on the rfftn spectrum.
+    # levels 1..P solve as T_k = w0 K_z + mu_k M_z, one per flat mode k, by
+    # Thomas elimination (in the eigenbasis of the z-pencil (K_z, M_z)
+    # instead, CG took about 1500 iterations, not 5, at N = 16, P = 768 and
+    # a = 0.1)
     grid = op.grid
-    axes = tuple(range(-grid.dim, 0))
     w0 = grid.spacing ** grid.dim
-    spectrum = grid.shape[:-1] + (grid.shape[-1] // 2 + 1,)
-    mu = np.zeros(spectrum)
-    for j, nj in enumerate(grid.shape):
-        k = np.arange(spectrum[j]).reshape((-1,) + (1,) * (grid.dim - 1 - j))
-        mu += 4.0 * np.sin(np.pi * k / nj) ** 2
-    mu *= grid.spacing ** (grid.dim - 2)
-    # per-level coefficients as (levels, 1, ..., 1), to broadcast over k
-    level = lambda v: v.reshape((-1,) + (1,) * grid.dim)
-    t_off = level(off_m[1:]) * mu - level(cond[1:]) * w0
-    pivots = level(vert[1:]) * w0 + level(diag_m[1:]) * mu
-    lower = np.empty_like(t_off)
+    to_modes, to_nodes, mu = _flat_modes(grid)
+    # per-level coefficients as (levels, 1), to broadcast over the modes;
+    # ``lower`` holds T_k's codiagonal and is overwritten by the multipliers
+    lower = off_m[1:] * mu - cond[1:] * w0
+    pivots = vert[1:] * w0 + diag_m[1:] * mu
     for p in range(P - 1):
-        lower[p] = t_off[p] / pivots[p]
-        pivots[p + 1] -= lower[p] * t_off[p]
+        pivots[p + 1] -= lower[p] ** 2 / pivots[p]
+        lower[p] /= pivots[p]
 
     def tridiagonal_solve(R: np.ndarray) -> np.ndarray:
-        # T_k^{-1} R in place, R of shape (P, *spectrum)
+        # T_k^{-1} R in place, R of shape (P, M) in modes
         for p in range(P - 1):
             R[p + 1] -= lower[p] * R[p]
         R /= pivots
@@ -466,13 +504,14 @@ def fd_extension_solve(dec: SpectralDecomposition, alpha: float,
     # level-0 / level-1 coupling c_k, col_k = T_k^{-1} e_1, and the level-0
     # Schur symbol sigma_k = (w0 K_00 + mu_k M_00) - c_k^2 (T_k^{-1})_11
     couple = mu * off_m[0, 0] - w0 * cond[0, 0]
-    col = np.zeros((P,) + spectrum)
+    col = np.zeros((P, n))
     col[0] = 1.0
     col = tridiagonal_solve(col)
     sigma = w0 * cond[0, 0] + mu * diag_m[0, 0] - couple**2 * col[0]
     if dir_nodes.size:
-        # the circulant's kernel at the wrapped lags between Omega nodes
-        kernel = np.fft.irfftn(sigma, s=grid.shape, axes=axes)
+        # the circulant's column at node 0 gives its entries at the wrapped
+        # lags between Omega nodes
+        kernel = to_nodes(sigma * to_modes(np.eye(1, n).ravel())).reshape(grid.shape)
         at = np.unravel_index(neu_nodes, grid.shape)
         lags = tuple((i[:, None] - i[None, :]) % nj for i, nj in zip(at, grid.shape))
         chol_inv = np.linalg.inv(np.linalg.cholesky(kernel[lags]))
@@ -481,23 +520,21 @@ def fd_extension_solve(dec: SpectralDecomposition, alpha: float,
             return chol_inv.T @ (chol_inv @ s)
     else:
         # pure Neumann: Omega is the whole grid and the circulant's kernel is
-        # the constants, so the zero mode is dropped
-        inv_sigma = np.zeros(spectrum)
-        inv_sigma.flat[1:] = 1.0 / sigma.flat[1:]
+        # the constants, mode 0, so that mode is dropped
+        inv_sigma = np.zeros(n)
+        inv_sigma[1:] = 1.0 / sigma[1:]
 
         def omega_solve(s: np.ndarray) -> np.ndarray:
-            s_hat = np.fft.rfftn(s.reshape(grid.shape), axes=axes)
-            return np.fft.irfftn(inv_sigma * s_hat, s=grid.shape, axes=axes).ravel()
+            return to_nodes(inv_sigma * to_modes(s))
 
     def precondition(r: np.ndarray) -> np.ndarray:
         R = r.reshape(P + 1, n) * d_half
-        V = tridiagonal_solve(
-            np.fft.rfftn(R[1:].reshape((P,) + grid.shape), axes=axes))
+        V = tridiagonal_solve(to_modes(R[1:]))
         X = np.zeros((P + 1, n))
-        coupled = np.fft.irfftn(couple * V[0], s=grid.shape, axes=axes).ravel()
+        coupled = to_nodes(couple * V[0])
         X[0, neu_nodes] = omega_solve(R[0, neu_nodes] - coupled[neu_nodes])
-        V -= col * (couple * np.fft.rfftn(X[0].reshape(grid.shape), axes=axes))
-        X[1:] = np.fft.irfftn(V, s=grid.shape, axes=axes).reshape(P, n)
+        V -= col * (couple * to_modes(X[0]))
+        X[1:] = to_nodes(V)
         return (X * d_half).ravel()
 
     def matvec(y: np.ndarray) -> np.ndarray:

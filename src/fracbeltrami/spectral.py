@@ -92,16 +92,15 @@ class DiscreteLaplaceBeltrami:
         """Dense B (M, M), symmetric PSD with u.B.v = <Au, v>_w.
 
         Read off :meth:`apply_form` by probing (Curtis-Powell-Reid): with
-        nodes coloured by index modulo p on every axis, p the smallest
-        divisor of N that is at least 3, the stencil's steps -1, 0, +1 fall
-        in distinct colours, so B_ij = (B 1_colour(j))_i.  (p must divide N
-        or the colours clash at the wrap; for N = 2q, q prime, p = q.)  Each
+        nodes coloured along every axis so that any three consecutive nodes
+        of the cycle differ (:func:`_cycle_colours`, at most 4 colours), the
+        stencil's steps -1, 0, +1 fall in distinct colours, so
+        B_ij = (B 1_colour(j))_i from at most 4^dim probe columns.  Each
         pair of opposite offsets is read once and mirrored, so B is
         symmetric to the bit.
         """
-        grid, n, m = self.grid, self.grid.points_per_side, self.grid.node_count
-        probes, coords, colour = self._probe(
-            next(p for p in range(3, n + 1) if n % p == 0))
+        grid, m = self.grid, self.grid.node_count
+        probes, coords, colour = self._probe(_cycle_colours(grid.points_per_side))
         rows = np.arange(m)
         b = np.zeros((m, m))
         for offset in itertools.product((-1, 0, 1), repeat=grid.dim):
@@ -119,22 +118,25 @@ class DiscreteLaplaceBeltrami:
     def form_diagonal(self) -> np.ndarray:
         """diag(B), equal to ``np.diag(form_matrix)`` bitwise.
 
-        A parity colouring separates every node from its stencil
-        neighbours, so B_ii = (B 1_colour(i))_i.
+        N is even, so a parity colouring separates every node from its
+        stencil neighbours, and B_ii = (B 1_colour(i))_i.
         """
-        probes, _, colour = self._probe(2)
+        probes, _, colour = self._probe(np.arange(self.grid.points_per_side) % 2)
         return probes[np.arange(colour.size), colour]
 
-    def _probe(self, period: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _probe(self, axis_colours: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """B X, the node coordinates (dim, M) and the node colours.
 
-        Node i's colour is its coordinates modulo ``period``, which must
-        divide N; column c of X is the indicator of colour c.
+        ``axis_colours[x]`` colours coordinate x along each axis, and node
+        i's colour is the tuple of its coordinates' colours; column c of X
+        is the indicator of colour c.
         """
         grid = self.grid
         coords = np.indices(grid.shape).reshape(grid.dim, -1)
-        colour = np.ravel_multi_index(coords % period, (period,) * grid.dim)
-        indicators = np.zeros((grid.node_count, period ** grid.dim))
+        per_axis = int(axis_colours.max()) + 1
+        colour = np.ravel_multi_index(axis_colours[coords], (per_axis,) * grid.dim)
+        indicators = np.zeros((grid.node_count, per_axis ** grid.dim))
         indicators[np.arange(grid.node_count), colour] = 1.0
         return self.apply_form(indicators), coords, colour
 
@@ -163,6 +165,18 @@ class DiscreteLaplaceBeltrami:
             out += np.roll(flux, 1, axis=j)
             out -= flux
         return out.reshape(X.shape)
+
+
+def _cycle_colours(n: int) -> np.ndarray:
+    """Colours of the nodes 0..N-1 of a cycle, any three consecutive distinct.
+
+    Runs of 0, 1, 2 followed by N mod 3 runs of 0, 1, 2, 3 fill the cycle
+    (4 = 1 mod 3), so every window of three, the ones across the wrap
+    included, holds distinct colours; 3 colours when 3 divides N, 4
+    otherwise.  Valid for N = 3, 4 and every N >= 6.
+    """
+    fours = 4 * (n % 3)
+    return np.concatenate([np.arange(n - fours) % 3, np.arange(fours) % 4])
 
 
 def assemble_laplacian(metric: MetricField) -> DiscreteLaplaceBeltrami:
@@ -364,10 +378,9 @@ def _fourier_eigenpairs(op: DiscreteLaplaceBeltrami,
     evals, freqs, is_sin, scale = (evals[order], freqs[:, order],
                                    is_sin[order], scale[order])
 
-    # phase[k, n] = theta_k n is symmetric, so a column gather of either table
-    # is indexed [node coordinate, mode]
-    phase = 2.0 * np.pi * (np.outer(np.arange(n), np.arange(n)) % n) / n
-    cos_table, sin_table = np.cos(phase), np.sin(phase)
+    # the tables are symmetric, so a column gather is indexed
+    # [node coordinate, mode]
+    cos_table, sin_table = _phase_tables(n)
     cos_a, sin_a = cos_table[:, freqs[0]], sin_table[:, freqs[0]]  # (N, M)
     p = np.where(is_sin, sin_a, cos_a) * scale
     if dim == 1:
@@ -381,6 +394,17 @@ def _fourier_eigenpairs(op: DiscreteLaplaceBeltrami,
         np.multiply(cos_b, p[i], out=rows)
         rows += sin_b * q[i]
     return evals, basis
+
+
+def _phase_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of the phases 2 pi (k n mod N) / N, as (N, N) tables.
+
+    Entry [k, n] is the phase of frequency k at node n (or of frequency n at
+    node k: the tables are symmetric); reducing k n modulo N first keeps the
+    arguments below 2 pi.
+    """
+    phase = 2.0 * np.pi * (np.outer(np.arange(n), np.arange(n)) % n) / n
+    return np.cos(phase), np.sin(phase)
 
 
 # --------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from fracbeltrami.solvers import conjugate_gradient
 from fracbeltrami.spectral import assemble_laplacian, decompose, frac_apply_spectral
 from fracbeltrami.extension import (
     ExtensionMesh,
+    _flat_modes,
     bessel_k,
     d_alpha,
     extend_dirichlet,
@@ -227,6 +228,22 @@ def test_mesh_conductance_exact_on_flux_solution():
     assert_allclose(flux, 2 * a * 0.9, rtol=1e-13)
 
 
+@pytest.mark.parametrize("n", [4, 6, 16])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_flat_modes_diagonalise_the_euclidean_stencil(dim, n):
+    # the preconditioner's closed-form mu must be the symbol of the stencil
+    # that apply_form states, or the flat inverse is no longer exact
+    grid = build_grid(dim, 4.0, n)
+    op = assemble_laplacian(make_metric(grid, IdentityMetric(dim)))
+    to_modes, to_nodes, mu = _flat_modes(grid)
+    eye = np.eye(grid.node_count)
+    basis = to_nodes(eye).T  # column k is mode k at the nodes
+    assert np.abs(to_modes(eye) - basis).max() <= 1e-15
+    assert np.abs(basis.T @ basis - eye).max() <= 1e-13
+    stiffness = basis.T @ op.apply_form(eye) @ basis
+    assert np.abs(stiffness - np.diag(mu)).max() <= 1e-13 * mu.max()
+
+
 def test_fd_zero_data_gives_zero_field(dec_bump):
     mesh = graded_mesh(dec_bump, 0.5, count=24)
     n = dec_bump.node_count
@@ -369,18 +386,18 @@ MIXED_REGION = RegionSpec(omega_center=(2.0, 2.0), omega_radius=0.8,
                           w2_center=(2.0, 0.3), w2_radius=0.3)
 
 
-def _mixed_2d(profile, n):
-    """Dirichlet data outside Omega and zero weighted flux on it, a = 1/2,
-    P = 48: the solve's field and its z = 0 trace error on Omega against
-    the spectral exterior solution, which the mixed problem reproduces."""
-    alpha = 0.5
+def _mixed_2d(profile, n, alpha=0.5, count=48):
+    """Dirichlet data outside Omega and zero weighted flux on it, a = 1/2
+    and P = 48 unless given: the solve's field and its z = 0 trace error on
+    Omega against the spectral exterior solution, which the mixed problem
+    reproduces."""
     grid = build_grid(2, 4.0, n)
     dec = decompose(assemble_laplacian(make_metric(grid, profile)))
     config = MIXED_REGION.build(grid)
     om, ex = config.omega_nodes, config.exterior_nodes
     x = grid.coordinates()[ex]
     f = np.cos(0.5 * np.pi * x[:, 0]) + 0.5 * np.sin(0.5 * np.pi * x[:, 1])
-    mesh = graded_mesh(dec, alpha, count=48)
+    mesh = graded_mesh(dec, alpha, count=count)
     fld = fd_extension_solve(dec, alpha, mesh, ex, om, f, np.zeros(len(om)))
     assert np.array_equal(fld.boundary_values()[ex], f)
     ref = solve_exterior_dirichlet(dec, alpha, config, f)
@@ -389,23 +406,60 @@ def _mixed_2d(profile, n):
     return fld, math.sqrt(w @ diff**2 / (w @ ref[om] ** 2))
 
 
-@PROFILES_2D
+@pytest.mark.parametrize("profile", [
+    BUMP_2D, PullbackProfile(base=BUMP_2D, squash=SQUASH_2D), IdentityMetric(dim=2)],
+    ids=["conformal", "pullback", "euclidean"])
 def test_fd_mixed_2d_matches_exterior_solve(profile):
     # the pullback metric has |g^{01}| up to 0.28, so the stencil's cross
     # terms are exercised
     fld, trace_error = _mixed_2d(profile, 16)
     assert trace_error <= 1e-3
     # the Euclidean preconditioner differs from the system only on the
-    # metric's support, which leaves CG a few iterations (5 and 7 here)
+    # metric's support, which leaves CG a few iterations (5, 7 and 1 here)
     assert fld.iterations <= 15
 
 
-def test_fd_flat_metric_preconditioner_is_exact():
+FLAT_CASES = [(dim, n, problem) for problem in ("mixed", "neumann")
+              for dim, sizes in ((1, (16, 64)), (2, (8, 16, 22))) for n in sizes]
+
+
+@pytest.mark.parametrize("dim, n, problem", FLAT_CASES,
+                         ids=[f"{p}-{d}d-{n}" for d, n, p in FLAT_CASES])
+def test_fd_flat_metric_preconditioner_is_exact(dim, n, problem):
     # for the Euclidean metric the preconditioner is the system's own
-    # inverse, so CG stops after one step
-    fld, trace_error = _mixed_2d(IdentityMetric(dim=2), 16)
-    assert fld.iterations <= 2
-    assert trace_error <= 1e-3
+    # inverse, so CG stops after one step, on the mixed problem (Cholesky
+    # factor of the Omega block) and on the pure-Neumann one (the level-0
+    # symbol with mode 0 dropped) alike
+    alpha = 0.5
+    grid = build_grid(dim, 4.0, n)
+    dec = decompose(assemble_laplacian(make_metric(grid, IdentityMetric(dim))))
+    mesh = graded_mesh(dec, alpha, count=48)
+    u = _smooth_datum(dec)
+    every = np.arange(grid.node_count)
+    if problem == "mixed":
+        # Dirichlet data outside the ball of radius 0.8 about the centre
+        om = np.flatnonzero(np.linalg.norm(grid.coordinates() - 2.0, axis=1) < 0.8)
+        ex = np.setdiff1d(every, om)
+        fld = fd_extension_solve(dec, alpha, mesh, ex, om, u[ex], np.zeros(len(om)))
+    else:
+        flux = neumann_trace(extend_dirichlet(dec, alpha, u))
+        fld = fd_extension_solve(dec, alpha, mesh, np.array([], int), every,
+                                 np.array([]), flux)
+    assert fld.iterations == 1
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
+@pytest.mark.parametrize("count", [48, 768])
+def test_fd_iterations_survive_steep_grading(alpha, count):
+    # the grading z_p = H (p/P)^{4-2a} puts the first height at about
+    # 1e-11 H at a = 0.1, P = 768, so the z-mass and the conductances span
+    # many decades.  The preconditioner's z-systems are eliminated level by
+    # level (Thomas), so the flat inverse stays exact however ill-conditioned
+    # the z-pencil (K_z, M_z): 6/5, 5/2 and 4/1 iterations at P = 48/768.
+    # Solving them in the pencil's eigenbasis instead agrees at P = 48 but
+    # took about 1500 iterations at a = 0.1, P = 768, and 9 at a = 0.5
+    fld, _ = _mixed_2d(BUMP_2D, 16, alpha=alpha, count=count)
+    assert fld.iterations <= 8
 
 
 @PROFILES_2D
