@@ -558,46 +558,41 @@ def fd_extension_solve(dec: SpectralDecomposition, alpha: float,
 # heat-kernel representation of the Neumann-problem solution
 
 
-def _representation_setup(dec: SpectralDecomposition,
-                          F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """F as floats and H = A F in modes (zero mode projected out)."""
+def _representation_setup(dec: SpectralDecomposition, F: np.ndarray,
+                          x_indices: np.ndarray, quad: LogQuadrature
+                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """F as floats, H(x) and the heat series (e^{t Lap} H)(x) on the window
+    (nodes along the last axis), one row per node x, for H = A F with the
+    zero mode projected out.  The nodes must lie off supp F."""
     F = np.asarray(F, float)
+    inside = x_indices[F[x_indices] != 0.0]
+    if inside.size:
+        raise ValueError(f"nodes {inside.tolist()} lie inside supp F; the "
+                         "representation holds off-support")
     h_modes = dec.project(dec.operator.apply(F))
     h_modes[dec.eigenvalues == 0.0] = 0.0
-    return F, h_modes
-
-
-def _representation_raw(dec: SpectralDecomposition, h_modes: np.ndarray,
-                        alpha: float, x_index: int, z: float,
-                        quad: LogQuadrature) -> float:
-    """Window quadrature of (e^{t Lap} H)(x) e^{-z^2/4t} t^{a-1} plus the
-    head completion H(x) (t_min^a/a) e^{-z^2/4 t_min} (exact to O(t_min))."""
-    cx = dec.basis[x_index] * h_modes
-    t = quad.nodes
-    series = np.exp(-np.outer(t, dec.eigenvalues)) @ cx
-    damp = np.exp(-z * z / (4.0 * t)) if z > 0.0 else 1.0
-    val = float(np.dot(quad.weights, series * damp * t ** (alpha - 1.0)))
-    head_damp = math.exp(-z * z / (4.0 * quad.t_min)) if z > 0.0 else 1.0
-    hx = float(np.dot(dec.basis[x_index], h_modes))
-    val += hx * quad.t_min**alpha / alpha * head_damp
-    return val
+    rows = dec.basis[x_indices]
+    series = np.exp(-np.outer(quad.nodes, dec.eigenvalues)) @ (rows * h_modes).T
+    return F, rows @ h_modes, series.T
 
 
 def representation_solution(dec: SpectralDecomposition, alpha: float,
                             F: np.ndarray, x_index: int, z: float,
                             quad: LogQuadrature | None = None) -> float:
     """Evaluate w^F(x, z) = c^_a int (e^{t Lap} H)(x) e^{-z^2/4t} t^{a-1} dt,
-    H = (-Lap) F, valid off the support of F (even in z by construction)."""
+    H = (-Lap) F, valid off the support of F (even in z by construction).
+
+    The window quadrature is completed below t_min by the head
+    H(x) (t_min^a/a) e^{-z^2/4 t_min} (exact to O(t_min))."""
     _check_alpha(alpha, allow_one=False)
     if z < 0.0:
         raise ValueError("representation height must satisfy z >= 0")
     if quad is None:
         quad = LogQuadrature.log_uniform()
-    F, h_modes = _representation_setup(dec, F)
-    if F[x_index] != 0.0:
-        raise ValueError(
-            f"node {x_index} lies inside supp F; the representation holds off-support")
-    return _representation_raw(dec, h_modes, alpha, x_index, z, quad) / math.gamma(alpha)
+    _, hx, series = _representation_setup(dec, F, np.array([x_index]), quad)
+    val = quad.moments(series[0] * np.exp(-z * z / (4.0 * quad.nodes)), alpha - 1.0)
+    val += hx[0] * quad.t_min**alpha / alpha * math.exp(-z * z / (4.0 * quad.t_min))
+    return float(val) / math.gamma(alpha)
 
 
 @dataclasses.dataclass
@@ -644,15 +639,11 @@ def series_coefficients(dec: SpectralDecomposition, alpha: float,
     if quad is None:
         quad = series_quadrature(dec)
     x_indices = np.atleast_1d(np.asarray(x_indices, dtype=int))
-    F, h_modes = _representation_setup(dec, F)
-    if np.any(F[x_indices] != 0.0):
-        raise ValueError("all evaluation nodes must lie outside supp F")
+    F, _, series = _representation_setup(dec, F, x_indices, quad)
     support = np.flatnonzero(F != 0.0)
     if support.size == 0:
         raise ValueError("F vanishes identically; no source to expand around")
-    dists = np.array([
-        float(np.min(dec.grid.pair_distance(np.full(support.shape, x), support)))
-        for x in x_indices])
+    dists = dec.grid.pair_distance(x_indices[:, None], support).min(axis=1)
     # the t^{a-1-j} integrand peaks at t_j* = d^2/(4 (j+1-a)); if the peak
     # of the highest coefficient falls below the window the data cannot
     # resolve it
@@ -663,14 +654,9 @@ def series_coefficients(dec: SpectralDecomposition, alpha: float,
             f"order-{J} weight (integrand peak at {t_peak:.3e}); enlarge the "
             f"window or reduce J")
     c_hat = 1.0 / math.gamma(alpha)
-
-    t = quad.nodes
-    series = np.exp(-np.outer(t, dec.eigenvalues)) @ (dec.basis[x_indices] * h_modes).T
-    values = np.empty((len(x_indices), J + 1))
-    for j in range(J + 1):
-        factor = c_hat * (-0.25) ** j / math.factorial(j)
-        integrals = quad.weights @ (series * t[:, None] ** (alpha - 1.0 - j))
-        values[:, j] = factor * integrals
+    factors = np.array([c_hat * (-0.25) ** j / math.factorial(j)
+                        for j in range(J + 1)])
+    values = factors * quad.moments(series, alpha - 1.0 - np.arange(J + 1))
 
     slopes = np.full(len(x_indices), np.nan)
     for row in range(len(x_indices)):

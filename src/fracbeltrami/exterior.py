@@ -35,7 +35,7 @@ import dataclasses
 
 import numpy as np
 
-from .geometry import TorusGrid, wrap_displacement
+from .geometry import TorusGrid
 from .spectral import (
     SpectralDecomposition,
     _check_alpha,
@@ -100,10 +100,7 @@ def nodes_in_annulus(grid: TorusGrid, center, r_inner: float,
 
 def _set_distance(grid: TorusGrid, a_nodes: np.ndarray,
                   b_nodes: np.ndarray) -> float:
-    coords = grid.coordinates()
-    delta = wrap_displacement(coords[a_nodes][:, None, :] - coords[b_nodes][None, :, :],
-                              grid.side_length)
-    return float(np.sqrt((delta**2).sum(axis=-1)).min())
+    return float(grid.pair_distance(a_nodes[:, None], b_nodes).min())
 
 
 def _stencil_neighbors(grid: TorusGrid) -> np.ndarray:

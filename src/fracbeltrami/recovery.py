@@ -143,11 +143,6 @@ class RadialSquash:
                 f"radial stretch reaches {rad.min():.3e} (tangential "
                 f"{lam.min():.3e}); both must stay positive")
 
-    # r0 lets the metric sampler's wrap guard see the support radius
-    @property
-    def r0(self) -> float:
-        return self.radius
-
     def _pulled(self, points: np.ndarray, side_length: float):
         points = np.asarray(points, dtype=float)
         delta = wrap_displacement(points - self.center, side_length)
@@ -349,35 +344,6 @@ class MomentTable:
         return math.inf if peak > 0.0 else 0.0
 
 
-def _weighted_moments(values: np.ndarray, quad: LogQuadrature,
-                      exponents: np.ndarray) -> np.ndarray:
-    """sum_i w_i values_i t_i^e for each exponent, overflow-guarded.
-
-    Contributions are assembled in log space: a naive t**e matrix overflows
-    for strongly negative exponents at the small-t edge even when the
-    matching signal values would cancel the blow-up (inf * 0).  Any single
-    contribution beyond ~1e260 means the window/M combination amplifies the
-    small-t samples into garbage, and is rejected with advice.
-    """
-    out = np.zeros(len(exponents))
-    nz = np.flatnonzero(values != 0.0)
-    if nz.size == 0:
-        return out
-    base_log = np.log(np.abs(values[nz])) + np.log(quad.weights[nz])
-    log_t = np.log(quad.nodes[nz])
-    signs = np.sign(values[nz])
-    for m, e in enumerate(exponents):
-        contrib = base_log + e * log_t
-        if contrib.max() > 600.0:
-            worst = nz[int(np.argmax(contrib))]
-            raise ValueError(
-                f"signal at t = {quad.nodes[worst]:.3e} is too large "
-                f"({values[worst]:.3e}) for the weight t^({e:.2f}); widen "
-                "the window or lower M")
-        out[m] = float(np.dot(signs, np.exp(contrib)))
-    return out
-
-
 def moment_vector(U_sampler: Callable[[np.ndarray], np.ndarray], alpha: float,
                   M: int, quad: LogQuadrature | None = None, *,
                   reference_sampler: Callable[[np.ndarray], np.ndarray] | None = None,
@@ -386,8 +352,9 @@ def moment_vector(U_sampler: Callable[[np.ndarray], np.ndarray], alpha: float,
 
     The weight t^{-1-alpha-m} makes the small-t edge dangerous: a signal
     that has not decayed by ``t_min`` is amplified by up to
-    t_min^{-1-alpha-M}, so the combination is rejected before it can
-    overflow, with instructions to widen the window or lower M.  Without a
+    t_min^{-1-alpha-M}, so ``LogQuadrature.moments`` rejects the
+    combination before it can overflow, with instructions to widen the
+    window or lower the order M.  Without a
     ``reference_sampler`` all scales are 1 and the moments are raw.
     """
     _check_alpha(alpha, allow_one=False)
@@ -404,13 +371,13 @@ def moment_vector(U_sampler: Callable[[np.ndarray], np.ndarray], alpha: float,
     if not np.all(np.isfinite(values)):
         raise ValueError("sampler returned non-finite values on the window")
     exponents = -1.0 - alpha - np.arange(M + 1, dtype=float)
-    moments = _weighted_moments(values, quad, exponents)
+    moments = quad.moments(values, exponents)
     if reference_sampler is not None:
         ref = np.asarray(reference_sampler(t), dtype=float)
         if ref.shape != t.shape or not np.all(np.isfinite(ref)):
             raise ValueError("reference sampler must return finite values "
                              "on the window")
-        scales = _weighted_moments(np.abs(ref), quad, exponents)
+        scales = quad.moments(np.abs(ref), exponents)
         peak = float(np.max(np.abs(ref), initial=0.0))
     else:
         scales = np.ones(M + 1)

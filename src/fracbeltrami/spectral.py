@@ -16,8 +16,11 @@ modes when every node has bitwise the same stencil coefficients and the same
 weight (a constant metric, such as the Euclidean reference), and by a dense
 eigensolve otherwise.  In 2-d a conformal metric has the same coefficients
 at every node but varying weights, so it takes the dense route.  The
-Balakrishnan quadrature route and the jump-kernel route below are
-independent cross-checks of that calculus, not substitutes for it.
+Balakrishnan route and the jump-kernel route below are independent
+cross-checks of that calculus, not substitutes for it: both read one
+per-mode weight, the semigroup time integral of (e^{-t lam} - 1) t^{-1-a}
+by log-time quadrature, so comparing them with the spectral power tests
+lam^a by quadrature.
 """
 
 from __future__ import annotations
@@ -478,19 +481,34 @@ def frac_energy_matrix(dec: SpectralDecomposition, alpha: float) -> np.ndarray:
     return 0.5 * (e + e.T)
 
 
-def _window_check(dec: SpectralDecomposition, quad: LogQuadrature) -> None:
-    lam = dec.eigenvalues
+def _semigroup_weights(lam: np.ndarray, alpha: float,
+                       quad: LogQuadrature) -> np.ndarray:
+    """Per-mode eta_k ~ Gamma(-alpha) lam_k^alpha, the time integral
+
+        int_0^inf (e^{-t lam} - 1) t^{-1-alpha} dt,
+
+    shared by the Balakrishnan operator and the jump kernel: log-time
+    quadrature on the window, with the ends completed per mode by the head
+    -lam t_min^{1-alpha}/(1-alpha) (e^{-t lam} - 1 ~ -t lam below t_min) and,
+    for lam > 0, the tail -t_max^{-alpha}/alpha.  The integrand is not small
+    at either window edge, so the error is second order in the log step:
+    at most 1.7e-6 relative for lam in [2.5, 400] at the default 400 nodes.
+    Warns when the window falls short of the spectral time scales
+    [1/lam_max, 1/lam_1].
+    """
     positive = lam[lam > 0]
-    if positive.size == 0:
-        return
-    lam_min, lam_max = float(positive[0]), float(positive[-1])
-    if (quad.t_min * lam_max > _WINDOW_SLACK
-            or quad.t_max * lam_min < 1.0 / _WINDOW_SLACK):
+    if positive.size and (quad.t_min * positive[-1] > _WINDOW_SLACK
+                          or quad.t_max * positive[0] < 1.0 / _WINDOW_SLACK):
         warnings.warn(
             f"quadrature window [{quad.t_min:.2e}, {quad.t_max:.2e}] does not "
             f"bracket the spectral time scales "
-            f"[{1.0 / lam_max:.2e}, {1.0 / lam_min:.2e}] (slack {_WINDOW_SLACK})",
+            f"[{1.0 / positive[-1]:.2e}, {1.0 / positive[0]:.2e}] "
+            f"(slack {_WINDOW_SLACK})",
             QuadratureWindowWarning, stacklevel=3)
+    eta = quad.moments(np.exp(-np.outer(lam, quad.nodes)) - 1.0, -1.0 - alpha)
+    eta -= lam * (quad.t_min ** (1.0 - alpha) / (1.0 - alpha))
+    eta[lam > 0] -= quad.t_max ** (-alpha) / alpha
+    return eta
 
 
 def frac_apply_balakrishnan(dec: SpectralDecomposition, alpha: float,
@@ -498,38 +516,19 @@ def frac_apply_balakrishnan(dec: SpectralDecomposition, alpha: float,
                             quad: LogQuadrature | None = None) -> np.ndarray:
     """A^alpha u via the semigroup integral
 
-        A^alpha u = (1/Gamma(-alpha)) int_0^inf (e^{-tA} u - u) t^{-1-alpha} dt.
+        A^alpha u = (1/Gamma(-alpha)) int_0^inf (e^{-tA} u - u) t^{-1-alpha} dt,
 
-    The window part is the log-trapezoid quadrature of the semigroup
-    differences.  The two cut-off ends are completed analytically from
-    operator-level data only, keeping the route independent of the
-    functional calculus: below t_min the difference is -t A u + O(t^2), so
-    the head integral is -A u * t_min^{1-alpha}/(1-alpha); beyond t_max the
-    semigroup has reached the weighted mean, so the tail contributes
-    (mean(u) - u) * t_max^{-alpha}/alpha.  With both completions the
-    remaining error is the (geometrically small) trapezoid error of a
-    strip-analytic integrand.
+    mode by mode: the coefficients of u are scaled by the quadrature weights
+    of ``_semigroup_weights`` (window part plus analytic head and tail per
+    mode) and divided by Gamma(-alpha).  The eigenpairs only carry the
+    semigroup; lam^alpha itself is never formed, so comparing with
+    ``frac_apply_spectral`` tests the power by quadrature.
     """
     _check_alpha(alpha, allow_one=False)
     if quad is None:
         quad = LogQuadrature.log_uniform()
-    _window_check(dec, quad)
-
-    t = quad.nodes
-    weights = quad.weights * t ** (-1.0 - alpha)
-    coeffs = dec.project(u)
-    core = (np.exp(-np.outer(dec.eigenvalues, t)) - 1.0) @ weights
-
-    # analytic endpoint completions (see docstring)
-    head = dec.project(dec.operator.apply(u))
-    head *= -(quad.t_min ** (1.0 - alpha)) / (1.0 - alpha)
-    w = dec.measure.node_weights
-    mean = float(np.dot(w, u)) / float(w.sum())
-    tail = dec.project(np.full_like(np.asarray(u, float), mean) - u)
-    tail *= quad.t_max ** (-alpha) / alpha
-
-    out = (core * coeffs + head + tail) / math.gamma(-alpha)
-    return dec.synthesize(out)
+    eta = _semigroup_weights(dec.eigenvalues, alpha, quad)
+    return dec.synthesize(dec.project(u) * eta) / math.gamma(-alpha)
 
 
 # --------------------------------------------------------------------------
@@ -559,21 +558,20 @@ def jump_kernel(dec: SpectralDecomposition, alpha: float,
         K(z, x) = sqrt|g(z)| sqrt|g(x)| / (2 |Gamma(-alpha)|)
                   * int_0^inf p_t(z, x) t^{-1-alpha} dt ,
 
-    evaluated per eigenmode over the quadrature window, with both cut-off
-    ends completed analytically in the per-mode weights.  Beyond t_max the
-    kernel has levelled at the constant-mode floor phi_0(z) phi_0(x), so the
-    zero mode gains the tail integral t_max^{-alpha}/alpha.  Below t_min,
-    e^{-t lam} = 1 - t lam + O(t^2), so each mode loses the head
-    lam t_min^{1-alpha}/(1-alpha).  Off the diagonal the zeroth-order term
-    sum_k phi_k(i) phi_k(j) vanishes by completeness, and
+    evaluated per eigenmode as s_i s_j / (2 |Gamma(-alpha)|)
+    sum_k eta_k phi_k(i) phi_k(j), with eta_k ~ Gamma(-alpha) lam_k^alpha the
+    Balakrishnan weights of ``_semigroup_weights``.  Off the diagonal the
+    t-integral of p_t and that of p_t - p_0 agree, because
+    sum_k phi_k(i) phi_k(j) vanishes there by completeness; the weights
+    integrate the difference, whose ends are completed analytically per
+    mode.  Below t_min, e^{-t lam} = 1 - t lam + O(t^2), so each mode loses
+    the head lam t_min^{1-alpha}/(1-alpha), and
     sum_k lam_k phi_k(i) phi_k(j) = B_ij / (w_i w_j) is nonzero only for
     stencil neighbours: the discrete kernel is linear in t below t_min (it
     decays only polynomially, unlike its continuum counterpart), and this
     completion makes the nonlocal energy form below agree with the spectral
     pairing uniformly in the grid spacing.  On the periodic grid the kernel
-    reproduces the Euclidean power law at separations well inside a period;
-    the cancellation of the large per-mode truncation constants is carried
-    by eigenvector completeness.
+    reproduces the Euclidean power law at separations well inside a period.
     """
     _check_alpha(alpha, allow_one=False)
     if quad is None:
@@ -590,11 +588,7 @@ def jump_kernel(dec: SpectralDecomposition, alpha: float,
     # bitwise, then report the caller's index order
     lo, hi = np.minimum(ii, jj), np.maximum(ii, jj)
 
-    t = quad.nodes
-    eta = np.exp(-np.outer(dec.eigenvalues, t)) @ (quad.weights * t ** (-1.0 - alpha))
-    eta[dec.eigenvalues == 0] += quad.t_max ** (-alpha) / alpha
-    eta -= dec.eigenvalues * (quad.t_min ** (1.0 - alpha) / (1.0 - alpha))
-
+    eta = _semigroup_weights(dec.eigenvalues, alpha, quad)
     prefactor = 1.0 / (2.0 * abs(math.gamma(-alpha)))
     s = dec.metric.sqrt_det
     if lo.size >= m:  # full (or near-full) pair sets: one dense product

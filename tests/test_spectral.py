@@ -587,13 +587,18 @@ def test_balakrishnan_matches_spectral_identity(dec_1d_identity):
     assert weighted_norm(approx - exact, w) < 1e-6 * weighted_norm(exact, w)
 
 
-@pytest.mark.parametrize("alpha", [0.25, 0.75])
-def test_balakrishnan_matches_spectral_bump(dec_1d_bump, alpha):
+@pytest.mark.parametrize("case, alpha", [
+    pytest.param("dec_1d_bump", 0.25, id="0.25"),
+    pytest.param("dec_1d_bump", 0.75, id="0.75"),
+    *(pytest.param("dec_2d_pullback", a, id=f"2d-{a}") for a in (0.25, 0.5, 0.75)),
+])
+def test_balakrishnan_matches_spectral_bump(request, case, alpha):
+    dec = request.getfixturevalue(case)
     rng = np.random.default_rng(22)
-    u = rng.standard_normal(dec_1d_bump.node_count)
-    w = dec_1d_bump.measure
-    exact = frac_apply_spectral(dec_1d_bump, alpha, u)
-    approx = frac_apply_balakrishnan(dec_1d_bump, alpha, u)
+    u = rng.standard_normal(dec.node_count)
+    w = dec.measure
+    exact = frac_apply_spectral(dec, alpha, u)
+    approx = frac_apply_balakrishnan(dec, alpha, u)
     assert weighted_norm(approx - exact, w) < 1e-5 * weighted_norm(exact, w)
 
 
@@ -604,8 +609,12 @@ def test_balakrishnan_kills_constants(dec_1d_bump):
 
 def test_balakrishnan_warns_on_narrow_window(dec_1d_identity):
     quad = LogQuadrature.log_uniform(t_min=1.0, t_max=10.0, count=50)
-    with pytest.warns(QuadratureWindowWarning):
+    # both semigroup routes share the guard, and it names the caller's line
+    with pytest.warns(QuadratureWindowWarning) as record:
         frac_apply_balakrishnan(dec_1d_identity, 0.5, np.sin(np.arange(16.0)), quad)
+    with pytest.warns(QuadratureWindowWarning) as more:
+        jump_kernel(dec_1d_identity, 0.5, quad=quad)
+    assert {w.filename for w in [*record, *more]} == {__file__}
 
 
 # ----------------------------------------------------------------------
@@ -765,9 +774,34 @@ def test_log_uniform_window():
 def test_log_uniform_integrates_power_law():
     # int_a^b t^{-3/2} dt = 2 (a^{-1/2} - b^{-1/2}); exponential in log t
     quad = LogQuadrature.log_uniform(1e-6, 1e2, 600)
-    approx = quad.integrate(quad.nodes ** (-1.5))
+    approx = quad.moments(np.ones(len(quad)), -1.5)
     exact = 2.0 * (quad.t_min ** (-0.5) - quad.t_max ** (-0.5))
     assert approx == pytest.approx(exact, rel=1e-4)
+
+
+def test_moments_match_direct_sum():
+    quad = LogQuadrature.log_uniform(1e-3, 1e2, 60)
+    t = quad.nodes
+    rng = np.random.default_rng(31)
+    values = rng.standard_normal((3, len(quad)))
+    values[0, ::3] = 0.0
+    values[2] = 0.0
+    exponents = np.array([0.0, -1.5, -3.0])
+    got = quad.moments(values, exponents)
+    assert got.shape == (3, 3)
+    for k, e in enumerate(exponents):
+        want = (values * t ** e) @ quad.weights
+        scale = (np.abs(values) * t ** e) @ quad.weights
+        assert np.all(np.abs(got[:, k] - want) <= 1e-13 * scale)
+    assert quad.moments(values, -1.5).shape == (3,)
+    np.testing.assert_array_equal(quad.moments(values, -1.5), got[:, 1])
+    # |1 * t_min^{-20}| = 10^{600}: rejected before the contraction overflows
+    deep = LogQuadrature.log_uniform(1e-30, 1.0, 50)
+    with pytest.raises(ValueError, match="widen the window"):
+        deep.moments(np.ones(len(deep)), -20.0)
+    # the log-space form takes the log of every weight
+    with pytest.raises(ValueError, match="weights must be positive"):
+        LogQuadrature(nodes=quad.nodes, weights=-quad.weights)
 
 
 @pytest.mark.parametrize(
