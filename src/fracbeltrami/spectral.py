@@ -11,16 +11,13 @@ constants, and for the identity metric in 1d it reduces to the classical
 coefficients and applied by periodic shifts (``apply_form``, the one place
 that states the stencil); the dense matrix, its diagonal and the Fourier
 symbol are read off that product.  All fractional powers are defined through
-the eigendecomposition of the symmetric matrix: in closed form by Fourier
-modes when every node has bitwise the same stencil coefficients and the same
-weight (a constant metric, such as the Euclidean reference), and by a dense
-eigensolve otherwise.  In 2-d a conformal metric has the same coefficients
-at every node but varying weights, so it takes the dense route.  The
-Balakrishnan route and the jump-kernel route below are independent
-cross-checks of that calculus, not substitutes for it: both read one
-per-mode weight, the semigroup time integral of (e^{-t lam} - 1) t^{-1-a}
-by log-time quadrature, so comparing them with the spectral power tests
-lam^a by quadrature.
+the eigendecomposition of the symmetric matrix, which ``decompose`` reaches
+by the cheapest of its routes that the operator allows.  The Balakrishnan
+route and the jump-kernel route below are independent cross-checks of that
+calculus, not substitutes for it: both read one per-mode weight, the
+semigroup time integral of (e^{-t lam} - 1) t^{-1-a} by log-time
+quadrature, so comparing them with the spectral power tests lam^a by
+quadrature.
 """
 
 from __future__ import annotations
@@ -94,24 +91,38 @@ class DiscreteLaplaceBeltrami:
     def form_matrix(self) -> np.ndarray:
         """Dense B (M, M), symmetric PSD with u.B.v = <Au, v>_w.
 
+        Filled from :meth:`_form_entries`, so B is symmetric to the bit.
+        """
+        rows, cols, values = self._form_entries()
+        b = np.zeros((self.grid.node_count,) * 2)
+        b[rows, cols] = values
+        return b
+
+    def _form_entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The stencil entries of B as (rows, cols, values), 3^dim per row.
+
         Read off :meth:`apply_form` by probing (Curtis-Powell-Reid): with
         nodes coloured along every axis so that any three consecutive nodes
         of the cycle differ (:func:`_cycle_colours`, at most 4 colours), the
         stencil's steps -1, 0, +1 fall in distinct colours, so
         B_ij = (B 1_colour(j))_i from at most 4^dim probe columns.  Each
-        pair of opposite offsets is read once and mirrored, so B is
-        symmetric to the bit.
+        pair of opposite offsets is read once and listed both ways, so
+        B_ij and B_ji carry bitwise the same value; every (i, j) is listed
+        once.
         """
         grid, m = self.grid, self.grid.node_count
         probes, coords, colour = self._probe(_cycle_colours(grid.points_per_side))
         rows = np.arange(m)
-        b = np.zeros((m, m))
+        parts = []
         for offset in itertools.product((-1, 0, 1), repeat=grid.dim):
             if offset >= (0,) * grid.dim:  # the others are mirrors
                 cols = np.ravel_multi_index(coords + np.array(offset)[:, None],
                                             grid.shape, mode="wrap")
-                b[rows, cols] = b[cols, rows] = probes[rows, colour[cols]]
-        return b
+                values = probes[rows, colour[cols]]
+                parts.append((rows, cols, values))
+                if any(offset):
+                    parts.append((cols, rows, values))
+        return tuple(np.concatenate(part) for part in zip(*parts))
 
     @property
     def matrix(self) -> np.ndarray:
@@ -237,31 +248,53 @@ class SpectralDecomposition:
 
 def decompose(op: DiscreteLaplaceBeltrami,
               cap: int = DEFAULT_EIG_CAP) -> SpectralDecomposition:
-    """Eigenpairs of A, by a closed form when A is translation invariant.
+    """Eigenpairs of A, by the cheapest of three routes the operator allows.
 
-    If every node carries bitwise the same stencil coefficients C_jk and
-    bitwise the same weight w (the identity metric, or any constant metric),
-    A is a circulant and the Fourier modes diagonalise it exactly; see
-    :func:`_fourier_eigenpairs`.  Both conditions are needed: in 2-d a
-    conformal metric has C_jk = sqrt|g| g^{jk} = I at every node (the
-    Dirichlet energy is conformally invariant) while its weights vary.
+    1. Closed form.  If every node carries bitwise the same stencil
+       coefficients C_jk and bitwise the same weight w (the identity metric,
+       or any constant metric), A is a circulant and the Fourier modes
+       diagonalise it exactly; see :func:`_fourier_eigenpairs`.  Both
+       conditions are needed: in 2-d a conformal metric has
+       C_jk = sqrt|g| g^{jk} = I at every node (the Dirichlet energy is
+       conformally invariant) while its weights vary.
+    2. Two half-size eigensolves.  In 2-d, if the operator is invariant
+       under the grid transposition tau (i, j) -> (j, i), that is
 
-    Otherwise the eigenpairs come from a dense symmetric eigendecomposition
-    of W^{1/2} A W^{-1/2}.  Its cost is memory as much as time: every
-    M x M float64 matrix takes 8 M^2 bytes (42.5 MB at M = 2304, 2-d
-    N = 48), and the call peaks at about five of them -- the scaled form
-    matrix, numpy's working copy of it, the eigenvectors and the 2 M^2
-    workspace of LAPACK's divide and conquer.  The scaling and sign steps
-    work on rows and row blocks and add no M x M temporary.  Measured at
+           C(tau n) = P C(n) P  and  w(tau n) = w(n)
+
+       at every node n, with P the swap of the two axes, to within
+       ``_TRANSPOSE_ULPS`` units of roundoff of max|C| and max w, then
+       S = W^{-1/2} B W^{-1/2} commutes with tau and splits into an even
+       block on the N diagonal nodes and N(N-1)/2 node pairs and an odd
+       block on the pairs; see :func:`_transposition_eigenpairs`.  Every
+       profile centred on the grid diagonal and invariant under swapping
+       the coordinates qualifies (the radial bumps, their pullbacks by a
+       radial squash); the pullback misses bitwise symmetry by up to 1.75
+       units of roundoff (its tensors come out of an einsum whose summation
+       order differs between (x, y) and (y, x)), hence the tolerance.
+       ``AnisotropicBump`` and bumps centred off the diagonal miss it by
+       O(1).
+    3. Otherwise, a dense symmetric eigendecomposition of S.
+
+    Cost is memory as much as time: every M x M float64 matrix takes
+    8 M^2 bytes (42.5 MB at M = 2304, 2-d N = 48).  The dense route peaks
+    at about five of them -- S, numpy's working copy of it, the
+    eigenvectors and the 2 M^2 workspace of LAPACK's divide and conquer;
+    its scaling and sign steps work on rows and row blocks and add no
+    M x M temporary.  The transposition route forms no M x M matrix
+    before the basis: it sums its two blocks (about M/2 square, a quarter
+    of S, each) from the stencil entries, so it peaks near one block's
+    eigensolve, or the basis plus the blocks' eigenvectors.  Measured at
     M = 2304 (x86-64, numpy 2.4, OpenBLAS at 2 threads), the peak resident
-    set rises 207 MiB above the caller's; the closed form peaks at its basis
-    and a few tables, 46 MiB.
+    set rises 207 MiB above the caller's for the dense route, 93 MiB for
+    the transposition route and 46 MiB for the closed form (its basis and
+    a few tables).
 
-    Both routes hold an M x M basis, so both obey ``cap``, and both share
-    the zero snap and sign convention of :func:`_finish_eigenpairs`.  The
-    result keeps its basis alive for as long as it is referenced: callers
-    should drop a decomposition once they have read the blocks they need
-    from it (``exterior.dtn_matrix``, say), before the next call.
+    Every route holds an M x M basis, so every route obeys ``cap``, and all
+    share the zero snap and sign convention of :func:`_finish_eigenpairs`.
+    The result keeps its basis alive for as long as it is referenced:
+    callers should drop a decomposition once they have read the blocks
+    they need from it (``exterior.dtn_matrix``, say), before the next call.
     """
     m = op.grid.node_count
     if m > cap:
@@ -272,6 +305,8 @@ def decompose(op: DiscreteLaplaceBeltrami,
     root_w = np.sqrt(w)
     if np.all(op.coefficients == op.coefficients[0]) and np.all(w == w[0]):
         evals, evecs = _fourier_eigenpairs(op, w[0])
+    elif _transposition_invariant(op):
+        evals, evecs = _transposition_eigenpairs(op, root_w)
     else:
         # the freshly assembled B, symmetric to the bit, is scaled in place,
         # one row at a time, to S = W^{-1/2} B W^{-1/2}, also symmetric
@@ -285,7 +320,105 @@ def decompose(op: DiscreteLaplaceBeltrami,
         basis=evecs, operator=op)
 
 
-# rows per block of the sign step.  A freed block stays in the heap,
+# how far, in units of roundoff of max|C| and max w, a 2-d operator may miss
+# transposition symmetry and still take the two-block route.  The pullback
+# of a radial bump by a radial squash misses it by at most 1.75 units in
+# every case measured (the gauge pair at N <= 48, the 2-d property tests'
+# range at N = 12 and 16); an operator that is not symmetric misses it by
+# O(1) relative.
+_TRANSPOSE_ULPS = 8.0
+
+
+def _transposition_invariant(op: DiscreteLaplaceBeltrami) -> bool:
+    """Whether C(tau n) = P C(n) P and w(tau n) = w(n) within the tolerance
+    ``_TRANSPOSE_ULPS``; always False outside 2-d."""
+    if op.grid.dim != 2:
+        return False
+    n = op.grid.points_per_side
+    tau = np.arange(n * n).reshape(n, n).T.ravel()  # node (j, i) at (i, j)
+    c, w = op.coefficients, op.measure.node_weights
+    tol = _TRANSPOSE_ULPS * np.finfo(float).eps
+    return bool(np.abs(c[tau] - c[:, ::-1, ::-1]).max() <= tol * np.abs(c).max()
+                and np.abs(w[tau] - w).max() <= tol * w.max())
+
+
+def _transposition_eigenpairs(op: DiscreteLaplaceBeltrami,
+                              root_w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of a transposition-invariant S from two half-size blocks.
+
+    The nodes fall into the N diagonal nodes d = (i, i) and the pairs
+    {p, tau p} with p = (i, j), i < j.  In the orthonormal basis of
+
+        even:  e_d,  (e_p + e_{tau p}) / sqrt 2,
+        odd:   (e_p - e_{tau p}) / sqrt 2,
+
+    the tau-average S~ = (S + tau S tau) / 2 is block diagonal:
+
+        even block  [[S~_dd,            sqrt 2 S~_{d p}],
+                     [sqrt 2 S~_{p d},  S~_{p q} + S~_{p, tau q}]],
+        odd block   S~_{p q} - S~_{p, tau q},
+
+    of sizes N(N+1)/2 and N(N-1)/2.  Both blocks are summed straight from
+    the stencil entries of S (:meth:`DiscreteLaplaceBeltrami._form_entries`),
+    so no M x M matrix is formed before the basis.  The eigenvalues of the
+    two blocks are merged by a stable ascending sort (even before odd on
+    ties), and the eigenvectors are scattered into the M x M basis: v on
+    the diagonal rows, v / sqrt 2 on both rows of a pair for an even mode,
+    +v / sqrt 2 on p and -v / sqrt 2 on tau p for an odd one.
+    """
+    n, m = op.grid.points_per_side, op.grid.node_count
+    index = np.arange(m).reshape(n, n)
+    diag = np.diagonal(index)
+    upper, lower = index[np.triu_indices(n, 1)], index.T[np.triu_indices(n, 1)]
+    n_even, n_odd = n + upper.size, upper.size
+    even_of = np.empty(m, dtype=np.intp)  # even-block row of every node
+    even_of[diag] = np.arange(n)
+    even_of[upper] = even_of[lower] = np.arange(n, n_even)
+    odd_of = np.zeros(m, dtype=np.intp)   # odd-block row of a pair node
+    odd_of[upper] = odd_of[lower] = np.arange(n_odd)
+    sign = np.zeros(m)
+    sign[upper], sign[lower] = 1.0, -1.0
+
+    rows, cols, values = op._form_entries()
+    values /= root_w[rows] * root_w[cols]
+    # sums of S over the tau-orbits of (row, col); the pair sums are twice
+    # S~, hence the factors sqrt(1/2) and 1/2 below
+    even = np.bincount(even_of[rows] * n_even + even_of[cols], weights=values,
+                       minlength=n_even * n_even).reshape(n_even, n_even)
+    values *= sign[rows] * sign[cols]  # zero unless both nodes are in pairs
+    odd = np.bincount(odd_of[rows] * n_odd + odd_of[cols], weights=values,
+                      minlength=n_odd * n_odd).reshape(n_odd, n_odd)
+    del rows, cols, values
+    even[:n, n:] *= math.sqrt(0.5)
+    even[n:, :n] *= math.sqrt(0.5)
+    even[n:, n:] *= 0.5
+    odd *= 0.5
+    even_vals, even_vecs = np.linalg.eigh(even)
+    del even
+    odd_vals, odd_vecs = np.linalg.eigh(odd)
+    del odd
+
+    # the basis in block order (even, then odd), then its columns sorted by
+    # eigenvalue one block of rows at a time
+    basis = np.empty((m, m))
+    basis[diag, :n_even] = even_vecs[:n]
+    basis[diag, n_even:] = 0.0
+    even_vecs[n:] *= math.sqrt(0.5)
+    basis[upper, :n_even] = basis[lower, :n_even] = even_vecs[n:]
+    del even_vecs
+    odd_vecs *= math.sqrt(0.5)
+    basis[upper, n_even:] = odd_vecs
+    basis[lower, n_even:] = np.negative(odd_vecs, out=odd_vecs)
+    del odd_vecs
+    evals = np.concatenate([even_vals, odd_vals])
+    order = np.argsort(evals, kind="stable")
+    for r0 in range(0, m, _BLOCK):
+        basis[r0:r0 + _BLOCK] = basis[r0:r0 + _BLOCK, order]
+    return evals[order], basis
+
+
+# rows per block of the sign step (and of the column sort of the
+# transposition route's basis).  A freed block stays in the heap,
 # resident, through the next eigensolve; at 64 (a 1.2 MB row block at
 # M = 2304) later blocks reuse it and the peak stays that of the eigensolve.
 _BLOCK = 64
@@ -293,7 +426,7 @@ _BLOCK = 64
 
 def _finish_eigenpairs(evals: np.ndarray, evecs: np.ndarray,
                        root_w: np.ndarray) -> np.ndarray:
-    """Zero snap, sign convention and W-scaling shared by both routes.
+    """Zero snap, sign convention and W-scaling shared by every route.
 
     ``evals`` ascend and ``evecs`` are the matching Euclidean-orthonormal
     eigenvectors of W^{1/2} A W^{-1/2}.  Eigenvalues below 1e-12 lam_max are

@@ -605,14 +605,16 @@ def test_2d_experiment_matches_per_datum_records(pair):
 
 def test_euclidean_reference_needs_no_eigensolve(monkeypatch):
     # the identity metric has the same stencil and weight at every node, so
-    # only BASE_2D is decomposed by a dense eigensolve: one call per size
+    # only BASE_2D is decomposed by eigensolves; it is centred on the grid
+    # diagonal, so each size takes the even and the odd transposition block,
+    # N(N+1)/2 and N(N-1)/2
     eigh = np.linalg.eigh
     calls = []
     monkeypatch.setattr(np.linalg, "eigh",
                         lambda a: calls.append(a.shape[0]) or eigh(a))
     dtn_difference_experiment(ALPHA, REGION_2D, BASE_2D, IdentityMetric(dim=2),
                               DATA_2D, side_length=SIDE, sizes=(12, 16))
-    assert calls == [12 ** 2, 16 ** 2]
+    assert calls == [78, 66, 136, 120]
 
 
 def test_experiment_validation():

@@ -12,10 +12,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fracbeltrami.geometry import (
     AnisotropicBump,
     ConformalBump,
+    ConformalRescale,
     IdentityMetric,
     build_grid,
     make_metric,
@@ -25,6 +27,7 @@ from fracbeltrami.geometry import (
 from fracbeltrami.exterior import RegionSpec, dtn_matrix
 from fracbeltrami.quadrature import LogQuadrature
 from fracbeltrami.recovery import PullbackProfile, RadialSquash
+from fracbeltrami import spectral
 from fracbeltrami.spectral import (
     DecompositionSizeError,
     DiscreteLaplaceBeltrami,
@@ -265,31 +268,126 @@ def test_trace_identity(dec_1d_bump):
     )
 
 
-@pytest.mark.parametrize("dim, n, profile",
-                         [(1, 16, BUMP_1D), (2, 12, ANISO_2D), (2, 16, BUMP_2D),
-                          (2, 16, PULLBACK_2D)],
-                         ids=["bump-1d", "aniso-2d", "conformal-2d", "pullback-2d"])
-def test_decompose_pins_dense_reference(dim, n, profile):
-    # the eigensolve sees S = W^{-1/2} B W^{-1/2}, symmetric to the bit, so
-    # S = 0.5 (S + S') and its eigenpairs equal this out-of-place reference
-    # to the last bit
-    grid = build_grid(dim, 4.0, n)
-    op = assemble_laplacian(make_metric(grid, profile))
-    if profile is BUMP_2D:
-        # a 2-d conformal metric has the same stencil at every node but not
-        # the same weight: it must not take the closed-form route
-        assert np.all(op.coefficients == op.coefficients[0])
-    dec = decompose(op)
+def _pinned_dense(op):
+    """The dense route's eigenpairs, formed out of place as an oracle.
+
+    The eigensolve sees S = W^{-1/2} B W^{-1/2}, symmetric to the bit, so
+    S = 0.5 (S + S') and its eigenpairs equal the dense route's to the last
+    bit, with the zero snap and the sign of the largest entry applied here.
+    """
     root_w = np.sqrt(op.measure.node_weights)
     sym = op.form_matrix / np.outer(root_w, root_w)
     evals, evecs = np.linalg.eigh(0.5 * (sym + sym.T))
     lam_max = max(float(evals[-1]), 1.0)
     evals = np.where(evals < 1e-12 * lam_max, 0.0, evals)
     anchor = np.abs(evecs).argmax(axis=0)
-    signs = np.sign(evecs[anchor, np.arange(grid.node_count)])
+    signs = np.sign(evecs[anchor, np.arange(op.grid.node_count)])
     signs[signs == 0] = 1.0
+    return evals, evecs * signs / root_w[:, None]
+
+
+def _counted_decompose(monkeypatch, op):
+    """decompose(op) and the sizes of the eigensolves it ran."""
+    eigh = np.linalg.eigh
+    calls = []
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda a: calls.append(a.shape[0]) or eigh(a))
+    dec = decompose(op)
+    monkeypatch.undo()
+    return dec, calls
+
+
+def _block_sizes(n):
+    """Sizes of the even and odd transposition blocks of an N x N grid."""
+    return [n * (n + 1) // 2, n * (n - 1) // 2]
+
+
+@pytest.mark.parametrize("dim, n, profile, dense", [
+    (1, 16, BUMP_1D, True),
+    (2, 12, ANISO_2D, True),
+    (2, 12, dataclasses.replace(BUMP_2D, center=(2.0, 1.5)), True),
+    (2, 16, BUMP_2D, False),
+    (2, 16, PULLBACK_2D, False),
+], ids=["bump-1d", "aniso-2d", "conformal-off-diagonal", "conformal-2d",
+        "pullback-2d"])
+def test_decompose_pins_dense_reference(monkeypatch, dim, n, profile, dense):
+    # the dense route (1-d, the anisotropic bump along axis 0, a bump
+    # centred off the grid diagonal) is one eigensolve of size M, pinned to
+    # the last bit.  A transposition-invariant operator (the centred
+    # conformal bump and its pullback) takes two half-size eigensolves,
+    # whose eigenpairs match the dense ones to roundoff (eigenspaces are
+    # degenerate, so the bases differ)
+    grid = build_grid(dim, 4.0, n)
+    op = assemble_laplacian(make_metric(grid, profile))
+    if profile is BUMP_2D:
+        # a 2-d conformal metric has the same stencil at every node but not
+        # the same weight: it must not take the closed-form route
+        assert np.all(op.coefficients == op.coefficients[0])
+    dec, calls = _counted_decompose(monkeypatch, op)
+    evals, basis = _pinned_dense(op)
+    if dense:
+        assert calls == [grid.node_count]
+        assert np.array_equal(dec.eigenvalues, evals)
+        assert np.array_equal(dec.basis, basis)
+        return
+    assert calls == _block_sizes(n)
+    lam_max = float(evals[-1])
+    w = op.measure.node_weights
+    assert dec.eigenvalues[0] == 0.0
+    assert np.abs(dec.eigenvalues - evals).max() <= 1e-13 * lam_max
+    gram = dec.basis.T @ (dec.basis * w[:, None])
+    assert np.abs(gram - np.eye(grid.node_count)).max() <= 1e-13
+    residual = op.apply(dec.basis) - dec.basis * dec.eigenvalues
+    assert np.sqrt(w @ residual ** 2).max() <= 1e-13 * lam_max
+    reference = SpectralDecomposition(eigenvalues=evals, basis=basis,
+                                      operator=op)
+    u = np.random.default_rng(4).standard_normal(grid.node_count)
+    for alpha in (0.25, 0.5, 0.75):
+        got = frac_apply_spectral(dec, alpha, u)
+        want = frac_apply_spectral(reference, alpha, u)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def _perturbed(op, field, units):
+    """``op`` with one off-diagonal node's C_01 = C_10
+    (``field="coefficients"``) or weight (``field="weights"``) moved by
+    ``units`` of roundoff of the field's maximum, so the operator misses
+    transposition symmetry by that much."""
+    node = op.grid.points_per_side + 2  # (1, 2), whose image is (2, 1)
+    eps = np.finfo(float).eps
+    if field == "coefficients":
+        coeffs = op.coefficients.copy()
+        coeffs[node, [0, 1], [1, 0]] += units * eps * np.abs(coeffs).max()
+        return DiscreteLaplaceBeltrami(coefficients=coeffs, metric=op.metric)
+    sqrt_det = op.metric.sqrt_det.copy()
+    sqrt_det[node] += units * eps * sqrt_det.max()
+    metric = dataclasses.replace(op.metric, sqrt_det=sqrt_det)
+    return DiscreteLaplaceBeltrami(coefficients=op.coefficients, metric=metric)
+
+
+@pytest.mark.parametrize("field", ["coefficients", "weights"])
+def test_transposition_route_within_the_roundoff_tolerance(monkeypatch, field):
+    # half the tolerance off symmetry: still two half-size eigensolves
+    grid = build_grid(2, 4.0, 12)
+    op = _perturbed(assemble_laplacian(make_metric(grid, PULLBACK_2D)), field,
+                    0.5 * spectral._TRANSPOSE_ULPS)
+    dec, calls = _counted_decompose(monkeypatch, op)
+    assert calls == _block_sizes(12)
+    evals, _ = _pinned_dense(op)
+    assert np.abs(dec.eigenvalues - evals).max() <= 1e-13 * evals[-1]
+
+
+@pytest.mark.parametrize("field", ["coefficients", "weights"])
+def test_dense_route_beyond_the_roundoff_tolerance(monkeypatch, field):
+    # twice the tolerance off symmetry: one full eigensolve, pinned bitwise
+    grid = build_grid(2, 4.0, 12)
+    op = _perturbed(assemble_laplacian(make_metric(grid, PULLBACK_2D)), field,
+                    2.0 * spectral._TRANSPOSE_ULPS)
+    dec, calls = _counted_decompose(monkeypatch, op)
+    assert calls == [grid.node_count]
+    evals, basis = _pinned_dense(op)
     assert np.array_equal(dec.eigenvalues, evals)
-    assert np.array_equal(dec.basis, evecs * signs / root_w[:, None])
+    assert np.array_equal(dec.basis, basis)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -309,12 +407,8 @@ class ConstantProfile:
 
 def _eigh_reference(op):
     """The dense-eigensolve decomposition, formed here as an oracle."""
-    root_w = np.sqrt(op.measure.node_weights)
-    sym = op.form_matrix / np.outer(root_w, root_w)
-    evals, evecs = np.linalg.eigh(0.5 * (sym + sym.T))
-    evals = np.where(evals < 1e-12 * max(float(evals[-1]), 1.0), 0.0, evals)
-    return SpectralDecomposition(eigenvalues=evals,
-                                 basis=evecs / root_w[:, None], operator=op)
+    evals, basis = _pinned_dense(op)
+    return SpectralDecomposition(eigenvalues=evals, basis=basis, operator=op)
 
 
 @pytest.mark.parametrize("dim, n, profile", [
@@ -326,12 +420,7 @@ def _eigh_reference(op):
 def test_closed_form_matches_dense_eigensolve(monkeypatch, dim, n, profile):
     grid = build_grid(dim, 4.0, n)
     op = assemble_laplacian(make_metric(grid, profile))
-    eigh = np.linalg.eigh
-    calls = []
-    monkeypatch.setattr(np.linalg, "eigh",
-                        lambda a: calls.append(a.shape) or eigh(a))
-    dec = decompose(op)
-    monkeypatch.undo()
+    dec, calls = _counted_decompose(monkeypatch, op)
     assert calls == []  # translation invariant: no dense eigensolve
     ref = _eigh_reference(op)
     lam_max = float(ref.eigenvalues[-1])
@@ -566,6 +655,72 @@ def test_fractional_powers_emit_no_warnings(dec_2d_aniso):
 def test_frac_rejects_alpha_outside_range(dec_1d_bump, alpha):
     with pytest.raises(ValueError):
         frac_apply_spectral(dec_1d_bump, alpha, np.ones(16))
+
+
+# 2-d profiles for each non-closed-form route of ``decompose``: centred
+# radial bumps and their pullbacks by a radial squash are invariant under
+# the grid transposition; anisotropic bumps and their conformal rescalings
+# are not.  Over this strategy's range (3000 draws of beta, sigma, variant
+# and N, and its corners) the pullbacks miss bitwise symmetry by at most
+# 1.75 units of roundoff and the bumps by 0, well inside
+# ``_TRANSPOSE_ULPS`` = 8; the asymmetric profiles miss it by more than
+# 8e14 units.  Omega holds every support; the windows sit outside it.
+ROUTE_REGION = RegionSpec(omega_center=(2.0, 2.0), omega_radius=0.8,
+                          w1_center=(0.25, 2.0), w1_radius=0.3,
+                          w2_center=(2.0, 0.25), w2_radius=0.3)
+SWAPPED_REGION = dataclasses.replace(
+    ROUTE_REGION, w1_center=ROUTE_REGION.w2_center,
+    w2_center=ROUTE_REGION.w1_center)
+
+
+def _route_profile(route, beta, sigma, variant):
+    if route == "transposition":
+        base = ConformalBump(2, beta=beta, sigma=sigma, center=(2.0, 2.0),
+                             r0=0.75)
+        return PullbackProfile(base=base, squash=RadialSquash(
+            dim=2, center=(2.0, 2.0), radius=0.75, strength=0.15)) \
+            if variant else base
+    base = AnisotropicBump(2, beta=beta, sigma=sigma, center=(2.0, 2.0),
+                           r0=0.75, axis=1)
+    return ConformalRescale(base=base, beta=0.3, sigma=0.2,
+                            center=(2.0, 1.6), bump_r0=0.35) \
+        if variant else base
+
+
+@pytest.mark.parametrize("route", ["transposition", "dense"])
+@settings(max_examples=8, deadline=None)
+@given(beta=st.floats(0.2, 0.8), sigma=st.floats(0.2, 0.4),
+       variant=st.booleans(), n=st.sampled_from([12, 16]),
+       alpha=st.floats(0.2, 0.8), seed=st.integers(0, 2 ** 32 - 1))
+def test_2d_identities_on_both_eigensolve_routes(route, beta, sigma, variant,
+                                                 n, alpha, seed):
+    grid = build_grid(2, 4.0, n)
+    op = assemble_laplacian(make_metric(grid, _route_profile(
+        route, beta, sigma, variant)))
+    assert spectral._transposition_invariant(op) == (route == "transposition")
+    dec = decompose(op)
+    w, lam_max = op.measure, float(dec.eigenvalues[-1])
+    u, v = np.random.default_rng(seed).standard_normal((2, grid.node_count))
+    norms = weighted_norm(u, w) * weighted_norm(v, w)
+    # weighted self-adjointness of A and of A^a
+    for apply, bound in ((op.apply, lam_max),
+                         (lambda x: frac_apply_spectral(dec, alpha, x),
+                          lam_max ** alpha)):
+        defect = weighted_inner(apply(u), v, w) - weighted_inner(u, apply(v), w)
+        assert abs(defect) <= 1e-12 * bound * norms
+    # A^a A^(1-a) = A, against the stencil
+    composed = frac_apply_spectral(dec, alpha,
+                                   frac_apply_spectral(dec, 1.0 - alpha, u))
+    assert weighted_norm(composed - op.apply(u), w) \
+        <= 1e-12 * lam_max * weighted_norm(u, w)
+    # weighted symmetry of the partial DtN map
+    forward = dtn_matrix(dec, alpha, ROUTE_REGION.build(grid))
+    backward = dtn_matrix(dec, alpha, SWAPPED_REGION.build(grid))
+    config = ROUTE_REGION.build(grid)
+    node_w = w.node_weights
+    left = node_w[config.w2_nodes, None] * forward
+    right = (node_w[config.w1_nodes, None] * backward).T
+    assert np.abs(left - right).max() <= 1e-9 * np.abs(left).max()
 
 
 # ----------------------------------------------------------------------
