@@ -46,7 +46,7 @@ import numpy as np
 from .quadrature import LogQuadrature
 from .solvers import conjugate_gradient
 from .geometry import TorusGrid
-from .spectral import (SpectralDecomposition, _check_alpha, _phase_tables,
+from .spectral import (SpectralDecomposition, _axis_modes, _check_alpha,
                        frac_apply_spectral)
 
 __all__ = [
@@ -332,25 +332,19 @@ def _flat_modes(grid: TorusGrid):
     """Real orthonormal eigenbasis of the Euclidean stiffness on ``grid``.
 
     The stiffness h^{dim-2} sum_j D+_j' D+_j is a Kronecker sum of 1-d
-    periodic second differences, so a tensor product of 1-d eigenbases
-    diagonalises it (Lynch, Rice and Thomas, Numer. Math. 1964).  Along one
-    axis, column c of the (N, N) table Q is the mode of frequency c,
-    sqrt(2/N) cos(2 pi c n / N) for 0 < c < N/2 and sqrt(2/N) sin(2 pi c n / N)
-    for c > N/2 (minus the sine of frequency N - c), with 1/sqrt(N) cos at
-    c = 0 and c = N/2; the second difference maps it to 4 sin^2(pi c / N)
-    times itself.  Mode k = (c_0, ..., c_{dim-1}), flattened like the nodes,
-    has eigenvalue mu_k = h^{dim-2} sum_j 4 sin^2(pi c_j / N).
+    periodic second differences, so the tensor product of the per-axis
+    modes Q of ``spectral._axis_modes`` diagonalises it (Lynch, Rice and
+    Thomas, Numer. Math. 1964): mode k = (c_0, ..., c_{dim-1}), flattened
+    like the nodes, has the closed-form eigenvalue
+    mu_k = h^{dim-2} sum_j 4 sin^2(pi c_j / N).
 
     Returns ``to_modes``, ``to_nodes`` and ``mu``: the transforms apply Q^T
     and Q along every grid axis to the rows of a (rows, M) array or to one
     node vector, as GEMMs over whole levels, and mu has shape (M,).
     """
     n, dim = grid.points_per_side, grid.dim
-    cos_table, sin_table = _phase_tables(n)
-    c = np.arange(n)
-    scale = np.where((c == 0) | (2 * c == n), math.sqrt(1.0 / n), math.sqrt(2.0 / n))
-    q = np.where(2 * c <= n, cos_table, sin_table) * scale
-    axis_mu = 4.0 * np.sin(np.pi * c / n) ** 2
+    q = _axis_modes(n)
+    axis_mu = 4.0 * np.sin(np.pi * np.arange(n) / n) ** 2
     mu = axis_mu if dim == 1 else np.add.outer(axis_mu, axis_mu).ravel()
     mu = mu * grid.spacing ** (dim - 2)
 
@@ -384,7 +378,8 @@ def fd_extension_solve(dec: SpectralDecomposition, alpha: float,
     The preconditioner is the exact inverse of the same mixed system for the
     Euclidean metric (node weight h^dim, coefficients h^{dim-2} I).  Its
     tangential stiffness is a Kronecker sum of periodic second differences,
-    diagonalised by a real orthonormal tensor product of cos/sin modes with
+    diagonalised by the real orthonormal tensor product of the per-axis
+    cos/sin modes of ``spectral._axis_modes``, the closed form's basis, with
     eigenvalues mu_k = h^{dim-2} sum_j 4 sin^2(pi k_j / N) (:func:`_flat_modes`;
     the transforms are small GEMMs over whole levels), so levels 1..P split
     into one tridiagonal z-system per mode.  Those are factored by

@@ -244,7 +244,9 @@ def _solve_blocks(dec: SpectralDecomposition, alpha: float,
     factored once for all k.  Returns U_O (|O|, k), the half-power modes
     G' U = Lambda^{a/2} Phi' W U (M, k) of the full solutions U (F on
     `in_nodes`, 0 on the rest of the exterior), and the worst column's
-    explicit relative residual ||b - E_OO u_O|| / ||b||.
+    explicit relative residual ||b - E_OO u_O|| / ||b||, which must stay
+    below 1e-9 (``ArithmeticError`` otherwise), so every exterior solve is
+    guarded.
     """
     w = dec.measure.node_weights
     om = config.omega_nodes
@@ -262,13 +264,14 @@ def _solve_blocks(dec: SpectralDecomposition, alpha: float,
     r_norms = np.linalg.norm(rhs - block @ u_omega, axis=0)
     residual = float(np.divide(r_norms, b_norms, out=np.zeros_like(r_norms),
                                where=b_norms > 0.0).max())
+    _require_small_residual(residual)
     return u_omega, datum_modes + g_om.T @ u_omega, residual
 
 
 def _require_small_residual(residual: float) -> None:
     if not residual < 1e-9:
         raise ArithmeticError(
-            f"DtN solve residual {residual:.2e} exceeds 1e-9")
+            f"exterior solve residual {residual:.2e} exceeds 1e-9")
 
 
 def solve_exterior_dirichlet(dec: SpectralDecomposition, alpha: float,
@@ -391,9 +394,8 @@ def dtn_matrix(dec: SpectralDecomposition, alpha: float,
     decomposition is no longer needed to measure the partial map.
     """
     _check_alpha(alpha, allow_one=False)
-    _, modes, residual = _solve_blocks(dec, alpha, config, config.w1_nodes,
-                                       np.eye(len(config.w1_nodes)))
-    _require_small_residual(residual)
+    _, modes, _ = _solve_blocks(dec, alpha, config, config.w1_nodes,
+                                np.eye(len(config.w1_nodes)))
     return _measured(dec, alpha, config.w2_nodes, modes)
 
 

@@ -42,8 +42,10 @@ class TorusGrid:
     """Uniform grid with ``points_per_side**dim`` nodes on ``[0, L)^dim``.
 
     Nodes are ordered C-style (last axis fastest); node ``i`` sits at
-    ``coordinates()[i]``.  ``points_per_side`` must be even and at least 4 so
-    that forward/backward differences and FFT mode indexing stay symmetric.
+    ``coordinates()[i]``.  ``points_per_side`` must be even and at least 4:
+    the per-axis Fourier modes (``spectral._axis_modes``) include the
+    self-conjugate frequency N/2, and ``form_diagonal``'s parity probe needs
+    a two-colouring of the cycle.
     """
 
     dim: int
@@ -249,13 +251,15 @@ class MetricField:
         h = self.grid.spacing
         return WeightedMeasure(node_weights=self.sqrt_det * h ** self.grid.dim)
 
-    def restricted_equal(self, other: "MetricField", nodes: np.ndarray,
-                         tol: float = 1e-12) -> bool:
-        """Node-wise agreement of two fields on an index set."""
-        if self.grid != other.grid:
-            return False
-        return bool(np.max(np.abs(self.tensor[nodes] - other.tensor[nodes]),
-                           initial=0.0) <= tol)
+    def restricted_equal(self, other: "MetricField", nodes: np.ndarray) -> bool:
+        """Bitwise agreement of two fields on an index set: the tensors,
+        their inverses and the volume densities, which the stencil and the
+        weights are read from."""
+        return self.grid == other.grid and all(
+            np.array_equal(mine[nodes], theirs[nodes])
+            for mine, theirs in ((self.tensor, other.tensor),
+                                 (self.inverse_tensor, other.inverse_tensor),
+                                 (self.sqrt_det, other.sqrt_det)))
 
 
 @dataclasses.dataclass(frozen=True)

@@ -251,12 +251,18 @@ def decompose(op: DiscreteLaplaceBeltrami,
     """Eigenpairs of A, by the cheapest of three routes the operator allows.
 
     1. Closed form.  If every node carries bitwise the same stencil
-       coefficients C_jk and bitwise the same weight w (the identity metric,
-       or any constant metric), A is a circulant and the Fourier modes
-       diagonalise it exactly; see :func:`_fourier_eigenpairs`.  Both
-       conditions are needed: in 2-d a conformal metric has
-       C_jk = sqrt|g| g^{jk} = I at every node (the Dirichlet energy is
-       conformally invariant) while its weights vary.
+       coefficients C_jk, with C_01 = 0, and bitwise the same weight w (the
+       identity metric, or any constant metric with a diagonal tensor), A
+       is a circulant whose symbol is even along every axis, and tensor
+       products of the per-axis Fourier modes diagonalise it exactly; see
+       :func:`_fourier_eigenpairs`.  Each condition is needed: in 2-d a
+       conformal metric has C_jk = sqrt|g| g^{jk} = I at every node (the
+       Dirichlet energy is conformally invariant) while its weights vary,
+       and a constant C_01 != 0 adds a term odd in each frequency
+       separately (even only under theta -> -theta as a whole), which
+       mixes the cosine and the sine of one axis, so no tensor product of
+       real per-axis modes diagonalises A.  Such an operator takes the
+       transposition route if C_00 = C_11 and the dense route otherwise.
     2. Two half-size eigensolves.  In 2-d, if the operator is invariant
        under the grid transposition tau (i, j) -> (j, i), that is
 
@@ -287,8 +293,8 @@ def decompose(op: DiscreteLaplaceBeltrami,
     eigensolve, or the basis plus the blocks' eigenvectors.  Measured at
     M = 2304 (x86-64, numpy 2.4, OpenBLAS at 2 threads), the peak resident
     set rises 207 MiB above the caller's for the dense route, 93 MiB for
-    the transposition route and 46 MiB for the closed form (its basis and
-    a few tables).
+    the transposition route and 44 MiB for the closed form (its basis and
+    two N x M per-axis tables).
 
     Every route holds an M x M basis, so every route obeys ``cap``, and all
     share the zero snap and sign convention of :func:`_finish_eigenpairs`.
@@ -303,7 +309,9 @@ def decompose(op: DiscreteLaplaceBeltrami,
             f"one {m} x {m} float64 matrix takes {8 * m * m / 1e6:.3g} MB")
     w = op.measure.node_weights
     root_w = np.sqrt(w)
-    if np.all(op.coefficients == op.coefficients[0]) and np.all(w == w[0]):
+    c = op.coefficients[0]
+    if (np.all(op.coefficients == c) and np.array_equal(c, np.diag(np.diag(c)))
+            and np.all(w == w[0])):
         evals, evecs = _fourier_eigenpairs(op, w[0])
     elif _transposition_invariant(op):
         evals, evecs = _transposition_eigenpairs(op, root_w)
@@ -471,76 +479,50 @@ def _signs_of_largest(v: np.ndarray) -> np.ndarray:
 
 def _fourier_eigenpairs(op: DiscreteLaplaceBeltrami,
                         weight: float) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form eigenpairs of a translation-invariant operator.
+    """Closed-form eigenpairs of an axis-separable circulant operator.
 
-    With the same C_jk and w at every node, B is a circulant, and A maps the
-    Fourier mode e^{i theta.n} (theta_j = 2 pi k_j / N) to lam_theta times
-    itself, with lam_theta = sigma(theta) / w.  The symbol sigma is the DFT
-    of B's column at node 0, read off ``op.apply_form`` on the unit vector
-    e_0, so the stencil is stated only there.
-
-    The real basis takes one frequency of each conjugate pair +-theta and
-    gives it the modes sqrt(2/M) cos(theta.n) and sqrt(2/M) sin(theta.n); a
-    self-conjugate theta (every k_j 0 or N/2) gives 1/sqrt(M) cos(theta.n).
-    The modes are ordered by a stable ascending sort of lam (ties keep the
-    frequency order, cosine before sine), and the columns, orthonormal in
-    the Euclidean product, are built in that order from per-axis cos/sin
-    tables, in 2-d one grid row at a time:
-
-        cos(a + b) = cos a cos b - sin a sin b,
-        sin(a + b) = sin a cos b + cos a sin b,
-
-    with a the phase along the first axis and b along the second.
+    With the same diagonal C and the same w at every node, B is a circulant
+    whose symbol sigma(theta) = sum_j C_jj 4 sin^2(theta_j / 2) is even in
+    every theta_j separately, so the tensor products of the per-axis modes
+    of :func:`_axis_modes` diagonalise it: mode (c_0, ..., c_{dim-1}),
+    flattened like the nodes, has eigenvalue lam = sigma / w at
+    theta_j = 2 pi c_j / N.  The symbol is the DFT of B's column at node 0,
+    read off ``op.apply_form`` on the unit vector e_0, so the stencil is
+    stated only there.  The modes are ordered by a stable ascending sort of
+    lam (ties keep the flattened mode order), and in 2-d the basis
+    Q[:, c_0] (x) Q[:, c_1] is filled one grid row at a time.
     """
     grid = op.grid
-    n, dim, m = grid.points_per_side, grid.dim, grid.node_count
+    n, m = grid.points_per_side, grid.node_count
     column = op.apply_form(np.eye(1, m).ravel()).reshape(grid.shape)
-    symbol = np.fft.fftn(column).real.ravel()
-    freqs = np.indices(grid.shape).reshape(dim, m)
-    partner = np.ravel_multi_index(tuple(-freqs % n), grid.shape)
-    index = np.arange(m)
-    keep = index <= partner
-    pairs = index[keep] < partner[keep]
-    # one cosine mode per kept frequency, followed by a sine mode for a pair
-    counts = np.where(pairs, 2, 1)
-    freqs = np.repeat(freqs[:, keep], counts, axis=1)
-    of_pair = np.repeat(pairs, counts)
-    is_sin = np.zeros(m, bool)
-    is_sin[np.flatnonzero(of_pair)[1::2]] = True
-    scale = np.where(of_pair, math.sqrt(2.0 / m), math.sqrt(1.0 / m))
-
-    evals = np.repeat(symbol[keep], counts) / weight
+    evals = np.fft.fftn(column).real.ravel() / weight
     order = np.argsort(evals, kind="stable")
-    evals, freqs, is_sin, scale = (evals[order], freqs[:, order],
-                                   is_sin[order], scale[order])
-
-    # the tables are symmetric, so a column gather is indexed
-    # [node coordinate, mode]
-    cos_table, sin_table = _phase_tables(n)
-    cos_a, sin_a = cos_table[:, freqs[0]], sin_table[:, freqs[0]]  # (N, M)
-    p = np.where(is_sin, sin_a, cos_a) * scale
-    if dim == 1:
-        return evals, p
-    # value of mode c at node (i, j): p[i, c] cos_b[j, c] + q[i, c] sin_b[j, c]
-    q = np.where(is_sin, cos_a, -sin_a) * scale
-    cos_b, sin_b = cos_table[:, freqs[1]], sin_table[:, freqs[1]]
+    q = _axis_modes(n)
+    if grid.dim == 1:
+        return evals[order], q[:, order]
+    first, second = q[:, order // n], q[:, order % n]  # (N, M), per axis
     basis = np.empty((m, m))
     for i in range(n):
-        rows = basis[i * n:(i + 1) * n]
-        np.multiply(cos_b, p[i], out=rows)
-        rows += sin_b * q[i]
-    return evals, basis
+        np.multiply(second, first[i], out=basis[i * n:(i + 1) * n])
+    return evals[order], basis
 
 
-def _phase_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """cos and sin of the phases 2 pi (k n mod N) / N, as (N, N) tables.
+def _axis_modes(n: int) -> np.ndarray:
+    """The real orthonormal Fourier modes of one periodic axis, (N, N).
 
-    Entry [k, n] is the phase of frequency k at node n (or of frequency n at
-    node k: the tables are symmetric); reducing k n modulo N first keeps the
-    arguments below 2 pi.
+    Column c of Q is the mode of frequency c at the nodes 0..N-1:
+    sqrt(2/N) cos(2 pi c n / N) for 0 < c < N/2, sqrt(2/N) sin(2 pi c n / N)
+    for c > N/2 (minus the sine of frequency N - c), and 1/sqrt(N) cos at
+    c = 0 and c = N/2 (N is even).  A periodic stencil whose symbol is even
+    in the frequency maps column c to its symbol at 2 pi c / N times
+    itself: the second difference to 4 sin^2(pi c / N) (Lynch, Rice and
+    Thomas, Numer. Math. 1964).  Reducing c n modulo N first keeps the
+    phases below 2 pi.
     """
-    phase = 2.0 * np.pi * (np.outer(np.arange(n), np.arange(n)) % n) / n
-    return np.cos(phase), np.sin(phase)
+    c = np.arange(n)
+    phase = 2.0 * np.pi * (np.outer(c, c) % n) / n
+    scale = np.where((c == 0) | (2 * c == n), math.sqrt(1.0 / n), math.sqrt(2.0 / n))
+    return np.where(2 * c <= n, np.cos(phase), np.sin(phase)) * scale
 
 
 # --------------------------------------------------------------------------

@@ -285,9 +285,8 @@ def test_dtn_matrix_columns_are_records(dec_bump, config):
     _assert_columns_are_records(dec_bump, 0.5, config)
 
 
-def test_dtn_matrix_residual_guard_takes_the_worst_column(dec_bump, config,
-                                                          monkeypatch):
-    # one column solved 1e-6 off: its residual alone trips the guard
+def _last_column_off(monkeypatch):
+    """Make np.linalg.solve return its last column 1e-6 (relative) off."""
     solve = np.linalg.solve
 
     def last_column_off(a, b):
@@ -296,8 +295,23 @@ def test_dtn_matrix_residual_guard_takes_the_worst_column(dec_bump, config,
         return x
 
     monkeypatch.setattr(np.linalg, "solve", last_column_off)
+
+
+def test_dtn_matrix_residual_guard_takes_the_worst_column(dec_bump, config,
+                                                          monkeypatch):
+    # one column solved 1e-6 off: its residual alone trips the guard
+    _last_column_off(monkeypatch)
     with pytest.raises(ArithmeticError, match="residual"):
         dtn_matrix(dec_bump, 0.5, config)
+
+
+def test_exterior_dirichlet_solve_is_residual_guarded(dec_bump, config,
+                                                      monkeypatch):
+    # the one-column exterior solve is guarded like the DtN maps
+    _last_column_off(monkeypatch)
+    f = np.ones(len(config.exterior_nodes))
+    with pytest.raises(ArithmeticError, match="residual"):
+        solve_exterior_dirichlet(dec_bump, 0.5, config, f)
 
 
 def test_dtn_residual_guard():

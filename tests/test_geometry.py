@@ -6,6 +6,8 @@ inner products reduce to volume integrals that are exact for trapezoid-free
 lattice sums of periodic data.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -198,6 +200,19 @@ def test_restricted_equal_detects_bump():
     near = np.flatnonzero(grid.distance_to((2.0, 2.0)) < 0.3)
     assert flat.restricted_equal(bumped, far)
     assert not flat.restricted_equal(bumped, near)
+
+
+@pytest.mark.parametrize("field", ["tensor", "inverse_tensor", "sqrt_det"])
+def test_restricted_equal_is_bitwise(field):
+    # one unit of roundoff at one node, in any of the fields the stencil
+    # and the weights are read from, breaks the agreement there
+    grid = build_grid(2, 4.0, 16)
+    flat = make_metric(grid, IdentityMetric(2))
+    values = getattr(flat, field).copy()
+    values[5] = np.nextafter(values[5], 2.0)
+    nudged = dataclasses.replace(flat, **{field: values})
+    assert not flat.restricted_equal(nudged, np.array([4, 5]))
+    assert flat.restricted_equal(nudged, np.array([4, 6]))
 
 
 # ----------------------------------------------------------------------

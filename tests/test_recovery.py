@@ -568,6 +568,28 @@ DATA_2D = [lambda X: np.exp(-((X - (0.25, 2.0)) ** 2).sum(axis=1) / 0.05),
            lambda X: X[:, 0] - 0.25 + 0.5 * (X[:, 1] - 2.0)]
 
 
+@settings(max_examples=20, deadline=None)
+@given(strength=st.floats(0.05, 0.3), pull_in=st.booleans(),
+       radius=st.floats(0.3, 0.75), n=st.sampled_from([12, 16]))
+def test_pullback_metric_exterior_bitwise_equal_2d(strength, pull_in, radius, n):
+    # the 2-d gauge pair shares its exterior data to the last bit: with the
+    # squash inside Omega, the pulled-back metric's tensors, inverses and
+    # volume densities equal the base metric's on every exterior node
+    grid = build_grid(2, SIDE, n)
+    config = REGION_2D.build(grid)
+    squash = RadialSquash(dim=2, center=(2.0, 2.0), radius=radius,
+                          strength=-strength if pull_in else strength)
+    base = make_metric(grid, BASE_2D)
+    pulled = make_metric(grid, PullbackProfile(base=BASE_2D, squash=squash))
+    ex = config.exterior_nodes
+    assert np.array_equal(pulled.tensor[ex], base.tensor[ex])
+    assert np.array_equal(pulled.inverse_tensor[ex], base.inverse_tensor[ex])
+    assert np.array_equal(pulled.sqrt_det[ex], base.sqrt_det[ex])
+    assert pulled.restricted_equal(base, ex)
+    # the squash moves the centre node, so the pair differs inside Omega
+    assert not pulled.restricted_equal(base, config.omega_nodes)
+
+
 def _per_datum_ladder(profile_a, profile_b, sizes):
     """(errors, signals) from one dtn_partial record per datum and metric."""
     errors, signals = [], []

@@ -268,6 +268,21 @@ def test_trace_identity(dec_1d_bump):
     )
 
 
+@dataclasses.dataclass(frozen=True)
+class ConstantProfile:
+    """The same metric tensor at every node."""
+
+    tensor: tuple
+
+    @property
+    def dim(self) -> int:
+        return len(self.tensor)
+
+    def sample(self, points, side_length):
+        g = np.asarray(self.tensor, float)
+        return np.broadcast_to(g, (len(points),) + g.shape).copy()
+
+
 def _pinned_dense(op):
     """The dense route's eigenpairs, formed out of place as an oracle.
 
@@ -308,15 +323,19 @@ def _block_sizes(n):
     (2, 12, dataclasses.replace(BUMP_2D, center=(2.0, 1.5)), True),
     (2, 16, BUMP_2D, False),
     (2, 16, PULLBACK_2D, False),
+    (2, 12, ConstantProfile(((1.3, 0.4), (0.4, 0.9))), True),
+    (2, 12, ConstantProfile(((1.2, 0.3), (0.3, 1.2))), False),
 ], ids=["bump-1d", "aniso-2d", "conformal-off-diagonal", "conformal-2d",
-        "pullback-2d"])
+        "pullback-2d", "constant-cross-2d", "constant-cross-symmetric-2d"])
 def test_decompose_pins_dense_reference(monkeypatch, dim, n, profile, dense):
     # the dense route (1-d, the anisotropic bump along axis 0, a bump
-    # centred off the grid diagonal) is one eigensolve of size M, pinned to
-    # the last bit.  A transposition-invariant operator (the centred
-    # conformal bump and its pullback) takes two half-size eigensolves,
-    # whose eigenpairs match the dense ones to roundoff (eigenspaces are
-    # degenerate, so the bases differ)
+    # centred off the grid diagonal, a constant metric with a cross term
+    # and unequal diagonal, which no tensor product of per-axis Fourier
+    # modes diagonalises) is one eigensolve of size M, pinned to the last
+    # bit.  A transposition-invariant operator (the centred conformal bump,
+    # its pullback, a constant metric with a cross term and equal diagonal)
+    # takes two half-size eigensolves, whose eigenpairs match the dense
+    # ones to roundoff (eigenspaces are degenerate, so the bases differ)
     grid = build_grid(dim, 4.0, n)
     op = assemble_laplacian(make_metric(grid, profile))
     if profile is BUMP_2D:
@@ -390,21 +409,6 @@ def test_dense_route_beyond_the_roundoff_tolerance(monkeypatch, field):
     assert np.array_equal(dec.basis, basis)
 
 
-@dataclasses.dataclass(frozen=True)
-class ConstantProfile:
-    """The same metric tensor at every node."""
-
-    tensor: tuple
-
-    @property
-    def dim(self) -> int:
-        return len(self.tensor)
-
-    def sample(self, points, side_length):
-        g = np.asarray(self.tensor, float)
-        return np.broadcast_to(g, (len(points),) + g.shape).copy()
-
-
 def _eigh_reference(op):
     """The dense-eigensolve decomposition, formed here as an oracle."""
     evals, basis = _pinned_dense(op)
@@ -415,9 +419,13 @@ def _eigh_reference(op):
     (1, 16, IdentityMetric(1)),
     (2, 12, IdentityMetric(2)),
     (2, 16, IdentityMetric(2)),
-    (2, 12, ConstantProfile(((1.3, 0.4), (0.4, 0.9)))),
-], ids=["identity-1d", "identity-2d-12", "identity-2d-16", "constant-aniso-2d"])
+    (2, 12, ConstantProfile(((1.3, 0.0), (0.0, 0.9)))),
+    (2, 16, ConstantProfile(((0.7, 0.0), (0.0, 1.6)))),
+], ids=["identity-1d", "identity-2d-12", "identity-2d-16", "constant-aniso-2d",
+        "constant-aniso-2d-16"])
 def test_closed_form_matches_dense_eigensolve(monkeypatch, dim, n, profile):
+    # the constant metrics are diagonal, so the stencil is axis-separable
+    # and its symbol differs between the axes
     grid = build_grid(dim, 4.0, n)
     op = assemble_laplacian(make_metric(grid, profile))
     dec, calls = _counted_decompose(monkeypatch, op)

@@ -5,7 +5,9 @@ The log-time quadrature weights are applied in one place,
 module hands it samples and exponents instead of contracting
 ``quad.weights`` itself.  Eigensolves stay behind ``spectral.decompose``,
 which picks the cheapest route an operator allows: only ``spectral.py``
-calls ``eigh``.
+calls ``eigh``.  Discrete Fourier transforms stay there too, where the
+closed form reads the symbol: only ``spectral.py`` names ``fft``; the
+Fourier modes themselves are ``spectral._axis_modes``.
 """
 
 import ast
@@ -27,26 +29,47 @@ def test_only_quadrature_reads_the_weights(path):
                        "contract through LogQuadrature.moments instead")
 
 
-def _eigh_lines(tree):
-    """Lines that name ``eigh``: as an attribute or an imported name."""
-    lines = [node.lineno for node in ast.walk(tree)
-             if isinstance(node, ast.Attribute) and node.attr == "eigh"]
-    lines += [node.lineno for node in ast.walk(tree)
-              if isinstance(node, ast.ImportFrom)
-              and any(alias.name == "eigh" for alias in node.names)]
+def _naming_lines(tree, name):
+    """Lines that name ``name``: as an attribute, an imported name or a
+    component of an imported module's path."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == name:
+            lines.append(node.lineno)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            paths = [getattr(node, "module", None) or ""]
+            paths += [alias.name for alias in node.names]
+            if any(name in path.split(".") for path in paths):
+                lines.append(node.lineno)
     return lines
+
+
+def _assert_only_spectral_names(path, name, instead):
+    lines = _naming_lines(ast.parse(path.read_text(), filename=str(path)), name)
+    if path.name == "spectral.py":
+        assert lines, f"spectral.py no longer names {name}; update this guard"
+        return
+    assert not lines, f"{path.name} names `{name}` at lines {lines}; {instead}"
 
 
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
 def test_only_spectral_calls_eigh(path):
-    lines = _eigh_lines(ast.parse(path.read_text(), filename=str(path)))
-    if path.name == "spectral.py":
-        assert lines, "spectral.py no longer names eigh; update this guard"
-        return
-    assert not lines, (f"{path.name} names `eigh` at lines {lines}; "
-                       "decompose through spectral.decompose instead")
+    _assert_only_spectral_names(path, "eigh",
+                                "decompose through spectral.decompose instead")
 
 
 def test_eigh_guard_sees_both_spellings():
     for source in ("np.linalg.eigh(a)", "from numpy.linalg import eigh"):
-        assert _eigh_lines(ast.parse(source)) == [1]
+        assert _naming_lines(ast.parse(source), "eigh") == [1]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_only_spectral_names_fft(path):
+    _assert_only_spectral_names(
+        path, "fft", "take the Fourier modes from spectral._axis_modes instead")
+
+
+def test_fft_guard_sees_both_spellings():
+    for source in ("np.fft.fftn(a)", "from numpy.fft import fftn",
+                   "from numpy import fft"):
+        assert _naming_lines(ast.parse(source), "fft") == [1]
