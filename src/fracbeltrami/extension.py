@@ -33,7 +33,8 @@ the heat-kernel representation of the Neumann-problem solution
 whose Taylor coefficients in z^2 are the normal-series coefficients C_j.
 The constant is the closed form c^_a = 1/Gamma(a): mode by mode
 int_0^inf e^{-lam t} t^{a-1} dt = Gamma(a) lam^{-a}, so at z = 0 the
-integral is Gamma(a) A^{-a} A F = Gamma(a) A^{1-a} F.
+integral is Gamma(a) A^{-a} A F = Gamma(a) A^{1-a} F; it is evaluated by the
+semigroup rule ``LogQuadrature.semigroup``, exact to roundoff.
 """
 
 from __future__ import annotations
@@ -555,10 +556,10 @@ def fd_extension_solve(dec: SpectralDecomposition, alpha: float,
 
 def _representation_setup(dec: SpectralDecomposition, F: np.ndarray,
                           x_indices: np.ndarray, quad: LogQuadrature
-                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """F as floats, H(x) and the heat series (e^{t Lap} H)(x) on the window
-    (nodes along the last axis), one row per node x, for H = A F with the
-    zero mode projected out.  The nodes must lie off supp F."""
+                          ) -> tuple[np.ndarray, np.ndarray]:
+    """F as floats and the heat series (e^{t Lap} H)(x) on the window (nodes
+    along the last axis), one row per node x, for H = A F with the zero mode
+    projected out.  The nodes must lie off supp F."""
     F = np.asarray(F, float)
     inside = x_indices[F[x_indices] != 0.0]
     if inside.size:
@@ -568,25 +569,22 @@ def _representation_setup(dec: SpectralDecomposition, F: np.ndarray,
     h_modes[dec.eigenvalues == 0.0] = 0.0
     rows = dec.basis[x_indices]
     series = np.exp(-np.outer(quad.nodes, dec.eigenvalues)) @ (rows * h_modes).T
-    return F, rows @ h_modes, series.T
+    return F, series.T
 
 
 def representation_solution(dec: SpectralDecomposition, alpha: float,
-                            F: np.ndarray, x_index: int, z: float,
-                            quad: LogQuadrature | None = None) -> float:
+                            F: np.ndarray, x_index: int, z: float) -> float:
     """Evaluate w^F(x, z) = c^_a int (e^{t Lap} H)(x) e^{-z^2/4t} t^{a-1} dt,
     H = (-Lap) F, valid off the support of F (even in z by construction).
 
-    The window quadrature is completed below t_min by the head
-    H(x) (t_min^a/a) e^{-z^2/4 t_min} (exact to O(t_min))."""
+    The integral runs over (0, inf) by ``LogQuadrature.semigroup``: below the
+    window the log-time integrand is H(x) e^{a s} or steeper."""
     _check_alpha(alpha, allow_one=False)
     if z < 0.0:
         raise ValueError("representation height must satisfy z >= 0")
-    if quad is None:
-        quad = LogQuadrature.log_uniform()
-    _, hx, series = _representation_setup(dec, F, np.array([x_index]), quad)
+    quad = LogQuadrature.semigroup(dec.eigenvalues, left=alpha, right=math.inf)
+    _, series = _representation_setup(dec, F, np.array([x_index]), quad)
     val = quad.moments(series[0] * np.exp(-z * z / (4.0 * quad.nodes)), alpha - 1.0)
-    val += hx[0] * quad.t_min**alpha / alpha * math.exp(-z * z / (4.0 * quad.t_min))
     return float(val) / math.gamma(alpha)
 
 
@@ -634,7 +632,7 @@ def series_coefficients(dec: SpectralDecomposition, alpha: float,
     if quad is None:
         quad = series_quadrature(dec)
     x_indices = np.atleast_1d(np.asarray(x_indices, dtype=int))
-    F, _, series = _representation_setup(dec, F, x_indices, quad)
+    F, series = _representation_setup(dec, F, x_indices, quad)
     support = np.flatnonzero(F != 0.0)
     if support.size == 0:
         raise ValueError("F vanishes identically; no source to expand around")

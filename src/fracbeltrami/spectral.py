@@ -15,9 +15,9 @@ the eigendecomposition of the symmetric matrix, which ``decompose`` reaches
 by the cheapest of its routes that the operator allows.  The Balakrishnan
 route and the jump-kernel route below are independent cross-checks of that
 calculus, not substitutes for it: both read one per-mode weight, the
-semigroup time integral of (e^{-t lam} - 1) t^{-1-a} by log-time
-quadrature, so comparing them with the spectral power tests lam^a by
-quadrature.
+semigroup time integral of (e^{-t lam} - 1) t^{-1-a} by the geometrically
+convergent rule ``LogQuadrature.semigroup``, so comparing them with the
+spectral power tests lam^a to roundoff.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
-import warnings
 
 import numpy as np
 
@@ -37,7 +36,6 @@ __all__ = [
     "SpectralDecomposition",
     "FracKernel",
     "DecompositionSizeError",
-    "QuadratureWindowWarning",
     "assemble_laplacian",
     "decompose",
     "heat_apply",
@@ -50,17 +48,10 @@ __all__ = [
 ]
 
 DEFAULT_EIG_CAP = 4096
-# how far the Balakrishnan window may fall short of the spectral time scales
-# [1/lam_max, 1/lam_1] before it is reported
-_WINDOW_SLACK = 10.0
 
 
 class DecompositionSizeError(ValueError):
     """Raised when a grid exceeds the dense eigendecomposition cap."""
-
-
-class QuadratureWindowWarning(UserWarning):
-    """The quadrature window does not bracket the spectral time scales."""
 
 
 @dataclasses.dataclass
@@ -596,53 +587,36 @@ def frac_energy_matrix(dec: SpectralDecomposition, alpha: float) -> np.ndarray:
     return 0.5 * (e + e.T)
 
 
-def _semigroup_weights(lam: np.ndarray, alpha: float,
-                       quad: LogQuadrature) -> np.ndarray:
-    """Per-mode eta_k ~ Gamma(-alpha) lam_k^alpha, the time integral
+def _semigroup_weights(lam: np.ndarray, alpha: float) -> np.ndarray:
+    """Per-mode eta_k = Gamma(-alpha) lam_k^alpha, the time integral
 
         int_0^inf (e^{-t lam} - 1) t^{-1-alpha} dt,
 
-    shared by the Balakrishnan operator and the jump kernel: log-time
-    quadrature on the window, with the ends completed per mode by the head
-    -lam t_min^{1-alpha}/(1-alpha) (e^{-t lam} - 1 ~ -t lam below t_min) and,
-    for lam > 0, the tail -t_max^{-alpha}/alpha.  The integrand is not small
-    at either window edge, so the error is second order in the log step:
-    at most 1.7e-6 relative for lam in [2.5, 400] at the default 400 nodes.
-    Warns when the window falls short of the spectral time scales
-    [1/lam_max, 1/lam_1].
+    shared by the Balakrishnan operator and the jump kernel.  In log-time
+    the integrand decays like -lam e^{(1-alpha) s} below the window and like
+    -e^{-alpha s} above it, the end rates of ``LogQuadrature.semigroup``, so
+    the weights converge geometrically: within 6e-15 relative for alpha in
+    [0.02, 0.98] and lam in [0.5, 4000], on 209 nodes.  The heat factor goes
+    through expm1: the window starts at lam t <= 1e-17, where
+    e^{-t lam} - 1 formed by subtraction keeps no digit.
     """
-    positive = lam[lam > 0]
-    if positive.size and (quad.t_min * positive[-1] > _WINDOW_SLACK
-                          or quad.t_max * positive[0] < 1.0 / _WINDOW_SLACK):
-        warnings.warn(
-            f"quadrature window [{quad.t_min:.2e}, {quad.t_max:.2e}] does not "
-            f"bracket the spectral time scales "
-            f"[{1.0 / positive[-1]:.2e}, {1.0 / positive[0]:.2e}] "
-            f"(slack {_WINDOW_SLACK})",
-            QuadratureWindowWarning, stacklevel=3)
-    eta = quad.moments(np.exp(-np.outer(lam, quad.nodes)) - 1.0, -1.0 - alpha)
-    eta -= lam * (quad.t_min ** (1.0 - alpha) / (1.0 - alpha))
-    eta[lam > 0] -= quad.t_max ** (-alpha) / alpha
-    return eta
+    quad = LogQuadrature.semigroup(lam, left=1.0 - alpha, right=alpha)
+    return quad.moments(np.expm1(-np.outer(lam, quad.nodes)), -1.0 - alpha)
 
 
 def frac_apply_balakrishnan(dec: SpectralDecomposition, alpha: float,
-                            u: np.ndarray,
-                            quad: LogQuadrature | None = None) -> np.ndarray:
+                            u: np.ndarray) -> np.ndarray:
     """A^alpha u via the semigroup integral
 
         A^alpha u = (1/Gamma(-alpha)) int_0^inf (e^{-tA} u - u) t^{-1-alpha} dt,
 
-    mode by mode: the coefficients of u are scaled by the quadrature weights
-    of ``_semigroup_weights`` (window part plus analytic head and tail per
-    mode) and divided by Gamma(-alpha).  The eigenpairs only carry the
-    semigroup; lam^alpha itself is never formed, so comparing with
+    mode by mode: the coefficients of u are scaled by the weights of
+    ``_semigroup_weights`` and divided by Gamma(-alpha).  The eigenpairs only
+    carry the semigroup; lam^alpha itself is never formed, so comparing with
     ``frac_apply_spectral`` tests the power by quadrature.
     """
     _check_alpha(alpha, allow_one=False)
-    if quad is None:
-        quad = LogQuadrature.log_uniform()
-    eta = _semigroup_weights(dec.eigenvalues, alpha, quad)
+    eta = _semigroup_weights(dec.eigenvalues, alpha)
     return dec.synthesize(dec.project(u) * eta) / math.gamma(-alpha)
 
 
@@ -658,7 +632,6 @@ class FracKernel:
     i_indices: np.ndarray
     j_indices: np.ndarray
     values: np.ndarray
-    window: tuple
     grid: TorusGrid
 
     def __len__(self) -> int:
@@ -666,8 +639,7 @@ class FracKernel:
 
 
 def jump_kernel(dec: SpectralDecomposition, alpha: float,
-                pairs: np.ndarray | None = None,
-                quad: LogQuadrature | None = None) -> FracKernel:
+                pairs: np.ndarray | None = None) -> FracKernel:
     """Jump kernel of A^alpha,
 
         K(z, x) = sqrt|g(z)| sqrt|g(x)| / (2 |Gamma(-alpha)|)
@@ -678,19 +650,16 @@ def jump_kernel(dec: SpectralDecomposition, alpha: float,
     Balakrishnan weights of ``_semigroup_weights``.  Off the diagonal the
     t-integral of p_t and that of p_t - p_0 agree, because
     sum_k phi_k(i) phi_k(j) vanishes there by completeness; the weights
-    integrate the difference, whose ends are completed analytically per
-    mode.  Below t_min, e^{-t lam} = 1 - t lam + O(t^2), so each mode loses
-    the head lam t_min^{1-alpha}/(1-alpha), and
-    sum_k lam_k phi_k(i) phi_k(j) = B_ij / (w_i w_j) is nonzero only for
-    stencil neighbours: the discrete kernel is linear in t below t_min (it
-    decays only polynomially, unlike its continuum counterpart), and this
-    completion makes the nonlocal energy form below agree with the spectral
-    pairing uniformly in the grid spacing.  On the periodic grid the kernel
-    reproduces the Euclidean power law at separations well inside a period.
+    integrate the difference over all of (0, inf).  For small t,
+    p_t(i, j) = -t B_ij / (w_i w_j) + O(t^2) is nonzero at first order only
+    for stencil neighbours: the discrete kernel is linear in t there (it
+    decays only polynomially, unlike its continuum counterpart), and the
+    left end sum of the weights carries that part, so the nonlocal energy
+    form below agrees with the spectral pairing to roundoff on every grid.
+    On the periodic grid the kernel reproduces the Euclidean power law at
+    separations well inside a period.
     """
     _check_alpha(alpha, allow_one=False)
-    if quad is None:
-        quad = LogQuadrature.log_uniform()
     m = dec.node_count
     if pairs is None:
         ii, jj = np.triu_indices(m, 1)
@@ -699,11 +668,13 @@ def jump_kernel(dec: SpectralDecomposition, alpha: float,
         ii, jj = pairs[:, 0], pairs[:, 1]
         if np.any(ii == jj):
             raise ValueError("jump kernel is defined for distinct node pairs")
+        if np.any(pairs < 0) or np.any(pairs >= m):
+            raise ValueError(f"pair indices must lie in [0, {m})")
     # evaluate on the canonical (low, high) ordering so K(i,j) == K(j,i)
     # bitwise, then report the caller's index order
     lo, hi = np.minimum(ii, jj), np.maximum(ii, jj)
 
-    eta = _semigroup_weights(dec.eigenvalues, alpha, quad)
+    eta = _semigroup_weights(dec.eigenvalues, alpha)
     prefactor = 1.0 / (2.0 * abs(math.gamma(-alpha)))
     s = dec.metric.sqrt_det
     if lo.size >= m:  # full (or near-full) pair sets: one dense product
@@ -713,7 +684,7 @@ def jump_kernel(dec: SpectralDecomposition, alpha: float,
         core = ((dec.basis[lo] * eta) * dec.basis[hi]).sum(axis=1)
     values = prefactor * s[lo] * s[hi] * core
     return FracKernel(alpha=alpha, i_indices=ii, j_indices=jj, values=values,
-                      window=(quad.t_min, quad.t_max), grid=dec.grid)
+                      grid=dec.grid)
 
 
 def energy_form(kernel: FracKernel, u: np.ndarray, v: np.ndarray) -> float:

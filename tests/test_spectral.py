@@ -31,7 +31,6 @@ from fracbeltrami import spectral
 from fracbeltrami.spectral import (
     DecompositionSizeError,
     DiscreteLaplaceBeltrami,
-    QuadratureWindowWarning,
     SpectralDecomposition,
     assemble_laplacian,
     decompose,
@@ -747,13 +746,14 @@ def test_balakrishnan_matches_spectral_identity(dec_1d_identity):
     w = dec_1d_identity.measure
     exact = frac_apply_spectral(dec_1d_identity, 0.5, u)
     approx = frac_apply_balakrishnan(dec_1d_identity, 0.5, u)
-    assert weighted_norm(approx - exact, w) < 1e-6 * weighted_norm(exact, w)
+    assert weighted_norm(approx - exact, w) < 1e-12 * weighted_norm(exact, w)
 
 
 @pytest.mark.parametrize("case, alpha", [
     pytest.param("dec_1d_bump", 0.25, id="0.25"),
     pytest.param("dec_1d_bump", 0.75, id="0.75"),
     *(pytest.param("dec_2d_pullback", a, id=f"2d-{a}") for a in (0.25, 0.5, 0.75)),
+    *(pytest.param("dec_1d_bump", a, id=f"{a}") for a in (0.05, 0.95)),
 ])
 def test_balakrishnan_matches_spectral_bump(request, case, alpha):
     dec = request.getfixturevalue(case)
@@ -762,22 +762,22 @@ def test_balakrishnan_matches_spectral_bump(request, case, alpha):
     w = dec.measure
     exact = frac_apply_spectral(dec, alpha, u)
     approx = frac_apply_balakrishnan(dec, alpha, u)
-    assert weighted_norm(approx - exact, w) < 1e-5 * weighted_norm(exact, w)
+    assert weighted_norm(approx - exact, w) < 1e-12 * weighted_norm(exact, w)
+
+
+@pytest.mark.parametrize("alpha", [0.02, 0.05, 0.25, 0.5, 0.75, 0.95, 0.98])
+def test_semigroup_weights_match_gamma_power(alpha):
+    # int_0^inf (e^{-lam t} - 1) t^{-1-a} dt = Gamma(-a) lam^a, over a
+    # spectrum spanning the 1-d and 2-d fixtures' range of lam_max/lam_1
+    lam = np.geomspace(0.5, 4000.0, 60)
+    eta = spectral._semigroup_weights(lam, alpha)
+    exact = math.gamma(-alpha) * lam ** alpha
+    assert np.abs(eta / exact - 1.0).max() <= 1e-13
 
 
 def test_balakrishnan_kills_constants(dec_1d_bump):
     out = frac_apply_balakrishnan(dec_1d_bump, 0.5, np.ones(16))
     np.testing.assert_allclose(out, 0.0, atol=1e-12)
-
-
-def test_balakrishnan_warns_on_narrow_window(dec_1d_identity):
-    quad = LogQuadrature.log_uniform(t_min=1.0, t_max=10.0, count=50)
-    # both semigroup routes share the guard, and it names the caller's line
-    with pytest.warns(QuadratureWindowWarning) as record:
-        frac_apply_balakrishnan(dec_1d_identity, 0.5, np.sin(np.arange(16.0)), quad)
-    with pytest.warns(QuadratureWindowWarning) as more:
-        jump_kernel(dec_1d_identity, 0.5, quad=quad)
-    assert {w.filename for w in [*record, *more]} == {__file__}
 
 
 # ----------------------------------------------------------------------
@@ -793,6 +793,13 @@ def test_jump_kernel_symmetric(dec_1d_bump):
 def test_jump_kernel_rejects_diagonal(dec_1d_bump):
     with pytest.raises(ValueError):
         jump_kernel(dec_1d_bump, 0.5, pairs=np.array([[3, 3]]))
+
+
+@pytest.mark.parametrize("pair", [[0, -1], [16, 3]])
+def test_jump_kernel_rejects_indices_off_the_grid(dec_1d_bump, pair):
+    # a negative index would wrap to K(0, 15) and be recorded as j = -1
+    with pytest.raises(ValueError, match="pair indices"):
+        jump_kernel(dec_1d_bump, 0.5, pairs=[pair])
 
 
 @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
@@ -832,17 +839,25 @@ def test_jump_kernel_euclidean_decay_1d():
 @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
 @pytest.mark.parametrize("case", ["dec_1d_bump", "dec_2d_pullback"])
 def test_jump_kernel_reads_no_dense_form(request, monkeypatch, case, alpha):
-    # Oracle: the per-mode core minus the head completion read from dense B,
-    # -B_ij h^{-2 dim} t_min^{1-a}/(1-a) off the diagonal.  The kernel must
-    # give the same values from the eigenpairs alone.
+    # Oracle: the rule's sum of (e^{-lam t} - 1) t^{-1-a}, split into the
+    # remainder e^{-lam t} - 1 + lam t, summed per mode, and the linear part
+    # -lam t, whose mode sum off the diagonal is read from dense B,
+    # s_i s_j sum_k lam_k phi_k(i) phi_k(j) = B_ij h^{-2 dim}.  The weights
+    # are restated here: the window trapezoid, plus the end sums
+    # (h/2) coth(c h/2) at the rates c = 1 - a (left) and a (right).  The
+    # kernel must give the same values from the eigenpairs alone.
     dec = request.getfixturevalue(case)
     grid, m = dec.grid, dec.node_count
     if case == "dec_2d_pullback":  # cross-term neighbours carry weight
         assert np.abs(dec.metric.inverse_tensor[:, 0, 1]).max() > 0.1
-    quad = LogQuadrature.log_uniform()
-    t = quad.nodes
-    eta = np.exp(-np.outer(dec.eigenvalues, t)) @ (quad.weights * t ** (-1.0 - alpha))
-    eta[dec.eigenvalues == 0] += quad.t_max ** (-alpha) / alpha
+    t = LogQuadrature.semigroup(dec.eigenvalues, 1.0 - alpha, alpha).nodes
+    step = math.log(t[1] / t[0])
+    weights = step * t
+    weights[[0, -1]] *= [0.5 + 0.5 / math.tanh(0.5 * c * step)
+                         for c in (1.0 - alpha, alpha)]
+    lam_t = np.outer(dec.eigenvalues, t)
+    eta = (np.expm1(-lam_t) + lam_t) @ (weights * t ** (-1.0 - alpha))
+    linear = weights @ t ** (-alpha)
     form = dec.operator.form_matrix
     s = dec.metric.sqrt_det
     prefactor = 1.0 / (2.0 * abs(math.gamma(-alpha)))
@@ -855,8 +870,7 @@ def test_jump_kernel_reads_no_dense_form(request, monkeypatch, case, alpha):
     expected = []
     for _, lo, hi in cases:
         core = ((dec.basis[lo] * eta) * dec.basis[hi]).sum(axis=1)
-        head = (form[lo, hi] * (quad.t_min ** (1.0 - alpha) / (1.0 - alpha))
-                / grid.spacing ** (2 * grid.dim))
+        head = form[lo, hi] * linear / grid.spacing ** (2 * grid.dim)
         expected.append(prefactor * (s[lo] * s[hi] * core - head))
 
     def no_dense_form(self):
@@ -888,9 +902,9 @@ def test_energy_form_symmetric_nonnegative(dec_1d_bump):
 
 @pytest.mark.parametrize("N", [16, 32])
 def test_energy_form_agrees_with_spectral_pairing(N):
-    # E(u, v) = <A^a u, v>_w holds at quadrature accuracy on every grid
-    # (the kernel completions make the defect h-independent), so refinement
-    # keeps the agreement instead of revealing a discretization order.
+    # E(u, v) = <A^a u, v>_w holds to roundoff on every grid (the left end
+    # sum carries the kernel's linear-in-t part), so refinement keeps the
+    # agreement instead of revealing a discretization order.
     grid = build_grid(1, 4.0, N)
     met = make_metric(grid, ConformalBump(1, beta=0.6, sigma=0.5, center=(2.0,), r0=1.5))
     dec = decompose(assemble_laplacian(met))
@@ -901,7 +915,7 @@ def test_energy_form_agrees_with_spectral_pairing(N):
         kernel = jump_kernel(dec, alpha)
         lhs = energy_form(kernel, u, v)
         rhs = weighted_inner(frac_apply_spectral(dec, alpha, u), v, met.measure())
-        assert lhs == pytest.approx(rhs, rel=5e-6)
+        assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
 def test_energy_dominates_fourier_seminorm():
@@ -928,10 +942,11 @@ def test_energy_dominates_fourier_seminorm():
 
 
 def test_log_uniform_window():
-    quad = LogQuadrature.log_uniform()
+    quad = LogQuadrature.log_uniform(1e-8, 1e4, 400)
     assert quad.t_min == pytest.approx(1e-8)
     assert quad.t_max == pytest.approx(1e4)
     assert len(quad) == 400
+    np.testing.assert_allclose(np.diff(np.log(quad.nodes)), math.log(1e12) / 399)
 
 
 def test_log_uniform_integrates_power_law():
@@ -973,8 +988,12 @@ def test_moments_match_direct_sum():
         dict(t_min=1e-3, t_max=1e-4, count=50),  # reversed window
         dict(t_min=0.0, t_max=1.0, count=50),
         dict(t_min=1e-3, t_max=1.0, count=1),
+        dict(t_min=1e-3, t_max=math.inf, count=50),
+        # node sets go to the constructor
+        dict(nodes=[1.0, 2.0, math.nan], weights=[1.0, 1.0, 1.0]),
     ],
 )
 def test_log_uniform_rejects_bad_windows(kwargs):
+    build = LogQuadrature if "nodes" in kwargs else LogQuadrature.log_uniform
     with pytest.raises(ValueError):
-        LogQuadrature.log_uniform(**kwargs)
+        build(**kwargs)

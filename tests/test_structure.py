@@ -7,7 +7,9 @@ module hands it samples and exponents instead of contracting
 which picks the cheapest route an operator allows: only ``spectral.py``
 calls ``eigh``.  Discrete Fourier transforms stay there too, where the
 closed form reads the symbol: only ``spectral.py`` names ``fft``; the
-Fourier modes themselves are ``spectral._axis_modes``.
+Fourier modes themselves are ``spectral._axis_modes``.  Heat factors minus
+one go through ``expm1``: the semigroup windows start at lam t ~ 1e-17,
+where ``exp(x) - 1`` formed by subtraction keeps no digit.
 """
 
 import ast
@@ -73,3 +75,31 @@ def test_fft_guard_sees_both_spellings():
     for source in ("np.fft.fftn(a)", "from numpy.fft import fftn",
                    "from numpy import fft"):
         assert _naming_lines(ast.parse(source), "fft") == [1]
+
+
+def _exp_minus_one_lines(tree):
+    """Lines that spell ``exp(...) - 1``, through a module or a bare name."""
+    lines = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+                and isinstance(node.left, ast.Call)
+                and isinstance(node.right, ast.Constant)
+                and node.right.value == 1):
+            continue
+        func = node.left.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if name == "exp":
+            lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_exp_minus_one(path):
+    lines = _exp_minus_one_lines(ast.parse(path.read_text(), filename=str(path)))
+    assert not lines, (f"{path.name} spells `exp(...) - 1` at lines {lines}; "
+                       "use np.expm1 instead")
+
+
+def test_exp_minus_one_guard_sees_both_spellings():
+    for source in ("np.exp(-x) - 1.0", "exp(x) - 1"):
+        assert _exp_minus_one_lines(ast.parse(source)) == [1]
