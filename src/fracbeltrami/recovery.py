@@ -608,7 +608,8 @@ def dtn_difference_experiment(alpha: float, region: RegionSpec, profile_a,
     each datum on every grid, so node-aligned arrays cannot travel between
     sizes.  The profiles must agree node-exactly on the exterior of every
     grid -- otherwise the defect mixes interior structure with trivially
-    different boundary data and the experiment means nothing.
+    different boundary data and the experiment means nothing.  ``sizes``
+    must strictly increase: a ladder that does not refine judges nothing.
 
     Each size measures the partial map of each metric as its |W2| x |W1|
     matrix Lambda (``exterior.dtn_matrix``): metric a is decomposed, its
@@ -620,6 +621,9 @@ def dtn_difference_experiment(alpha: float, region: RegionSpec, profile_a,
     _check_alpha(alpha, allow_one=False)
     if len(sizes) < 2:
         raise ValueError("need at least two grid sizes to judge refinement")
+    if any(coarse >= fine for coarse, fine in zip(sizes, sizes[1:])):
+        raise ValueError(f"grid sizes must strictly increase to judge "
+                         f"refinement, got {tuple(sizes)}")
     if not f_list:
         raise ValueError("need at least one datum")
     for f in f_list:

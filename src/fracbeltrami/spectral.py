@@ -252,25 +252,33 @@ def decompose(op: DiscreteLaplaceBeltrami,
        and a constant C_01 != 0 adds a term odd in each frequency
        separately (even only under theta -> -theta as a whole), which
        mixes the cosine and the sine of one axis, so no tensor product of
-       real per-axis modes diagonalises A.  Such an operator takes the
-       transposition route if C_00 = C_11 and the dense route otherwise.
-    2. Two half-size eigensolves.  In 2-d, if the operator is invariant
-       under the grid transposition tau (i, j) -> (j, i), that is
-
-           C(tau n) = P C(n) P  and  w(tau n) = w(n)
-
-       at every node n, with P the swap of the two axes, to within
-       ``_TRANSPOSE_ULPS`` units of roundoff of max|C| and max w, then
-       S = W^{-1/2} B W^{-1/2} commutes with tau and splits into an even
-       block on the N diagonal nodes and N(N-1)/2 node pairs and an odd
-       block on the pairs; see :func:`_transposition_eigenpairs`.  Every
-       profile centred on the grid diagonal and invariant under swapping
-       the coordinates qualifies (the radial bumps, their pullbacks by a
-       radial squash); the pullback misses bitwise symmetry by up to 1.75
-       units of roundoff (its tensors come out of an einsum whose summation
-       order differs between (x, y) and (y, x)), hence the tolerance.
-       ``AnisotropicBump`` and bumps centred off the diagonal miss it by
-       O(1).
+       real per-axis modes diagonalises A.  Such operators take one of the
+       routes below.
+    2. Symmetry blocks.  In 2-d, three node permutations are candidate
+       symmetries: the mirrors sigma0 (i, j) -> (-i, j) and
+       sigma1 (i, j) -> (i, -j), indices modulo N, and the transposition
+       tau (i, j) -> (j, i).  One holds if it maps B's stencil entries and
+       w onto themselves to within ``_SYMMETRY_ULPS`` units of roundoff of
+       max|B| and max w.  B is checked, never C: a mirror turns the forward
+       difference D+ into -D-, so the pullback of a centred bump by a radial
+       squash has a C that is mirror-invariant to 7e-16 and a B that misses
+       the mirrors by 0.26 max|B|.  S = W^{-1/2} B W^{-1/2} then commutes
+       with the group G that the holding symmetries generate and splits
+       into one block per irreducible representation of G (Bossavit,
+       Comput. Methods Appl. Mech. Engrg. 1986; Fassler and Stiefel,
+       Group Theoretical Methods and Their Applications, 1992); see
+       :func:`_symmetry_blocks` and :func:`_block_eigenpairs`.
+       - The centred conformal bump (C = I) holds all three, and G is the
+         dihedral group D4 of the square.  The blocks of its four 1-d
+         representations have sizes (N^2 + 6N + 8)/8, (N^2 - 6N + 8)/8,
+         (N^2 + 2N)/8 and (N^2 - 2N)/8, and that of its 2-d one
+         (N^2 - 4)/4, solved once for both of its sets of modes: at
+         N = 48, 325, 253, 300, 276 and 575, against M = 2304.
+       - The bump's pullback by a radial squash holds tau alone: blocks of
+         N(N+1)/2 and N(N-1)/2.
+       - A conformal bump centred on one mirror axis only holds that
+         mirror: blocks of N(N+2)/2 and N(N-2)/2.
+       ``AnisotropicBump`` and bumps centred elsewhere hold none.
     3. Otherwise, a dense symmetric eigendecomposition of S.
 
     Cost is memory as much as time: every M x M float64 matrix takes
@@ -278,14 +286,15 @@ def decompose(op: DiscreteLaplaceBeltrami,
     at about five of them -- S, numpy's working copy of it, the
     eigenvectors and the 2 M^2 workspace of LAPACK's divide and conquer;
     its scaling and sign steps work on rows and row blocks and add no
-    M x M temporary.  The transposition route forms no M x M matrix
-    before the basis: it sums its two blocks (about M/2 square, a quarter
-    of S, each) from the stencil entries, so it peaks near one block's
-    eigensolve, or the basis plus the blocks' eigenvectors.  Measured at
-    M = 2304 (x86-64, numpy 2.4, OpenBLAS at 2 threads), the peak resident
-    set rises 207 MiB above the caller's for the dense route, 93 MiB for
-    the transposition route and 44 MiB for the closed form (its basis and
-    two N x M per-axis tables).
+    M x M temporary.  The block route forms no M x M matrix but the basis:
+    it sums its blocks from the stencil entries and fills the basis from
+    their eigenvectors one block of rows at a time.  Measured at M = 2304
+    (x86-64, numpy 2.4, OpenBLAS at 2 threads), the peak resident set
+    rises 207 MiB above the caller's for the dense route, 105 MiB for the
+    transposition blocks, 53 MiB for the dihedral blocks and 44 MiB for the
+    closed form (its basis and two N x M per-axis tables).  With glibc's
+    mmap threshold fixed at 128 KiB, so that every freed block leaves the
+    heap, the two block routes rise 68 and 51 MiB.
 
     Every route holds an M x M basis, so every route obeys ``cap``, and all
     share the zero snap and sign convention of :func:`_finish_eigenpairs`.
@@ -304,8 +313,8 @@ def decompose(op: DiscreteLaplaceBeltrami,
     if (np.all(op.coefficients == c) and np.array_equal(c, np.diag(np.diag(c)))
             and np.all(w == w[0])):
         evals, evecs = _fourier_eigenpairs(op, w[0])
-    elif _transposition_invariant(op):
-        evals, evecs = _transposition_eigenpairs(op, root_w)
+    elif blocks := _symmetry_blocks(op):
+        evals, evecs = _block_eigenpairs(op, root_w, blocks)
     else:
         # the freshly assembled B, symmetric to the bit, is scaled in place,
         # one row at a time, to S = W^{-1/2} B W^{-1/2}, also symmetric
@@ -319,107 +328,159 @@ def decompose(op: DiscreteLaplaceBeltrami,
         basis=evecs, operator=op)
 
 
-# how far, in units of roundoff of max|C| and max w, a 2-d operator may miss
-# transposition symmetry and still take the two-block route.  The pullback
-# of a radial bump by a radial squash misses it by at most 1.75 units in
-# every case measured (the gauge pair at N <= 48, the 2-d property tests'
-# range at N = 12 and 16); an operator that is not symmetric misses it by
-# O(1) relative.
-_TRANSPOSE_ULPS = 8.0
+# how far, in units of roundoff of max|B| and max w, a 2-d operator may miss
+# a grid symmetry (sigma0, sigma1 or tau) and still take the block route.
+# Measured misses of B's stencil entries and of w, in those units:
+# - the centred conformal bump misses the mirrors by at most 0.125 and 2.25
+#   (the benchmark's bumps at N = 24, 32 and 48; 0.5 and 2.53 over the 2-d
+#   property tests' range at N = 12 and 16), and tau by 0;
+# - its pullback by a radial squash misses tau by at most 1.68 and 0.57
+#   (0.92 and 0.69 over that range): its tensors come out of an einsum
+#   whose summation order differs between (x, y) and (y, x).
+# An operator without the symmetry misses it by O(1) relative: that
+# pullback misses the mirrors by 0.26 max|B|, although its C, read as a
+# tensor, misses them by only 7e-16 relative.
+_SYMMETRY_ULPS = 8.0
 
 
-def _transposition_invariant(op: DiscreteLaplaceBeltrami) -> bool:
-    """Whether C(tau n) = P C(n) P and w(tau n) = w(n) within the tolerance
-    ``_TRANSPOSE_ULPS``; always False outside 2-d."""
-    if op.grid.dim != 2:
-        return False
-    n = op.grid.points_per_side
-    tau = np.arange(n * n).reshape(n, n).T.ravel()  # node (j, i) at (i, j)
-    c, w = op.coefficients, op.measure.node_weights
-    tol = _TRANSPOSE_ULPS * np.finfo(float).eps
-    return bool(np.abs(c[tau] - c[:, ::-1, ::-1]).max() <= tol * np.abs(c).max()
-                and np.abs(w[tau] - w).max() <= tol * w.max())
+def _grid_symmetries(n: int) -> list[np.ndarray]:
+    """sigma0, sigma1 and tau of the N x N grid, each as the node
+    permutation p that maps node n to node p[n]."""
+    i, j = np.indices((n, n))
+    return [np.ravel_multi_index(image, (n, n)).ravel()
+            for image in (((-i) % n, j), (i, (-j) % n), (j, i))]
 
 
-def _transposition_eigenpairs(op: DiscreteLaplaceBeltrami,
-                              root_w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of a transposition-invariant S from two half-size blocks.
+def _symmetry_blocks(op: DiscreteLaplaceBeltrami
+                     ) -> list[tuple[list[np.ndarray], tuple, list[np.ndarray]]]:
+    """The blocks of S under the grid symmetries of the operator, or [].
 
-    The nodes fall into the N diagonal nodes d = (i, i) and the pairs
-    {p, tau p} with p = (i, j), i < j.  In the orthonormal basis of
-
-        even:  e_d,  (e_p + e_{tau p}) / sqrt 2,
-        odd:   (e_p - e_{tau p}) / sqrt 2,
-
-    the tau-average S~ = (S + tau S tau) / 2 is block diagonal:
-
-        even block  [[S~_dd,            sqrt 2 S~_{d p}],
-                     [sqrt 2 S~_{p d},  S~_{p q} + S~_{p, tau q}]],
-        odd block   S~_{p q} - S~_{p, tau q},
-
-    of sizes N(N+1)/2 and N(N-1)/2.  Both blocks are summed straight from
-    the stencil entries of S (:meth:`DiscreteLaplaceBeltrami._form_entries`),
-    so no M x M matrix is formed before the basis.  The eigenvalues of the
-    two blocks are merged by a stable ascending sort (even before odd on
-    ties), and the eigenvectors are scattered into the M x M basis: v on
-    the diagonal rows, v / sqrt 2 on both rows of a pair for an even mode,
-    +v / sqrt 2 on p and -v / sqrt 2 on tau p for an odd one.
+    A symmetry p holds if B_{p r, p c} = B_rc over the stencil entries
+    (:meth:`DiscreteLaplaceBeltrami._form_entries`, every (r, c) once) and
+    w_{p n} = w_n, within ``_SYMMETRY_ULPS``.  Each block is (generators,
+    signs, copies): the node permutations that generate its group, the
+    value of its character on each of them, and the row permutations at
+    which its eigenvectors are read, one set of modes per copy.  A group
+    of commuting involutions (one mirror, both, or tau alone) has one block
+    per sign pattern.  Tau with a mirror generates D4, since it conjugates
+    one mirror into the other.  D4's four 1-d representations are the sign
+    patterns with equal signs on the mirrors.  Its 2-d one, E, is the block
+    of the mirror group's pattern (+1, -1): tau maps it onto the pattern
+    (-1, +1), so the block's eigenvectors read at tau-permuted rows are E's
+    partner modes.
     """
-    n, m = op.grid.points_per_side, op.grid.node_count
-    index = np.arange(m).reshape(n, n)
-    diag = np.diagonal(index)
-    upper, lower = index[np.triu_indices(n, 1)], index.T[np.triu_indices(n, 1)]
-    n_even, n_odd = n + upper.size, upper.size
-    even_of = np.empty(m, dtype=np.intp)  # even-block row of every node
-    even_of[diag] = np.arange(n)
-    even_of[upper] = even_of[lower] = np.arange(n, n_even)
-    odd_of = np.zeros(m, dtype=np.intp)   # odd-block row of a pair node
-    odd_of[upper] = odd_of[lower] = np.arange(n_odd)
-    sign = np.zeros(m)
-    sign[upper], sign[lower] = 1.0, -1.0
+    if op.grid.dim != 2:
+        return []
+    m = op.grid.node_count
+    rows, cols, values = op._form_entries()
+    keys = rows * m + cols
+    order = np.argsort(keys)
+    w = op.measure.node_weights
+    tol = _SYMMETRY_ULPS * np.finfo(float).eps
 
+    def holds(p: np.ndarray) -> bool:
+        image = order[np.searchsorted(keys, p[rows] * m + p[cols], sorter=order)]
+        return bool(np.abs(values[image] - values).max()
+                    <= tol * np.abs(values).max()
+                    and np.abs(w[p] - w).max() <= tol * w.max())
+
+    identity = np.arange(m)
+    sigma0, sigma1, tau = _grid_symmetries(op.grid.points_per_side)
+    mirrors = [p for p in (sigma0, sigma1) if holds(p)]
+    tau_holds = holds(tau)
+    if tau_holds and mirrors:
+        return [([sigma0, sigma1, tau], (a, a, b), [identity])
+                for a, b in itertools.product((1.0, -1.0), repeat=2)
+                ] + [([sigma0, sigma1], (1.0, -1.0), [identity, tau])]
+    generators = mirrors or ([tau] if tau_holds else [])
+    return [(generators, signs, [identity])
+            for signs in itertools.product((1.0, -1.0), repeat=len(generators))
+            ] if generators else []
+
+
+def _orbit_basis(generators: list[np.ndarray], signs: tuple
+                 ) -> tuple[np.ndarray, np.ndarray, int]:
+    """The orthonormal basis of one character's block, node by node.
+
+    The group's elements are the products of the generators over all their
+    subsets (commuting involutions, or sigma0, sigma1 and tau, whose eight
+    such products are D4), the character chi of each the product of the
+    signs.  For the orbit O of node n, sum_g chi(g) e_{g n} is zero unless
+    chi is 1 on the stabiliser of n, and otherwise a multiple of
+    u_O = sum_{m in O} c_m e_m with c_m = +-1/sqrt|O|.  Returns per node m
+    the block row of its orbit (ordered by the orbit's smallest node), c_m
+    (0 on the orbits without a vector) and the block size.
+    """
+    perms, chars = [np.arange(generators[0].size)], [1.0]
+    for gen, sign in zip(generators, signs):
+        perms += [gen[p] for p in perms]
+        chars += [sign * c for c in chars]
+    perms = np.array(perms)
+    rep = perms.min(axis=0)  # the smallest node of each orbit
+    reps = np.flatnonzero(rep == np.arange(rep.size))
+    coef = np.bincount(perms[:, reps].ravel(), minlength=rep.size,
+                       weights=np.repeat(chars, reps.size))
+    norm2 = np.bincount(rep, weights=coef ** 2, minlength=rep.size)
+    live = coef != 0.0
+    index = np.where(live, np.cumsum(norm2 > 0.0)[rep] - 1, 0)
+    coef[live] /= np.sqrt(norm2[rep[live]])
+    return index, coef, int(np.count_nonzero(norm2))
+
+
+def _block_eigenpairs(op: DiscreteLaplaceBeltrami, root_w: np.ndarray,
+                      blocks: list) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of S from its symmetry blocks (:func:`_symmetry_blocks`).
+
+    In a block's basis u_O (:func:`_orbit_basis`) its matrix is
+    K_OP = u_O' S u_P, the sum of c_r c_c S_rc over the stencil entries
+    (r, c) with r in O and c in P, so it is summed from the entries with
+    ``np.bincount`` and no M x M matrix is formed before the basis.  K is
+    the block of the G-average of S, which is S itself for an exactly
+    invariant operator.  An eigenvector v of K is the node vector
+    x_m = c_m v_{row of m}, read once per copy of the block at the copy's
+    row permutation.  The basis is filled in block order, one block's
+    eigenvectors at a time, each dropped once written; the eigenvalues of
+    all copies are merged by a stable ascending sort (block order on ties)
+    and the basis columns sorted to match, one block of rows at a time, so
+    no M x M temporary is formed.  An empty block ((N^2 - 6N + 8)/8 = 0 at
+    N = 4) is skipped.
+    """
     rows, cols, values = op._form_entries()
     values /= root_w[rows] * root_w[cols]
-    # sums of S over the tau-orbits of (row, col); the pair sums are twice
-    # S~, hence the factors sqrt(1/2) and 1/2 below
-    even = np.bincount(even_of[rows] * n_even + even_of[cols], weights=values,
-                       minlength=n_even * n_even).reshape(n_even, n_even)
-    values *= sign[rows] * sign[cols]  # zero unless both nodes are in pairs
-    odd = np.bincount(odd_of[rows] * n_odd + odd_of[cols], weights=values,
-                      minlength=n_odd * n_odd).reshape(n_odd, n_odd)
+    evals, solved = [], []
+    for generators, signs, copies in blocks:
+        index, coef, k = _orbit_basis(generators, signs)
+        if k:  # summed just before its eigensolve: one block alive at a time
+            vals, vecs = np.linalg.eigh(np.bincount(
+                index[rows] * k + index[cols], minlength=k * k,
+                weights=values * (coef[rows] * coef[cols])).reshape(k, k))
+            evals += [vals] * len(copies)
+            solved.append((vecs, index, coef, copies))
     del rows, cols, values
-    even[:n, n:] *= math.sqrt(0.5)
-    even[n:, :n] *= math.sqrt(0.5)
-    even[n:, n:] *= 0.5
-    odd *= 0.5
-    even_vals, even_vecs = np.linalg.eigh(even)
-    del even
-    odd_vals, odd_vecs = np.linalg.eigh(odd)
-    del odd
-
-    # the basis in block order (even, then odd), then its columns sorted by
-    # eigenvalue one block of rows at a time
+    m = root_w.size
     basis = np.empty((m, m))
-    basis[diag, :n_even] = even_vecs[:n]
-    basis[diag, n_even:] = 0.0
-    even_vecs[n:] *= math.sqrt(0.5)
-    basis[upper, :n_even] = basis[lower, :n_even] = even_vecs[n:]
-    del even_vecs
-    odd_vecs *= math.sqrt(0.5)
-    basis[upper, n_even:] = odd_vecs
-    basis[lower, n_even:] = np.negative(odd_vecs, out=odd_vecs)
-    del odd_vecs
-    evals = np.concatenate([even_vals, odd_vals])
+    start = 0
+    while solved:  # each block's eigenvectors are dropped once written
+        vecs, index, coef, copies = solved.pop(0)
+        for p in copies:
+            for r0 in range(0, m, _BLOCK):
+                nodes = p[r0:r0 + _BLOCK]
+                np.multiply(vecs[index[nodes]], coef[nodes, None],
+                            out=basis[r0:r0 + _BLOCK, start:start + len(vecs)])
+            start += len(vecs)
+        del vecs
+    evals = np.concatenate(evals)
     order = np.argsort(evals, kind="stable")
-    for r0 in range(0, m, _BLOCK):
-        basis[r0:r0 + _BLOCK] = basis[r0:r0 + _BLOCK, order]
+    for r0 in range(0, m, _BLOCK):  # order is a permutation: no bounds check
+        basis[r0:r0 + _BLOCK] = np.take(basis[r0:r0 + _BLOCK], order, axis=1,
+                                        mode="clip")
     return evals[order], basis
 
 
-# rows per block of the sign step (and of the column sort of the
-# transposition route's basis).  A freed block stays in the heap,
-# resident, through the next eigensolve; at 64 (a 1.2 MB row block at
-# M = 2304) later blocks reuse it and the peak stays that of the eigensolve.
+# rows per block of the sign step and of the block route's basis fill and
+# column sort.  A freed block stays in the heap, resident, through the next
+# eigensolve; at 64 (a 1.2 MB row block at M = 2304) later blocks reuse it
+# and the peak stays that of the eigensolve.
 _BLOCK = 64
 
 

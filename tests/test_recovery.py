@@ -627,22 +627,30 @@ def test_2d_experiment_matches_per_datum_records(pair):
 
 def test_euclidean_reference_needs_no_eigensolve(monkeypatch):
     # the identity metric has the same stencil and weight at every node, so
-    # only BASE_2D is decomposed by eigensolves; it is centred on the grid
-    # diagonal, so each size takes the even and the odd transposition block,
-    # N(N+1)/2 and N(N-1)/2
+    # only BASE_2D is decomposed by eigensolves; it is a conformal bump
+    # centred on the grid's mirror axes and diagonal, so each size takes
+    # the five dihedral blocks, (N^2 + 6N + 8)/8, (N^2 - 6N + 8)/8,
+    # (N^2 + 2N)/8, (N^2 - 2N)/8 and (N^2 - 4)/4
     eigh = np.linalg.eigh
     calls = []
     monkeypatch.setattr(np.linalg, "eigh",
                         lambda a: calls.append(a.shape[0]) or eigh(a))
     dtn_difference_experiment(ALPHA, REGION_2D, BASE_2D, IdentityMetric(dim=2),
                               DATA_2D, side_length=SIDE, sizes=(12, 16))
-    assert calls == [78, 66, 136, 120]
+    assert len(calls) == 10
+    assert sorted(calls[:5]) == [10, 15, 21, 28, 35]
+    assert sorted(calls[5:]) == [21, 28, 36, 45, 63]
 
 
 def test_experiment_validation():
     with pytest.raises(ValueError, match="two grid sizes"):
         dtn_difference_experiment(ALPHA, REGION, BASE_1D, BASE_1D, DATA_1D,
                                   side_length=SIDE, sizes=(32,))
+    # a ladder that does not refine judges nothing
+    for sizes in ((24, 24), (32, 16), (16, 32, 32)):
+        with pytest.raises(ValueError, match="strictly increase"):
+            dtn_difference_experiment(ALPHA, REGION, BASE_1D, BASE_1D, DATA_1D,
+                                      side_length=SIDE, sizes=sizes)
     with pytest.raises(ValueError, match="at least one datum"):
         dtn_difference_experiment(ALPHA, REGION, BASE_1D, BASE_1D, [],
                                   side_length=SIDE)

@@ -300,55 +300,80 @@ def _pinned_dense(op):
     return evals, evecs * signs / root_w[:, None]
 
 
-def _counted_decompose(monkeypatch, op):
+def _counted_decompose(op):
     """decompose(op) and the sizes of the eigensolves it ran."""
     eigh = np.linalg.eigh
     calls = []
-    monkeypatch.setattr(np.linalg, "eigh",
-                        lambda a: calls.append(a.shape[0]) or eigh(a))
-    dec = decompose(op)
-    monkeypatch.undo()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np.linalg, "eigh",
+                      lambda a: calls.append(a.shape[0]) or eigh(a))
+        dec = decompose(op)
     return dec, calls
 
 
-def _block_sizes(n):
+def _transposition_block_sizes(n):
     """Sizes of the even and odd transposition blocks of an N x N grid."""
-    return [n * (n + 1) // 2, n * (n - 1) // 2]
+    return sorted([n * (n + 1) // 2, n * (n - 1) // 2])
 
 
-@pytest.mark.parametrize("dim, n, profile, dense", [
-    (1, 16, BUMP_1D, True),
-    (2, 12, ANISO_2D, True),
-    (2, 12, dataclasses.replace(BUMP_2D, center=(2.0, 1.5)), True),
-    (2, 16, BUMP_2D, False),
-    (2, 16, PULLBACK_2D, False),
-    (2, 12, ConstantProfile(((1.3, 0.4), (0.4, 0.9))), True),
-    (2, 12, ConstantProfile(((1.2, 0.3), (0.3, 1.2))), False),
+def _mirror_block_sizes(n):
+    """Sizes of the even and odd blocks of one mirror of an N x N grid."""
+    return sorted([n * (n + 2) // 2, n * (n - 2) // 2])
+
+
+def _dihedral_block_sizes(n):
+    """Sizes of the eigensolves of a D4-invariant operator on an N x N grid,
+    ascending: the blocks of D4's four 1-d representations and the block of
+    its 2-d one, solved once for both of its sets of modes.  An empty block
+    ((N^2 - 6N + 8)/8 = 0 at N = 4) runs no eigensolve."""
+    sizes = [(n * n + 6 * n + 8) // 8, (n * n - 6 * n + 8) // 8,
+             (n * n + 2 * n) // 8, (n * n - 2 * n) // 8, (n * n - 4) // 4]
+    assert sum(sizes) + sizes[-1] == n * n  # the 2-d representation twice
+    return sorted(size for size in sizes if size)
+
+
+@pytest.mark.parametrize("dim, n, profile, sizes", [
+    (1, 16, BUMP_1D, None),
+    (2, 12, ANISO_2D, None),
+    (2, 12, dataclasses.replace(BUMP_2D, center=(2.0, 1.5)),
+     _mirror_block_sizes),
+    (2, 16, BUMP_2D, _dihedral_block_sizes),
+    (2, 4, BUMP_2D, _dihedral_block_sizes),
+    (2, 6, BUMP_2D, _dihedral_block_sizes),
+    (2, 10, BUMP_2D, _dihedral_block_sizes),
+    (2, 16, PULLBACK_2D, _transposition_block_sizes),
+    (2, 12, ConstantProfile(((1.3, 0.4), (0.4, 0.9))), None),
+    (2, 12, ConstantProfile(((1.2, 0.3), (0.3, 1.2))),
+     _transposition_block_sizes),
 ], ids=["bump-1d", "aniso-2d", "conformal-off-diagonal", "conformal-2d",
+        "conformal-2d-4", "conformal-2d-6", "conformal-2d-10",
         "pullback-2d", "constant-cross-2d", "constant-cross-symmetric-2d"])
-def test_decompose_pins_dense_reference(monkeypatch, dim, n, profile, dense):
-    # the dense route (1-d, the anisotropic bump along axis 0, a bump
-    # centred off the grid diagonal, a constant metric with a cross term
-    # and unequal diagonal, which no tensor product of per-axis Fourier
-    # modes diagonalises) is one eigensolve of size M, pinned to the last
-    # bit.  A transposition-invariant operator (the centred conformal bump,
-    # its pullback, a constant metric with a cross term and equal diagonal)
-    # takes two half-size eigensolves, whose eigenpairs match the dense
-    # ones to roundoff (eigenspaces are degenerate, so the bases differ)
+def test_decompose_pins_dense_reference(dim, n, profile, sizes):
+    # the dense route (1-d, the anisotropic bump along axis 0, a constant
+    # metric with a cross term and unequal diagonal, which no tensor product
+    # of per-axis Fourier modes diagonalises) is one eigensolve of size M,
+    # pinned to the last bit.  An operator with grid symmetries takes one
+    # eigensolve per symmetry block, and its eigenpairs match the dense ones
+    # to roundoff (eigenspaces are degenerate, so the bases differ): the
+    # centred conformal bump holds both mirrors and the transposition (D4;
+    # N = 4 has an empty block, N = 6 and 10 are 2 mod 4), a bump centred
+    # on one mirror axis only that mirror, the pullback and a constant
+    # metric with a cross term and equal diagonal only the transposition
     grid = build_grid(dim, 4.0, n)
     op = assemble_laplacian(make_metric(grid, profile))
     if profile is BUMP_2D:
-        # a 2-d conformal metric has the same stencil at every node but not
-        # the same weight: it must not take the closed-form route
-        assert np.all(op.coefficients == op.coefficients[0])
-    dec, calls = _counted_decompose(monkeypatch, op)
+        # a 2-d conformal metric has the same stencil at every node (to
+        # roundoff) but not the same weight: it must not take the
+        # closed-form route
+        assert np.abs(op.coefficients - np.eye(2)).max() <= 2e-16
+    dec, calls = _counted_decompose(op)
     evals, basis = _pinned_dense(op)
-    if dense:
+    if sizes is None:
         assert calls == [grid.node_count]
         assert np.array_equal(dec.eigenvalues, evals)
         assert np.array_equal(dec.basis, basis)
         return
-    assert calls == _block_sizes(n)
+    assert sorted(calls) == sizes(n)
     lam_max = float(evals[-1])
     w = op.measure.node_weights
     assert dec.eigenvalues[0] == 0.0
@@ -366,46 +391,110 @@ def test_decompose_pins_dense_reference(monkeypatch, dim, n, profile, dense):
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
-def _perturbed(op, field, units):
-    """``op`` with one off-diagonal node's C_01 = C_10
-    (``field="coefficients"``) or weight (``field="weights"``) moved by
-    ``units`` of roundoff of the field's maximum, so the operator misses
-    transposition symmetry by that much."""
-    node = op.grid.points_per_side + 2  # (1, 2), whose image is (2, 1)
-    eps = np.finfo(float).eps
-    if field == "coefficients":
-        coeffs = op.coefficients.copy()
-        coeffs[node, [0, 1], [1, 0]] += units * eps * np.abs(coeffs).max()
-        return DiscreteLaplaceBeltrami(coefficients=coeffs, metric=op.metric)
-    sqrt_det = op.metric.sqrt_det.copy()
-    sqrt_det[node] += units * eps * sqrt_det.max()
-    metric = dataclasses.replace(op.metric, sqrt_det=sqrt_det)
-    return DiscreteLaplaceBeltrami(coefficients=op.coefficients, metric=metric)
-
-
-@pytest.mark.parametrize("field", ["coefficients", "weights"])
-def test_transposition_route_within_the_roundoff_tolerance(monkeypatch, field):
-    # half the tolerance off symmetry: still two half-size eigensolves
-    grid = build_grid(2, 4.0, 12)
-    op = _perturbed(assemble_laplacian(make_metric(grid, PULLBACK_2D)), field,
-                    0.5 * spectral._TRANSPOSE_ULPS)
-    dec, calls = _counted_decompose(monkeypatch, op)
-    assert calls == _block_sizes(12)
+def test_mirror_check_reads_the_form_not_the_coefficients():
+    # the forward stencil turns D+ into -D- under a mirror: the pullback's
+    # C is mirror-invariant to roundoff, but its B misses the mirrors by
+    # O(1), so it takes the two transposition blocks, never the dihedral
+    # ones (which would return wrong eigenpairs)
+    n = 16
+    op = assemble_laplacian(make_metric(build_grid(2, 4.0, n), PULLBACK_2D))
+    sigma0, _, _ = spectral._grid_symmetries(n)
+    flip = np.array([[1.0, -1.0], [-1.0, 1.0]])  # the mirror's C_01 sign
+    c = op.coefficients
+    assert np.abs(c[sigma0] * flip - c).max() <= 1e-15 * np.abs(c).max()
+    b = op.form_matrix
+    assert np.abs(b[np.ix_(sigma0, sigma0)] - b).max() >= 0.1 * np.abs(b).max()
+    dec, calls = _counted_decompose(op)
+    assert calls == [n * (n + 1) // 2, n * (n - 1) // 2]
     evals, _ = _pinned_dense(op)
     assert np.abs(dec.eigenvalues - evals).max() <= 1e-13 * evals[-1]
 
 
-@pytest.mark.parametrize("field", ["coefficients", "weights"])
-def test_dense_route_beyond_the_roundoff_tolerance(monkeypatch, field):
-    # twice the tolerance off symmetry: one full eigensolve, pinned bitwise
+def _perturbed(op, field, units, nodes):
+    """``op`` moved off symmetry at the grid nodes ``nodes``: by C_01 = C_10
+    (``field="coefficients"``), so B's diagonal entry there moves by
+    ``units`` of roundoff of max|B|, or by the weight
+    (``field="weights"``), by ``units`` of roundoff of max w.  The operator
+    then misses by that much every grid symmetry that does not map
+    ``nodes`` onto themselves."""
+    n = op.grid.points_per_side
+    index = [i * n + j for i, j in nodes]
+    eps = np.finfo(float).eps
+    if field == "coefficients":
+        coeffs = op.coefficients.copy()
+        # B_ii gains 2 C_01 at the node (u.B.u holds 2 C_01 (D+_0 u)(D+_1 u))
+        shift = 0.5 * units * eps * np.abs(op.form_matrix).max()
+        coeffs[np.ix_(index, [0, 1], [1, 0])] += shift
+        return DiscreteLaplaceBeltrami(coefficients=coeffs, metric=op.metric)
+    sqrt_det = op.metric.sqrt_det.copy()
+    sqrt_det[index] += units * eps * sqrt_det.max()
+    metric = dataclasses.replace(op.metric, sqrt_det=sqrt_det)
+    return DiscreteLaplaceBeltrami(coefficients=op.coefficients, metric=metric)
+
+
+# node (1, 2) alone breaks the pullback's transposition; (1, 2) with its
+# transposed image (2, 1) breaks the bump's mirrors and keeps tau
+PERTURBED = [
+    pytest.param("coefficients", PULLBACK_2D, [(1, 2)], id="coefficients"),
+    pytest.param("weights", PULLBACK_2D, [(1, 2)], id="weights"),
+    pytest.param("coefficients", BUMP_2D, [(1, 2), (2, 1)],
+                 id="bump-coefficients"),
+    pytest.param("weights", BUMP_2D, [(1, 2), (2, 1)], id="bump-weights"),
+]
+
+
+@pytest.mark.parametrize("field, profile, nodes", PERTURBED)
+def test_transposition_route_within_the_roundoff_tolerance(field, profile,
+                                                           nodes):
+    # half the tolerance off symmetry: the pullback keeps its two
+    # transposition blocks and the bump its five dihedral ones
     grid = build_grid(2, 4.0, 12)
-    op = _perturbed(assemble_laplacian(make_metric(grid, PULLBACK_2D)), field,
-                    2.0 * spectral._TRANSPOSE_ULPS)
-    dec, calls = _counted_decompose(monkeypatch, op)
-    assert calls == [grid.node_count]
+    op = _perturbed(assemble_laplacian(make_metric(grid, profile)), field,
+                    0.5 * spectral._SYMMETRY_ULPS, nodes)
+    dec, calls = _counted_decompose(op)
+    expected = (_transposition_block_sizes if profile is PULLBACK_2D
+                else _dihedral_block_sizes)
+    assert sorted(calls) == expected(12)
+    evals, _ = _pinned_dense(op)
+    assert np.abs(dec.eigenvalues - evals).max() <= 1e-13 * evals[-1]
+
+
+@pytest.mark.parametrize("field, profile, nodes", PERTURBED)
+def test_dense_route_beyond_the_roundoff_tolerance(field, profile, nodes):
+    # twice the tolerance off symmetry: the pullback falls back to one full
+    # eigensolve, pinned bitwise; the bump still holds tau, so it falls back
+    # to the two transposition blocks, not to the dense route
+    grid = build_grid(2, 4.0, 12)
+    op = _perturbed(assemble_laplacian(make_metric(grid, profile)), field,
+                    2.0 * spectral._SYMMETRY_ULPS, nodes)
+    dec, calls = _counted_decompose(op)
     evals, basis = _pinned_dense(op)
-    assert np.array_equal(dec.eigenvalues, evals)
-    assert np.array_equal(dec.basis, basis)
+    if profile is PULLBACK_2D:
+        assert calls == [grid.node_count]
+        assert np.array_equal(dec.eigenvalues, evals)
+        assert np.array_equal(dec.basis, basis)
+        return
+    assert sorted(calls) == _transposition_block_sizes(12)
+    assert np.abs(dec.eigenvalues - evals).max() <= 1e-13 * evals[-1]
+
+
+# the benchmark's operators (side 4, centre (2, 2)), restated here so that a
+# fall-back to a slower route fails these tests before it shows in a timing
+BENCH_BUMP = ConformalBump(dim=2, beta=0.5, sigma=0.3, center=(2.0, 2.0),
+                           r0=0.9)
+BENCH_PULLBACK = PullbackProfile(base=BENCH_BUMP, squash=RadialSquash(
+    dim=2, center=(2.0, 2.0), radius=0.9, strength=0.15))
+
+
+@pytest.mark.parametrize("profile, sizes", [
+    (BENCH_BUMP, [55, 66, 78, 91, 143]),
+    (BENCH_PULLBACK, [276, 300]),
+    (IdentityMetric(2), []),
+], ids=["bump", "pullback", "identity"])
+def test_benchmark_operators_take_their_routes(profile, sizes):
+    op = assemble_laplacian(make_metric(build_grid(2, 4.0, 24), profile))
+    _, calls = _counted_decompose(op)
+    assert sorted(calls) == sizes
 
 
 def _eigh_reference(op):
@@ -422,12 +511,12 @@ def _eigh_reference(op):
     (2, 16, ConstantProfile(((0.7, 0.0), (0.0, 1.6)))),
 ], ids=["identity-1d", "identity-2d-12", "identity-2d-16", "constant-aniso-2d",
         "constant-aniso-2d-16"])
-def test_closed_form_matches_dense_eigensolve(monkeypatch, dim, n, profile):
+def test_closed_form_matches_dense_eigensolve(dim, n, profile):
     # the constant metrics are diagonal, so the stencil is axis-separable
     # and its symbol differs between the axes
     grid = build_grid(dim, 4.0, n)
     op = assemble_laplacian(make_metric(grid, profile))
-    dec, calls = _counted_decompose(monkeypatch, op)
+    dec, calls = _counted_decompose(op)
     assert calls == []  # translation invariant: no dense eigensolve
     ref = _eigh_reference(op)
     lam_max = float(ref.eigenvalues[-1])
@@ -665,13 +754,15 @@ def test_frac_rejects_alpha_outside_range(dec_1d_bump, alpha):
 
 
 # 2-d profiles for each non-closed-form route of ``decompose``: centred
-# radial bumps and their pullbacks by a radial squash are invariant under
-# the grid transposition; anisotropic bumps and their conformal rescalings
-# are not.  Over this strategy's range (3000 draws of beta, sigma, variant
-# and N, and its corners) the pullbacks miss bitwise symmetry by at most
-# 1.75 units of roundoff and the bumps by 0, well inside
-# ``_TRANSPOSE_ULPS`` = 8; the asymmetric profiles miss it by more than
-# 8e14 units.  Omega holds every support; the windows sit outside it.
+# radial conformal bumps, and their centred conformal rescalings, hold the
+# dihedral group; their pullbacks by a radial squash hold the grid
+# transposition alone; anisotropic bumps and their conformal rescalings
+# hold no grid symmetry.  Over this strategy's range (beta, sigma and N
+# drawn 300 times) the bumps miss the mirrors by at most 0.5 units of
+# roundoff of max|B| and 2.53 of max w and the pullbacks miss tau by at
+# most 0.92 and 0.69, well inside ``_SYMMETRY_ULPS`` = 8; the pullbacks
+# miss the mirrors by 0.26 max|B|.  Omega holds every support; the windows
+# sit outside it.
 ROUTE_REGION = RegionSpec(omega_center=(2.0, 2.0), omega_radius=0.8,
                           w1_center=(0.25, 2.0), w1_radius=0.3,
                           w2_center=(2.0, 0.25), w2_radius=0.3)
@@ -681,20 +772,23 @@ SWAPPED_REGION = dataclasses.replace(
 
 
 def _route_profile(route, beta, sigma, variant):
-    if route == "transposition":
-        base = ConformalBump(2, beta=beta, sigma=sigma, center=(2.0, 2.0),
-                             r0=0.75)
-        return PullbackProfile(base=base, squash=RadialSquash(
-            dim=2, center=(2.0, 2.0), radius=0.75, strength=0.15)) \
+    if route == "dense":
+        base = AnisotropicBump(2, beta=beta, sigma=sigma, center=(2.0, 2.0),
+                               r0=0.75, axis=1)
+        return ConformalRescale(base=base, beta=0.3, sigma=0.2,
+                                center=(2.0, 1.6), bump_r0=0.35) \
             if variant else base
-    base = AnisotropicBump(2, beta=beta, sigma=sigma, center=(2.0, 2.0),
-                           r0=0.75, axis=1)
-    return ConformalRescale(base=base, beta=0.3, sigma=0.2,
-                            center=(2.0, 1.6), bump_r0=0.35) \
-        if variant else base
+    bump = ConformalBump(2, beta=beta, sigma=sigma, center=(2.0, 2.0), r0=0.75)
+    if variant:
+        bump = ConformalRescale(base=bump, beta=0.3, sigma=0.2,
+                                center=(2.0, 2.0), bump_r0=0.35)
+    if route == "dihedral":
+        return bump
+    return PullbackProfile(base=bump, squash=RadialSquash(
+        dim=2, center=(2.0, 2.0), radius=0.75, strength=0.15))
 
 
-@pytest.mark.parametrize("route", ["transposition", "dense"])
+@pytest.mark.parametrize("route", ["dihedral", "transposition", "dense"])
 @settings(max_examples=8, deadline=None)
 @given(beta=st.floats(0.2, 0.8), sigma=st.floats(0.2, 0.4),
        variant=st.booleans(), n=st.sampled_from([12, 16]),
@@ -704,8 +798,11 @@ def test_2d_identities_on_both_eigensolve_routes(route, beta, sigma, variant,
     grid = build_grid(2, 4.0, n)
     op = assemble_laplacian(make_metric(grid, _route_profile(
         route, beta, sigma, variant)))
-    assert spectral._transposition_invariant(op) == (route == "transposition")
-    dec = decompose(op)
+    sizes = {"dihedral": _dihedral_block_sizes,
+             "transposition": _transposition_block_sizes,
+             "dense": lambda n: [n * n]}[route](n)
+    dec, calls = _counted_decompose(op)
+    assert sorted(calls) == sizes
     w, lam_max = op.measure, float(dec.eigenvalues[-1])
     u, v = np.random.default_rng(seed).standard_normal((2, grid.node_count))
     norms = weighted_norm(u, w) * weighted_norm(v, w)
