@@ -12,7 +12,12 @@ block is SPD whenever Omega is a proper subset.  E is never formed whole:
 with the rows G_S = W_S Phi_S Lambda^{a/2} of the eigenbasis, every block is
 E_ST = G_S G_T', so a solve needs only the rows on Omega and on the support
 of the data, and factors the |Omega| x |Omega| block directly, once for a
-whole block of data given as columns.  On top of the solve sit
+whole block of data given as columns.  The rows are read through
+``SpectralDecomposition.rows``, so a decomposition that holds only some
+rows serves every solve whose nodes it holds: the partial map reads Omega,
+W1 and W2 (``ExteriorConfig.partial_map_nodes``), 475 of 2304 nodes on the
+benchmark layout at 2-d N = 48, while the full map, the Poisson solve and
+the exterior Dirichlet solve need the whole basis.  On top of the solve sit
 
   * the partial and full Dirichlet-to-Neumann maps  f |-> (A^a u^f)|_W2,
     one datum at a time as records;
@@ -78,6 +83,13 @@ class ExteriorConfig:
     @property
     def interior_count(self) -> int:
         return len(self.omega_nodes)
+
+    @property
+    def partial_map_nodes(self) -> np.ndarray:
+        """Omega, W1 and W2, sorted: the nodes whose basis rows the partial
+        map reads (``decompose(op, nodes=config.partial_map_nodes)``)."""
+        return np.union1d(np.union1d(self.omega_nodes, self.w1_nodes),
+                          self.w2_nodes)
 
     def indicator(self, nodes: np.ndarray) -> np.ndarray:
         out = np.zeros(self.grid.node_count)
@@ -217,7 +229,7 @@ def _half_power_rows(dec: SpectralDecomposition, alpha: float,
     Scaled by the node weights they give G_S = W_S Phi_S Lambda^{a/2}, and
     (A^a u)_S = Phi_S Lambda^{a/2} (G' u).
     """
-    return dec.basis[nodes] * _spectral_power(dec.eigenvalues, 0.5 * alpha)
+    return dec.rows(nodes) * _spectral_power(dec.eigenvalues, 0.5 * alpha)
 
 
 def _measured(dec: SpectralDecomposition, alpha: float, nodes: np.ndarray,
@@ -253,7 +265,7 @@ def _solve_blocks(dec: SpectralDecomposition, alpha: float,
     g_om = _half_power_rows(dec, alpha, om) * w[om, None]
     # G_in = W_in Phi_in Lambda^{a/2}, scaled in place in the gathered copy:
     # one |in| x M block (near M x M for the exterior), not three
-    g_in = dec.basis[in_nodes]
+    g_in = dec.rows(in_nodes)
     g_in *= _spectral_power(dec.eigenvalues, 0.5 * alpha)
     g_in *= w[in_nodes, None]
     datum_modes = g_in.T @ f_in

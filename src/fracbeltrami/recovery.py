@@ -243,7 +243,7 @@ def _require_exterior_agreement(dec1: SpectralDecomposition,
 def _trace_sampler(dec: SpectralDecomposition, F: np.ndarray,
                    x_index: int) -> Callable[[np.ndarray], np.ndarray]:
     """t -> (e^{-tA} F)(x), vectorised over t via the mode expansion."""
-    weights = dec.project(F) * dec.basis[int(x_index)]
+    weights = dec.project(F) * dec.full_basis[int(x_index)]
     lam = dec.eigenvalues
 
     def sample(t: np.ndarray) -> np.ndarray:
@@ -612,11 +612,14 @@ def dtn_difference_experiment(alpha: float, region: RegionSpec, profile_a,
     must strictly increase: a ladder that does not refine judges nothing.
 
     Each size measures the partial map of each metric as its |W2| x |W1|
-    matrix Lambda (``exterior.dtn_matrix``): metric a is decomposed, its
-    Lambda_a read off and the decomposition dropped before metric b is
-    decomposed, so one dense eigendecomposition is alive at a time.  The
-    data, sampled on W1 as the columns of F, are measured as Lambda_a F and
-    Lambda_b F, and the data-free defect comes from the two matrices.
+    matrix Lambda (``exterior.dtn_matrix``).  Lambda reads the eigenbasis
+    only on Omega, W1 and W2 (``ExteriorConfig.partial_map_nodes``), so
+    each metric is decomposed on those rows alone, and no M x M basis is
+    built: metric a is decomposed, its Lambda_a read off and the
+    decomposition dropped before metric b is decomposed, so one
+    decomposition is alive at a time.  The data, sampled on W1 as the
+    columns of F, are measured as Lambda_a F and Lambda_b F, and the
+    data-free defect comes from the two matrices.
     """
     _check_alpha(alpha, allow_one=False)
     if len(sizes) < 2:
@@ -650,10 +653,11 @@ def dtn_difference_experiment(alpha: float, region: RegionSpec, profile_a,
             data[:, j] = datum
         # each decomposition is a temporary, freed once its Lambda is read,
         # so the second eigensolve never runs beside the first eigenbasis
-        lam_a = dtn_matrix(decompose(assemble_laplacian(metric_a)), alpha,
-                           config)
-        lam_b = dtn_matrix(decompose(assemble_laplacian(metric_b)), alpha,
-                           config)
+        nodes = config.partial_map_nodes
+        lam_a = dtn_matrix(decompose(assemble_laplacian(metric_a), nodes=nodes),
+                           alpha, config)
+        lam_b = dtn_matrix(decompose(assemble_laplacian(metric_b), nodes=nodes),
+                           alpha, config)
         # the windows lie in the exterior, where the two metrics agree
         weights = metric_a.measure().node_weights
         w1, w2 = weights[config.w1_nodes], weights[config.w2_nodes]

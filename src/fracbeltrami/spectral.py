@@ -206,12 +206,16 @@ class SpectralDecomposition:
     Columns of ``basis`` are the eigenvectors phi_k with
     <phi_j, phi_k>_w = delta_jk; eigenvalues are sorted ascending with the
     zero mode (constants) first and snapped to exactly 0.  ``grid``,
-    ``metric`` and ``measure`` are those of ``operator``.
+    ``metric`` and ``measure`` are those of ``operator``.  ``nodes`` is None
+    when ``basis`` holds every node; otherwise ``basis`` holds only the rows
+    at ``nodes`` (sorted, unique), the eigenvectors' values there, and
+    :meth:`rows` is the only reader that serves it.
     """
 
     eigenvalues: np.ndarray  # (M,)
-    basis: np.ndarray        # (M, M)
+    basis: np.ndarray        # (M, M), or (len(nodes), M)
     operator: DiscreteLaplaceBeltrami
+    nodes: np.ndarray | None = None
 
     @property
     def grid(self) -> TorusGrid:
@@ -229,16 +233,43 @@ class SpectralDecomposition:
     def node_count(self) -> int:
         return self.eigenvalues.size
 
+    @property
+    def full_basis(self) -> np.ndarray:
+        """The whole (M, M) basis; raises on a rows-only decomposition."""
+        if self.nodes is not None:
+            raise ValueError(
+                f"this decomposition holds the eigenbasis at {self.nodes.size} "
+                f"of {self.node_count} nodes only; call decompose(op) without "
+                "nodes= for a reader of the whole basis")
+        return self.basis
+
+    def rows(self, nodes: np.ndarray) -> np.ndarray:
+        """The basis rows phi_k(n) at the index array ``nodes``, (len, M).
+
+        A new array.  Raises for a node whose row is not held.
+        """
+        if self.nodes is None:
+            return self.basis[nodes]
+        nodes = np.asarray(nodes)
+        at = np.minimum(np.searchsorted(self.nodes, nodes), self.nodes.size - 1)
+        missing = nodes[self.nodes[at] != nodes]
+        if missing.size:
+            raise ValueError(
+                f"nodes {missing[:8].tolist()} are not among the "
+                f"{self.nodes.size} nodes whose basis rows this decomposition "
+                "holds; decompose with them in nodes=")
+        return self.basis[at]
+
     def project(self, u: np.ndarray) -> np.ndarray:
         """Coefficients <phi_k, u>_w."""
-        return self.basis.T @ (self.measure.node_weights * u)
+        return self.full_basis.T @ (self.measure.node_weights * u)
 
     def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
-        return self.basis @ coeffs
+        return self.full_basis @ coeffs
 
 
-def decompose(op: DiscreteLaplaceBeltrami,
-              cap: int = DEFAULT_EIG_CAP) -> SpectralDecomposition:
+def decompose(op: DiscreteLaplaceBeltrami, cap: int = DEFAULT_EIG_CAP,
+              nodes: np.ndarray | None = None) -> SpectralDecomposition:
     """Eigenpairs of A, by the cheapest of three routes the operator allows.
 
     1. Closed form.  If every node carries bitwise the same stencil
@@ -281,40 +312,63 @@ def decompose(op: DiscreteLaplaceBeltrami,
        ``AnisotropicBump`` and bumps centred elsewhere hold none.
     3. Otherwise, a dense symmetric eigendecomposition of S.
 
+    ``nodes`` asks for the basis rows at those nodes only (sorted and made
+    unique; ``SpectralDecomposition.rows`` reads them).  The eigenvalues
+    and the eigensolves are the same; each route fills only the rows asked
+    for.  Rows alone are not signed: a sign per column is read off the
+    whole column, and the readers of rows (the exterior solve and the DtN
+    map) take products of each mode with itself, which a negation leaves
+    unchanged to the bit.
+
     Cost is memory as much as time: every M x M float64 matrix takes
     8 M^2 bytes (42.5 MB at M = 2304, 2-d N = 48).  The dense route peaks
     at about five of them -- S, numpy's working copy of it, the
     eigenvectors and the 2 M^2 workspace of LAPACK's divide and conquer;
     its scaling and sign steps work on rows and row blocks and add no
-    M x M temporary.  The block route forms no M x M matrix but the basis:
-    it sums its blocks from the stencil entries and fills the basis from
-    their eigenvectors one block of rows at a time.  Measured at M = 2304
-    (x86-64, numpy 2.4, OpenBLAS at 2 threads), the peak resident set
-    rises 207 MiB above the caller's for the dense route, 105 MiB for the
-    transposition blocks, 53 MiB for the dihedral blocks and 44 MiB for the
-    closed form (its basis and two N x M per-axis tables).  With glibc's
-    mmap threshold fixed at 128 KiB, so that every freed block leaves the
-    heap, the two block routes rise 68 and 51 MiB.
+    M x M temporary.  The other two routes form no M x M matrix but the
+    basis they return: the block route sums each block from the stencil
+    entries just before its eigensolve, and the closed form fills the basis
+    from two N x M per-axis tables.  With ``nodes`` they form no M x M
+    array at all, only len(nodes) x M rows (475 x 2304 on the benchmark
+    layout at N = 48, 8.8 MB), and the block route reads each block's
+    eigenvectors into them right after its eigensolve.  Measured at
+    M = 2304 (x86-64, numpy 2.4, OpenBLAS at 2 threads), the peak resident
+    set rises above the caller's by 210 MiB for the dense route, with or
+    without ``nodes``; with the whole basis by 103 MiB for the
+    transposition blocks, 50 MiB for the dihedral blocks and 44 MiB for
+    the closed form; with the benchmark layout's rows by 61, 24 and
+    12 MiB.  With glibc's mmap threshold fixed at 128 KiB, so that every
+    freed block leaves the heap, the two block routes rise 65 and 47 MiB
+    with the whole basis.  Of the transposition route's 61 MiB with rows,
+    about 48 MiB is its larger eigensolve, of N(N+1)/2 = 1176, with its
+    input.
 
-    Every route holds an M x M basis, so every route obeys ``cap``, and all
-    share the zero snap and sign convention of :func:`_finish_eigenpairs`.
-    The result keeps its basis alive for as long as it is referenced:
-    callers should drop a decomposition once they have read the blocks
-    they need from it (``exterior.dtn_matrix``, say), before the next call.
+    The dense route forms M x M matrices whatever ``nodes`` holds, so every
+    route obeys ``cap``, and all share the zero snap of
+    :func:`_finish_eigenpairs`.  The result keeps its basis alive for as
+    long as it is referenced: callers should drop a decomposition once
+    they have read the blocks they need from it (``exterior.dtn_matrix``,
+    say), before the next call.
     """
     m = op.grid.node_count
     if m > cap:
         raise DecompositionSizeError(
             f"grid has {m} nodes, dense eigendecomposition capped at {cap}; "
             f"one {m} x {m} float64 matrix takes {8 * m * m / 1e6:.3g} MB")
+    if nodes is None:
+        at = np.arange(m)
+    else:
+        nodes = at = np.unique(np.asarray(nodes, dtype=int))
+        if np.any((at < 0) | (at >= m)):
+            raise ValueError(f"nodes must lie in [0, {m})")
     w = op.measure.node_weights
     root_w = np.sqrt(w)
     c = op.coefficients[0]
     if (np.all(op.coefficients == c) and np.array_equal(c, np.diag(np.diag(c)))
             and np.all(w == w[0])):
-        evals, evecs = _fourier_eigenpairs(op, w[0])
-    elif blocks := _symmetry_blocks(op):
-        evals, evecs = _block_eigenpairs(op, root_w, blocks)
+        evals, evecs = _fourier_eigenpairs(op, w[0], at)
+    elif blocks := _symmetry_blocks(op, entries := op._form_entries()):
+        evals, evecs = _block_eigenpairs(entries, root_w, blocks, at)
     else:
         # the freshly assembled B, symmetric to the bit, is scaled in place,
         # one row at a time, to S = W^{-1/2} B W^{-1/2}, also symmetric
@@ -323,9 +377,11 @@ def decompose(op: DiscreteLaplaceBeltrami,
             sym[i] /= root_w[i] * root_w
         evals, evecs = np.linalg.eigh(sym)
         del sym
+        if nodes is not None:
+            evecs = evecs[nodes]
     return SpectralDecomposition(
-        eigenvalues=_finish_eigenpairs(evals, evecs, root_w),
-        basis=evecs, operator=op)
+        eigenvalues=_finish_eigenpairs(evals, evecs, root_w[at], nodes is None),
+        basis=evecs, operator=op, nodes=nodes)
 
 
 # how far, in units of roundoff of max|B| and max w, a 2-d operator may miss
@@ -351,15 +407,16 @@ def _grid_symmetries(n: int) -> list[np.ndarray]:
             for image in (((-i) % n, j), (i, (-j) % n), (j, i))]
 
 
-def _symmetry_blocks(op: DiscreteLaplaceBeltrami
+def _symmetry_blocks(op: DiscreteLaplaceBeltrami, entries: tuple
                      ) -> list[tuple[list[np.ndarray], tuple, list[np.ndarray]]]:
     """The blocks of S under the grid symmetries of the operator, or [].
 
     A symmetry p holds if B_{p r, p c} = B_rc over the stencil entries
-    (:meth:`DiscreteLaplaceBeltrami._form_entries`, every (r, c) once) and
-    w_{p n} = w_n, within ``_SYMMETRY_ULPS``.  Each block is (generators,
-    signs, copies): the node permutations that generate its group, the
-    value of its character on each of them, and the row permutations at
+    ``entries`` (:meth:`DiscreteLaplaceBeltrami._form_entries`, every
+    (r, c) once) and w_{p n} = w_n, within ``_SYMMETRY_ULPS``.  Each block
+    is (generators, signs, copies): the node permutations that generate its
+    group, the value of its character on each of them, and the row
+    permutations at
     which its eigenvectors are read, one set of modes per copy.  A group
     of commuting involutions (one mirror, both, or tau alone) has one block
     per sign pattern.  Tau with a mirror generates D4, since it conjugates
@@ -372,7 +429,7 @@ def _symmetry_blocks(op: DiscreteLaplaceBeltrami
     if op.grid.dim != 2:
         return []
     m = op.grid.node_count
-    rows, cols, values = op._form_entries()
+    rows, cols, values = entries
     keys = rows * m + cols
     order = np.argsort(keys)
     w = op.measure.node_weights
@@ -427,80 +484,101 @@ def _orbit_basis(generators: list[np.ndarray], signs: tuple
     return index, coef, int(np.count_nonzero(norm2))
 
 
-def _block_eigenpairs(op: DiscreteLaplaceBeltrami, root_w: np.ndarray,
-                      blocks: list) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of S from its symmetry blocks (:func:`_symmetry_blocks`).
+def _block_eigenpairs(entries: tuple, root_w: np.ndarray, blocks: list,
+                      at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of S from its symmetry blocks (:func:`_symmetry_blocks`)
+    and the rows at the nodes ``at`` of its eigenvectors.
 
     In a block's basis u_O (:func:`_orbit_basis`) its matrix is
     K_OP = u_O' S u_P, the sum of c_r c_c S_rc over the stencil entries
-    (r, c) with r in O and c in P, so it is summed from the entries with
-    ``np.bincount`` and no M x M matrix is formed before the basis.  K is
-    the block of the G-average of S, which is S itself for an exactly
-    invariant operator.  An eigenvector v of K is the node vector
-    x_m = c_m v_{row of m}, read once per copy of the block at the copy's
-    row permutation.  The basis is filled in block order, one block's
-    eigenvectors at a time, each dropped once written; the eigenvalues of
+    (r, c) of B (``entries``) with r in O and c in P, so it is summed from
+    the entries with ``np.bincount`` just before its eigensolve, and no
+    M x M matrix is formed before the basis.  K is the block of the
+    G-average of S, which is S itself for an exactly invariant operator.
+    An eigenvector v of K is the node vector x_m = c_m v_{row of m}, read
+    once per copy of the block at the copy's row permutation
+    (:func:`_fill_rows`).  Rows alone are read right after each
+    eigensolve, so one block's eigenvectors are alive at a time.  The
+    whole M x M basis is allocated only after the last eigensolve, so that
+    it never sits beside an eigensolve's workspace.  The eigenvalues of
     all copies are merged by a stable ascending sort (block order on ties)
-    and the basis columns sorted to match, one block of rows at a time, so
-    no M x M temporary is formed.  An empty block ((N^2 - 6N + 8)/8 = 0 at
-    N = 4) is skipped.
+    and the columns sorted to match, one block of rows at a time, so no
+    temporary of the basis's size is formed.  An empty block
+    ((N^2 - 6N + 8)/8 = 0 at N = 4) is skipped.
     """
-    rows, cols, values = op._form_entries()
-    values /= root_w[rows] * root_w[cols]
-    evals, solved = [], []
+    rows, cols, values = entries
+    values = values / (root_w[rows] * root_w[cols])
+    m = root_w.size
+    basis = np.empty((at.size, m)) if at.size < m else None
+    evals, solved, start = [], [], 0
     for generators, signs, copies in blocks:
         index, coef, k = _orbit_basis(generators, signs)
-        if k:  # summed just before its eigensolve: one block alive at a time
+        if k:
             vals, vecs = np.linalg.eigh(np.bincount(
                 index[rows] * k + index[cols], minlength=k * k,
                 weights=values * (coef[rows] * coef[cols])).reshape(k, k))
             evals += [vals] * len(copies)
             solved.append((vecs, index, coef, copies))
+            del vecs  # held by ``solved`` alone, until it is written
+        if basis is not None:
+            start = _fill_rows(basis, at, solved, start)
     del rows, cols, values
-    m = root_w.size
-    basis = np.empty((m, m))
-    start = 0
-    while solved:  # each block's eigenvectors are dropped once written
-        vecs, index, coef, copies = solved.pop(0)
-        for p in copies:
-            for r0 in range(0, m, _BLOCK):
-                nodes = p[r0:r0 + _BLOCK]
-                np.multiply(vecs[index[nodes]], coef[nodes, None],
-                            out=basis[r0:r0 + _BLOCK, start:start + len(vecs)])
-            start += len(vecs)
-        del vecs
+    if basis is None:
+        basis = np.empty((m, m))
+        _fill_rows(basis, at, solved, start)
     evals = np.concatenate(evals)
     order = np.argsort(evals, kind="stable")
-    for r0 in range(0, m, _BLOCK):  # order is a permutation: no bounds check
+    for r0 in range(0, at.size, _BLOCK):  # order is a permutation: no bounds check
         basis[r0:r0 + _BLOCK] = np.take(basis[r0:r0 + _BLOCK], order, axis=1,
                                         mode="clip")
     return evals[order], basis
 
 
-# rows per block of the sign step and of the block route's basis fill and
-# column sort.  A freed block stays in the heap, resident, through the next
+def _fill_rows(basis: np.ndarray, at: np.ndarray, solved: list,
+               start: int) -> int:
+    """Write the solved blocks' eigenvectors at the nodes ``at`` into the
+    columns of ``basis`` from ``start`` on, emptying ``solved`` (each
+    block's eigenvectors are dropped once written); returns the next free
+    column."""
+    while solved:
+        vecs, index, coef, copies = solved.pop(0)
+        for p in copies:
+            for r0 in range(0, at.size, _BLOCK):
+                nodes = p[at[r0:r0 + _BLOCK]]
+                np.multiply(vecs[index[nodes]], coef[nodes, None],
+                            out=basis[r0:r0 + _BLOCK, start:start + len(vecs)])
+            start += len(vecs)
+        del vecs
+    return start
+
+
+# rows per block of the sign step, of the basis fills of the closed form and
+# the block route, and of the block route's column sort.  A freed block stays in the heap, resident, through the next
 # eigensolve; at 64 (a 1.2 MB row block at M = 2304) later blocks reuse it
 # and the peak stays that of the eigensolve.
 _BLOCK = 64
 
 
 def _finish_eigenpairs(evals: np.ndarray, evecs: np.ndarray,
-                       root_w: np.ndarray) -> np.ndarray:
+                       root_w: np.ndarray, signed: bool) -> np.ndarray:
     """Zero snap, sign convention and W-scaling shared by every route.
 
-    ``evals`` ascend and ``evecs`` are the matching Euclidean-orthonormal
-    eigenvectors of W^{1/2} A W^{-1/2}.  Eigenvalues below 1e-12 lam_max are
-    snapped to 0 (and a clearly negative one is an error); each eigenvector
-    is signed so that its largest-magnitude entry (the first, on ties) is
-    positive, then divided by W^{1/2} in place, so ``evecs`` becomes the
-    W-orthonormal basis.  Returns the snapped eigenvalues.
+    ``evals`` ascend and ``evecs`` are rows of the matching
+    Euclidean-orthonormal eigenvectors of W^{1/2} A W^{-1/2}, ``root_w``
+    W^{1/2} at those rows.  Eigenvalues below 1e-12 lam_max are snapped to
+    0 (and a clearly negative one is an error).  If ``signed`` (the rows
+    are whole columns), each eigenvector is signed so that its
+    largest-magnitude entry (the first, on ties) is positive.  The rows
+    are then divided by W^{1/2} in place, so ``evecs`` becomes (rows of)
+    the W-orthonormal basis.  Returns the snapped eigenvalues.
     """
     lam_max = max(float(evals[-1]), 1.0)
     if evals[0] < -1e-10 * lam_max:
         raise ArithmeticError(
             f"eigensolve produced spurious negative eigenvalue {evals[0]:.3e}")
     evals = np.where(evals < 1e-12 * lam_max, 0.0, evals)
-    evecs *= _signs_of_largest(evecs)
+    if signed:
+        evecs *= _signs_of_largest(evecs)
     evecs /= root_w[:, None]
     return evals
 
@@ -529,8 +607,8 @@ def _signs_of_largest(v: np.ndarray) -> np.ndarray:
     return signs
 
 
-def _fourier_eigenpairs(op: DiscreteLaplaceBeltrami,
-                        weight: float) -> tuple[np.ndarray, np.ndarray]:
+def _fourier_eigenpairs(op: DiscreteLaplaceBeltrami, weight: float,
+                        at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form eigenpairs of an axis-separable circulant operator.
 
     With the same diagonal C and the same w at every node, B is a circulant
@@ -541,8 +619,10 @@ def _fourier_eigenpairs(op: DiscreteLaplaceBeltrami,
     theta_j = 2 pi c_j / N.  The symbol is the DFT of B's column at node 0,
     read off ``op.apply_form`` on the unit vector e_0, so the stencil is
     stated only there.  The modes are ordered by a stable ascending sort of
-    lam (ties keep the flattened mode order), and in 2-d the basis
-    Q[:, c_0] (x) Q[:, c_1] is filled one grid row at a time.
+    lam (ties keep the flattened mode order).  Returns the basis rows at
+    the nodes ``at``; in 2-d the row of node (i, j) is Q[i, c_0] Q[j, c_1],
+    filled one grid row at a time for the whole basis and one block of
+    rows at a time for some rows.
     """
     grid = op.grid
     n, m = grid.points_per_side, grid.node_count
@@ -551,11 +631,17 @@ def _fourier_eigenpairs(op: DiscreteLaplaceBeltrami,
     order = np.argsort(evals, kind="stable")
     q = _axis_modes(n)
     if grid.dim == 1:
-        return evals[order], q[:, order]
+        return evals[order], q[np.ix_(at, order)]
     first, second = q[:, order // n], q[:, order % n]  # (N, M), per axis
-    basis = np.empty((m, m))
-    for i in range(n):
-        np.multiply(second, first[i], out=basis[i * n:(i + 1) * n])
+    basis = np.empty((at.size, m))
+    if at.size == m:  # every node: one grid row of N nodes at a time
+        for i in range(n):
+            np.multiply(second, first[i], out=basis[i * n:(i + 1) * n])
+    else:
+        for r0 in range(0, at.size, _BLOCK):
+            nodes = at[r0:r0 + _BLOCK]
+            np.multiply(first[nodes // n], second[nodes % n],
+                        out=basis[r0:r0 + _BLOCK])
     return evals[order], basis
 
 
@@ -604,8 +690,9 @@ def heat_kernel(dec: SpectralDecomposition, t, i, j):
     t = np.asarray(t, float)
     if np.any(t <= 0):
         raise ValueError("heat kernel requires t > 0")
+    basis = dec.full_basis
     decay = np.exp(-t[..., None] * dec.eigenvalues)
-    values = (dec.basis[i] * dec.basis[j] * decay).sum(axis=-1)
+    values = (basis[i] * basis[j] * decay).sum(axis=-1)
     return float(values) if values.ndim == 0 else values
 
 
@@ -643,7 +730,7 @@ def frac_energy_matrix(dec: SpectralDecomposition, alpha: float) -> np.ndarray:
     """
     _check_alpha(alpha, allow_one=True)
     powers = _spectral_power(dec.eigenvalues, alpha)
-    weighted = dec.basis * dec.measure.node_weights[:, None]
+    weighted = dec.full_basis * dec.measure.node_weights[:, None]
     e = (weighted * powers) @ weighted.T
     return 0.5 * (e + e.T)
 
@@ -735,14 +822,15 @@ def jump_kernel(dec: SpectralDecomposition, alpha: float,
     # bitwise, then report the caller's index order
     lo, hi = np.minimum(ii, jj), np.maximum(ii, jj)
 
+    basis = dec.full_basis
     eta = _semigroup_weights(dec.eigenvalues, alpha)
     prefactor = 1.0 / (2.0 * abs(math.gamma(-alpha)))
     s = dec.metric.sqrt_det
     if lo.size >= m:  # full (or near-full) pair sets: one dense product
-        full = (dec.basis * eta) @ dec.basis.T
+        full = (basis * eta) @ basis.T
         core = full[lo, hi]
     else:
-        core = ((dec.basis[lo] * eta) * dec.basis[hi]).sum(axis=1)
+        core = ((basis[lo] * eta) * basis[hi]).sum(axis=1)
     values = prefactor * s[lo] * s[hi] * core
     return FracKernel(alpha=alpha, i_indices=ii, j_indices=jj, values=values,
                       grid=dec.grid)

@@ -7,7 +7,9 @@ the verdict contrast between a gauge pair (pure discretisation defect)
 and a genuinely different conformal rescaling on small 1D grids.
 """
 
+import dataclasses
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -16,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from fracbeltrami.geometry import (
+    AnisotropicBump,
     ConformalBump,
     ConformalRescale,
     IdentityMetric,
@@ -24,7 +27,12 @@ from fracbeltrami.geometry import (
 )
 from fracbeltrami import recovery
 from fracbeltrami.quadrature import LogQuadrature
-from fracbeltrami.exterior import RegionSpec, dtn_partial, source_to_solution_map
+from fracbeltrami.exterior import (
+    RegionSpec,
+    dtn_matrix,
+    dtn_partial,
+    source_to_solution_map,
+)
 from fracbeltrami.recovery import (
     PullbackProfile,
     RadialSquash,
@@ -537,13 +545,18 @@ def test_identical_profiles_measure_identically():
 
 def test_experiment_holds_one_decomposition_at_a_time(monkeypatch):
     # each metric's decomposition is dropped once its DtN matrix is read, so
-    # no decomposition is alive when the next one is computed
+    # no decomposition is alive when the next one is computed; each holds
+    # the basis rows on the nodes the partial map reads, and no others
     made = []
 
-    def tracked(op):
+    def tracked(op, **kwargs):
         alive = [ref for ref in made if ref() is not None]
         assert not alive, f"{len(alive)} earlier decomposition(s) still alive"
-        dec = decompose(op)
+        assert kwargs.keys() == {"nodes"}
+        want = REGION.build(op.grid).partial_map_nodes
+        assert np.array_equal(kwargs["nodes"], want)
+        dec = decompose(op, **kwargs)
+        assert np.array_equal(dec.nodes, want)
         made.append(weakref.ref(dec))
         return dec
 
@@ -640,6 +653,75 @@ def test_euclidean_reference_needs_no_eigensolve(monkeypatch):
     assert len(calls) == 10
     assert sorted(calls[:5]) == [10, 15, 21, 28, 35]
     assert sorted(calls[5:]) == [21, 28, 36, 45, 63]
+
+
+# one operator per route of decompose, with the eigensolve sizes that show
+# the route: the closed form runs none, the symmetry blocks one per block,
+# the dense route one of size M
+ROUTE_CASES = {
+    "closed-1d": (1, 32, IdentityMetric(dim=1), []),
+    "dense-1d": (1, 32, BASE_1D, [32]),
+    "closed-2d": (2, 16, IdentityMetric(dim=2), []),
+    "dihedral": (2, 16, BASE_2D, [21, 28, 36, 45, 63]),
+    "transposition": (2, 16, PullbackProfile(base=BASE_2D, squash=SQUASH_2D),
+                      [120, 136]),
+    "mirror": (2, 16, dataclasses.replace(BASE_2D, center=(2.0, 1.5)),
+               [112, 144]),
+    "dense-2d": (2, 16, AnisotropicBump(dim=2, beta=0.5, sigma=0.3,
+                                        center=(2.0, 2.0), r0=0.75), [256]),
+}
+
+
+@pytest.mark.parametrize("case", ROUTE_CASES)
+def test_rows_only_decomposition_matches_the_whole_basis(monkeypatch, case):
+    # the same eigensolves, the same eigenvalues to the bit, and the rows of
+    # the whole basis up to a sign per column (rows alone are not signed);
+    # the DtN matrix multiplies each mode by itself, so it is bitwise equal
+    dim, n, profile, sizes = ROUTE_CASES[case]
+    grid = build_grid(dim, SIDE, n)
+    config = (REGION if dim == 1 else REGION_2D).build(grid)
+    op = assemble_laplacian(make_metric(grid, profile))
+    eigh = np.linalg.eigh
+    calls = []
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda a: calls.append(a.shape[0]) or eigh(a))
+    full = decompose(op)
+    assert sorted(calls) == sizes
+    rows = decompose(op, nodes=config.partial_map_nodes[::-1])
+    assert sorted(calls) == sorted(sizes * 2)
+    assert np.array_equal(rows.nodes, config.partial_map_nodes)
+    assert rows.basis.shape == (config.partial_map_nodes.size, grid.node_count)
+    assert np.array_equal(rows.eigenvalues, full.eigenvalues)
+    want = full.basis[rows.nodes]
+    anchor = np.abs(want).argmax(axis=0)
+    columns = np.arange(grid.node_count)
+    signs = np.sign(want[anchor, columns] * rows.basis[anchor, columns])
+    assert np.all(signs != 0.0)
+    assert np.array_equal(rows.basis * signs, want)
+    assert np.array_equal(rows.rows(config.w2_nodes),
+                          full.basis[config.w2_nodes] * signs)
+    assert np.array_equal(dtn_matrix(rows, ALPHA, config),
+                          dtn_matrix(full, ALPHA, config))
+
+
+@pytest.mark.parametrize("pair", ["gauge", "distinct"])
+def test_experiment_peak_memory_below_one_basis(pair):
+    # the experiments decompose on the rows the partial map reads, so the
+    # arrays they allocate (numpy reports them to tracemalloc) peak below
+    # one M x M float64 array at the finest size
+    tracemalloc.start()
+    try:
+        if pair == "gauge":
+            gauge_experiment(ALPHA, REGION_2D, BASE_2D, SQUASH_2D, DATA_2D,
+                             side_length=SIDE, sizes=(16, 32))
+        else:
+            dtn_difference_experiment(ALPHA, REGION_2D, BASE_2D,
+                                      IdentityMetric(dim=2), DATA_2D,
+                                      side_length=SIDE, sizes=(16, 32))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * (32 * 32) ** 2
 
 
 def test_experiment_validation():

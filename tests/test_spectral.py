@@ -24,6 +24,7 @@ from fracbeltrami.geometry import (
     weighted_inner,
     weighted_norm,
 )
+from fracbeltrami import extension, exterior, recovery
 from fracbeltrami.exterior import RegionSpec, dtn_matrix
 from fracbeltrami.quadrature import LogQuadrature
 from fracbeltrami.recovery import PullbackProfile, RadialSquash
@@ -248,7 +249,8 @@ def test_decomposition_stores_geometry_once(dec_2d_aniso):
     assert [f.name for f in dataclasses.fields(dec.operator)] == [
         "coefficients", "metric"]
     assert [f.name for f in dataclasses.fields(dec)] == [
-        "eigenvalues", "basis", "operator"]
+        "eigenvalues", "basis", "operator", "nodes"]
+    assert dec.nodes is None  # the basis holds every node
     assert dec.grid is dec.operator.metric.grid
     assert dec.metric is dec.operator.metric
     grid = dec.grid
@@ -554,6 +556,64 @@ def test_decompose_size_cap():
     with pytest.raises(DecompositionSizeError,
                        match=r"16 x 16 float64 matrix takes 0\.00205 MB"):
         decompose(op, cap=8)
+
+
+def _rows_only():
+    """A 2-d decomposition holding the rows on Omega, W1 and W2 alone, its
+    layout, a source off Omega and a node outside the source's support."""
+    grid = build_grid(2, 4.0, 12)
+    config = ROUTE_REGION.build(grid)
+    op = assemble_laplacian(make_metric(grid, BUMP_2D))
+    source = config.indicator(config.w1_nodes)
+    return decompose(op, nodes=config.partial_map_nodes), config, source
+
+
+WHOLE_BASIS_READERS = {
+    "project": lambda dec, config, F: dec.project(F),
+    "synthesize": lambda dec, config, F: dec.synthesize(F),
+    "heat_apply": lambda dec, config, F: heat_apply(dec, 0.5, F),
+    "heat_kernel": lambda dec, config, F: heat_kernel(dec, 0.5, 0, 1),
+    "frac_apply_spectral": lambda dec, config, F: frac_apply_spectral(dec, 0.5, F),
+    "frac_apply_balakrishnan":
+        lambda dec, config, F: frac_apply_balakrishnan(dec, 0.5, F),
+    "frac_energy_matrix": lambda dec, config, F: frac_energy_matrix(dec, 0.5),
+    "jump_kernel": lambda dec, config, F: jump_kernel(dec, 0.5, [[0, 1]]),
+    "extend_dirichlet": lambda dec, config, F: extension.extend_dirichlet(
+        dec, 0.5, F),
+    "extension_evaluate": lambda dec, config, F: extension.ExtensionSolution(
+        alpha=0.5, dec=dec, mode_coefficients=F).evaluate(0, 0.1),
+    "representation_solution": lambda dec, config, F:
+        extension.representation_solution(dec, 0.5, F, config.w2_nodes[0], 0.1),
+    "heat_difference_trace": lambda dec, config, F:
+        recovery.heat_difference_trace(dec, dec, F, config.w2_nodes[0], 0.5),
+    "poisson_solve": lambda dec, config, F: exterior.poisson_solve(
+        dec, 0.5, config, F),
+}
+
+
+@pytest.mark.parametrize("reader", WHOLE_BASIS_READERS)
+def test_whole_basis_readers_reject_rows_only(reader):
+    dec, config, source = _rows_only()
+    with pytest.raises(ValueError, match=r"decompose\(op\) without nodes="):
+        WHOLE_BASIS_READERS[reader](dec, config, source)
+
+
+def test_rows_rejects_nodes_not_held():
+    dec, config, _ = _rows_only()
+    held = dec.nodes
+    assert np.array_equal(dec.rows(held[::-1]), dec.basis[::-1])
+    outside = np.setdiff1d(config.exterior_nodes, held)
+    for nodes in ([held[0], outside[0]], [outside[-1]], [dec.node_count - 1]):
+        with pytest.raises(ValueError, match="not among"):
+            dec.rows(np.array(nodes))
+    # the full map and the exterior solve read every exterior node
+    with pytest.raises(ValueError, match="not among"):
+        exterior.dtn_full(dec, 0.5, config, np.ones(config.exterior_nodes.size))
+    with pytest.raises(ValueError, match="not among"):
+        exterior.solve_exterior_dirichlet(dec, 0.5, config,
+                                          np.ones(config.exterior_nodes.size))
+    with pytest.raises(ValueError, match=r"nodes must lie in \[0, 144\)"):
+        decompose(dec.operator, nodes=[0, 144])
 
 
 # ----------------------------------------------------------------------
