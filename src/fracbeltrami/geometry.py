@@ -44,8 +44,9 @@ class TorusGrid:
     Nodes are ordered C-style (last axis fastest); node ``i`` sits at
     ``coordinates()[i]``.  ``points_per_side`` must be even and at least 4:
     the per-axis Fourier modes (``spectral._axis_modes``) include the
-    self-conjugate frequency N/2, and ``form_diagonal``'s parity probe needs
-    a two-colouring of the cycle.
+    self-conjugate frequency N/2, and the stencil's offsets -1, 0 and +1
+    along an axis must reach distinct nodes, so that the dense form read
+    off the stencil table lists every entry once.
     """
 
     dim: int

@@ -2,17 +2,21 @@
 
 The grid operator is
 
-    (A u)_i = -(1/sqrt|g|_i) sum_j D-_j ( sqrt|g| g^{jk} D+_k u )_i
+    (A u)_i = -(1/sqrt|g|_i) 2^{-dim} sum_sigma sum_jk
+              (D^sigma_j' ( sqrt|g| g^{jk} D^sigma_k u ))_i
 
-with periodic forward/backward differences D+/D-.  A is self-adjoint and
+with periodic differences D^sigma, forward or backward per axis, averaged
+over the 2^dim choices sigma: a second-order quadrature of the Dirichlet
+energy that keeps the grid's mirror symmetries.  A is self-adjoint and
 positive semi-definite in the weighted inner product, its kernel is the
 constants, and for the identity metric in 1d it reduces to the classical
-(-1, 2, -1)/h^2 circulant.  The operator is held as its stencil
-coefficients and applied by periodic shifts (``apply_form``, the one place
-that states the stencil); the dense matrix, its diagonal and the Fourier
-symbol are read off that product.  All fractional powers are defined through
-the eigendecomposition of the symmetric matrix, which ``decompose`` reaches
-by the cheapest of its routes that the operator allows.  The Balakrishnan
+(-1, 2, -1)/h^2 circulant.  The operator is held as a table of stencil
+coefficients, one per-node array per offset, built once by
+``assemble_laplacian``; ``apply_form`` sums its coefficient x shifted-slice
+products, and the dense matrix and its diagonal are read off the table.
+All fractional powers are defined through the eigendecomposition of the
+symmetric matrix, which ``decompose`` reaches by the cheapest of its routes
+that the operator allows.  The Balakrishnan
 route and the jump-kernel route below are independent cross-checks of that
 calculus, not substitutes for it: both read one per-mode weight, the
 semigroup time integral of (e^{-t lam} - 1) t^{-1-a} by the geometrically
@@ -23,6 +27,7 @@ spectral power tests lam^a to roundoff.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import math
 
@@ -51,23 +56,31 @@ DEFAULT_EIG_CAP = 4096
 
 
 class DecompositionSizeError(ValueError):
-    """Raised when a grid exceeds the dense eigendecomposition cap."""
+    """Raised when a decomposition would hold more than its cap allows:
+    the whole basis or a dense eigensolve beyond M = cap, or more rows or a
+    larger symmetry block than cap."""
 
 
 @dataclasses.dataclass
 class DiscreteLaplaceBeltrami:
     """Periodic stencil of A = W^{-1} B and of its quadratic form B = W A.
 
-    ``coefficients`` holds the node coefficients C_jk = h^{dim-2} sqrt|g| g^{jk}
-    of the stencil B = sum_jk D+_j' C_jk D+_k (5 nonzeros per row for a
-    conformal metric, at most 7 otherwise).  They are the only stored
-    representation and :meth:`apply_form` the only code that states the
-    stencil; ``form_matrix``, ``matrix`` and :meth:`form_diagonal` are read
-    off it anew on each access.  ``grid`` and ``measure`` are read from
+    B is held as a table: ``offsets`` lists the grid offsets o in
+    {-1, 0, 1}^dim at which B has an entry at some node, the centre
+    (0, ..., 0) first, and ``stencil[k, i] = B_{i, i + offsets[k]}``
+    (indices periodic), one per-node coefficient array per offset: 5
+    offsets in 2-d when C_01 = 0, 9 with a cross term, 3 in 1-d
+    (:func:`assemble_laplacian`).  The table is the only stored
+    representation and is symmetric to the bit
+    (``stencil[k, i] = stencil[k', i + offsets[k]]`` for the opposite offset
+    k'); :meth:`apply_form` sums its coefficient x shifted-slice products,
+    and ``form_matrix``, ``matrix`` and :meth:`form_diagonal` are read off
+    it anew on each access.  ``grid`` and ``measure`` are read from
     ``metric``, so they cannot disagree with it.
     """
 
-    coefficients: np.ndarray  # (M, dim, dim), the stencil's C_jk per node
+    offsets: tuple       # (K,) offsets, each a dim-tuple in {-1, 0, 1}
+    stencil: np.ndarray  # (K, M), B_{i, i + offsets[k]} at row i
     metric: MetricField
 
     @property
@@ -90,30 +103,18 @@ class DiscreteLaplaceBeltrami:
         return b
 
     def _form_entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The stencil entries of B as (rows, cols, values), 3^dim per row.
+        """The stencil entries of B as (rows, cols, values), K per row.
 
-        Read off :meth:`apply_form` by probing (Curtis-Powell-Reid): with
-        nodes coloured along every axis so that any three consecutive nodes
-        of the cycle differ (:func:`_cycle_colours`, at most 4 colours), the
-        stencil's steps -1, 0, +1 fall in distinct colours, so
-        B_ij = (B 1_colour(j))_i from at most 4^dim probe columns.  Each
-        pair of opposite offsets is read once and listed both ways, so
-        B_ij and B_ji carry bitwise the same value; every (i, j) is listed
-        once.
+        The table read offset by offset; N >= 4, so the offsets of a row
+        reach distinct nodes and every (i, j) is listed once.
         """
         grid, m = self.grid, self.grid.node_count
-        probes, coords, colour = self._probe(_cycle_colours(grid.points_per_side))
-        rows = np.arange(m)
-        parts = []
-        for offset in itertools.product((-1, 0, 1), repeat=grid.dim):
-            if offset >= (0,) * grid.dim:  # the others are mirrors
-                cols = np.ravel_multi_index(coords + np.array(offset)[:, None],
-                                            grid.shape, mode="wrap")
-                values = probes[rows, colour[cols]]
-                parts.append((rows, cols, values))
-                if any(offset):
-                    parts.append((cols, rows, values))
-        return tuple(np.concatenate(part) for part in zip(*parts))
+        coords = np.indices(grid.shape).reshape(grid.dim, -1)
+        cols = [np.ravel_multi_index(coords + np.array(offset)[:, None],
+                                     grid.shape, mode="wrap")
+                for offset in self.offsets]
+        return (np.tile(np.arange(m), len(cols)), np.concatenate(cols),
+                self.stencil.ravel())
 
     @property
     def matrix(self) -> np.ndarray:
@@ -121,29 +122,9 @@ class DiscreteLaplaceBeltrami:
         return self.form_matrix / self.measure.node_weights[:, None]
 
     def form_diagonal(self) -> np.ndarray:
-        """diag(B), equal to ``np.diag(form_matrix)`` bitwise.
-
-        N is even, so a parity colouring separates every node from its
-        stencil neighbours, and B_ii = (B 1_colour(i))_i.
-        """
-        probes, _, colour = self._probe(np.arange(self.grid.points_per_side) % 2)
-        return probes[np.arange(colour.size), colour]
-
-    def _probe(self, axis_colours: np.ndarray
-               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """B X, the node coordinates (dim, M) and the node colours.
-
-        ``axis_colours[x]`` colours coordinate x along each axis, and node
-        i's colour is the tuple of its coordinates' colours; column c of X
-        is the indicator of colour c.
-        """
-        grid = self.grid
-        coords = np.indices(grid.shape).reshape(grid.dim, -1)
-        per_axis = int(axis_colours.max()) + 1
-        colour = np.ravel_multi_index(axis_colours[coords], (per_axis,) * grid.dim)
-        indicators = np.zeros((grid.node_count, per_axis ** grid.dim))
-        indicators[np.arange(grid.node_count), colour] = 1.0
-        return self.apply_form(indicators), coords, colour
+        """diag(B), the table's centre column, equal to
+        ``np.diag(form_matrix)`` bitwise."""
+        return self.stencil[0].copy()
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         """A u = W^{-1} B u for a node vector or an (M, cols) block."""
@@ -151,52 +132,110 @@ class DiscreteLaplaceBeltrami:
         return bu / self.measure.node_weights.reshape((-1,) + (1,) * (bu.ndim - 1))
 
     def apply_form(self, X: np.ndarray) -> np.ndarray:
-        """B X for a node vector or an (M, cols) block, by periodic shifts.
+        """B X for a node vector or an (M, cols) block.
 
-        The one statement of the stencil: the forward difference
-        (D+_k X)_i = X_{i+e_k} - X_i and its transpose
-        (D+_j' G)_i = G_{i-e_j} - G_i are rolls along the grid axes.
+        The sum over the table of coefficient x shifted operand, with the
+        node axis last (X.T, a view): in flattened node order the periodic
+        shift by an offset is one shift along that axis, so each product
+        is formed from two slices of X into one work array, and only the N
+        nodes whose inner coordinate wraps are re-read at their true
+        neighbour (:func:`_flat_shift`); no shifted copy of X is made.
+        The level-major blocks of the extension solve come as the
+        transposed view ((levels, M).T), whose node axis is contiguous.
+        Every element goes through the same arithmetic in either layout,
+        and the output keeps X's layout.
         """
-        X = np.asarray(X, float)
-        dim = self.grid.dim
-        U = X.reshape(self.grid.shape + X.shape[1:])
-        per_node = self.grid.shape + (1,) * (X.ndim - 1)
-        diffs = [np.roll(U, -1, axis=k) - U for k in range(dim)]
-        out = np.zeros_like(U)
-        for j in range(dim):
-            flux = self.coefficients[:, j, 0].reshape(per_node) * diffs[0]
-            for k in range(1, dim):
-                flux += self.coefficients[:, j, k].reshape(per_node) * diffs[k]
-            out += np.roll(flux, 1, axis=j)
-            out -= flux
-        return out.reshape(X.shape)
+        V = np.asarray(X, float).T
+        m = V.shape[-1]
+        out = np.multiply(self.stencil[0], V, out=np.empty_like(V))
+        term = np.empty_like(V)
+        for offset, coef in zip(self.offsets[1:], self.stencil[1:]):
+            shift, to, at = _flat_shift(self.grid.shape, offset)
+            np.multiply(coef[:m - shift], V[..., shift:], out=term[..., :m - shift])
+            np.multiply(coef[m - shift:], V[..., :shift], out=term[..., m - shift:])
+            term[..., to] = coef[to] * V[..., at]
+            out += term
+        return out.T
 
 
-def _cycle_colours(n: int) -> np.ndarray:
-    """Colours of the nodes 0..N-1 of a cycle, any three consecutive distinct.
+@functools.lru_cache(maxsize=64)
+def _flat_shift(shape: tuple, offset: tuple) -> tuple[int, np.ndarray, np.ndarray]:
+    """The periodic shift by ``offset`` in flattened (C-order) node indices.
 
-    Runs of 0, 1, 2 followed by N mod 3 runs of 0, 1, 2, 3 fill the cycle
-    (4 = 1 mod 3), so every window of three, the ones across the wrap
-    included, holds distinct colours; 3 colours when 3 divides N, 4
-    otherwise.  Valid for N = 3, 4 and every N >= 6.
+    Node i reads node i + shift (modulo M), which is node i + offset except
+    where an inner axis (all but the first) wraps; those nodes ``to`` read
+    their neighbours ``at`` instead.  The index arrays are read-only, since
+    every call with the same grid shape shares them.
     """
-    fours = 4 * (n % 3)
-    return np.concatenate([np.arange(n - fours) % 3, np.arange(fours) % 4])
+    strides = [math.prod(shape[j + 1:]) for j in range(len(shape))]
+    shift = int(np.dot(offset, strides)) % math.prod(shape)
+    target = np.indices(shape).reshape(len(shape), -1) + np.array(offset)[:, None]
+    inner, sides = target[1:], np.array(shape[1:])[:, None]
+    to = np.flatnonzero(np.any((inner < 0) | (inner >= sides), axis=0))
+    at = np.ravel_multi_index(target[:, to], shape, mode="wrap")
+    to.flags.writeable = at.flags.writeable = False
+    return shift, to, at
 
 
 def assemble_laplacian(metric: MetricField) -> DiscreteLaplaceBeltrami:
     """The periodic divergence-form operator of a sampled metric.
 
-    Stores the stencil coefficients C_jk = h^{dim-2} sqrt|g| g^{jk} of
+    With the node coefficients C_jk = h^{dim-2} sqrt|g| g^{jk}, B is the
+    average over the 2^dim choices sigma of a forward or a backward
+    difference per axis,
 
-        u.B.v = h^dim sum_i sqrt|g|_i g^{jk}_i (D+_j u)_i (D+_k v)_i ,
+        u.B.v = 2^{-dim} sum_sigma sum_i sum_jk C_jk,i (D^sigma_j u)_i (D^sigma_k v)_i ,
 
-    with A = W^{-1} B; no dense matrix is built.
+    with A = W^{-1} B.  Its table (``DiscreteLaplaceBeltrami``) is built
+    here once, in closed form:
+
+    - the edge (i, i + e_j) carries the mean kappa_j = (C_jj,i + C_jj,i+e_j)/2
+      of its two ends, B_{i, i + e_j} = B_{i + e_j, i} = -kappa_j, and the
+      centre B_ii is the sum of kappa over the 2 dim edges at i;
+    - a cross term enters only across a cell diagonal:
+      B_{i, i+o} = -(o_j o_k / 4) (c_{i + o_j e_j} + c_{i + o_k e_k}) for
+      o = o_j e_j + o_k e_k, with c = (C_jk + C_kj)/2 at the cell's two
+      other corners (its products with a centre difference cancel over
+      sigma, so it adds nothing to the centre or the edges).
+
+    Every entry and its mirror B_{i+o, i} are the same sum with the operands
+    swapped, so the table is symmetric to the bit.  Averaging the forward
+    and the backward pairing centres each difference product on its
+    coefficient, so u.B.u is a second-order quadrature of the Dirichlet
+    energy where C varies (pairing C_i with (D+_k u)_i alone, which lives
+    at i + e_k/2, is first-order).  B keeps positive semi-definiteness and
+    the constants as kernel, and a mirror of the grid maps it onto itself
+    whenever it maps C onto itself (with C_jk -> -C_jk across the mirrored
+    axis).  Where every node carries the same diagonal C (the identity
+    metric, constant diagonal metrics and, to roundoff, 2-d conformal
+    metrics, whose C = I) it is the classical 5-point stencil.  Offsets
+    whose coefficient is 0 at every node are left out.  Support-operator
+    stencils of this kind: Shashkov and Steinberg, J. Comput. Phys. 118
+    (1995).  No dense matrix is built.
     """
     grid = metric.grid
-    h = grid.spacing
-    coeffs = (h ** grid.dim / h ** 2) * metric.sqrt_det[:, None, None] * metric.inverse_tensor
-    return DiscreteLaplaceBeltrami(coefficients=coeffs, metric=metric)
+    h, dim = grid.spacing, grid.dim
+    c = ((h ** dim / h ** 2) * metric.sqrt_det[:, None, None]
+         * metric.inverse_tensor).reshape(grid.shape + (dim, dim))
+    centre = (0,) * dim
+    table = {centre: np.zeros(grid.shape)}
+    for j in range(dim):
+        step = np.eye(dim, dtype=int)[j]
+        edge = 0.5 * (c[..., j, j] + np.roll(c[..., j, j], -1, axis=j))
+        behind = np.roll(edge, 1, axis=j)  # the edge (i - e_j, i)
+        table[tuple(step)], table[tuple(-step)] = -edge, -behind
+        table[centre] = table[centre] + edge + behind
+        for k in range(j + 1, dim):
+            cross = 0.5 * (c[..., j, k] + c[..., k, j])
+            for oj, ok in itertools.product((1, -1), repeat=2):
+                offset = oj * step + ok * np.eye(dim, dtype=int)[k]
+                table[tuple(offset)] = -0.25 * oj * ok * (
+                    np.roll(cross, -oj, axis=j) + np.roll(cross, -ok, axis=k))
+    offsets = [centre] + [o for o in itertools.product((-1, 0, 1), repeat=dim)
+                          if o != centre and np.any(table[o])]
+    return DiscreteLaplaceBeltrami(
+        offsets=tuple(offsets),
+        stencil=np.stack([table[o].ravel() for o in offsets]), metric=metric)
 
 
 @dataclasses.dataclass
@@ -273,43 +312,49 @@ def decompose(op: DiscreteLaplaceBeltrami, cap: int = DEFAULT_EIG_CAP,
     """Eigenpairs of A, by the cheapest of three routes the operator allows.
 
     1. Closed form.  If every node carries bitwise the same stencil
-       coefficients C_jk, with C_01 = 0, and bitwise the same weight w (the
-       identity metric, or any constant metric with a diagonal tensor), A
-       is a circulant whose symbol is even along every axis, and tensor
-       products of the per-axis Fourier modes diagonalise it exactly; see
-       :func:`_fourier_eigenpairs`.  Each condition is needed: in 2-d a
-       conformal metric has C_jk = sqrt|g| g^{jk} = I at every node (the
-       Dirichlet energy is conformally invariant) while its weights vary,
-       and a constant C_01 != 0 adds a term odd in each frequency
-       separately (even only under theta -> -theta as a whole), which
-       mixes the cosine and the sine of one axis, so no tensor product of
-       real per-axis modes diagonalises A.  Such operators take one of the
-       routes below.
+       entries, the entry of each offset equals that of the offset negated
+       along any one axis, and every node carries bitwise the same weight w
+       (the identity metric, or any constant metric with a diagonal
+       tensor), A is a circulant whose symbol is even along every axis,
+       and tensor products of the per-axis Fourier modes diagonalise it
+       exactly; see :func:`_fourier_eigenpairs`.  Each condition is
+       needed: in 2-d a conformal metric has C_jk = sqrt|g| g^{jk} = I at
+       every node (the Dirichlet energy is conformally invariant) while its
+       weights vary, and a constant C_01 != 0 fills the cell diagonals with
+       entries of opposite sign on the two diagonals, a term odd in each
+       frequency separately (even only under theta -> -theta as a whole),
+       which mixes the cosine and the sine of one axis, so no tensor
+       product of real per-axis modes diagonalises A.  Such operators take
+       one of the routes below.
     2. Symmetry blocks.  In 2-d, three node permutations are candidate
        symmetries: the mirrors sigma0 (i, j) -> (-i, j) and
        sigma1 (i, j) -> (i, -j), indices modulo N, and the transposition
        tau (i, j) -> (j, i).  One holds if it maps B's stencil entries and
        w onto themselves to within ``_SYMMETRY_ULPS`` units of roundoff of
-       max|B| and max w.  B is checked, never C: a mirror turns the forward
-       difference D+ into -D-, so the pullback of a centred bump by a radial
-       squash has a C that is mirror-invariant to 7e-16 and a B that misses
-       the mirrors by 0.26 max|B|.  S = W^{-1/2} B W^{-1/2} then commutes
-       with the group G that the holding symmetries generate and splits
-       into one block per irreducible representation of G (Bossavit,
-       Comput. Methods Appl. Mech. Engrg. 1986; Fassler and Stiefel,
-       Group Theoretical Methods and Their Applications, 1992); see
-       :func:`_symmetry_blocks` and :func:`_block_eigenpairs`.
-       - The centred conformal bump (C = I) holds all three, and G is the
-         dihedral group D4 of the square.  The blocks of its four 1-d
-         representations have sizes (N^2 + 6N + 8)/8, (N^2 - 6N + 8)/8,
-         (N^2 + 2N)/8 and (N^2 - 2N)/8, and that of its 2-d one
-         (N^2 - 4)/4, solved once for both of its sets of modes: at
-         N = 48, 325, 253, 300, 276 and 575, against M = 2304.
-       - The bump's pullback by a radial squash holds tau alone: blocks of
-         N(N+1)/2 and N(N-1)/2.
+       max|B| and max w.  B is checked, not C, since B is what the blocks
+       split; the averaged stencil (:func:`assemble_laplacian`) maps a
+       mirror-invariant C (with C_01 -> -C_01) onto a mirror-invariant B.
+       S = W^{-1/2} B W^{-1/2} then commutes with the group G that the
+       holding symmetries generate and splits into one block per
+       irreducible representation of G (Bossavit, Comput. Methods Appl.
+       Mech. Engrg. 1986; Fassler and Stiefel, Group Theoretical Methods
+       and Their Applications, 1992); see :func:`_symmetry_blocks` and
+       :func:`_block_eigenpairs`.
+       - The centred conformal bump (C = I) and its pullback by a centred
+         radial squash hold all three, and G is the dihedral group D4 of
+         the square.  The blocks of its four 1-d representations have
+         sizes (N^2 + 6N + 8)/8, (N^2 - 6N + 8)/8, (N^2 + 2N)/8 and
+         (N^2 - 2N)/8, and that of its 2-d one (N^2 - 4)/4, solved once
+         for both of its sets of modes: at N = 48, 325, 253, 300, 276 and
+         575, against M = 2304.
+       - A centred axis-aligned ``AnisotropicBump`` holds both mirrors:
+         four blocks, (N/2 + 1)^2, (N/2 - 1)^2 and twice (N^2 - 4)/4.
+       - Metrics centred on the diagonal off the mirror axes (a bump, its
+         pullback) and constant metrics with a cross term and an equal
+         diagonal hold tau alone: blocks of N(N+1)/2 and N(N-1)/2.
        - A conformal bump centred on one mirror axis only holds that
          mirror: blocks of N(N+2)/2 and N(N-2)/2.
-       ``AnisotropicBump`` and bumps centred elsewhere hold none.
+       Bumps centred elsewhere hold none.
     3. Otherwise, a dense symmetric eigendecomposition of S.
 
     ``nodes`` asks for the basis rows at those nodes only (sorted and made
@@ -333,43 +378,54 @@ def decompose(op: DiscreteLaplaceBeltrami, cap: int = DEFAULT_EIG_CAP,
     layout at N = 48, 8.8 MB), and the block route reads each block's
     eigenvectors into them right after its eigensolve.  Measured at
     M = 2304 (x86-64, numpy 2.4, OpenBLAS at 2 threads), the peak resident
-    set rises above the caller's by 210 MiB for the dense route, with or
-    without ``nodes``; with the whole basis by 103 MiB for the
-    transposition blocks, 50 MiB for the dihedral blocks and 44 MiB for
-    the closed form; with the benchmark layout's rows by 61, 24 and
-    12 MiB.  With glibc's mmap threshold fixed at 128 KiB, so that every
-    freed block leaves the heap, the two block routes rise 65 and 47 MiB
-    with the whole basis.  Of the transposition route's 61 MiB with rows,
-    about 48 MiB is its larger eigensolve, of N(N+1)/2 = 1176, with its
-    input.
+    set rises above the caller's by 211 MiB for the dense route, with or
+    without ``nodes``; with the whole basis by 104 MiB for the
+    transposition blocks, 50 MiB for the dihedral blocks (the bump and its
+    pullback alike) and 43 MiB for the closed form; with the benchmark
+    layout's rows by 62, 24 and 12 MiB.  With glibc's mmap threshold fixed
+    at 128 KiB, so that every freed block leaves the heap, the two block
+    routes rise 65 and 47 MiB with the whole basis.  Of the transposition
+    route's 62 MiB with rows, about 48 MiB is its larger eigensolve, of
+    N(N+1)/2 = 1176, with its input.
 
-    The dense route forms M x M matrices whatever ``nodes`` holds, so every
-    route obeys ``cap``, and all share the zero snap of
-    :func:`_finish_eigenpairs`.  The result keeps its basis alive for as
-    long as it is referenced: callers should drop a decomposition once
-    they have read the blocks they need from it (``exterior.dtn_matrix``,
-    say), before the next call.
+    ``cap`` bounds what each route holds.  The whole basis is M x M on
+    every route, so without ``nodes`` M must not exceed it; the dense route
+    forms M x M matrices whatever ``nodes`` holds, so it too is capped on
+    M.  With ``nodes`` the closed form and the block route hold only the
+    rows and each block's eigensolve, so they are capped on len(nodes) and
+    on the largest block, and may run beyond M = cap: at N = 96 (M = 9216)
+    the dihedral blocks are at most 2303 and the benchmark layout's rows
+    1933.  Every route shares the zero snap of :func:`_finish_eigenpairs`.
+    The result keeps its basis alive for as long as it is referenced:
+    callers should drop a decomposition once they have read the blocks they
+    need from it (``exterior.dtn_matrix``, say), before the next call.
     """
     m = op.grid.node_count
-    if m > cap:
-        raise DecompositionSizeError(
-            f"grid has {m} nodes, dense eigendecomposition capped at {cap}; "
-            f"one {m} x {m} float64 matrix takes {8 * m * m / 1e6:.3g} MB")
     if nodes is None:
+        if m > cap:
+            raise _size_error(f"grid has {m} nodes, whole eigenbasis capped at "
+                              f"{cap}", m, m)
         at = np.arange(m)
     else:
         nodes = at = np.unique(np.asarray(nodes, dtype=int))
         if np.any((at < 0) | (at >= m)):
             raise ValueError(f"nodes must lie in [0, {m})")
+        if at.size > cap:
+            raise _size_error(f"{at.size} basis rows asked for, capped at {cap}",
+                              at.size, m)
     w = op.measure.node_weights
     root_w = np.sqrt(w)
-    c = op.coefficients[0]
-    if (np.all(op.coefficients == c) and np.array_equal(c, np.diag(np.diag(c)))
-            and np.all(w == w[0])):
+    first = dict(zip(op.offsets, op.stencil[:, 0]))
+    if (np.all(op.stencil == op.stencil[:, :1]) and np.all(w == w[0])
+            and all(first.get(o[:j] + (-o[j],) + o[j + 1:]) == b
+                    for o, b in first.items() for j in range(op.grid.dim))):
         evals, evecs = _fourier_eigenpairs(op, w[0], at)
     elif blocks := _symmetry_blocks(op, entries := op._form_entries()):
-        evals, evecs = _block_eigenpairs(entries, root_w, blocks, at)
+        evals, evecs = _block_eigenpairs(entries, root_w, blocks, at, cap)
     else:
+        if m > cap:
+            raise _size_error(f"grid has {m} nodes and no symmetry blocks, "
+                              f"dense eigensolve capped at {cap}", m, m)
         # the freshly assembled B, symmetric to the bit, is scaled in place,
         # one row at a time, to S = W^{-1/2} B W^{-1/2}, also symmetric
         sym = op.form_matrix
@@ -384,18 +440,29 @@ def decompose(op: DiscreteLaplaceBeltrami, cap: int = DEFAULT_EIG_CAP,
         basis=evecs, operator=op, nodes=nodes)
 
 
+def _size_error(what: str, rows: int, cols: int) -> DecompositionSizeError:
+    return DecompositionSizeError(
+        f"{what}; one {rows} x {cols} float64 matrix takes "
+        f"{8 * rows * cols / 1e6:.3g} MB")
+
+
 # how far, in units of roundoff of max|B| and max w, a 2-d operator may miss
 # a grid symmetry (sigma0, sigma1 or tau) and still take the block route.
 # Measured misses of B's stencil entries and of w, in those units:
-# - the centred conformal bump misses the mirrors by at most 0.125 and 2.25
-#   (the benchmark's bumps at N = 24, 32 and 48; 0.5 and 2.53 over the 2-d
-#   property tests' range at N = 12 and 16), and tau by 0;
-# - its pullback by a radial squash misses tau by at most 1.68 and 0.57
-#   (0.92 and 0.69 over that range): its tensors come out of an einsum
-#   whose summation order differs between (x, y) and (y, x).
-# An operator without the symmetry misses it by O(1) relative: that
-# pullback misses the mirrors by 0.26 max|B|, although its C, read as a
-# tensor, misses them by only 7e-16 relative.
+# - the centred conformal bump misses the mirrors by at most 0.125 and 1.5
+#   (the benchmark's bumps at N = 16 to 96), and tau by 0;
+# - its pullback by a centred radial squash misses the three by at most
+#   1.94 and 3.40 (the benchmark's pullbacks at N = 16 to 96): its tensors
+#   come out of an einsum whose summation order differs between a node and
+#   its image, and the node coordinates i h and (N - i) h are not mirror
+#   images to the bit;
+# - over the 2-d property tests' ranges (N = 12 to 24) B misses by at most
+#   2.89, and w by at most 4.10; a strongly squashed pullback can miss the
+#   mirrors in w by up to 8.9 and then takes a smaller group's blocks (or
+#   the dense route), which is slower but not less exact.
+# An operator without the symmetry misses it by O(1) relative: a pullback
+# centred on the diagonal but off the mirror axes misses the mirrors by
+# 0.05 max|B| and 0.4 max w.
 _SYMMETRY_ULPS = 8.0
 
 
@@ -485,7 +552,7 @@ def _orbit_basis(generators: list[np.ndarray], signs: tuple
 
 
 def _block_eigenpairs(entries: tuple, root_w: np.ndarray, blocks: list,
-                      at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                      at: np.ndarray, cap: int) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues of S from its symmetry blocks (:func:`_symmetry_blocks`)
     and the rows at the nodes ``at`` of its eigenvectors.
 
@@ -504,15 +571,21 @@ def _block_eigenpairs(entries: tuple, root_w: np.ndarray, blocks: list,
     all copies are merged by a stable ascending sort (block order on ties)
     and the columns sorted to match, one block of rows at a time, so no
     temporary of the basis's size is formed.  An empty block
-    ((N^2 - 6N + 8)/8 = 0 at N = 4) is skipped.
+    ((N^2 - 6N + 8)/8 = 0 at N = 4) is skipped.  Every block's orbit basis
+    is formed first, so a block larger than ``cap`` raises before any
+    eigensolve.
     """
+    bases = [_orbit_basis(generators, signs) for generators, signs, _ in blocks]
+    largest = max(k for _, _, k in bases)
+    if largest > cap:
+        raise _size_error(f"largest symmetry block has {largest} rows, "
+                          f"eigensolve capped at {cap}", largest, largest)
     rows, cols, values = entries
     values = values / (root_w[rows] * root_w[cols])
     m = root_w.size
     basis = np.empty((at.size, m)) if at.size < m else None
     evals, solved, start = [], [], 0
-    for generators, signs, copies in blocks:
-        index, coef, k = _orbit_basis(generators, signs)
+    for (index, coef, k), (_, _, copies) in zip(bases, blocks):
         if k:
             vals, vecs = np.linalg.eigh(np.bincount(
                 index[rows] * k + index[cols], minlength=k * k,
@@ -611,14 +684,15 @@ def _fourier_eigenpairs(op: DiscreteLaplaceBeltrami, weight: float,
                         at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form eigenpairs of an axis-separable circulant operator.
 
-    With the same diagonal C and the same w at every node, B is a circulant
-    whose symbol sigma(theta) = sum_j C_jj 4 sin^2(theta_j / 2) is even in
-    every theta_j separately, so the tensor products of the per-axis modes
-    of :func:`_axis_modes` diagonalise it: mode (c_0, ..., c_{dim-1}),
-    flattened like the nodes, has eigenvalue lam = sigma / w at
-    theta_j = 2 pi c_j / N.  The symbol is the DFT of B's column at node 0,
-    read off ``op.apply_form`` on the unit vector e_0, so the stencil is
-    stated only there.  The modes are ordered by a stable ascending sort of
+    With the same stencil entries and the same w at every node, each entry
+    equal to that of its offset negated along any one axis, B is a
+    circulant whose symbol sigma(theta) is even in every theta_j
+    separately (for a diagonal C, sum_j C_jj 4 sin^2(theta_j / 2)), so the
+    tensor products of the per-axis modes of :func:`_axis_modes`
+    diagonalise it: mode (c_0, ..., c_{dim-1}), flattened like the nodes,
+    has eigenvalue lam = sigma / w at theta_j = 2 pi c_j / N.  The symbol
+    is the DFT of B's column at node 0, ``op.apply_form`` on the unit
+    vector e_0.  The modes are ordered by a stable ascending sort of
     lam (ties keep the flattened mode order).  Returns the basis rows at
     the nodes ``at``; in 2-d the row of node (i, j) is Q[i, c_0] Q[j, c_1],
     filled one grid row at a time for the whole basis and one block of

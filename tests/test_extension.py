@@ -232,7 +232,7 @@ def test_mesh_conductance_exact_on_flux_solution():
 @pytest.mark.parametrize("dim", [1, 2])
 def test_flat_modes_diagonalise_the_euclidean_stencil(dim, n):
     # the preconditioner's closed-form mu must be the symbol of the stencil
-    # that apply_form states, or the flat inverse is no longer exact
+    # that apply_form applies, or the flat inverse is no longer exact
     grid = build_grid(dim, 4.0, n)
     op = assemble_laplacian(make_metric(grid, IdentityMetric(dim)))
     to_modes, to_nodes, mu = _flat_modes(grid)

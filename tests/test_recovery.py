@@ -515,8 +515,8 @@ def test_gauge_experiment_defect_shrinks_under_refinement(distinct_1d):
     assert np.all(np.diff(report.errors) < 0.0)
     assert report.ratios.min() >= 3.0
     assert report.sizes == (16, 32, 64)
-    # the data-free defect reads 1.19e-3, 3.56e-4, 5.44e-5: it shrinks by
-    # 3.3 and 6.5 and ends 72x below the distinct pair's
+    # the data-free defect reads 1.06e-3, 2.81e-4, 4.55e-5: it shrinks by
+    # 3.8 and 6.2 and ends 85x below the distinct pair's
     ops = report.operator_defects
     assert np.all(ops[:-1] / ops[1:] > 3.0)
     assert ops[-1] < distinct_1d.operator_defects[-1] / 50.0
@@ -527,7 +527,7 @@ def test_distinct_pair_defect_does_not_shrink(distinct_1d):
     assert not control.passed
     assert control.ratios.max() < 2.0
     assert control.relative_errors.min() > 1e-4
-    # the data-free defect is flat: 3.69e-3, 3.89e-3, 3.90e-3
+    # the data-free defect is flat: 3.61e-3, 3.85e-3, 3.89e-3
     ops = control.operator_defects
     assert ops.min() > 1e-3
     assert ops.max() / ops.min() < 1.1
@@ -655,6 +655,50 @@ def test_euclidean_reference_needs_no_eigensolve(monkeypatch):
     assert sorted(calls[5:]) == [21, 28, 36, 45, 63]
 
 
+# the benchmark's gauge layout (``benchmarks/workloads.py``), restated here:
+# Omega r 1.0 with 0.2-radius windows, bump and squash of radius 0.9
+GAUGE_REGION = RegionSpec(omega_center=(2.0, 2.0), omega_radius=1.0,
+                          w1_center=(0.2, 2.0), w1_radius=0.2,
+                          w2_center=(2.0, 0.2), w2_radius=0.2)
+GAUGE_PROFILE = ConformalBump(dim=2, beta=0.5, sigma=0.3, center=(2.0, 2.0),
+                              r0=0.9)
+GAUGE_SQUASH = RadialSquash(dim=2, center=(2.0, 2.0), radius=0.9,
+                            strength=0.15)
+GAUGE_DATA = [lambda X: np.exp(-((X - (0.2, 2.0)) ** 2).sum(axis=1) / 0.05)]
+
+
+def test_2d_gauge_operator_defect_is_second_order():
+    # the gauge pair's DtN maps agree in the continuum, so their data-free
+    # defect is discretisation error alone, and the averaged stencil makes
+    # it fall at second order or better (8.78e-4, 1.19e-4, 1.51e-5: orders
+    # 2.9 and 3.0); the distinct pair stays flat (1.43e-3 to 1.53e-3)
+    sizes = (16, 32, 64)
+    gauge = gauge_experiment(ALPHA, GAUGE_REGION, GAUGE_PROFILE, GAUGE_SQUASH,
+                             GAUGE_DATA, side_length=SIDE, sizes=sizes)
+    orders = np.log2(gauge.operator_defects[:-1] / gauge.operator_defects[1:])
+    assert np.all(orders >= 1.8)
+    distinct = dtn_difference_experiment(ALPHA, GAUGE_REGION, GAUGE_PROFILE,
+                                         IdentityMetric(dim=2), GAUGE_DATA,
+                                         side_length=SIDE, sizes=sizes)
+    ops = distinct.operator_defects
+    assert ops.min() > 1e-3
+    assert ops.max() / ops.min() < 1.1
+
+
+def test_2d_gauge_experiment_takes_the_dihedral_blocks(monkeypatch):
+    # both metrics of the gauge pair hold D4, so no eigensolve is larger than
+    # the 2-d representation's block, (N^2 - 4)/4, at either size
+    eigh = np.linalg.eigh
+    calls = []
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda a: calls.append(a.shape[0]) or eigh(a))
+    gauge_experiment(ALPHA, GAUGE_REGION, GAUGE_PROFILE, GAUGE_SQUASH,
+                     GAUGE_DATA, side_length=SIDE, sizes=(24, 48))
+    assert len(calls) == 20  # five blocks per metric and size
+    assert max(calls[:10]) <= (24 ** 2 - 4) // 4
+    assert max(calls[10:]) <= (48 ** 2 - 4) // 4
+
+
 # one operator per route of decompose, with the eigensolve sizes that show
 # the route: the closed form runs none, the symmetry blocks one per block,
 # the dense route one of size M
@@ -663,12 +707,19 @@ ROUTE_CASES = {
     "dense-1d": (1, 32, BASE_1D, [32]),
     "closed-2d": (2, 16, IdentityMetric(dim=2), []),
     "dihedral": (2, 16, BASE_2D, [21, 28, 36, 45, 63]),
-    "transposition": (2, 16, PullbackProfile(base=BASE_2D, squash=SQUASH_2D),
-                      [120, 136]),
+    "pullback": (2, 16, PullbackProfile(base=BASE_2D, squash=SQUASH_2D),
+                 [21, 28, 36, 45, 63]),
+    "transposition": (2, 16, PullbackProfile(
+        base=dataclasses.replace(BASE_2D, center=(1.75, 1.75)),
+        squash=dataclasses.replace(SQUASH_2D, center=(1.75, 1.75))),
+        [120, 136]),
     "mirror": (2, 16, dataclasses.replace(BASE_2D, center=(2.0, 1.5)),
                [112, 144]),
+    "mirror-pair": (2, 16, AnisotropicBump(dim=2, beta=0.5, sigma=0.3,
+                                           center=(2.0, 2.0), r0=0.75),
+                    [49, 63, 63, 81]),
     "dense-2d": (2, 16, AnisotropicBump(dim=2, beta=0.5, sigma=0.3,
-                                        center=(2.0, 2.0), r0=0.75), [256]),
+                                        center=(1.75, 2.25), r0=0.75), [256]),
 }
 
 

@@ -7,6 +7,7 @@ quadrature accuracy.
 """
 
 import dataclasses
+import itertools
 import math
 import warnings
 
@@ -49,6 +50,13 @@ BUMP_2D = ConformalBump(2, beta=0.6, sigma=0.5, center=(2.0, 2.0), r0=1.5)
 ANISO_2D = AnisotropicBump(2, beta=0.5, sigma=0.5, center=(2.0, 2.0), r0=1.5)
 PULLBACK_2D = PullbackProfile(base=BUMP_2D, squash=RadialSquash(
     dim=2, center=(2.0, 2.0), radius=1.5, strength=0.15))
+# off the grid's symmetries: centred off both mirror axes and the diagonal
+ANISO_OFF_CENTRE_2D = dataclasses.replace(ANISO_2D, center=(1.7, 2.3))
+# the transposition alone: a bump and a squash centred on the diagonal,
+# off the mirror axes; the cross term is live
+TAU_PULLBACK_2D = PullbackProfile(
+    base=dataclasses.replace(BUMP_2D, center=(1.75, 1.75)),
+    squash=RadialSquash(dim=2, center=(1.75, 1.75), radius=1.5, strength=0.15))
 
 
 @pytest.fixture(scope="module")
@@ -169,29 +177,72 @@ def test_stencil_product_matches_dense_form(dim, profile):
     np.testing.assert_allclose(op.apply(block[:, 0]), dense_a[:, 0],
                                rtol=0, atol=tol_a)
     assert np.array_equal(op.form_diagonal(), np.diag(op.form_matrix))
-    # an oracle independent of apply_form and of the probes that read B off
-    # it: u.B.v = sum_i sum_jk C_jk,i (D+_j u)_i (D+_k v)_i, with D+ written
-    # by index arithmetic
+    # an oracle independent of the table: the averaged energy summed node by
+    # node, with D+ and D- written by index arithmetic
     u, v = block[:, 1], block[:, 2]
-    energy = _stencil_energy(op, u, v)
+    energy = u @ _averaged_energy_form(op.metric) @ v
     for got in (u @ op.form_matrix @ v, u @ op.apply_form(v)):
         assert abs(got - energy) <= 1e-13 * abs(energy)
 
 
-def _stencil_energy(op, u, v):
-    """sum_i sum_jk C_jk,i (D+_j u)_i (D+_k v)_i, node by node."""
-    grid = op.grid
-    n = grid.points_per_side
-    coords = np.indices(grid.shape).reshape(grid.dim, -1)
-    forward = []  # forward[j][i] = flat index of node i + e_j
-    for j in range(grid.dim):
+@pytest.mark.parametrize("dim, profile", [
+    (1, BUMP_1D),
+    (2, BUMP_2D),
+    (2, PULLBACK_2D),
+    (2, ANISO_2D),
+], ids=["bump-1d", "conformal-2d", "pullback-2d", "aniso-2d"])
+def test_apply_form_is_the_same_in_either_layout(monkeypatch, dim, profile):
+    # the extension solve passes the transposed view of a level-major
+    # (levels, M) block; the product is bitwise that of the C-contiguous
+    # (M, levels) block, keeps the operand's layout, and shifts by slices,
+    # never by np.roll copies
+    grid = build_grid(dim, 4.0, 16 if dim == 1 else 12)
+    op = assemble_laplacian(make_metric(grid, profile))
+    levels = np.random.default_rng(10).standard_normal((7, grid.node_count))
+    block = np.ascontiguousarray(levels.T)
+    assert not levels.T.flags.c_contiguous
+
+    def no_roll(*args, **kwargs):
+        raise AssertionError("apply_form copied a shifted operand")
+
+    monkeypatch.setattr(np, "roll", no_roll)
+    got = op.apply_form(block)
+    transposed = op.apply_form(levels.T)
+    monkeypatch.undo()
+    assert np.array_equal(transposed, got)
+    assert transposed.T.flags.c_contiguous and got.flags.c_contiguous
+    dense = op.form_matrix @ block
+    assert np.abs(got - dense).max() <= 1e-14 * np.abs(dense).max()
+
+
+def _averaged_energy_form(metric):
+    """The matrix of the averaged energy
+
+        u.B.v = 2^{-dim} sum_sigma sum_i sum_jk C_jk,i (D^sigma_j u)_i (D^sigma_k v)_i ,
+
+    C_jk = h^{dim-2} sqrt|g| g^{jk} and sigma a forward (s = 1) or backward
+    (s = -1) difference per axis, (D^s_j u)_i = s (u_{i + s e_j} - u_i), summed
+    node by node: each term adds its four products to B."""
+    grid = metric.grid
+    m, n, dim, h = grid.node_count, grid.points_per_side, grid.dim, grid.spacing
+    c = h ** (dim - 2) * metric.sqrt_det[:, None, None] * metric.inverse_tensor
+    coords = np.indices(grid.shape).reshape(dim, -1)
+    node = np.arange(m)
+
+    def neighbour(j, s):  # flat index of node i + s e_j
         shifted = coords.copy()
-        shifted[j] = (shifted[j] + 1) % n
-        forward.append(np.ravel_multi_index(tuple(shifted), grid.shape))
-    du = [u[forward[j]] - u for j in range(grid.dim)]
-    dv = [v[forward[k]] - v for k in range(grid.dim)]
-    return sum(float(np.sum(op.coefficients[:, j, k] * du[j] * dv[k]))
-               for j in range(grid.dim) for k in range(grid.dim))
+        shifted[j] = (shifted[j] + s) % n
+        return np.ravel_multi_index(tuple(shifted), grid.shape)
+
+    form = np.zeros((m, m))
+    for sigma in itertools.product((1, -1), repeat=dim):
+        for j, k in itertools.product(range(dim), repeat=2):
+            term = sigma[j] * sigma[k] * c[:, j, k] / 2 ** dim
+            nj, nk = neighbour(j, sigma[j]), neighbour(k, sigma[k])
+            for rows, cols, sign in ((nj, nk, 1.0), (nj, node, -1.0),
+                                     (node, nk, -1.0), (node, node, 1.0)):
+                np.add.at(form, (rows, cols), sign * term)
+    return form
 
 
 @pytest.mark.parametrize("n", [4, 6, 10, 12, 14, 16, 22, 26])
@@ -201,23 +252,28 @@ def _stencil_energy(op, u, v):
     (2, PULLBACK_2D),
 ], ids=["bump-1d", "aniso-2d", "pullback-2d"])
 def test_form_matrix_is_read_off_the_stencil(monkeypatch, dim, profile, n):
-    # column j of B is B e_j; the probes read the same entries, mirror each
-    # pair of opposite offsets, and so give a B symmetric to the bit.  At
-    # most 4 colours per axis whatever N: 3 does not divide 4, 10, 14, 16,
-    # 22 or 26, and 14, 22 and 26 are twice a prime
+    # B is read off the table, not off products with apply_form; it equals
+    # the averaged energy's matrix to roundoff, column j of it is B e_j, and
+    # the table lists every entry and its mirror as one value, so B is
+    # symmetric to the bit
     grid = build_grid(dim, 4.0, n)
     op = assemble_laplacian(make_metric(grid, profile))
-    probe_columns = []
+    products = []
     apply_form = op.apply_form
     monkeypatch.setattr(op, "apply_form",
-                        lambda X: probe_columns.append(X.shape[1]) or apply_form(X))
+                        lambda X: products.append(X.shape) or apply_form(X))
     form = op.form_matrix
     monkeypatch.undo()
-    assert len(probe_columns) == 1 and probe_columns[0] <= 4 ** dim
+    assert products == []
+    oracle = _averaged_energy_form(op.metric)
+    assert np.abs(form - oracle).max() <= 1e-15 * np.abs(oracle).max()
     columns = op.apply_form(np.eye(grid.node_count))
     assert np.abs(form - columns).max() <= 1e-15 * np.abs(columns).max()
     assert np.array_equal(form != 0, columns != 0)
     assert np.array_equal(form, form.T)
+    # a diagonal metric (C_01 = 0) keeps the 5-point stencil, a cross term
+    # fills the 9 points
+    assert len(op.offsets) == {1: 3, 2: 9 if profile is PULLBACK_2D else 5}[dim]
 
 
 # ----------------------------------------------------------------------
@@ -247,7 +303,7 @@ def test_decomposition_stores_geometry_once(dec_2d_aniso):
     # decomposition rebuilt from its fields carries the same geometry
     dec = dec_2d_aniso
     assert [f.name for f in dataclasses.fields(dec.operator)] == [
-        "coefficients", "metric"]
+        "offsets", "stencil", "metric"]
     assert [f.name for f in dataclasses.fields(dec)] == [
         "eigenvalues", "basis", "operator", "nodes"]
     assert dec.nodes is None  # the basis holds every node
@@ -323,6 +379,14 @@ def _mirror_block_sizes(n):
     return sorted([n * (n + 2) // 2, n * (n - 2) // 2])
 
 
+def _mirror_pair_block_sizes(n):
+    """Sizes of the four blocks of both mirrors of an N x N grid: each
+    mirror's even and odd subspaces of one axis have N/2 + 1 and N/2 - 1
+    dimensions, and the blocks are their products."""
+    even, odd = n // 2 + 1, n // 2 - 1
+    return sorted([even * even, even * odd, odd * even, odd * odd])
+
+
 def _dihedral_block_sizes(n):
     """Sizes of the eigensolves of a D4-invariant operator on an N x N grid,
     ascending: the blocks of D4's four 1-d representations and the block of
@@ -336,38 +400,46 @@ def _dihedral_block_sizes(n):
 
 @pytest.mark.parametrize("dim, n, profile, sizes", [
     (1, 16, BUMP_1D, None),
-    (2, 12, ANISO_2D, None),
+    (2, 12, ANISO_2D, _mirror_pair_block_sizes),
+    (2, 12, ANISO_OFF_CENTRE_2D, None),
     (2, 12, dataclasses.replace(BUMP_2D, center=(2.0, 1.5)),
      _mirror_block_sizes),
     (2, 16, BUMP_2D, _dihedral_block_sizes),
     (2, 4, BUMP_2D, _dihedral_block_sizes),
     (2, 6, BUMP_2D, _dihedral_block_sizes),
     (2, 10, BUMP_2D, _dihedral_block_sizes),
-    (2, 16, PULLBACK_2D, _transposition_block_sizes),
+    (2, 16, PULLBACK_2D, _dihedral_block_sizes),
+    (2, 12, TAU_PULLBACK_2D, _transposition_block_sizes),
     (2, 12, ConstantProfile(((1.3, 0.4), (0.4, 0.9))), None),
     (2, 12, ConstantProfile(((1.2, 0.3), (0.3, 1.2))),
      _transposition_block_sizes),
-], ids=["bump-1d", "aniso-2d", "conformal-off-diagonal", "conformal-2d",
-        "conformal-2d-4", "conformal-2d-6", "conformal-2d-10",
-        "pullback-2d", "constant-cross-2d", "constant-cross-symmetric-2d"])
+], ids=["bump-1d", "aniso-2d", "aniso-off-centre-2d", "conformal-off-diagonal",
+        "conformal-2d", "conformal-2d-4", "conformal-2d-6", "conformal-2d-10",
+        "pullback-2d", "pullback-diagonal-2d", "constant-cross-2d",
+        "constant-cross-symmetric-2d"])
 def test_decompose_pins_dense_reference(dim, n, profile, sizes):
-    # the dense route (1-d, the anisotropic bump along axis 0, a constant
-    # metric with a cross term and unequal diagonal, which no tensor product
-    # of per-axis Fourier modes diagonalises) is one eigensolve of size M,
-    # pinned to the last bit.  An operator with grid symmetries takes one
-    # eigensolve per symmetry block, and its eigenpairs match the dense ones
-    # to roundoff (eigenspaces are degenerate, so the bases differ): the
-    # centred conformal bump holds both mirrors and the transposition (D4;
-    # N = 4 has an empty block, N = 6 and 10 are 2 mod 4), a bump centred
-    # on one mirror axis only that mirror, the pullback and a constant
-    # metric with a cross term and equal diagonal only the transposition
+    # the dense route (1-d, an anisotropic bump centred off every mirror
+    # axis and off the diagonal, a constant metric with a cross term and
+    # unequal diagonal, which no tensor product of per-axis Fourier modes
+    # diagonalises) is one eigensolve of size M, pinned to the last bit.  An
+    # operator with grid symmetries takes one eigensolve per symmetry block,
+    # and its eigenpairs match the dense ones to roundoff (eigenspaces are
+    # degenerate, so the bases differ): the centred conformal bump and its
+    # pullback by a centred radial squash hold both mirrors and the
+    # transposition (D4; N = 4 has an empty block, N = 6 and 10 are 2 mod 4),
+    # the centred axis-aligned anisotropic bump both mirrors, a bump centred
+    # on one mirror axis only that mirror, and the pullback about a point of
+    # the diagonal and a constant metric with a cross term and equal
+    # diagonal only the transposition
     grid = build_grid(dim, 4.0, n)
     op = assemble_laplacian(make_metric(grid, profile))
     if profile is BUMP_2D:
-        # a 2-d conformal metric has the same stencil at every node (to
-        # roundoff) but not the same weight: it must not take the
+        # a 2-d conformal metric has the same stencil at every node (here
+        # to the bit) but not the same weight: it must not take the
         # closed-form route
-        assert np.abs(op.coefficients - np.eye(2)).max() <= 2e-16
+        assert op.offsets == ((0, 0), (-1, 0), (0, -1), (0, 1), (1, 0))
+        assert np.all(op.stencil == op.stencil[:, :1])
+        assert np.ptp(op.measure.node_weights) > 0.0
     dec, calls = _counted_decompose(op)
     evals, basis = _pinned_dense(op)
     if sizes is None:
@@ -393,52 +465,64 @@ def test_decompose_pins_dense_reference(dim, n, profile, sizes):
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
-def test_mirror_check_reads_the_form_not_the_coefficients():
-    # the forward stencil turns D+ into -D- under a mirror: the pullback's
-    # C is mirror-invariant to roundoff, but its B misses the mirrors by
-    # O(1), so it takes the two transposition blocks, never the dihedral
-    # ones (which would return wrong eigenpairs)
-    n = 16
-    op = assemble_laplacian(make_metric(build_grid(2, 4.0, n), PULLBACK_2D))
-    sigma0, _, _ = spectral._grid_symmetries(n)
-    flip = np.array([[1.0, -1.0], [-1.0, 1.0]])  # the mirror's C_01 sign
-    c = op.coefficients
-    assert np.abs(c[sigma0] * flip - c).max() <= 1e-15 * np.abs(c).max()
+def _form_miss(b, p):
+    """How far B misses the node permutation p, relative to max|B|."""
+    return np.abs(b[np.ix_(p, p)] - b).max() / np.abs(b).max()
+
+
+@settings(max_examples=12, deadline=None)
+@given(beta=st.floats(0.2, 0.8), sigma=st.floats(0.2, 0.5),
+       strength=st.floats(0.05, 0.3), pull_in=st.booleans(),
+       radius=st.floats(0.5, 1.5), n=st.sampled_from([12, 16, 24]))
+def test_radial_pullback_form_holds_the_dihedral_group(beta, sigma, strength,
+                                                       pull_in, radius, n):
+    # the averaged stencil maps a mirror-invariant C (with C_01 -> -C_01)
+    # onto a mirror-invariant B, so the pullback of a centred radial bump by
+    # a centred radial squash has a B that holds D4 within the roundoff
+    # tolerance; one entry of B moved off symmetry breaks the mirrors
+    grid = build_grid(2, 4.0, n)
+    op = assemble_laplacian(make_metric(grid, PullbackProfile(
+        base=ConformalBump(2, beta=beta, sigma=sigma, center=(2.0, 2.0),
+                           r0=1.5),
+        squash=RadialSquash(dim=2, center=(2.0, 2.0), radius=radius,
+                            strength=-strength if pull_in else strength))))
+    assert len(op.offsets) == 9  # the cross term is live
+    tol = spectral._SYMMETRY_ULPS * np.finfo(float).eps
+    symmetries = spectral._grid_symmetries(n)
     b = op.form_matrix
-    assert np.abs(b[np.ix_(sigma0, sigma0)] - b).max() >= 0.1 * np.abs(b).max()
-    dec, calls = _counted_decompose(op)
-    assert calls == [n * (n + 1) // 2, n * (n - 1) // 2]
-    evals, _ = _pinned_dense(op)
-    assert np.abs(dec.eigenvalues - evals).max() <= 1e-13 * evals[-1]
+    assert all(_form_miss(b, p) <= tol for p in symmetries)
+    # B_ii at node (1, 2), which no grid symmetry fixes
+    stencil = op.stencil.copy()
+    stencil[0, n + 2] += 2.0 * tol * np.abs(b).max()
+    moved = dataclasses.replace(op, stencil=stencil)
+    assert all(_form_miss(moved.form_matrix, p) > tol for p in symmetries)
+    assert spectral._symmetry_blocks(moved, moved._form_entries()) == []
 
 
 def _perturbed(op, field, units, nodes):
-    """``op`` moved off symmetry at the grid nodes ``nodes``: by C_01 = C_10
-    (``field="coefficients"``), so B's diagonal entry there moves by
-    ``units`` of roundoff of max|B|, or by the weight
-    (``field="weights"``), by ``units`` of roundoff of max w.  The operator
-    then misses by that much every grid symmetry that does not map
-    ``nodes`` onto themselves."""
+    """``op`` moved off symmetry at the grid nodes ``nodes``: by its stencil
+    coefficients (``field="coefficients"``), B's diagonal entry there by
+    ``units`` of roundoff of max|B|, or by the weight (``field="weights"``),
+    by ``units`` of roundoff of max w.  The operator then misses by that
+    much every grid symmetry that does not map ``nodes`` onto themselves."""
     n = op.grid.points_per_side
     index = [i * n + j for i, j in nodes]
     eps = np.finfo(float).eps
     if field == "coefficients":
-        coeffs = op.coefficients.copy()
-        # B_ii gains 2 C_01 at the node (u.B.u holds 2 C_01 (D+_0 u)(D+_1 u))
-        shift = 0.5 * units * eps * np.abs(op.form_matrix).max()
-        coeffs[np.ix_(index, [0, 1], [1, 0])] += shift
-        return DiscreteLaplaceBeltrami(coefficients=coeffs, metric=op.metric)
+        stencil = op.stencil.copy()
+        stencil[0, index] += units * eps * np.abs(op.stencil).max()
+        return dataclasses.replace(op, stencil=stencil)
     sqrt_det = op.metric.sqrt_det.copy()
     sqrt_det[index] += units * eps * sqrt_det.max()
-    metric = dataclasses.replace(op.metric, sqrt_det=sqrt_det)
-    return DiscreteLaplaceBeltrami(coefficients=op.coefficients, metric=metric)
+    return dataclasses.replace(
+        op, metric=dataclasses.replace(op.metric, sqrt_det=sqrt_det))
 
 
-# node (1, 2) alone breaks the pullback's transposition; (1, 2) with its
-# transposed image (2, 1) breaks the bump's mirrors and keeps tau
+# node (1, 2) alone breaks the diagonal pullback's transposition; (1, 2)
+# with its transposed image (2, 1) breaks the bump's mirrors and keeps tau
 PERTURBED = [
-    pytest.param("coefficients", PULLBACK_2D, [(1, 2)], id="coefficients"),
-    pytest.param("weights", PULLBACK_2D, [(1, 2)], id="weights"),
+    pytest.param("coefficients", TAU_PULLBACK_2D, [(1, 2)], id="coefficients"),
+    pytest.param("weights", TAU_PULLBACK_2D, [(1, 2)], id="weights"),
     pytest.param("coefficients", BUMP_2D, [(1, 2), (2, 1)],
                  id="bump-coefficients"),
     pytest.param("weights", BUMP_2D, [(1, 2), (2, 1)], id="bump-weights"),
@@ -448,13 +532,13 @@ PERTURBED = [
 @pytest.mark.parametrize("field, profile, nodes", PERTURBED)
 def test_transposition_route_within_the_roundoff_tolerance(field, profile,
                                                            nodes):
-    # half the tolerance off symmetry: the pullback keeps its two
+    # half the tolerance off symmetry: the diagonal pullback keeps its two
     # transposition blocks and the bump its five dihedral ones
     grid = build_grid(2, 4.0, 12)
     op = _perturbed(assemble_laplacian(make_metric(grid, profile)), field,
                     0.5 * spectral._SYMMETRY_ULPS, nodes)
     dec, calls = _counted_decompose(op)
-    expected = (_transposition_block_sizes if profile is PULLBACK_2D
+    expected = (_transposition_block_sizes if profile is TAU_PULLBACK_2D
                 else _dihedral_block_sizes)
     assert sorted(calls) == expected(12)
     evals, _ = _pinned_dense(op)
@@ -463,15 +547,15 @@ def test_transposition_route_within_the_roundoff_tolerance(field, profile,
 
 @pytest.mark.parametrize("field, profile, nodes", PERTURBED)
 def test_dense_route_beyond_the_roundoff_tolerance(field, profile, nodes):
-    # twice the tolerance off symmetry: the pullback falls back to one full
-    # eigensolve, pinned bitwise; the bump still holds tau, so it falls back
-    # to the two transposition blocks, not to the dense route
+    # twice the tolerance off symmetry: the diagonal pullback falls back to
+    # one full eigensolve, pinned bitwise; the bump still holds tau, so it
+    # falls back to the two transposition blocks, not to the dense route
     grid = build_grid(2, 4.0, 12)
     op = _perturbed(assemble_laplacian(make_metric(grid, profile)), field,
                     2.0 * spectral._SYMMETRY_ULPS, nodes)
     dec, calls = _counted_decompose(op)
     evals, basis = _pinned_dense(op)
-    if profile is PULLBACK_2D:
+    if profile is TAU_PULLBACK_2D:
         assert calls == [grid.node_count]
         assert np.array_equal(dec.eigenvalues, evals)
         assert np.array_equal(dec.basis, basis)
@@ -490,7 +574,7 @@ BENCH_PULLBACK = PullbackProfile(base=BENCH_BUMP, squash=RadialSquash(
 
 @pytest.mark.parametrize("profile, sizes", [
     (BENCH_BUMP, [55, 66, 78, 91, 143]),
-    (BENCH_PULLBACK, [276, 300]),
+    (BENCH_PULLBACK, [55, 66, 78, 91, 143]),
     (IdentityMetric(2), []),
 ], ids=["bump", "pullback", "identity"])
 def test_benchmark_operators_take_their_routes(profile, sizes):
@@ -556,6 +640,43 @@ def test_decompose_size_cap():
     with pytest.raises(DecompositionSizeError,
                        match=r"16 x 16 float64 matrix takes 0\.00205 MB"):
         decompose(op, cap=8)
+
+
+# N = 16 (M = 256): the whole basis is capped on M on every route; rows
+# alone are capped on their count, the symmetry blocks also on the largest
+# eigensolve (63 rows, the dihedral 2-d representation's), and the dense
+# route on M whatever the rows
+@pytest.mark.parametrize("profile, cap, rows, message", [
+    (IdentityMetric(2), 255, None, r"grid has 256 nodes, whole eigenbasis"),
+    (BUMP_2D, 255, None, r"grid has 256 nodes, whole eigenbasis"),
+    (IdentityMetric(2), 20, 30, r"30 basis rows asked for, capped at 20; "
+                                r"one 30 x 256 float64 matrix takes 0\.0614 MB"),
+    (BUMP_2D, 70, 80, r"80 basis rows asked for"),
+    (BUMP_2D, 62, 10, r"largest symmetry block has 63 rows, eigensolve capped "
+                      r"at 62; one 63 x 63 float64 matrix"),
+    (ANISO_OFF_CENTRE_2D, 255, 10,
+     r"grid has 256 nodes and no symmetry blocks, dense eigensolve capped"),
+], ids=["closed-form", "blocks", "closed-form-rows", "blocks-rows",
+        "blocks-largest", "dense-rows"])
+def test_decompose_size_cap_on_every_route(profile, cap, rows, message):
+    op = assemble_laplacian(make_metric(build_grid(2, 4.0, 16), profile))
+    nodes = None if rows is None else np.arange(rows)
+    with pytest.raises(DecompositionSizeError, match=message):
+        decompose(op, cap=cap, nodes=nodes)
+
+
+@pytest.mark.parametrize("profile", [IdentityMetric(2), BUMP_2D, PULLBACK_2D],
+                         ids=["closed-form", "conformal", "pullback"])
+def test_rows_only_decomposition_needs_no_m_cap(profile):
+    # rows alone beyond M = cap: the closed form and the dihedral blocks
+    # (largest 63 at N = 16) keep the eigenvalues of the whole decomposition
+    # and its rows, up to a sign per column
+    op = assemble_laplacian(make_metric(build_grid(2, 4.0, 16), profile))
+    nodes = np.arange(0, 256, 7)
+    rows = decompose(op, cap=64, nodes=nodes)
+    full = decompose(op)
+    assert np.array_equal(rows.eigenvalues, full.eigenvalues)
+    assert np.array_equal(np.abs(rows.basis), np.abs(full.basis[nodes]))
 
 
 def _rows_only():
@@ -813,16 +934,17 @@ def test_frac_rejects_alpha_outside_range(dec_1d_bump, alpha):
         frac_apply_spectral(dec_1d_bump, alpha, np.ones(16))
 
 
-# 2-d profiles for each non-closed-form route of ``decompose``: centred
-# radial conformal bumps, and their centred conformal rescalings, hold the
-# dihedral group; their pullbacks by a radial squash hold the grid
-# transposition alone; anisotropic bumps and their conformal rescalings
-# hold no grid symmetry.  Over this strategy's range (beta, sigma and N
-# drawn 300 times) the bumps miss the mirrors by at most 0.5 units of
-# roundoff of max|B| and 2.53 of max w and the pullbacks miss tau by at
-# most 0.92 and 0.69, well inside ``_SYMMETRY_ULPS`` = 8; the pullbacks
-# miss the mirrors by 0.26 max|B|.  Omega holds every support; the windows
-# sit outside it.
+# 2-d profiles for each non-closed-form route of ``decompose``: a radial
+# conformal bump centred on the grid's mirror axes, and its pullback by a
+# radial squash with the same centre, hold the dihedral group; centred on
+# the diagonal off the mirror axes they hold the grid transposition alone;
+# an anisotropic bump centred off the mirror axes and the diagonal, and its
+# conformal rescaling, hold no grid symmetry.  Over this strategy's range
+# (beta, sigma, the variant and N drawn 300 times) the dihedral profiles
+# miss the mirrors and the transposition by at most 1.93 units of roundoff
+# of max|B| and 4.10 of max w, and the diagonal ones the transposition by
+# 1.92 and 1.26, inside ``_SYMMETRY_ULPS`` = 8.  The windows sit outside
+# Omega.
 ROUTE_REGION = RegionSpec(omega_center=(2.0, 2.0), omega_radius=0.8,
                           w1_center=(0.25, 2.0), w1_radius=0.3,
                           w2_center=(2.0, 0.25), w2_radius=0.3)
@@ -833,19 +955,17 @@ SWAPPED_REGION = dataclasses.replace(
 
 def _route_profile(route, beta, sigma, variant):
     if route == "dense":
-        base = AnisotropicBump(2, beta=beta, sigma=sigma, center=(2.0, 2.0),
+        base = AnisotropicBump(2, beta=beta, sigma=sigma, center=(1.7, 2.25),
                                r0=0.75, axis=1)
         return ConformalRescale(base=base, beta=0.3, sigma=0.2,
                                 center=(2.0, 1.6), bump_r0=0.35) \
             if variant else base
-    bump = ConformalBump(2, beta=beta, sigma=sigma, center=(2.0, 2.0), r0=0.75)
-    if variant:
-        bump = ConformalRescale(base=bump, beta=0.3, sigma=0.2,
-                                center=(2.0, 2.0), bump_r0=0.35)
-    if route == "dihedral":
+    center = (2.0, 2.0) if route == "dihedral" else (1.8, 1.8)
+    bump = ConformalBump(2, beta=beta, sigma=sigma, center=center, r0=0.75)
+    if not variant:
         return bump
     return PullbackProfile(base=bump, squash=RadialSquash(
-        dim=2, center=(2.0, 2.0), radius=0.75, strength=0.15))
+        dim=2, center=center, radius=0.75, strength=0.15))
 
 
 @pytest.mark.parametrize("route", ["dihedral", "transposition", "dense"])
