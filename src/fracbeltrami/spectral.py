@@ -15,13 +15,15 @@ coefficients, one per-node array per offset, built once by
 ``assemble_laplacian``; ``apply_form`` sums its coefficient x shifted-slice
 products, and the dense matrix and its diagonal are read off the table.
 All fractional powers are defined through the eigendecomposition of the
-symmetric matrix, which ``decompose`` reaches by the cheapest of its routes
-that the operator allows.  The Balakrishnan
-route and the jump-kernel route below are independent cross-checks of that
-calculus, not substitutes for it: both read one per-mode weight, the
-semigroup time integral of (e^{-t lam} - 1) t^{-1-a} by the geometrically
-convergent rule ``LogQuadrature.semigroup``, so comparing them with the
-spectral power tests lam^a to roundoff.
+symmetric matrix, which ``decompose`` reaches in closed form for an
+axis-separable circulant and otherwise by one eigensolve per block of the
+grid symmetries the operator holds (the trivial group's one block of size
+M when it holds none).  The Balakrishnan route and the jump-kernel route
+below are independent cross-checks of that calculus, not substitutes for
+it: both read one per-mode weight, the semigroup time integral of
+(e^{-t lam} - 1) t^{-1-a} by the geometrically convergent rule
+``LogQuadrature.semigroup``, so comparing them with the spectral power
+tests lam^a to roundoff.
 """
 
 from __future__ import annotations
@@ -57,8 +59,8 @@ DEFAULT_EIG_CAP = 4096
 
 class DecompositionSizeError(ValueError):
     """Raised when a decomposition would hold more than its cap allows:
-    the whole basis or a dense eigensolve beyond M = cap, or more rows or a
-    larger symmetry block than cap."""
+    the whole basis beyond M = cap, or more rows or a larger eigensolve
+    than cap."""
 
 
 @dataclasses.dataclass
@@ -243,12 +245,14 @@ class SpectralDecomposition:
     """Eigenpairs of A, orthonormal in the weighted inner product.
 
     Columns of ``basis`` are the eigenvectors phi_k with
-    <phi_j, phi_k>_w = delta_jk; eigenvalues are sorted ascending with the
-    zero mode (constants) first and snapped to exactly 0.  ``grid``,
-    ``metric`` and ``measure`` are those of ``operator``.  ``nodes`` is None
-    when ``basis`` holds every node; otherwise ``basis`` holds only the rows
-    at ``nodes`` (sorted, unique), the eigenvectors' values there, and
-    :meth:`rows` is the only reader that serves it.
+    <phi_j, phi_k>_w = delta_jk, each with the sign its eigensolve gives
+    it (every reader is unchanged by a negation of a mode); eigenvalues
+    are sorted ascending with the zero mode (constants) first and snapped
+    to exactly 0.  ``grid``, ``metric`` and ``measure`` are those of
+    ``operator``.  ``nodes`` is None when ``basis`` holds every node;
+    otherwise ``basis`` holds only the rows at ``nodes`` (sorted, unique),
+    bitwise those rows of the whole basis, and :meth:`rows` is the only
+    reader that serves it.
     """
 
     eigenvalues: np.ndarray  # (M,)
@@ -309,7 +313,7 @@ class SpectralDecomposition:
 
 def decompose(op: DiscreteLaplaceBeltrami, cap: int = DEFAULT_EIG_CAP,
               nodes: np.ndarray | None = None) -> SpectralDecomposition:
-    """Eigenpairs of A, by the cheapest of three routes the operator allows.
+    """Eigenpairs of A, by the cheaper of two routes the operator allows.
 
     1. Closed form.  If every node carries bitwise the same stencil
        entries, the entry of each offset equals that of the offset negated
@@ -325,7 +329,7 @@ def decompose(op: DiscreteLaplaceBeltrami, cap: int = DEFAULT_EIG_CAP,
        frequency separately (even only under theta -> -theta as a whole),
        which mixes the cosine and the sine of one axis, so no tensor
        product of real per-axis modes diagonalises A.  Such operators take
-       one of the routes below.
+       the symmetry blocks.
     2. Symmetry blocks.  In 2-d, three node permutations are candidate
        symmetries: the mirrors sigma0 (i, j) -> (-i, j) and
        sigma1 (i, j) -> (i, -j), indices modulo N, and the transposition
@@ -354,51 +358,49 @@ def decompose(op: DiscreteLaplaceBeltrami, cap: int = DEFAULT_EIG_CAP,
          diagonal hold tau alone: blocks of N(N+1)/2 and N(N-1)/2.
        - A conformal bump centred on one mirror axis only holds that
          mirror: blocks of N(N+2)/2 and N(N-2)/2.
-       Bumps centred elsewhere hold none.
-    3. Otherwise, a dense symmetric eigendecomposition of S.
+       Bumps centred elsewhere, and every 1-d operator, hold none: G is
+       the trivial group, whose one block is S itself, solved by one
+       eigensolve of size M.
 
     ``nodes`` asks for the basis rows at those nodes only (sorted and made
-    unique; ``SpectralDecomposition.rows`` reads them).  The eigenvalues
-    and the eigensolves are the same; each route fills only the rows asked
-    for.  Rows alone are not signed: a sign per column is read off the
-    whole column, and the readers of rows (the exterior solve and the DtN
-    map) take products of each mode with itself, which a negation leaves
-    unchanged to the bit.
+    unique, a non-empty 1-d index array; ``SpectralDecomposition.rows``
+    reads them).  The eigenvalues and the eigensolves are the same, and
+    each route fills only the rows asked for, so the rows are bitwise those
+    of the whole basis.
 
     Cost is memory as much as time: every M x M float64 matrix takes
-    8 M^2 bytes (42.5 MB at M = 2304, 2-d N = 48).  The dense route peaks
-    at about five of them -- S, numpy's working copy of it, the
-    eigenvectors and the 2 M^2 workspace of LAPACK's divide and conquer;
-    its scaling and sign steps work on rows and row blocks and add no
-    M x M temporary.  The other two routes form no M x M matrix but the
-    basis they return: the block route sums each block from the stencil
-    entries just before its eigensolve, and the closed form fills the basis
-    from two N x M per-axis tables.  With ``nodes`` they form no M x M
-    array at all, only len(nodes) x M rows (475 x 2304 on the benchmark
-    layout at N = 48, 8.8 MB), and the block route reads each block's
-    eigenvectors into them right after its eigensolve.  Measured at
-    M = 2304 (x86-64, numpy 2.4, OpenBLAS at 2 threads), the peak resident
-    set rises above the caller's by 211 MiB for the dense route, with or
-    without ``nodes``; with the whole basis by 104 MiB for the
-    transposition blocks, 50 MiB for the dihedral blocks (the bump and its
-    pullback alike) and 43 MiB for the closed form; with the benchmark
-    layout's rows by 62, 24 and 12 MiB.  With glibc's mmap threshold fixed
+    8 M^2 bytes (42.5 MB at M = 2304, 2-d N = 48).  The block route sums
+    each block from the stencil entries just before its eigensolve, and the
+    closed form fills the basis from two N x M per-axis tables, so only
+    the trivial group's one block is an M x M matrix besides the basis.
+    Its eigensolve peaks at about five of them -- S, numpy's working copy
+    of it, the eigenvectors and the 2 M^2 workspace of LAPACK's divide and
+    conquer -- and the whole basis is allocated only after it returns.
+    With ``nodes`` the basis is len(nodes) x M rows (475 x 2304 on the
+    benchmark layout at N = 48, 8.8 MB), and the block route reads each
+    block's eigenvectors into them right after its eigensolve.  Measured
+    at M = 2304 (x86-64, numpy 2.4, OpenBLAS at 2 threads), the peak
+    resident set rises above the caller's by 209 MiB for the trivial
+    group, with or without ``nodes``; with the whole basis by 104 MiB for
+    the transposition blocks, 50 MiB for the dihedral blocks (the bump
+    and its pullback alike) and 43 MiB for the closed form; with the
+    benchmark layout's rows by 62, 24 and 12 MiB.  With glibc's mmap threshold fixed
     at 128 KiB, so that every freed block leaves the heap, the two block
     routes rise 65 and 47 MiB with the whole basis.  Of the transposition
     route's 62 MiB with rows, about 48 MiB is its larger eigensolve, of
     N(N+1)/2 = 1176, with its input.
 
     ``cap`` bounds what each route holds.  The whole basis is M x M on
-    every route, so without ``nodes`` M must not exceed it; the dense route
-    forms M x M matrices whatever ``nodes`` holds, so it too is capped on
-    M.  With ``nodes`` the closed form and the block route hold only the
-    rows and each block's eigensolve, so they are capped on len(nodes) and
-    on the largest block, and may run beyond M = cap: at N = 96 (M = 9216)
-    the dihedral blocks are at most 2303 and the benchmark layout's rows
-    1933.  Every route shares the zero snap of :func:`_finish_eigenpairs`.
-    The result keeps its basis alive for as long as it is referenced:
-    callers should drop a decomposition once they have read the blocks they
-    need from it (``exterior.dtn_matrix``, say), before the next call.
+    both routes, so without ``nodes`` M must not exceed it.  With ``nodes``
+    a route holds only the rows and each block's eigensolve, so it is
+    capped on len(nodes) and on the largest eigensolve, which is M for the
+    trivial group; with a larger group it may run beyond M = cap: at
+    N = 96 (M = 9216) the dihedral blocks are at most 2303 and the
+    benchmark layout's rows 1933.  Both routes share the zero snap of
+    :func:`_finish_eigenpairs`.  The result keeps its basis alive for as
+    long as it is referenced: callers should drop a decomposition once they
+    have read the blocks they need from it (``exterior.dtn_matrix``, say),
+    before the next call.
     """
     m = op.grid.node_count
     if nodes is None:
@@ -407,7 +409,11 @@ def decompose(op: DiscreteLaplaceBeltrami, cap: int = DEFAULT_EIG_CAP,
                               f"{cap}", m, m)
         at = np.arange(m)
     else:
-        nodes = at = np.unique(np.asarray(nodes, dtype=int))
+        nodes = np.asarray(nodes, dtype=int)
+        if nodes.ndim != 1 or nodes.size == 0:
+            raise ValueError(f"nodes must be a non-empty 1-d index array, got "
+                             f"shape {nodes.shape}")
+        nodes = at = np.unique(nodes)
         if np.any((at < 0) | (at >= m)):
             raise ValueError(f"nodes must lie in [0, {m})")
         if at.size > cap:
@@ -420,23 +426,12 @@ def decompose(op: DiscreteLaplaceBeltrami, cap: int = DEFAULT_EIG_CAP,
             and all(first.get(o[:j] + (-o[j],) + o[j + 1:]) == b
                     for o, b in first.items() for j in range(op.grid.dim))):
         evals, evecs = _fourier_eigenpairs(op, w[0], at)
-    elif blocks := _symmetry_blocks(op, entries := op._form_entries()):
-        evals, evecs = _block_eigenpairs(entries, root_w, blocks, at, cap)
     else:
-        if m > cap:
-            raise _size_error(f"grid has {m} nodes and no symmetry blocks, "
-                              f"dense eigensolve capped at {cap}", m, m)
-        # the freshly assembled B, symmetric to the bit, is scaled in place,
-        # one row at a time, to S = W^{-1/2} B W^{-1/2}, also symmetric
-        sym = op.form_matrix
-        for i in range(m):
-            sym[i] /= root_w[i] * root_w
-        evals, evecs = np.linalg.eigh(sym)
-        del sym
-        if nodes is not None:
-            evecs = evecs[nodes]
+        entries = op._form_entries()
+        evals, evecs = _block_eigenpairs(entries, root_w,
+                                         _symmetry_blocks(op, entries), at, cap)
     return SpectralDecomposition(
-        eigenvalues=_finish_eigenpairs(evals, evecs, root_w[at], nodes is None),
+        eigenvalues=_finish_eigenpairs(evals, evecs, root_w[at]),
         basis=evecs, operator=op, nodes=nodes)
 
 
@@ -458,8 +453,8 @@ def _size_error(what: str, rows: int, cols: int) -> DecompositionSizeError:
 #   images to the bit;
 # - over the 2-d property tests' ranges (N = 12 to 24) B misses by at most
 #   2.89, and w by at most 4.10; a strongly squashed pullback can miss the
-#   mirrors in w by up to 8.9 and then takes a smaller group's blocks (or
-#   the dense route), which is slower but not less exact.
+#   mirrors in w by up to 8.9 and then takes a smaller group's blocks (the
+#   trivial group's at worst), which is slower but not less exact.
 # An operator without the symmetry misses it by O(1) relative: a pullback
 # centred on the diagonal but off the mirror axes misses the mirrors by
 # 0.05 max|B| and 0.4 max w.
@@ -476,26 +471,27 @@ def _grid_symmetries(n: int) -> list[np.ndarray]:
 
 def _symmetry_blocks(op: DiscreteLaplaceBeltrami, entries: tuple
                      ) -> list[tuple[list[np.ndarray], tuple, list[np.ndarray]]]:
-    """The blocks of S under the grid symmetries of the operator, or [].
+    """The blocks of S under the grid symmetries of the operator.
 
     A symmetry p holds if B_{p r, p c} = B_rc over the stencil entries
     ``entries`` (:meth:`DiscreteLaplaceBeltrami._form_entries`, every
     (r, c) once) and w_{p n} = w_n, within ``_SYMMETRY_ULPS``.  Each block
     is (generators, signs, copies): the node permutations that generate its
     group, the value of its character on each of them, and the row
-    permutations at
-    which its eigenvectors are read, one set of modes per copy.  A group
-    of commuting involutions (one mirror, both, or tau alone) has one block
-    per sign pattern.  Tau with a mirror generates D4, since it conjugates
-    one mirror into the other.  D4's four 1-d representations are the sign
+    permutations at which its eigenvectors are read, one set of modes per
+    copy.  A group of commuting involutions (one mirror, both, or tau alone)
+    has one block per sign pattern.  Tau with a mirror generates D4, since
+    it conjugates one mirror into the other.  D4's four 1-d representations are the sign
     patterns with equal signs on the mirrors.  Its 2-d one, E, is the block
     of the mirror group's pattern (+1, -1): tau maps it onto the pattern
     (-1, +1), so the block's eigenvectors read at tau-permuted rows are E's
-    partner modes.
+    partner modes.  In 1-d, and in 2-d when no symmetry holds, the group is
+    the trivial one: a single block with no generators, S itself.
     """
-    if op.grid.dim != 2:
-        return []
     m = op.grid.node_count
+    identity = np.arange(m)
+    if op.grid.dim != 2:
+        return [([], (), [identity])]
     rows, cols, values = entries
     keys = rows * m + cols
     order = np.argsort(keys)
@@ -508,7 +504,6 @@ def _symmetry_blocks(op: DiscreteLaplaceBeltrami, entries: tuple
                     <= tol * np.abs(values).max()
                     and np.abs(w[p] - w).max() <= tol * w.max())
 
-    identity = np.arange(m)
     sigma0, sigma1, tau = _grid_symmetries(op.grid.points_per_side)
     mirrors = [p for p in (sigma0, sigma1) if holds(p)]
     tau_holds = holds(tau)
@@ -518,24 +513,24 @@ def _symmetry_blocks(op: DiscreteLaplaceBeltrami, entries: tuple
                 ] + [([sigma0, sigma1], (1.0, -1.0), [identity, tau])]
     generators = mirrors or ([tau] if tau_holds else [])
     return [(generators, signs, [identity])
-            for signs in itertools.product((1.0, -1.0), repeat=len(generators))
-            ] if generators else []
+            for signs in itertools.product((1.0, -1.0), repeat=len(generators))]
 
 
-def _orbit_basis(generators: list[np.ndarray], signs: tuple
+def _orbit_basis(generators: list[np.ndarray], signs: tuple, node_count: int
                  ) -> tuple[np.ndarray, np.ndarray, int]:
     """The orthonormal basis of one character's block, node by node.
 
     The group's elements are the products of the generators over all their
     subsets (commuting involutions, or sigma0, sigma1 and tau, whose eight
-    such products are D4), the character chi of each the product of the
+    such products are D4; the identity alone for no generators), acting on
+    ``node_count`` nodes, the character chi of each the product of the
     signs.  For the orbit O of node n, sum_g chi(g) e_{g n} is zero unless
     chi is 1 on the stabiliser of n, and otherwise a multiple of
     u_O = sum_{m in O} c_m e_m with c_m = +-1/sqrt|O|.  Returns per node m
     the block row of its orbit (ordered by the orbit's smallest node), c_m
     (0 on the orbits without a vector) and the block size.
     """
-    perms, chars = [np.arange(generators[0].size)], [1.0]
+    perms, chars = [np.arange(node_count)], [1.0]
     for gen, sign in zip(generators, signs):
         perms += [gen[p] for p in perms]
         chars += [sign * c for c in chars]
@@ -561,7 +556,9 @@ def _block_eigenpairs(entries: tuple, root_w: np.ndarray, blocks: list,
     (r, c) of B (``entries``) with r in O and c in P, so it is summed from
     the entries with ``np.bincount`` just before its eigensolve, and no
     M x M matrix is formed before the basis.  K is the block of the
-    G-average of S, which is S itself for an exactly invariant operator.
+    G-average of S, which is S itself for an exactly invariant operator
+    and for the trivial group (c = 1, K = S summed onto +0.0, so a -0.0
+    entry of B enters as +0.0).
     An eigenvector v of K is the node vector x_m = c_m v_{row of m}, read
     once per copy of the block at the copy's row permutation
     (:func:`_fill_rows`).  Rows alone are read right after each
@@ -575,14 +572,14 @@ def _block_eigenpairs(entries: tuple, root_w: np.ndarray, blocks: list,
     is formed first, so a block larger than ``cap`` raises before any
     eigensolve.
     """
-    bases = [_orbit_basis(generators, signs) for generators, signs, _ in blocks]
+    m = root_w.size
+    bases = [_orbit_basis(generators, signs, m) for generators, signs, _ in blocks]
     largest = max(k for _, _, k in bases)
     if largest > cap:
-        raise _size_error(f"largest symmetry block has {largest} rows, "
-                          f"eigensolve capped at {cap}", largest, largest)
+        raise _size_error(f"largest eigensolve has {largest} rows, capped at "
+                          f"{cap}", largest, largest)
     rows, cols, values = entries
     values = values / (root_w[rows] * root_w[cols])
-    m = root_w.size
     basis = np.empty((at.size, m)) if at.size < m else None
     evals, solved, start = [], [], 0
     for (index, coef, k), (_, _, copies) in zip(bases, blocks):
@@ -625,59 +622,32 @@ def _fill_rows(basis: np.ndarray, at: np.ndarray, solved: list,
     return start
 
 
-# rows per block of the sign step, of the basis fills of the closed form and
-# the block route, and of the block route's column sort.  A freed block stays in the heap, resident, through the next
-# eigensolve; at 64 (a 1.2 MB row block at M = 2304) later blocks reuse it
-# and the peak stays that of the eigensolve.
+# rows per block of the basis fills and of the block route's column sort.
+# A freed row block stays resident through the next eigensolve; at 64
+# (1.2 MB at M = 2304) the next block reuses it, and the peak stays the
+# eigensolve's.
 _BLOCK = 64
 
 
 def _finish_eigenpairs(evals: np.ndarray, evecs: np.ndarray,
-                       root_w: np.ndarray, signed: bool) -> np.ndarray:
-    """Zero snap, sign convention and W-scaling shared by every route.
+                       root_w: np.ndarray) -> np.ndarray:
+    """Zero snap and W-scaling shared by both routes.
 
     ``evals`` ascend and ``evecs`` are rows of the matching
     Euclidean-orthonormal eigenvectors of W^{1/2} A W^{-1/2}, ``root_w``
     W^{1/2} at those rows.  Eigenvalues below 1e-12 lam_max are snapped to
-    0 (and a clearly negative one is an error).  If ``signed`` (the rows
-    are whole columns), each eigenvector is signed so that its
-    largest-magnitude entry (the first, on ties) is positive.  The rows
-    are then divided by W^{1/2} in place, so ``evecs`` becomes (rows of)
-    the W-orthonormal basis.  Returns the snapped eigenvalues.
+    0 (and a clearly negative one is an error).  The rows are divided by
+    W^{1/2} in place, so ``evecs`` becomes (rows of) the W-orthonormal
+    basis.  No sign is fixed: each eigenvector keeps the sign its route
+    gives it.  Returns the snapped eigenvalues.
     """
     lam_max = max(float(evals[-1]), 1.0)
     if evals[0] < -1e-10 * lam_max:
         raise ArithmeticError(
             f"eigensolve produced spurious negative eigenvalue {evals[0]:.3e}")
     evals = np.where(evals < 1e-12 * lam_max, 0.0, evals)
-    if signed:
-        evecs *= _signs_of_largest(evecs)
     evecs /= root_w[:, None]
     return evals
-
-
-def _signs_of_largest(v: np.ndarray) -> np.ndarray:
-    """Per column, the sign of its first largest-magnitude entry (0 -> 1).
-
-    Equals ``np.sign(v[np.abs(v).argmax(axis=0), cols])``, reduced one block
-    of rows at a time: a column's anchor moves to a later block only where
-    that block holds a strictly larger magnitude.  A max over contiguous
-    rows is about 3x faster than an argmax down the columns.
-    """
-    m = v.shape[1]
-    best = np.full(m, -1.0)
-    anchor_values = np.zeros(m)
-    for r0 in range(0, v.shape[0], _BLOCK):
-        rows = v[r0:r0 + _BLOCK]
-        mag = np.abs(rows)
-        top = mag.max(axis=0)
-        later = np.flatnonzero(top > best)
-        first = (mag[:, later] == top[later]).argmax(axis=0)
-        best[later] = top[later]
-        anchor_values[later] = rows[first, later]
-    signs = np.sign(anchor_values)
-    signs[signs == 0] = 1.0
-    return signs
 
 
 def _fourier_eigenpairs(op: DiscreteLaplaceBeltrami, weight: float,

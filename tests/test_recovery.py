@@ -701,7 +701,7 @@ def test_2d_gauge_experiment_takes_the_dihedral_blocks(monkeypatch):
 
 # one operator per route of decompose, with the eigensolve sizes that show
 # the route: the closed form runs none, the symmetry blocks one per block,
-# the dense route one of size M
+# and an operator without grid symmetries one of size M (the trivial group)
 ROUTE_CASES = {
     "closed-1d": (1, 32, IdentityMetric(dim=1), []),
     "dense-1d": (1, 32, BASE_1D, [32]),
@@ -725,9 +725,8 @@ ROUTE_CASES = {
 
 @pytest.mark.parametrize("case", ROUTE_CASES)
 def test_rows_only_decomposition_matches_the_whole_basis(monkeypatch, case):
-    # the same eigensolves, the same eigenvalues to the bit, and the rows of
-    # the whole basis up to a sign per column (rows alone are not signed);
-    # the DtN matrix multiplies each mode by itself, so it is bitwise equal
+    # the same eigensolves, and the same eigenvalues, rows and DtN matrix
+    # as the whole basis, to the bit
     dim, n, profile, sizes = ROUTE_CASES[case]
     grid = build_grid(dim, SIDE, n)
     config = (REGION if dim == 1 else REGION_2D).build(grid)
@@ -743,14 +742,9 @@ def test_rows_only_decomposition_matches_the_whole_basis(monkeypatch, case):
     assert np.array_equal(rows.nodes, config.partial_map_nodes)
     assert rows.basis.shape == (config.partial_map_nodes.size, grid.node_count)
     assert np.array_equal(rows.eigenvalues, full.eigenvalues)
-    want = full.basis[rows.nodes]
-    anchor = np.abs(want).argmax(axis=0)
-    columns = np.arange(grid.node_count)
-    signs = np.sign(want[anchor, columns] * rows.basis[anchor, columns])
-    assert np.all(signs != 0.0)
-    assert np.array_equal(rows.basis * signs, want)
+    assert np.array_equal(rows.basis, full.basis[rows.nodes])
     assert np.array_equal(rows.rows(config.w2_nodes),
-                          full.basis[config.w2_nodes] * signs)
+                          full.basis[config.w2_nodes])
     assert np.array_equal(dtn_matrix(rows, ALPHA, config),
                           dtn_matrix(full, ALPHA, config))
 

@@ -341,21 +341,19 @@ class ConstantProfile:
 
 
 def _pinned_dense(op):
-    """The dense route's eigenpairs, formed out of place as an oracle.
+    """The dense eigenpairs, formed out of place as an oracle.
 
     The eigensolve sees S = W^{-1/2} B W^{-1/2}, symmetric to the bit, so
-    S = 0.5 (S + S') and its eigenpairs equal the dense route's to the last
-    bit, with the zero snap and the sign of the largest entry applied here.
+    S = 0.5 (S + S') and its eigenpairs equal those of the trivial symmetry
+    block, one eigensolve of size M, to the last bit (where S holds no -0.0
+    entry), with the zero snap applied here.
     """
     root_w = np.sqrt(op.measure.node_weights)
     sym = op.form_matrix / np.outer(root_w, root_w)
     evals, evecs = np.linalg.eigh(0.5 * (sym + sym.T))
     lam_max = max(float(evals[-1]), 1.0)
     evals = np.where(evals < 1e-12 * lam_max, 0.0, evals)
-    anchor = np.abs(evecs).argmax(axis=0)
-    signs = np.sign(evecs[anchor, np.arange(op.grid.node_count)])
-    signs[signs == 0] = 1.0
-    return evals, evecs * signs / root_w[:, None]
+    return evals, evecs / root_w[:, None]
 
 
 def _counted_decompose(op):
@@ -418,10 +416,11 @@ def _dihedral_block_sizes(n):
         "pullback-2d", "pullback-diagonal-2d", "constant-cross-2d",
         "constant-cross-symmetric-2d"])
 def test_decompose_pins_dense_reference(dim, n, profile, sizes):
-    # the dense route (1-d, an anisotropic bump centred off every mirror
-    # axis and off the diagonal, a constant metric with a cross term and
-    # unequal diagonal, which no tensor product of per-axis Fourier modes
-    # diagonalises) is one eigensolve of size M, pinned to the last bit.  An
+    # an operator without grid symmetries (1-d, an anisotropic bump centred
+    # off every mirror axis and off the diagonal, a constant metric with a
+    # cross term and unequal diagonal, which no tensor product of per-axis
+    # Fourier modes diagonalises) takes the trivial group's one block, an
+    # eigensolve of size M, pinned to the last bit.  An
     # operator with grid symmetries takes one eigensolve per symmetry block,
     # and its eigenpairs match the dense ones to roundoff (eigenspaces are
     # degenerate, so the bases differ): the centred conformal bump and its
@@ -496,7 +495,11 @@ def test_radial_pullback_form_holds_the_dihedral_group(beta, sigma, strength,
     stencil[0, n + 2] += 2.0 * tol * np.abs(b).max()
     moved = dataclasses.replace(op, stencil=stencil)
     assert all(_form_miss(moved.form_matrix, p) > tol for p in symmetries)
-    assert spectral._symmetry_blocks(moved, moved._form_entries()) == []
+    # the moved operator keeps the trivial group alone: one block of M
+    [(generators, signs, copies)] = spectral._symmetry_blocks(
+        moved, moved._form_entries())
+    assert (generators, signs) == ([], ())
+    assert len(copies) == 1 and np.array_equal(copies[0], np.arange(n * n))
 
 
 def _perturbed(op, field, units, nodes):
@@ -548,8 +551,8 @@ def test_transposition_route_within_the_roundoff_tolerance(field, profile,
 @pytest.mark.parametrize("field, profile, nodes", PERTURBED)
 def test_dense_route_beyond_the_roundoff_tolerance(field, profile, nodes):
     # twice the tolerance off symmetry: the diagonal pullback falls back to
-    # one full eigensolve, pinned bitwise; the bump still holds tau, so it
-    # falls back to the two transposition blocks, not to the dense route
+    # the trivial group's one eigensolve of size M, pinned bitwise; the bump
+    # still holds tau, so it falls back to the two transposition blocks
     grid = build_grid(2, 4.0, 12)
     op = _perturbed(assemble_laplacian(make_metric(grid, profile)), field,
                     2.0 * spectral._SYMMETRY_ULPS, nodes)
@@ -643,19 +646,19 @@ def test_decompose_size_cap():
 
 
 # N = 16 (M = 256): the whole basis is capped on M on every route; rows
-# alone are capped on their count, the symmetry blocks also on the largest
-# eigensolve (63 rows, the dihedral 2-d representation's), and the dense
-# route on M whatever the rows
+# alone are capped on their count, and the symmetry blocks also on the
+# largest eigensolve: 63 rows, the dihedral 2-d representation's, or M for
+# an operator without grid symmetries (the trivial group's one block)
 @pytest.mark.parametrize("profile, cap, rows, message", [
     (IdentityMetric(2), 255, None, r"grid has 256 nodes, whole eigenbasis"),
     (BUMP_2D, 255, None, r"grid has 256 nodes, whole eigenbasis"),
     (IdentityMetric(2), 20, 30, r"30 basis rows asked for, capped at 20; "
                                 r"one 30 x 256 float64 matrix takes 0\.0614 MB"),
     (BUMP_2D, 70, 80, r"80 basis rows asked for"),
-    (BUMP_2D, 62, 10, r"largest symmetry block has 63 rows, eigensolve capped "
-                      r"at 62; one 63 x 63 float64 matrix"),
-    (ANISO_OFF_CENTRE_2D, 255, 10,
-     r"grid has 256 nodes and no symmetry blocks, dense eigensolve capped"),
+    (BUMP_2D, 62, 10, r"largest eigensolve has 63 rows, capped at 62; "
+                      r"one 63 x 63 float64 matrix"),
+    (ANISO_OFF_CENTRE_2D, 255, 10, r"largest eigensolve has 256 rows, capped "
+                                   r"at 255; one 256 x 256 float64 matrix"),
 ], ids=["closed-form", "blocks", "closed-form-rows", "blocks-rows",
         "blocks-largest", "dense-rows"])
 def test_decompose_size_cap_on_every_route(profile, cap, rows, message):
@@ -670,13 +673,13 @@ def test_decompose_size_cap_on_every_route(profile, cap, rows, message):
 def test_rows_only_decomposition_needs_no_m_cap(profile):
     # rows alone beyond M = cap: the closed form and the dihedral blocks
     # (largest 63 at N = 16) keep the eigenvalues of the whole decomposition
-    # and its rows, up to a sign per column
+    # and its rows, to the bit
     op = assemble_laplacian(make_metric(build_grid(2, 4.0, 16), profile))
     nodes = np.arange(0, 256, 7)
     rows = decompose(op, cap=64, nodes=nodes)
     full = decompose(op)
     assert np.array_equal(rows.eigenvalues, full.eigenvalues)
-    assert np.array_equal(np.abs(rows.basis), np.abs(full.basis[nodes]))
+    assert np.array_equal(rows.basis, full.basis[nodes])
 
 
 def _rows_only():
@@ -735,6 +738,9 @@ def test_rows_rejects_nodes_not_held():
                                           np.ones(config.exterior_nodes.size))
     with pytest.raises(ValueError, match=r"nodes must lie in \[0, 144\)"):
         decompose(dec.operator, nodes=[0, 144])
+    for nodes in ([], [[0, 1], [2, 3]]):
+        with pytest.raises(ValueError, match=r"nodes must be a non-empty 1-d"):
+            decompose(dec.operator, nodes=nodes)
 
 
 # ----------------------------------------------------------------------

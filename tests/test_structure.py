@@ -4,10 +4,13 @@ The log-time quadrature weights are applied in one place,
 ``LogQuadrature.moments``, which carries the overflow guard; every other
 module hands it samples and exponents instead of contracting
 ``quad.weights`` itself.  Eigensolves stay behind ``spectral.decompose``,
-which picks the cheapest route an operator allows: only ``spectral.py``
-calls ``eigh``.  Discrete Fourier transforms stay there too, where the
-closed form reads the symbol: only ``spectral.py`` names ``fft``; the
-Fourier modes themselves are ``spectral._axis_modes``.  Heat factors minus
+which picks the cheaper route an operator allows: only ``spectral.py``
+calls ``eigh``, and at one site, the symmetry-block route's (an operator
+without grid symmetries is the trivial group's one block), so a second
+eigensolve path cannot come back unnoticed.  Discrete Fourier transforms
+stay there too, where the closed form reads the symbol: only
+``spectral.py`` names ``fft``; the Fourier modes themselves are
+``spectral._axis_modes``.  Heat factors minus
 one go through ``expm1``: the semigroup windows start at lam t ~ 1e-17,
 where ``exp(x) - 1`` formed by subtraction keeps no digit.
 """
@@ -63,6 +66,18 @@ def test_only_spectral_calls_eigh(path):
 def test_eigh_guard_sees_both_spellings():
     for source in ("np.linalg.eigh(a)", "from numpy.linalg import eigh"):
         assert _naming_lines(ast.parse(source), "eigh") == [1]
+
+
+def test_spectral_calls_eigh_at_one_site():
+    path = ROOT / "src" / "fracbeltrami" / "spectral.py"
+    lines = _naming_lines(ast.parse(path.read_text(), filename=str(path)), "eigh")
+    assert len(lines) == 1, (f"spectral.py names `eigh` at lines {lines}; "
+                             "solve every route through _block_eigenpairs")
+
+
+def test_eigh_guard_counts_a_second_call():
+    source = "vals = np.linalg.eigh(a)\nif dense:\n    vals = np.linalg.eigh(b)"
+    assert _naming_lines(ast.parse(source), "eigh") == [1, 3]
 
 
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
