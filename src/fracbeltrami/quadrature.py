@@ -57,13 +57,18 @@ class LogQuadrature:
     @classmethod
     def log_uniform(cls, t_min: float, t_max: float,
                     count: int) -> "LogQuadrature":
-        """``count`` log-uniform nodes on [t_min, t_max], half weights at the ends."""
+        """``count`` log-uniform nodes on [t_min, t_max], half weights at the ends.
+
+        The step is linspace's own, (log t_max - log t_min)/(count - 1); a
+        difference of two neighbouring log-nodes of size ~40 would carry
+        their roundoff, ~1e-14 of the step, into every weight.
+        """
         if not 0.0 < t_min < t_max < math.inf:
             raise ValueError(f"need 0 < t_min < t_max < inf, got [{t_min}, {t_max}]")
         if count < 2:
             raise ValueError("count must be at least 2")
         ell = np.linspace(math.log(t_min), math.log(t_max), count)
-        step = ell[1] - ell[0]
+        step = (ell[-1] - ell[0]) / (count - 1)
         w = np.full(count, step)
         w[0] *= 0.5
         w[-1] *= 0.5
@@ -92,7 +97,7 @@ class LogQuadrature:
                              f"and positive end rates, got {left}, {right}")
         t_min, t_max = 1e-17 / positive.max(), 40.0 / positive.min()
         count = math.ceil(4.0 * math.log(t_max / t_min)) + 1
-        step = math.log(t_max / t_min) / (count - 1)
+        step = (math.log(t_max) - math.log(t_min)) / (count - 1)
         quad = cls.log_uniform(t_min, t_max, count)
         weights = quad.weights.copy()
         weights[[0, -1]] *= [-2.0 / math.expm1(-c * step) for c in (left, right)]
@@ -102,20 +107,21 @@ class LogQuadrature:
         """``sum_q w_q t_q^e values[..., q]`` for each exponent ``e``.
 
         Nodes run along the last axis of ``values``; the result has shape
-        ``values.shape[:-1] + np.shape(exponents)``.  Terms are formed in log
-        space, since ``t**e`` overflows at the small-t edge for strongly
-        negative ``e`` even where the sample is zero (inf * 0); a term beyond
-        e^600 means the window amplifies small-t samples into garbage and is
+        ``values.shape[:-1] + np.shape(exponents)``.  Each term is the
+        product v (w t^e), and a zero sample contributes exactly zero even
+        where ``t**e`` overflows at the small-t edge for strongly negative
+        ``e`` (inf * 0).  A term beyond e^600, judged in log space first,
+        means the window amplifies small-t samples into garbage and is
         rejected with advice.
         """
         values = np.asarray(values, dtype=float)
         if values.shape[-1:] != self.nodes.shape:
             raise ValueError("integrand sampled on a different node set")
         exponents = np.asarray(exponents, dtype=float)
+        log_factor = (np.log(self.weights)
+                      + np.multiply.outer(exponents.ravel(), np.log(self.nodes)))
         with np.errstate(divide="ignore"):
-            base_log = np.log(np.abs(values)) + np.log(self.weights)
-        contrib = (base_log[..., None, :]
-                   + np.multiply.outer(exponents.ravel(), np.log(self.nodes)))
+            contrib = np.log(np.abs(values))[..., None, :] + log_factor
         if contrib.max() > 600.0:
             *lead, e, q = np.unravel_index(int(np.argmax(contrib)), contrib.shape)
             raise ValueError(
@@ -123,5 +129,9 @@ class LogQuadrature:
                 f"({values[(*lead, q)]:.3e}) for the weight "
                 f"t^({exponents.flat[e]:.2f}); widen the window or lower "
                 "the order")
-        out = np.copysign(np.exp(contrib), values[..., None, :]).sum(axis=-1)
-        return out.reshape(values.shape[:-1] + exponents.shape)
+        with np.errstate(over="ignore"):
+            factor = self.weights * self.nodes ** exponents.reshape(-1, 1)
+        sample = values[..., None, :]
+        terms = np.multiply(sample, factor, out=np.zeros(contrib.shape),
+                            where=sample != 0.0)
+        return terms.sum(axis=-1).reshape(values.shape[:-1] + exponents.shape)

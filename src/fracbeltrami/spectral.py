@@ -240,6 +240,48 @@ def assemble_laplacian(metric: MetricField) -> DiscreteLaplaceBeltrami:
         stencil=np.stack([table[o].ravel() for o in offsets]), metric=metric)
 
 
+@dataclasses.dataclass(frozen=True)
+class SymmetryBlock:
+    """One symmetry block of S and the columns of the modes it holds.
+
+    The block's matrix is written in the orbit vectors
+    u_O = sum_{n in O} coef[n] e_n, with ``index[n]`` the block row of node
+    n's orbit and ``coef[n]`` = +-1/sqrt|O| (0 on the orbits the block has
+    no vector on).  Its eigenvectors v are read once per copy: copy c holds
+    the modes at the columns ``columns[c]`` of the sorted basis (in the
+    order of v), and the node vector of v in copy c is
+    x_n = coef[p n] v[index[p n]] with p = ``perms[c]``, x = W^{1/2} phi.
+    A generator g with coef[p g n] = chi coef[p n] at every node, chi = +-1,
+    labels the copy: x[g n] = chi x[n] for each of its modes.
+    """
+
+    index: np.ndarray                  # (M,)
+    coef: np.ndarray                   # (M,)
+    perms: tuple[np.ndarray, ...]      # one row permutation per copy
+    columns: tuple[np.ndarray, ...]    # per copy, its modes' sorted columns
+
+
+@dataclasses.dataclass(frozen=True)
+class SymmetryGroup:
+    """The grid symmetries a decomposition's modes are labelled by.
+
+    ``generators`` are node permutations (node n maps to p[n]); every mode
+    lies in exactly one copy of one of ``blocks``.  The trivial group has
+    no generators and one block, S itself: every column, c = 1 at every
+    node.
+    """
+
+    generators: tuple[np.ndarray, ...]
+    blocks: tuple[SymmetryBlock, ...]
+
+    @classmethod
+    def trivial(cls, node_count: int) -> "SymmetryGroup":
+        every = np.arange(node_count)
+        return cls(generators=(), blocks=(SymmetryBlock(
+            index=every, coef=np.ones(node_count), perms=(every,),
+            columns=(every,)),))
+
+
 @dataclasses.dataclass
 class SpectralDecomposition:
     """Eigenpairs of A, orthonormal in the weighted inner product.
@@ -252,13 +294,15 @@ class SpectralDecomposition:
     ``operator``.  ``nodes`` is None when ``basis`` holds every node;
     otherwise ``basis`` holds only the rows at ``nodes`` (sorted, unique),
     bitwise those rows of the whole basis, and :meth:`rows` is the only
-    reader that serves it.
+    reader that serves it.  ``symmetry`` records the symmetry block of
+    every mode (:class:`SymmetryGroup`); None means the trivial group.
     """
 
     eigenvalues: np.ndarray  # (M,)
     basis: np.ndarray        # (M, M), or (len(nodes), M)
     operator: DiscreteLaplaceBeltrami
     nodes: np.ndarray | None = None
+    symmetry: SymmetryGroup | None = None
 
     @property
     def grid(self) -> TorusGrid:
@@ -362,6 +406,14 @@ def decompose(op: DiscreteLaplaceBeltrami, cap: int = DEFAULT_EIG_CAP,
        the trivial group, whose one block is S itself, solved by one
        eigensolve of size M.
 
+    Both routes record the block of every mode on the result
+    (``SpectralDecomposition.symmetry``): the symmetry-block route the
+    blocks it solved, each copy with its columns in the sorted order, and
+    the closed form in 2-d the four blocks of the mirror group
+    {sigma0, sigma1}, read off each mode's cos/sin parity on each axis (the
+    trivial group in 1-d).  The exterior layer solves its Omega problem one
+    block at a time on them (``exterior._solve_blocks``).
+
     ``nodes`` asks for the basis rows at those nodes only (sorted and made
     unique, a non-empty 1-d index array; ``SpectralDecomposition.rows``
     reads them).  The eigenvalues and the eigensolves are the same, and
@@ -425,14 +477,14 @@ def decompose(op: DiscreteLaplaceBeltrami, cap: int = DEFAULT_EIG_CAP,
     if (np.all(op.stencil == op.stencil[:, :1]) and np.all(w == w[0])
             and all(first.get(o[:j] + (-o[j],) + o[j + 1:]) == b
                     for o, b in first.items() for j in range(op.grid.dim))):
-        evals, evecs = _fourier_eigenpairs(op, w[0], at)
+        evals, evecs, group = _fourier_eigenpairs(op, w[0], at)
     else:
         entries = op._form_entries()
-        evals, evecs = _block_eigenpairs(entries, root_w,
-                                         _symmetry_blocks(op, entries), at, cap)
+        evals, evecs, group = _block_eigenpairs(
+            entries, root_w, _symmetry_blocks(op, entries), at, cap)
     return SpectralDecomposition(
         eigenvalues=_finish_eigenpairs(evals, evecs, root_w[at]),
-        basis=evecs, operator=op, nodes=nodes)
+        basis=evecs, operator=op, nodes=nodes, symmetry=group)
 
 
 def _size_error(what: str, rows: int, cols: int) -> DecompositionSizeError:
@@ -547,9 +599,11 @@ def _orbit_basis(generators: list[np.ndarray], signs: tuple, node_count: int
 
 
 def _block_eigenpairs(entries: tuple, root_w: np.ndarray, blocks: list,
-                      at: np.ndarray, cap: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues of S from its symmetry blocks (:func:`_symmetry_blocks`)
-    and the rows at the nodes ``at`` of its eigenvectors.
+                      at: np.ndarray, cap: int
+                      ) -> tuple[np.ndarray, np.ndarray, SymmetryGroup]:
+    """Eigenvalues of S from its symmetry blocks (:func:`_symmetry_blocks`),
+    the rows at the nodes ``at`` of its eigenvectors, and the record of the
+    blocks (:func:`_symmetry_group`).
 
     In a block's basis u_O (:func:`_orbit_basis`) its matrix is
     K_OP = u_O' S u_P, the sum of c_r c_c S_rc over the stencil entries
@@ -601,7 +655,33 @@ def _block_eigenpairs(entries: tuple, root_w: np.ndarray, blocks: list,
     for r0 in range(0, at.size, _BLOCK):  # order is a permutation: no bounds check
         basis[r0:r0 + _BLOCK] = np.take(basis[r0:r0 + _BLOCK], order, axis=1,
                                         mode="clip")
-    return evals[order], basis
+    return evals[order], basis, _symmetry_group(blocks, bases, order)
+
+
+def _symmetry_group(blocks: list, bases: list, order: np.ndarray) -> SymmetryGroup:
+    """The record of the solved blocks.
+
+    The eigenvalues entered the sort block by block and copy by copy, so
+    the columns of a copy are where the stable sort ``order`` put its
+    entries; nothing is sorted again (a re-sort would break the ties
+    between the copies of one block, which have equal eigenvalues, in
+    another order).  The group's generators are the longest list among the
+    blocks (D4's 1-d blocks list sigma0, sigma1 and tau; its 2-d block
+    only the mirrors).  Empty blocks are left out.
+    """
+    column = np.empty_like(order)
+    column[order] = np.arange(order.size)
+    group = max((generators for generators, _, _ in blocks), key=len)
+    out, start = [], 0
+    for (_, _, copies), (index, coef, k) in zip(blocks, bases):
+        if not k:
+            continue
+        columns = tuple(column[start + c * k:start + (c + 1) * k]
+                        for c in range(len(copies)))
+        start += k * len(copies)
+        out.append(SymmetryBlock(index=index, coef=coef, perms=tuple(copies),
+                                 columns=columns))
+    return SymmetryGroup(generators=tuple(group), blocks=tuple(out))
 
 
 def _fill_rows(basis: np.ndarray, at: np.ndarray, solved: list,
@@ -651,7 +731,8 @@ def _finish_eigenpairs(evals: np.ndarray, evecs: np.ndarray,
 
 
 def _fourier_eigenpairs(op: DiscreteLaplaceBeltrami, weight: float,
-                        at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                        at: np.ndarray
+                        ) -> tuple[np.ndarray, np.ndarray, SymmetryGroup | None]:
     """Closed-form eigenpairs of an axis-separable circulant operator.
 
     With the same stencil entries and the same w at every node, each entry
@@ -666,7 +747,9 @@ def _fourier_eigenpairs(op: DiscreteLaplaceBeltrami, weight: float,
     lam (ties keep the flattened mode order).  Returns the basis rows at
     the nodes ``at``; in 2-d the row of node (i, j) is Q[i, c_0] Q[j, c_1],
     filled one grid row at a time for the whole basis and one block of
-    rows at a time for some rows.
+    rows at a time for some rows.  In 2-d the modes come labelled by the
+    mirror blocks (:func:`_mirror_labels`); in 1-d by none (None, the
+    trivial group).
     """
     grid = op.grid
     n, m = grid.points_per_side, grid.node_count
@@ -675,7 +758,7 @@ def _fourier_eigenpairs(op: DiscreteLaplaceBeltrami, weight: float,
     order = np.argsort(evals, kind="stable")
     q = _axis_modes(n)
     if grid.dim == 1:
-        return evals[order], q[np.ix_(at, order)]
+        return evals[order], q[np.ix_(at, order)], None
     first, second = q[:, order // n], q[:, order % n]  # (N, M), per axis
     basis = np.empty((at.size, m))
     if at.size == m:  # every node: one grid row of N nodes at a time
@@ -686,7 +769,25 @@ def _fourier_eigenpairs(op: DiscreteLaplaceBeltrami, weight: float,
             nodes = at[r0:r0 + _BLOCK]
             np.multiply(first[nodes // n], second[nodes % n],
                         out=basis[r0:r0 + _BLOCK])
-    return evals[order], basis
+    return evals[order], basis, _mirror_labels(order, n)
+
+
+def _mirror_labels(order: np.ndarray, n: int) -> SymmetryGroup:
+    """The closed form's modes on the blocks of the mirror group
+    {sigma0, sigma1}: column c of the per-axis table is a cosine, even
+    under i -> -i, for 2c <= N and a sine, odd, beyond, so the mode of
+    frequency (c_0, c_1) lies in the block of the signs of its two
+    factors.  Each block holds one copy of its modes."""
+    sigma0, sigma1, _ = _grid_symmetries(n)
+    parity = [np.where(2 * (order // n) <= n, 1.0, -1.0),
+              np.where(2 * (order % n) <= n, 1.0, -1.0)]
+    blocks = []
+    for signs in itertools.product((1.0, -1.0), repeat=2):
+        index, coef, _ = _orbit_basis([sigma0, sigma1], signs, n * n)
+        columns = np.flatnonzero((parity[0] == signs[0]) & (parity[1] == signs[1]))
+        blocks.append(SymmetryBlock(index=index, coef=coef,
+                                    perms=(np.arange(n * n),), columns=(columns,)))
+    return SymmetryGroup(generators=(sigma0, sigma1), blocks=tuple(blocks))
 
 
 def _axis_modes(n: int) -> np.ndarray:
@@ -787,8 +888,9 @@ def _semigroup_weights(lam: np.ndarray, alpha: float) -> np.ndarray:
     shared by the Balakrishnan operator and the jump kernel.  In log-time
     the integrand decays like -lam e^{(1-alpha) s} below the window and like
     -e^{-alpha s} above it, the end rates of ``LogQuadrature.semigroup``, so
-    the weights converge geometrically: within 6e-15 relative for alpha in
-    [0.02, 0.98] and lam in [0.5, 4000], on 209 nodes.  The heat factor goes
+    the weights converge geometrically: within 3.5e-15 relative for alpha
+    in [0.02, 0.98] and lam in [0.5, 4000], on 209 nodes (7e-16 at
+    alpha = 0.02, 0.05, 0.25, 0.5, 0.75, 0.95 and 0.98).  The heat factor goes
     through expm1: the window starts at lam t <= 1e-17, where
     e^{-t lam} - 1 formed by subtraction keeps no digit.
     """

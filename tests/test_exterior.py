@@ -2,12 +2,20 @@
 dense-block oracles, pairing symmetry, nonlocality, and the source pivot,
 on a 1-d grid and on 2-d grids with conformal and cross-term metrics."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from fracbeltrami.geometry import ConformalBump, build_grid, make_metric
+from fracbeltrami.geometry import (
+    AnisotropicBump,
+    ConformalBump,
+    IdentityMetric,
+    build_grid,
+    make_metric,
+)
 from fracbeltrami.spectral import (
     assemble_laplacian,
     decompose,
@@ -373,6 +381,167 @@ def test_dtn_2d_weighted_symmetry(beta, sigma, strength, alpha):
                                                          _swapped(config))
         assert np.max(np.abs(forward - backward.T)) \
             < 1e-9 * np.max(np.abs(forward))
+
+
+# ----------------------------------------------------------------------
+# the Omega problem in symmetry coordinates, against node-space oracles
+
+# operators of each symmetry group decompose records at N = 16 (side 4):
+# profile, number of generators, number of blocks
+GROUP_CASES = {
+    "dihedral-bump": (BUMP_2D, 3, 5),
+    "dihedral-pullback": (_pullback(BUMP_2D), 3, 5),
+    "mirrors": (AnisotropicBump(2, beta=0.5, sigma=0.5, center=(2.0, 2.0),
+                                r0=1.5), 2, 4),
+    "transposition": (PullbackProfile(
+        base=dataclasses.replace(BUMP_2D, center=(1.75, 1.75)),
+        squash=RadialSquash(dim=2, center=(1.75, 1.75), radius=0.9,
+                            strength=0.15)), 1, 2),
+    "one-mirror": (dataclasses.replace(BUMP_2D, center=(2.0, 1.5)), 1, 2),
+    "trivial": (AnisotropicBump(2, beta=0.5, sigma=0.5, center=(1.7, 2.3),
+                                r0=1.5), 0, 1),
+    "closed-form": (IdentityMetric(2), 2, 4),
+}
+# Omega centred on the grid's symmetry centre, mapped onto itself by every
+# generator, and Omega moved off it, mapped onto itself by none
+REGIONS = {
+    "invariant": REGION_2D,
+    "off-centre": dataclasses.replace(REGION_2D, omega_center=(2.25, 2.5),
+                                      omega_radius=0.7),
+}
+
+
+@pytest.fixture(scope="module", params=list(GROUP_CASES) + ["unrecorded"])
+def dec_group(request):
+    # "unrecorded" is the dihedral bump with its block record dropped: the
+    # solve must take the trivial group's one block
+    name = "dihedral-bump" if request.param == "unrecorded" else request.param
+    profile, generators, blocks = GROUP_CASES[name]
+    dec = decompose(assemble_laplacian(make_metric(build_grid(2, 4.0, 16),
+                                                   profile)))
+    assert len(dec.symmetry.generators) == generators
+    assert len(dec.symmetry.blocks) == blocks
+    if request.param == "unrecorded":
+        return dataclasses.replace(dec, symmetry=None)
+    return dec
+
+
+def _dense_solution(dec, alpha, config, in_nodes, data):
+    """Node-space oracle: U_O = -E_OO^{-1} E_O,in F from the dense energy
+    matrix, and A^a U = W^{-1} E U at every node."""
+    energy = frac_energy_matrix(dec, alpha)
+    om = config.omega_nodes
+    u = np.zeros((dec.node_count, data.shape[1]))
+    u[in_nodes] = data
+    u[om] = np.linalg.solve(energy[np.ix_(om, om)],
+                            -energy[np.ix_(om, in_nodes)] @ data)
+    return u, (energy @ u) / dec.measure.node_weights[:, None]
+
+
+def _assert_matches(got, want, rel=1e-11):
+    assert np.max(np.abs(got - want)) <= rel * np.max(np.abs(got))
+
+
+@pytest.mark.parametrize("region", list(REGIONS))
+@pytest.mark.parametrize("alpha", [0.3, 0.7])
+def test_block_solves_match_the_node_space_oracle(dec_group, region, alpha):
+    config = REGIONS[region].build(dec_group.grid)
+    om, ex = config.omega_nodes, config.exterior_nodes
+    # a datum without symmetry has a part in every block and copy
+    f = np.random.default_rng(2).standard_normal(len(ex))
+    u, flux = _dense_solution(dec_group, alpha, config, ex, f[:, None])
+    _assert_matches(solve_exterior_dirichlet(dec_group, alpha, config, f)[om],
+                    u[om, 0])
+    _assert_matches(dtn_full(dec_group, alpha, config, f).output_values,
+                    flux[ex, 0])
+    n1 = len(config.w1_nodes)
+    _, flux = _dense_solution(dec_group, alpha, config, config.w1_nodes,
+                              np.eye(n1))
+    want = flux[config.w2_nodes]
+    _assert_matches(dtn_matrix(dec_group, alpha, config), want)
+    rows_only = dataclasses.replace(
+        decompose(dec_group.operator, nodes=config.partial_map_nodes),
+        symmetry=dec_group.symmetry)
+    _assert_matches(dtn_matrix(rows_only, alpha, config), want)
+    # the smallest eigenvalue over the blocks is that of the whole
+    # W^{-1/2} E_OO W^{-1/2}
+    energy = frac_energy_matrix(dec_group, alpha)
+    rw = np.sqrt(dec_group.measure.node_weights[om])
+    dense = np.linalg.eigvalsh(energy[np.ix_(om, om)] / np.outer(rw, rw))[0]
+    assert coercivity_constant(dec_group, alpha, config) == pytest.approx(
+        dense, rel=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
+def test_coercivity_of_one_node_on_the_flat_torus(alpha):
+    # Omega = {n}: the constant is sum_k lam_k^a x_k(n)^2 for the orthonormal
+    # eigenvectors x of the circulant, the mean of lam^a over the
+    # frequencies, lam = (4/h^2)(sin^2(pi c0/N) + sin^2(pi c1/N))
+    n, h = 16, 0.25
+    grid = build_grid(2, 4.0, n)
+    dec = decompose(assemble_laplacian(make_metric(grid, IdentityMetric(2))))
+    config = dataclasses.replace(REGION_2D, omega_radius=0.1).build(grid)
+    assert config.interior_count == 1
+    s = np.sin(np.pi * np.arange(n) / n) ** 2
+    lam = (4.0 / h ** 2) * (s[:, None] + s[None, :])
+    assert coercivity_constant(dec, alpha, config) == pytest.approx(
+        np.mean(lam ** alpha), rel=1e-13)
+
+
+# the benchmark's layout (side 4, centre (2, 2)), restated here
+BENCH_REGION = RegionSpec(omega_center=(2.0, 2.0), omega_radius=1.0,
+                          w1_center=(0.2, 2.0), w1_radius=0.2,
+                          w2_center=(2.0, 0.2), w2_radius=0.2)
+BENCH_BUMP = ConformalBump(2, beta=0.5, sigma=0.3, center=(2.0, 2.0), r0=0.9)
+
+
+def _spy_on_solve(monkeypatch):
+    """Record the size of every system np.linalg.solve is handed."""
+    sizes, solve = [], np.linalg.solve
+
+    def spy(a, b):
+        sizes.append(a.shape[0])
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", spy)
+    return sizes
+
+
+def test_omega_is_solved_one_orbit_block_at_a_time(monkeypatch):
+    grid = build_grid(2, 4.0, 24)
+    config = BENCH_REGION.build(grid)
+    om = config.omega_nodes
+    dec = decompose(assemble_laplacian(make_metric(grid, BENCH_BUMP)),
+                    nodes=config.partial_map_nodes)
+    live = []  # per block: its orbits inside Omega, and its copies
+    for block in dec.symmetry.blocks:
+        inside = block.coef[om] != 0.0
+        live.append((np.unique(block.index[om][inside]).size, len(block.perms)))
+    # the orbit vectors of Omega, over every copy, are a basis of it
+    assert sum(k * copies for k, copies in live) == om.size
+    sizes = _spy_on_solve(monkeypatch)
+    dtn_matrix(dec, 0.5, config)
+    assert len(sizes) == len(dec.symmetry.blocks) == 5
+    assert max(sizes) <= max(k for k, _ in live) < om.size // 3
+    # an Omega off the symmetry centre is one system of |Omega|
+    moved = dataclasses.replace(BENCH_REGION, omega_center=(2.25, 2.0)).build(grid)
+    sizes.clear()
+    dtn_matrix(decompose(dec.operator, nodes=moved.partial_map_nodes), 0.5,
+               moved)
+    assert sizes == [moved.interior_count]
+
+
+def test_residual_guard_sums_over_the_blocks(dec_2d, monkeypatch):
+    # the dihedral blocks each solve the last column 1e-6 off; the residual
+    # of that column, summed over the blocks, trips the guard
+    assert len(dec_2d.symmetry.blocks) == 5
+    config = REGION_2D.build(dec_2d.grid)
+    _last_column_off(monkeypatch)
+    with pytest.raises(ArithmeticError, match="residual"):
+        dtn_matrix(dec_2d, 0.5, config)
+    with pytest.raises(ArithmeticError, match="residual"):
+        solve_exterior_dirichlet(dec_2d, 0.5, config,
+                                 np.ones(len(config.exterior_nodes)))
 
 
 # ----------------------------------------------------------------------

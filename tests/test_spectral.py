@@ -305,7 +305,7 @@ def test_decomposition_stores_geometry_once(dec_2d_aniso):
     assert [f.name for f in dataclasses.fields(dec.operator)] == [
         "offsets", "stencil", "metric"]
     assert [f.name for f in dataclasses.fields(dec)] == [
-        "eigenvalues", "basis", "operator", "nodes"]
+        "eigenvalues", "basis", "operator", "nodes", "symmetry"]
     assert dec.nodes is None  # the basis holds every node
     assert dec.grid is dec.operator.metric.grid
     assert dec.metric is dec.operator.metric
@@ -316,6 +316,7 @@ def test_decomposition_stores_geometry_once(dec_2d_aniso):
                            for f in dataclasses.fields(dec)})
     assert rebuilt.grid is dec.grid
     assert np.array_equal(rebuilt.measure.node_weights, expected)
+    assert rebuilt.symmetry is dec.symmetry  # the block labels travel too
 
 
 def test_trace_identity(dec_1d_bump):
@@ -584,6 +585,59 @@ def test_benchmark_operators_take_their_routes(profile, sizes):
     op = assemble_laplacian(make_metric(build_grid(2, 4.0, 24), profile))
     _, calls = _counted_decompose(op)
     assert sorted(calls) == sizes
+
+
+@pytest.mark.parametrize("dim, n, profile, generators, copies", [
+    (2, 16, BUMP_2D, 3, 6),
+    (2, 4, BUMP_2D, 3, 5),  # the empty block is not recorded
+    (2, 12, PULLBACK_2D, 3, 6),
+    (2, 12, ANISO_2D, 2, 4),
+    (2, 12, TAU_PULLBACK_2D, 1, 2),
+    (2, 12, dataclasses.replace(BUMP_2D, center=(2.0, 1.5)), 1, 2),
+    (2, 12, ANISO_OFF_CENTRE_2D, 0, 1),
+    (2, 12, IdentityMetric(2), 2, 4),
+    (2, 12, ConstantProfile(((1.3, 0.0), (0.0, 0.9))), 2, 4),
+    (1, 16, BUMP_1D, 0, 1),
+], ids=["dihedral", "dihedral-4", "dihedral-pullback", "mirrors",
+        "transposition", "one-mirror", "trivial-2d", "closed-form",
+        "closed-form-aniso", "trivial-1d"])
+def test_recorded_blocks_label_the_modes(dim, n, profile, generators, copies):
+    # every mode lies in one copy of one recorded block; a copy's node
+    # vectors are coef[p n] v[index[p n]] for one set of coefficients v per
+    # block, read at one representative node per orbit of the first copy;
+    # and each generator g under which a copy's coefficients change by one
+    # sign chi gives x[g n] = chi x[n] (x = W^{1/2} phi) on its modes, the
+    # copy's character on g
+    grid = build_grid(dim, 4.0, n)
+    dec = decompose(assemble_laplacian(make_metric(grid, profile)))
+    group = dec.symmetry
+    assert len(group.generators) == generators
+    assert sum(len(block.perms) for block in group.blocks) == copies
+    columns = np.concatenate([c for block in group.blocks for c in block.columns])
+    assert np.array_equal(np.sort(columns), np.arange(grid.node_count))
+    x = dec.basis * np.sqrt(dec.measure.node_weights)[:, None]
+    labels = 0
+    for block in group.blocks:
+        index, coef = block.index[block.perms[0]], block.coef[block.perms[0]]
+        live = np.flatnonzero(coef)
+        orbits, first = np.unique(index[live], return_index=True)
+        reps = live[first]
+        v = np.zeros((index.max() + 1, len(block.columns[0])))
+        v[orbits] = x[np.ix_(reps, block.columns[0])] / coef[reps, None]
+        for p, cols in zip(block.perms, block.columns):
+            assert np.array_equal(dec.eigenvalues[cols],
+                                  dec.eigenvalues[block.columns[0]])
+            c = block.coef[p]
+            rebuilt = c[:, None] * v[block.index[p]]
+            assert np.abs(rebuilt - x[:, cols]).max() <= 1e-13
+            for g in group.generators:
+                for chi in (1.0, -1.0):
+                    if np.array_equal(c[g], chi * c):
+                        labels += 1
+                        assert np.abs(x[g][:, cols] - chi * x[:, cols]).max() <= 1e-13
+    # every copy is labelled by every generator but D4's 2-d block by tau
+    two_d = sum(len(b.perms) for b in group.blocks if len(b.perms) == 2)
+    assert labels == copies * generators - two_d
 
 
 def _eigh_reference(op):
@@ -1055,7 +1109,7 @@ def test_semigroup_weights_match_gamma_power(alpha):
     lam = np.geomspace(0.5, 4000.0, 60)
     eta = spectral._semigroup_weights(lam, alpha)
     exact = math.gamma(-alpha) * lam ** alpha
-    assert np.abs(eta / exact - 1.0).max() <= 1e-13
+    assert np.abs(eta / exact - 1.0).max() <= 2e-15
 
 
 def test_balakrishnan_kills_constants(dec_1d_bump):
