@@ -21,26 +21,23 @@ own modes at one node per orbit and solved on its own; for the dihedral
 group the blocks take about 1/40 of the multiply-adds of the node-space
 Gram matrix, and the largest solve about a quarter of |Omega|.  Otherwise
 the trivial group's one block, every mode at every node of Omega, is the
-same loop's only pass (:func:`_omega_blocks`, :func:`_solve_blocks`).  The rows are read through
-``SpectralDecomposition.rows``, so a decomposition that holds only some
-rows serves every solve whose nodes it holds: the partial map reads Omega,
-W1 and W2 (``ExteriorConfig.partial_map_nodes``), 475 of 2304 nodes on the
-benchmark layout at 2-d N = 48, while the full map, the Poisson solve and
-the exterior Dirichlet solve need the whole basis.  On top of the solve sit
-
-  * the partial and full Dirichlet-to-Neumann maps  f |-> (A^a u^f)|_W2,
-    one datum at a time as records;
-  * the partial map as its |W2| x |W1| matrix Lambda = Lambda^{W1,W2},
-    from one solve with the |W1| unit data as columns.  Column j is the W2
-    output of the unit datum at W1 node j, so Lambda f is the output of any
-    datum f.  The matrix is all a caller needs to keep of a decomposition
-    to measure the partial map: |W2| x |W1| numbers instead of M x M;
-  * the fractional Poisson solve  w^F = A^{1-a} F  for exterior sources,
-  * the source-to-solution batches consumed by the recovery pipeline.
-
-Measurements are stored in the unweighted nodal basis; both the plain and
-the sqrt|g|-weighted pairings are exposed, since the weighted one is the
-symmetric bilinear form of the problem.
+same loop's only pass (:func:`_omega_blocks`, :func:`_solve_blocks`).  The
+rows are read through ``SpectralDecomposition.rows``, so a decomposition
+that holds only some rows serves every solve whose nodes it holds: the
+partial map reads Omega, W1 and W2 (``ExteriorConfig.partial_map_nodes``),
+475 of 2304 nodes on the benchmark layout at 2-d N = 48, while the exterior
+Dirichlet solve and the Poisson solve need the whole basis.  The solve has
+two readers: the exterior Dirichlet solve, and the partial
+Dirichlet-to-Neumann map  f |-> (A^a u^f)|_W2, as its |W2| x |W1| matrix
+Lambda = Lambda^{W1,W2} (one solve with the |W1| unit data as columns;
+column j is the W2 output of the unit datum at W1 node j) or for one datum
+as a record.  The matrix is all a caller needs to keep of a decomposition
+to measure the partial map: |W2| x |W1| numbers instead of M x M.  The full
+map on the exterior is A^a of the Dirichlet solution.  Beside them sit the
+fractional Poisson solve  w^F = A^{1-a} F  for exterior sources and the
+source-to-solution batches the recovery pipeline consumes.  Outputs are
+unweighted nodal samples; the symmetric pairing of the problem weights
+them by sqrt|g|.
 """
 
 from __future__ import annotations
@@ -67,7 +64,6 @@ __all__ = [
     "solve_exterior_dirichlet",
     "DtNRecord",
     "dtn_partial",
-    "dtn_full",
     "dtn_matrix",
     "SourceSolutionRecord",
     "poisson_solve",
@@ -232,31 +228,6 @@ class RegionSpec:
 # the exterior Dirichlet solve
 
 
-def _half_power_rows(dec: SpectralDecomposition, alpha: float,
-                     nodes: np.ndarray) -> np.ndarray:
-    """Rows Phi_S Lambda^{a/2} of the eigenbasis at the nodes S.
-
-    Scaled by the node weights they give G_S = W_S Phi_S Lambda^{a/2}, and
-    (A^a u)_S = Phi_S Lambda^{a/2} (G' u).
-    """
-    return dec.rows(nodes) * _spectral_power(dec.eigenvalues, 0.5 * alpha)
-
-
-def _measured(dec: SpectralDecomposition, alpha: float, nodes: np.ndarray,
-              modes: np.ndarray) -> np.ndarray:
-    """(A^a u)_S = Phi_S Lambda^{a/2} (G' u) from the modes G' u, (M[, k]).
-
-    At nodes S away from the support of u the sum over modes cancels: on
-    the 2-d layouts of the tests its terms add up to about 1.7e4 times the
-    result, and accumulating them in float64 alone costs some 1e-12 of the
-    output.  The products and sums are therefore taken in extended
-    precision (numpy's longdouble; the same as float64 where the platform
-    has no wider type), which removes that part of the roundoff.
-    """
-    rows = _half_power_rows(dec, alpha, nodes).astype(np.longdouble)
-    return (rows @ modes.astype(np.longdouble)).astype(float)
-
-
 def _omega_blocks(dec: SpectralDecomposition, alpha: float,
                   config: ExteriorConfig):
     """The Omega problem one symmetry block at a time.
@@ -271,17 +242,16 @@ def _omega_blocks(dec: SpectralDecomposition, alpha: float,
     with H_k the eigenvector coefficients v of block k at its live Omega
     orbits times lam^{a/2}: the rows of W^{1/2} Phi at one representative
     node per orbit, divided by that node's coefficient, at the block's
-    columns.  Otherwise, or when the decomposition records no group, the
-    trivial group's one block serves: H = W_O^{1/2} Phi_O Lambda^{a/2} at
-    every column.  Yields per block with a live Omega orbit (H, copies);
-    a copy is (columns, slot, coef): its columns of the modes, and per
-    Omega node the row of its orbit in H and its coefficient in the copy,
-    so (U_k z)_n = coef_n z[slot_n].  The copies of one block share H.
+    columns.  Otherwise the trivial group's one block serves:
+    H = W_O^{1/2} Phi_O Lambda^{a/2} at every column.  Yields per block
+    with a live Omega orbit (H, copies); a copy is (columns, slot, coef):
+    its columns of the modes, and per Omega node the row of its orbit in H
+    and its coefficient in the copy, so (U_k z)_n = coef_n z[slot_n].  The
+    copies of one block share H.
     """
     om = config.omega_nodes
     group = dec.symmetry
-    if group is None or not _maps_onto_itself(group.generators, om,
-                                              dec.node_count):
+    if not _maps_onto_itself(group.generators, om, dec.node_count):
         group = SymmetryGroup.trivial(dec.node_count)
     half = _spectral_power(dec.eigenvalues, 0.5 * alpha)
     root_w = np.sqrt(dec.measure.node_weights)
@@ -310,7 +280,7 @@ def _maps_onto_itself(generators: tuple, nodes: np.ndarray,
 
 def _solve_blocks(dec: SpectralDecomposition, alpha: float,
                   config: ExteriorConfig, in_nodes: np.ndarray,
-                  f_in: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+                  f_in: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Solve E_OO U_O = -E_O,in F for data F on the exterior set `in_nodes`.
 
     ``f_in`` holds one datum per column, shape (|in|, k).  The half-power
@@ -321,15 +291,15 @@ def _solve_blocks(dec: SpectralDecomposition, alpha: float,
     only the block's columns of the modes change:
     d_k <- d_k - H_k' Y_k^{-1} H_k d_k.  W_O drops out, since W_O^{1/2}
     does not change the row space of G_O.  Returns
-    U_O = W_O^{-1/2} sum_k U_k z_k (|O|, k), the half-power modes
+    U_O = W_O^{-1/2} sum_k U_k z_k (|O|, k) and the half-power modes
     G' U = Lambda^{a/2} Phi' W U (M, k) of the full solutions U (F on
-    `in_nodes`, 0 on the rest of the exterior), and the worst column's
-    relative residual ||b - Y z|| / ||b||, each norm summed over the
-    blocks: the residual of the symmetrically scaled system
-    W_O^{-1/2} E_OO W_O^{-1/2} in the orbit basis.  It must stay below
-    1e-9 (``ArithmeticError`` otherwise), so every exterior solve is
-    guarded.
+    `in_nodes`, 0 on the rest of the exterior).  Every exterior solve is
+    guarded: the worst column's relative residual ||b - Y z|| / ||b||,
+    each norm summed over the blocks (the residual of the symmetrically
+    scaled system W_O^{-1/2} E_OO W_O^{-1/2} in the orbit basis), must
+    stay below 1e-9, or ``ArithmeticError`` is raised.
     """
+    _check_alpha(alpha, allow_one=False)
     w = dec.measure.node_weights
     # G_in = W_in Phi_in Lambda^{a/2}, scaled in place in the gathered copy:
     # one |in| x M block (near M x M for the exterior), not three
@@ -357,14 +327,10 @@ def _solve_blocks(dec: SpectralDecomposition, alpha: float,
     residual = float(np.sqrt(np.divide(r_norm2, b_norm2,
                                        out=np.zeros_like(r_norm2),
                                        where=b_norm2 > 0.0)).max())
-    _require_small_residual(residual)
-    return u_omega, modes, residual
-
-
-def _require_small_residual(residual: float) -> None:
     if not residual < 1e-9:
         raise ArithmeticError(
             f"exterior solve residual {residual:.2e} exceeds 1e-9")
+    return u_omega, modes
 
 
 def solve_exterior_dirichlet(dec: SpectralDecomposition, alpha: float,
@@ -377,12 +343,11 @@ def solve_exterior_dirichlet(dec: SpectralDecomposition, alpha: float,
     direction, the constant, never fits inside a proper Omega) and is solved
     directly, one symmetry block at a time (:func:`_solve_blocks`).
     """
-    _check_alpha(alpha, allow_one=False)
     f_exterior = np.asarray(f_exterior, dtype=float)
     if f_exterior.shape != config.exterior_nodes.shape:
         raise ValueError("exterior datum must align with config.exterior_nodes")
-    u_omega, _, _ = _solve_blocks(dec, alpha, config, config.exterior_nodes,
-                                  f_exterior[:, None])
+    u_omega, _ = _solve_blocks(dec, alpha, config, config.exterior_nodes,
+                               f_exterior[:, None])
     u = np.zeros(dec.node_count)
     u[config.exterior_nodes] = f_exterior
     u[config.omega_nodes] = u_omega[:, 0]
@@ -403,75 +368,60 @@ def coercivity_constant(dec: SpectralDecomposition, alpha: float,
 
 
 # ----------------------------------------------------------------------
-# Dirichlet-to-Neumann records
+# the partial Dirichlet-to-Neumann map
 
 
 @dataclasses.dataclass
 class DtNRecord:
-    """One DtN measurement: datum on the input set, A^a u^f on the output set.
-
-    `output_values` are unweighted nodal samples; `weighted_pairing` applies
-    the sqrt|g| node weights and is the symmetric pairing of the problem.
-    """
+    """One partial-map measurement: the datum f on W1 (input) and
+    A^a u^f on W2 (output), both as unweighted nodal samples."""
 
     alpha: float
     input_nodes: np.ndarray
     input_values: np.ndarray
     output_nodes: np.ndarray
     output_values: np.ndarray
-    output_weights: np.ndarray
-    residual: float
-
-    def __post_init__(self):
-        _require_small_residual(self.residual)
-
-    def pairing(self, h: np.ndarray) -> float:
-        """Plain nodal pairing sum_i (Lambda f)_i h_i on the output set."""
-        return float(np.dot(self.output_values, np.asarray(h, float)))
-
-    def weighted_pairing(self, h: np.ndarray) -> float:
-        """Measure-weighted pairing <Lambda f, h sqrt|g|> (the symmetric one)."""
-        return float(np.dot(self.output_values * self.output_weights,
-                            np.asarray(h, float)))
 
 
-def _dtn(dec: SpectralDecomposition, alpha: float, config: ExteriorConfig,
-         in_nodes: np.ndarray, values: np.ndarray, out_nodes: np.ndarray,
-         label: str) -> DtNRecord:
-    """DtN record for a datum given node by node on `in_nodes`."""
-    _check_alpha(alpha, allow_one=False)
-    values = np.array(values, dtype=float)
-    if values.shape != in_nodes.shape:
-        raise ValueError(f"datum of shape {values.shape} must align with "
-                         f"{label} of shape {in_nodes.shape}")
-    _, modes, residual = _solve_blocks(dec, alpha, config, in_nodes,
-                                       values[:, None])
-    flux = _measured(dec, alpha, out_nodes, modes[:, 0])
-    return DtNRecord(alpha=alpha, input_nodes=in_nodes,
-                     input_values=values, output_nodes=out_nodes,
-                     output_values=flux,
-                     output_weights=dec.measure.node_weights[out_nodes],
-                     residual=residual)
+def _measured(dec: SpectralDecomposition, alpha: float, nodes: np.ndarray,
+              modes: np.ndarray) -> np.ndarray:
+    """(A^a U)_S = Phi_S Lambda^{a/2} (G' U) from the modes G' U, (M, k),
+    with G = W Phi Lambda^{a/2}.
+
+    At nodes S away from the support of U the sum over modes cancels: on
+    the 2-d layouts of the tests its terms add up to about 1.7e4 times the
+    result, and accumulating them in float64 alone costs some 1e-12 of the
+    output.  The products and sums are therefore taken in extended
+    precision (numpy's longdouble; the same as float64 where the platform
+    has no wider type), which removes that part of the roundoff.
+    """
+    rows = dec.rows(nodes) * _spectral_power(dec.eigenvalues, 0.5 * alpha)
+    return (rows.astype(np.longdouble)
+            @ modes.astype(np.longdouble)).astype(float)
+
+
+def _partial_map(dec: SpectralDecomposition, alpha: float,
+                 config: ExteriorConfig, f_w1: np.ndarray) -> np.ndarray:
+    """(A^a U)|_W2 for the data F on W1 given as columns, (|W1|, k)."""
+    _, modes = _solve_blocks(dec, alpha, config, config.w1_nodes, f_w1)
+    return _measured(dec, alpha, config.w2_nodes, modes)
 
 
 def dtn_partial(dec: SpectralDecomposition, alpha: float,
                 config: ExteriorConfig, f_on_w1: np.ndarray) -> DtNRecord:
     """Partial map Lambda^{W1,W2}: datum on W1, measurement on W2.
 
-    ``f_on_w1`` holds one value per node of ``config.w1_nodes``.
+    ``f_on_w1`` holds one value per node of ``config.w1_nodes``; it is
+    solved as one column, so a datum costs one column, not |W1|.
     """
-    return _dtn(dec, alpha, config, config.w1_nodes, f_on_w1,
-                config.w2_nodes, "config.w1_nodes")
-
-
-def dtn_full(dec: SpectralDecomposition, alpha: float, config: ExteriorConfig,
-             h_on_exterior: np.ndarray) -> DtNRecord:
-    """Full map Lambda~: datum on the whole exterior, measured there too.
-
-    ``h_on_exterior`` holds one value per node of ``config.exterior_nodes``.
-    """
-    return _dtn(dec, alpha, config, config.exterior_nodes, h_on_exterior,
-                config.exterior_nodes, "config.exterior_nodes")
+    values = np.array(f_on_w1, dtype=float)
+    if values.shape != config.w1_nodes.shape:
+        raise ValueError(f"datum of shape {values.shape} must align with "
+                         f"config.w1_nodes of shape {config.w1_nodes.shape}")
+    flux = _partial_map(dec, alpha, config, values[:, None])[:, 0]
+    return DtNRecord(alpha=alpha, input_nodes=config.w1_nodes,
+                     input_values=values, output_nodes=config.w2_nodes,
+                     output_values=flux)
 
 
 def dtn_matrix(dec: SpectralDecomposition, alpha: float,
@@ -481,14 +431,11 @@ def dtn_matrix(dec: SpectralDecomposition, alpha: float,
     Column j is the W2 output for the unit datum at W1 node j, so
     ``dtn_matrix(...) @ f`` is ``dtn_partial(..., f).output_values`` for any
     datum f on W1.  One solve of E_OO X = -E_O,W1 covers every column, and
-    the worst column's relative residual must stay below 1e-9, as for one
-    DtN record.  The caller holds the matrix; once it is built, the
-    decomposition is no longer needed to measure the partial map.
+    the worst column's relative residual must stay below 1e-9.  The caller
+    holds the matrix; once it is built, the decomposition is no longer
+    needed to measure the partial map.
     """
-    _check_alpha(alpha, allow_one=False)
-    _, modes, _ = _solve_blocks(dec, alpha, config, config.w1_nodes,
-                                np.eye(len(config.w1_nodes)))
-    return _measured(dec, alpha, config.w2_nodes, modes)
+    return _partial_map(dec, alpha, config, np.eye(len(config.w1_nodes)))
 
 
 # ----------------------------------------------------------------------

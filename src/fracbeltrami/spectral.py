@@ -76,9 +76,9 @@ class DiscreteLaplaceBeltrami:
     representation and is symmetric to the bit
     (``stencil[k, i] = stencil[k', i + offsets[k]]`` for the opposite offset
     k'); :meth:`apply_form` sums its coefficient x shifted-slice products,
-    and ``form_matrix``, ``matrix`` and :meth:`form_diagonal` are read off
-    it anew on each access.  ``grid`` and ``measure`` are read from
-    ``metric``, so they cannot disagree with it.
+    and ``form_matrix`` and :meth:`form_diagonal` are read off it anew on
+    each access.  ``grid`` and ``measure`` are read from ``metric``, so
+    they cannot disagree with it.
     """
 
     offsets: tuple       # (K,) offsets, each a dim-tuple in {-1, 0, 1}
@@ -117,11 +117,6 @@ class DiscreteLaplaceBeltrami:
                 for offset in self.offsets]
         return (np.tile(np.arange(m), len(cols)), np.concatenate(cols),
                 self.stencil.ravel())
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """Dense A = W^{-1} B (M, M), acting on node vectors."""
-        return self.form_matrix / self.measure.node_weights[:, None]
 
     def form_diagonal(self) -> np.ndarray:
         """diag(B), the table's centre column, equal to
@@ -295,14 +290,15 @@ class SpectralDecomposition:
     otherwise ``basis`` holds only the rows at ``nodes`` (sorted, unique),
     bitwise those rows of the whole basis, and :meth:`rows` is the only
     reader that serves it.  ``symmetry`` records the symmetry block of
-    every mode (:class:`SymmetryGroup`); None means the trivial group.
+    every mode (:class:`SymmetryGroup`, the trivial group when there is
+    none).
     """
 
     eigenvalues: np.ndarray  # (M,)
     basis: np.ndarray        # (M, M), or (len(nodes), M)
     operator: DiscreteLaplaceBeltrami
+    symmetry: SymmetryGroup
     nodes: np.ndarray | None = None
-    symmetry: SymmetryGroup | None = None
 
     @property
     def grid(self) -> TorusGrid:
@@ -484,7 +480,7 @@ def decompose(op: DiscreteLaplaceBeltrami, cap: int = DEFAULT_EIG_CAP,
             entries, root_w, _symmetry_blocks(op, entries), at, cap)
     return SpectralDecomposition(
         eigenvalues=_finish_eigenpairs(evals, evecs, root_w[at]),
-        basis=evecs, operator=op, nodes=nodes, symmetry=group)
+        basis=evecs, operator=op, symmetry=group, nodes=nodes)
 
 
 def _size_error(what: str, rows: int, cols: int) -> DecompositionSizeError:
@@ -732,7 +728,7 @@ def _finish_eigenpairs(evals: np.ndarray, evecs: np.ndarray,
 
 def _fourier_eigenpairs(op: DiscreteLaplaceBeltrami, weight: float,
                         at: np.ndarray
-                        ) -> tuple[np.ndarray, np.ndarray, SymmetryGroup | None]:
+                        ) -> tuple[np.ndarray, np.ndarray, SymmetryGroup]:
     """Closed-form eigenpairs of an axis-separable circulant operator.
 
     With the same stencil entries and the same w at every node, each entry
@@ -746,10 +742,9 @@ def _fourier_eigenpairs(op: DiscreteLaplaceBeltrami, weight: float,
     vector e_0.  The modes are ordered by a stable ascending sort of
     lam (ties keep the flattened mode order).  Returns the basis rows at
     the nodes ``at``; in 2-d the row of node (i, j) is Q[i, c_0] Q[j, c_1],
-    filled one grid row at a time for the whole basis and one block of
-    rows at a time for some rows.  In 2-d the modes come labelled by the
-    mirror blocks (:func:`_mirror_labels`); in 1-d by none (None, the
-    trivial group).
+    filled one block of rows at a time.  In 2-d the modes come labelled by
+    the mirror blocks (:func:`_mirror_labels`); in 1-d by the trivial
+    group.
     """
     grid = op.grid
     n, m = grid.points_per_side, grid.node_count
@@ -758,17 +753,13 @@ def _fourier_eigenpairs(op: DiscreteLaplaceBeltrami, weight: float,
     order = np.argsort(evals, kind="stable")
     q = _axis_modes(n)
     if grid.dim == 1:
-        return evals[order], q[np.ix_(at, order)], None
+        return evals[order], q[np.ix_(at, order)], SymmetryGroup.trivial(m)
     first, second = q[:, order // n], q[:, order % n]  # (N, M), per axis
     basis = np.empty((at.size, m))
-    if at.size == m:  # every node: one grid row of N nodes at a time
-        for i in range(n):
-            np.multiply(second, first[i], out=basis[i * n:(i + 1) * n])
-    else:
-        for r0 in range(0, at.size, _BLOCK):
-            nodes = at[r0:r0 + _BLOCK]
-            np.multiply(first[nodes // n], second[nodes % n],
-                        out=basis[r0:r0 + _BLOCK])
+    for r0 in range(0, at.size, _BLOCK):
+        nodes = at[r0:r0 + _BLOCK]
+        np.multiply(first[nodes // n], second[nodes % n],
+                    out=basis[r0:r0 + _BLOCK])
     return evals[order], basis, _mirror_labels(order, n)
 
 

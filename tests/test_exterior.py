@@ -1,4 +1,4 @@
-"""Exterior Dirichlet solves, DtN records, and the fractional Poisson map:
+"""Exterior Dirichlet solves, DtN maps, and the fractional Poisson map:
 dense-block oracles, pairing symmetry, nonlocality, and the source pivot,
 on a 1-d grid and on 2-d grids with conformal and cross-term metrics."""
 
@@ -24,10 +24,8 @@ from fracbeltrami.spectral import (
 )
 from fracbeltrami.extension import fd_extension_solve, graded_mesh
 from fracbeltrami.exterior import (
-    DtNRecord,
     RegionSpec,
     coercivity_constant,
-    dtn_full,
     dtn_matrix,
     dtn_partial,
     make_exterior_config,
@@ -211,46 +209,52 @@ def test_coercivity_positive_and_domain_monotone(dec_bump, config):
 
 
 # ----------------------------------------------------------------------
-# DtN records
+# the DtN maps
+
+
+def _full_map(dec, alpha, config, f):
+    """The full map on the exterior: A^a of the exterior Dirichlet solve."""
+    u = solve_exterior_dirichlet(dec, alpha, config, f)
+    return frac_apply_spectral(dec, alpha, u)[config.exterior_nodes]
 
 
 def test_dtn_weighted_pairing_symmetric(dec_bump, config):
     # <Lambda f, g>_w over W2 equals <Lambda g, f>_w over W1: the energy
-    # form is symmetric, so the off-diagonal DtN blocks are adjoint
-    swapped = _swapped(config)
-    rng = np.random.default_rng(11)
-    worst = 0.0
-    for _ in range(20):
-        f = rng.standard_normal(len(config.w1_nodes))
-        g = rng.standard_normal(len(config.w2_nodes))
-        fg = dtn_partial(dec_bump, 0.5, config, f)
-        gf = dtn_partial(dec_bump, 0.5, swapped, g)
-        a, b = fg.weighted_pairing(g), gf.weighted_pairing(f)
-        worst = max(worst, abs(a - b) / max(abs(a), abs(b)))
-    assert worst < 1e-10
+    # form is symmetric, so w_W2 Lambda^{W1,W2} is the transpose of
+    # w_W1 Lambda^{W2,W1}
+    w = dec_bump.measure.node_weights
+    forward = w[config.w2_nodes, None] * dtn_matrix(dec_bump, 0.5, config)
+    backward = w[config.w1_nodes, None] * dtn_matrix(dec_bump, 0.5,
+                                                     _swapped(config))
+    assert np.max(np.abs(forward - backward.T)) \
+        < 1e-10 * np.max(np.abs(forward))
 
 
 def test_dtn_full_pairing_symmetric(dec_bump, config):
     rng = np.random.default_rng(3)
     f = rng.standard_normal(len(config.exterior_nodes))
     g = rng.standard_normal(len(config.exterior_nodes))
-    rf = dtn_full(dec_bump, 0.35, config, f)
-    rg = dtn_full(dec_bump, 0.35, config, g)
-    assert abs(rf.weighted_pairing(g) - rg.weighted_pairing(f)) \
-        < 1e-10 * abs(rf.weighted_pairing(g))
+    w = dec_bump.measure.node_weights[config.exterior_nodes]
+    fg = (w * _full_map(dec_bump, 0.35, config, f)) @ g
+    gf = (w * _full_map(dec_bump, 0.35, config, g)) @ f
+    assert abs(fg - gf) < 1e-10 * abs(fg)
 
 
 def test_dtn_record_fields_and_pairings(dec_bump, config):
+    # a record holds its datum and layout; its output pairs with a datum
+    # on W2 as the swapped record's output pairs with f on W1
     f = np.sin(np.arange(len(config.w1_nodes)))
     rec = dtn_partial(dec_bump, 0.5, config, f)
+    assert rec.alpha == 0.5
     assert np.array_equal(rec.input_nodes, config.w1_nodes)
     assert np.array_equal(rec.output_nodes, config.w2_nodes)
     assert_allclose(rec.input_values, f)
-    assert np.all(rec.output_weights > 0)
     h = np.cos(np.arange(len(config.w2_nodes)))
-    assert rec.pairing(h) == pytest.approx(float(rec.output_values @ h))
-    assert rec.weighted_pairing(h) == pytest.approx(
-        float((rec.output_values * rec.output_weights) @ h))
+    back = dtn_partial(dec_bump, 0.5, _swapped(config), h)
+    w = dec_bump.measure.node_weights
+    fh = (w[config.w2_nodes] * rec.output_values) @ h
+    hf = (w[config.w1_nodes] * back.output_values) @ f
+    assert abs(fh - hf) < 1e-10 * abs(fh)
 
 
 def test_dtn_is_nonlocal(dec_bump, config):
@@ -262,17 +266,13 @@ def test_dtn_is_nonlocal(dec_bump, config):
 
 
 def test_dtn_rejects_unaligned_datum(dec_bump, config):
-    # a datum holds one value per input node; anything else is refused with
+    # a datum holds one value per W1 node; anything else is refused with
     # the node set and both shapes named
     m, n1 = dec_bump.node_count, len(config.w1_nodes)
     for bad in (np.zeros(m), np.ones(2)):
         msg = rf"\({bad.size},\).*config\.w1_nodes.*\({n1},\)"
         with pytest.raises(ValueError, match=msg):
             dtn_partial(dec_bump, 0.5, config, bad)
-    ne = len(config.exterior_nodes)
-    msg = rf"\({m},\).*config\.exterior_nodes.*\({ne},\)"
-    with pytest.raises(ValueError, match=msg):
-        dtn_full(dec_bump, 0.5, config, np.zeros(m))
 
 
 def _assert_columns_are_records(dec, alpha, config):
@@ -322,12 +322,11 @@ def test_exterior_dirichlet_solve_is_residual_guarded(dec_bump, config,
         solve_exterior_dirichlet(dec_bump, 0.5, config, f)
 
 
-def test_dtn_residual_guard():
+def test_dtn_residual_guard(dec_bump, config, monkeypatch):
+    # one datum is one column, the last one, and its solve is guarded
+    _last_column_off(monkeypatch)
     with pytest.raises(ArithmeticError, match="residual"):
-        DtNRecord(alpha=0.5, input_nodes=np.array([0]),
-                  input_values=np.array([1.0]), output_nodes=np.array([1]),
-                  output_values=np.array([0.0]),
-                  output_weights=np.array([1.0]), residual=1e-8)
+        dtn_partial(dec_bump, 0.5, config, np.ones(len(config.w1_nodes)))
 
 
 # ----------------------------------------------------------------------
@@ -411,18 +410,13 @@ REGIONS = {
 }
 
 
-@pytest.fixture(scope="module", params=list(GROUP_CASES) + ["unrecorded"])
+@pytest.fixture(scope="module", params=list(GROUP_CASES))
 def dec_group(request):
-    # "unrecorded" is the dihedral bump with its block record dropped: the
-    # solve must take the trivial group's one block
-    name = "dihedral-bump" if request.param == "unrecorded" else request.param
-    profile, generators, blocks = GROUP_CASES[name]
+    profile, generators, blocks = GROUP_CASES[request.param]
     dec = decompose(assemble_laplacian(make_metric(build_grid(2, 4.0, 16),
                                                    profile)))
     assert len(dec.symmetry.generators) == generators
     assert len(dec.symmetry.blocks) == blocks
-    if request.param == "unrecorded":
-        return dataclasses.replace(dec, symmetry=None)
     return dec
 
 
@@ -449,11 +443,9 @@ def test_block_solves_match_the_node_space_oracle(dec_group, region, alpha):
     om, ex = config.omega_nodes, config.exterior_nodes
     # a datum without symmetry has a part in every block and copy
     f = np.random.default_rng(2).standard_normal(len(ex))
-    u, flux = _dense_solution(dec_group, alpha, config, ex, f[:, None])
+    u, _ = _dense_solution(dec_group, alpha, config, ex, f[:, None])
     _assert_matches(solve_exterior_dirichlet(dec_group, alpha, config, f)[om],
                     u[om, 0])
-    _assert_matches(dtn_full(dec_group, alpha, config, f).output_values,
-                    flux[ex, 0])
     n1 = len(config.w1_nodes)
     _, flux = _dense_solution(dec_group, alpha, config, config.w1_nodes,
                               np.eye(n1))
@@ -579,10 +571,10 @@ def test_poisson_pivot_identity(dec_bump, config):
     F = _buffered_source(dec_bump, config)
     for alpha in (0.25, 0.5, 0.75):
         rec = poisson_solve(dec_bump, alpha, config, F)
-        dtn = dtn_full(dec_bump, alpha, config, rec.solution_values)
+        dtn = _full_map(dec_bump, alpha, config, rec.solution_values)
         target = dec_bump.operator.apply(F)[config.exterior_nodes]
         scale = np.max(np.abs(target))
-        assert np.max(np.abs(dtn.output_values - target)) < 1e-9 * scale
+        assert np.max(np.abs(dtn - target)) < 1e-9 * scale
 
 
 def test_poisson_alpha_near_one_returns_source(dec_bump, config):

@@ -34,6 +34,7 @@ from fracbeltrami.spectral import (
     DecompositionSizeError,
     DiscreteLaplaceBeltrami,
     SpectralDecomposition,
+    SymmetryGroup,
     assemble_laplacian,
     decompose,
     energy_form,
@@ -87,10 +88,16 @@ def dec_2d_aniso():
 # assembly
 
 
+def _dense_operator(op):
+    """Dense A = W^{-1} B (M, M), read off the form."""
+    return op.form_matrix / op.measure.node_weights[:, None]
+
+
 def test_unit_stencil_row():
     grid = build_grid(1, 4.0, 4)  # h = 1
     op = assemble_laplacian(make_metric(grid, IdentityMetric(1)))
-    np.testing.assert_allclose(op.matrix[0], [2.0, -1.0, 0.0, -1.0], atol=1e-14)
+    np.testing.assert_allclose(_dense_operator(op)[0], [2.0, -1.0, 0.0, -1.0],
+                               atol=1e-14)
 
 
 def test_circulant_eigenvalues_n4():
@@ -135,7 +142,7 @@ def test_weighted_self_adjointness():
     op = assemble_laplacian(met)
     w = met.measure()
     rng = np.random.default_rng(2)
-    scale = np.abs(op.matrix).sum(axis=1).max()
+    scale = np.abs(_dense_operator(op)).sum(axis=1).max()
     for _ in range(100):
         u = rng.standard_normal(grid.node_count)
         v = rng.standard_normal(grid.node_count)
@@ -171,7 +178,7 @@ def test_stencil_product_matches_dense_form(dim, profile):
     np.testing.assert_allclose(op.apply_form(block), dense, rtol=0, atol=tol)
     np.testing.assert_allclose(op.apply_form(block[:, 0]), dense[:, 0],
                                rtol=0, atol=tol)
-    dense_a = op.matrix @ block
+    dense_a = _dense_operator(op) @ block
     tol_a = 1e-14 * np.abs(dense_a).max()
     np.testing.assert_allclose(op.apply(block), dense_a, rtol=0, atol=tol_a)
     np.testing.assert_allclose(op.apply(block[:, 0]), dense_a[:, 0],
@@ -294,8 +301,8 @@ def test_decompose_invariants(dec_2d_aniso):
     rebuilt = (dec.basis * dec.eigenvalues) @ (
         dec.basis.T * dec.measure.node_weights[None, :]
     )
-    scale = np.abs(dec.operator.matrix).max()
-    np.testing.assert_allclose(rebuilt, dec.operator.matrix, atol=1e-10 * scale)
+    dense = _dense_operator(dec.operator)
+    np.testing.assert_allclose(rebuilt, dense, atol=1e-10 * np.abs(dense).max())
 
 
 def test_decomposition_stores_geometry_once(dec_2d_aniso):
@@ -305,7 +312,7 @@ def test_decomposition_stores_geometry_once(dec_2d_aniso):
     assert [f.name for f in dataclasses.fields(dec.operator)] == [
         "offsets", "stencil", "metric"]
     assert [f.name for f in dataclasses.fields(dec)] == [
-        "eigenvalues", "basis", "operator", "nodes", "symmetry"]
+        "eigenvalues", "basis", "operator", "symmetry", "nodes"]
     assert dec.nodes is None  # the basis holds every node
     assert dec.grid is dec.operator.metric.grid
     assert dec.metric is dec.operator.metric
@@ -322,7 +329,7 @@ def test_decomposition_stores_geometry_once(dec_2d_aniso):
 def test_trace_identity(dec_1d_bump):
     # sum of eigenvalues = trace of A (similarity transforms preserve it)
     assert dec_1d_bump.eigenvalues.sum() == pytest.approx(
-        np.trace(dec_1d_bump.operator.matrix), rel=1e-12
+        np.trace(_dense_operator(dec_1d_bump.operator)), rel=1e-12
     )
 
 
@@ -456,8 +463,9 @@ def test_decompose_pins_dense_reference(dim, n, profile, sizes):
     assert np.abs(gram - np.eye(grid.node_count)).max() <= 1e-13
     residual = op.apply(dec.basis) - dec.basis * dec.eigenvalues
     assert np.sqrt(w @ residual ** 2).max() <= 1e-13 * lam_max
-    reference = SpectralDecomposition(eigenvalues=evals, basis=basis,
-                                      operator=op)
+    reference = SpectralDecomposition(
+        eigenvalues=evals, basis=basis, operator=op,
+        symmetry=SymmetryGroup.trivial(grid.node_count))
     u = np.random.default_rng(4).standard_normal(grid.node_count)
     for alpha in (0.25, 0.5, 0.75):
         got = frac_apply_spectral(dec, alpha, u)
@@ -598,9 +606,10 @@ def test_benchmark_operators_take_their_routes(profile, sizes):
     (2, 12, IdentityMetric(2), 2, 4),
     (2, 12, ConstantProfile(((1.3, 0.0), (0.0, 0.9))), 2, 4),
     (1, 16, BUMP_1D, 0, 1),
+    (1, 16, IdentityMetric(1), 0, 1),
 ], ids=["dihedral", "dihedral-4", "dihedral-pullback", "mirrors",
         "transposition", "one-mirror", "trivial-2d", "closed-form",
-        "closed-form-aniso", "trivial-1d"])
+        "closed-form-aniso", "trivial-1d", "closed-form-1d"])
 def test_recorded_blocks_label_the_modes(dim, n, profile, generators, copies):
     # every mode lies in one copy of one recorded block; a copy's node
     # vectors are coef[p n] v[index[p n]] for one set of coefficients v per
@@ -643,7 +652,8 @@ def test_recorded_blocks_label_the_modes(dim, n, profile, generators, copies):
 def _eigh_reference(op):
     """The dense-eigensolve decomposition, formed here as an oracle."""
     evals, basis = _pinned_dense(op)
-    return SpectralDecomposition(eigenvalues=evals, basis=basis, operator=op)
+    return SpectralDecomposition(eigenvalues=evals, basis=basis, operator=op,
+                                 symmetry=SymmetryGroup.trivial(evals.size))
 
 
 @pytest.mark.parametrize("dim, n, profile", [
@@ -668,7 +678,7 @@ def test_closed_form_matches_dense_eigensolve(dim, n, profile):
     assert np.abs(dec.eigenvalues - ref.eigenvalues).max() <= 1e-12 * lam_max
     gram = dec.basis.T @ (dec.basis * w[:, None])
     assert np.abs(gram - np.eye(grid.node_count)).max() <= 1e-13
-    residual = op.matrix @ dec.basis - dec.basis * dec.eigenvalues
+    residual = _dense_operator(op) @ dec.basis - dec.basis * dec.eigenvalues
     assert np.linalg.norm(residual) <= 1e-12 * lam_max
     # eigenspaces are degenerate, so the bases differ; functions of A agree
     energy, energy_ref = frac_energy_matrix(dec, 0.5), frac_energy_matrix(ref, 0.5)
@@ -784,9 +794,7 @@ def test_rows_rejects_nodes_not_held():
     for nodes in ([held[0], outside[0]], [outside[-1]], [dec.node_count - 1]):
         with pytest.raises(ValueError, match="not among"):
             dec.rows(np.array(nodes))
-    # the full map and the exterior solve read every exterior node
-    with pytest.raises(ValueError, match="not among"):
-        exterior.dtn_full(dec, 0.5, config, np.ones(config.exterior_nodes.size))
+    # the exterior solve reads every exterior node
     with pytest.raises(ValueError, match="not among"):
         exterior.solve_exterior_dirichlet(dec, 0.5, config,
                                           np.ones(config.exterior_nodes.size))

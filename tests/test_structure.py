@@ -7,7 +7,10 @@ module hands it samples and exponents instead of contracting
 which picks the cheaper route an operator allows: only ``spectral.py``
 calls ``eigh``, and at one site, the symmetry-block route's (an operator
 without grid symmetries is the trivial group's one block), so a second
-eigensolve path cannot come back unnoticed.  Discrete Fourier transforms
+eigensolve path cannot come back unnoticed.  Likewise ``exterior.py``
+names numpy's ``solve`` at one site, the symmetry blocks' solve in
+``_solve_blocks``, which every exterior reader shares and which carries
+the residual guard.  Discrete Fourier transforms
 stay there too, where the closed form reads the symbol: only
 ``spectral.py`` names ``fft``; the Fourier modes themselves are
 ``spectral._axis_modes``.  Heat factors minus
@@ -78,6 +81,20 @@ def test_spectral_calls_eigh_at_one_site():
 def test_eigh_guard_counts_a_second_call():
     source = "vals = np.linalg.eigh(a)\nif dense:\n    vals = np.linalg.eigh(b)"
     assert _naming_lines(ast.parse(source), "eigh") == [1, 3]
+
+
+def test_exterior_calls_solve_at_one_site():
+    path = ROOT / "src" / "fracbeltrami" / "exterior.py"
+    lines = _naming_lines(ast.parse(path.read_text(), filename=str(path)),
+                          "solve")
+    assert len(lines) == 1, (f"exterior.py names `solve` at lines {lines}; "
+                             "solve every exterior problem through _solve_blocks")
+
+
+def test_solve_guard_counts_a_second_call():
+    source = ("z = np.linalg.solve(block, rhs)\nif dense:\n"
+              "    z = np.linalg.solve(energy, rhs)")
+    assert _naming_lines(ast.parse(source), "solve") == [1, 3]
 
 
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
