@@ -415,11 +415,12 @@ def fd_extension_solve(dec: SpectralDecomposition, alpha: float,
 
     dir_nodes = np.asarray(dirichlet_nodes, dtype=int)
     neu_nodes = np.asarray(neumann_nodes, dtype=int)
-    marks = np.zeros(n, dtype=int)
-    marks[dir_nodes] += 1
-    marks[neu_nodes] += 1
-    if np.any(marks != 1):
-        raise ValueError("dirichlet and neumann node sets must partition the grid")
+    listed = np.concatenate([dir_nodes.ravel(), neu_nodes.ravel()])
+    if np.any((listed < 0) | (listed >= n)):
+        raise ValueError(f"dirichlet_nodes and neumann_nodes must lie in [0, {n})")
+    if np.any(np.bincount(listed, minlength=n) != 1):
+        raise ValueError("dirichlet_nodes and neumann_nodes must partition "
+                         "the grid, each node once")
     f_dirichlet = np.asarray(f_dirichlet, float)
     f_neumann = np.asarray(f_neumann, float)
     if f_dirichlet.shape != dir_nodes.shape or f_neumann.shape != neu_nodes.shape:

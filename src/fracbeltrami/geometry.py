@@ -42,7 +42,8 @@ class TorusGrid:
     """Uniform grid with ``points_per_side**dim`` nodes on ``[0, L)^dim``.
 
     Nodes are ordered C-style (last axis fastest); node ``i`` sits at
-    ``coordinates()[i]``.  ``points_per_side`` must be even and at least 4:
+    ``coordinates()[i]``, and profiles and balls read it through
+    :meth:`displacement`.  ``points_per_side`` must be even and at least 4:
     the per-axis Fourier modes (``spectral._axis_modes``) include the
     self-conjugate frequency N/2, and the stencil's offsets -1, 0 and +1
     along an axis must reach distinct nodes, so that the dense form read
@@ -79,18 +80,27 @@ class TorusGrid:
         idx = np.indices(self.shape).reshape(self.dim, -1).T
         return idx * self.spacing
 
+    def displacement(self, center: Sequence[float]) -> np.ndarray:
+        """Minimal periodic displacement (node_count, dim) of every node from
+        ``center``: i - c N / L in node units, wrapped mod N, times h once.
+        A mirror or the transposition about a grid node or cell centre maps
+        it exactly, so profiles sampled from it keep the grid's symmetries
+        to the bit (:func:`make_metric`)."""
+        n = self.points_per_side
+        steps = (np.indices(self.shape).reshape(self.dim, -1).T
+                 - np.asarray(center, float) * n / self.side_length)
+        return wrap_displacement(steps, n) * self.spacing
+
     def distance_to(self, point: Sequence[float]) -> np.ndarray:
         """Torus distance from every node to ``point``."""
-        delta = wrap_displacement(self.coordinates() - np.asarray(point, float),
-                                  self.side_length)
-        return np.sqrt((delta ** 2).sum(axis=1))
+        return np.sqrt((self.displacement(point) ** 2).sum(axis=1))
 
     def pair_distance(self, i, j) -> np.ndarray:
         """Torus distance between node indices ``i`` and ``j`` (arrays ok)."""
-        x = self.coordinates()
-        delta = wrap_displacement(x[np.asarray(i)] - x[np.asarray(j)],
-                                  self.side_length)
-        return np.sqrt((delta ** 2).sum(axis=-1))
+        idx = np.indices(self.shape).reshape(self.dim, -1).T
+        steps = wrap_displacement(idx[np.asarray(i)] - idx[np.asarray(j)],
+                                  self.points_per_side)
+        return np.sqrt((steps ** 2).sum(axis=-1)) * self.spacing
 
 
 def build_grid(dim: int, side_length: float, points_per_side: int) -> TorusGrid:
@@ -101,10 +111,12 @@ def build_grid(dim: int, side_length: float, points_per_side: int) -> TorusGrid:
 # --------------------------------------------------------------------------
 # metric profiles
 #
-# A profile is any object with ``sample(points, side_length) -> (M, d, d)``
-# returning symmetric positive-definite tensors.  The two bump families are
-# exact identity outside radius r0: the cutoff exp(1 - 1/(1 - (r/r0)^2))
-# is smooth, equals 1 at r = 0 and vanishes with all derivatives at r0.
+# A profile is any object with ``sample(displace) -> (M, d, d)`` returning
+# symmetric positive-definite tensors, ``displace(center)`` being the (M, d)
+# displacement of the sample points from ``center``.  The two bump families
+# read it as r^2 = d0^2 + d1^2 and are exact identity outside radius r0:
+# the cutoff exp(1 - 1/(1 - (r/r0)^2)) is smooth, equals 1 at r = 0 and
+# vanishes with all derivatives at r0.
 
 
 def _compact_cutoff(r2_over_r02: np.ndarray) -> np.ndarray:
@@ -126,8 +138,8 @@ def _bump_factor(r2: np.ndarray, sigma: float, r0: float) -> np.ndarray:
 class IdentityMetric:
     dim: int
 
-    def sample(self, points: np.ndarray, side_length: float) -> np.ndarray:
-        m = np.asarray(points).shape[0]
+    def sample(self, displace) -> np.ndarray:
+        m = displace((0.0,) * self.dim).shape[0]
         return np.broadcast_to(np.eye(self.dim), (m, self.dim, self.dim)).copy()
 
 
@@ -151,8 +163,8 @@ class _BumpFactor:
             raise ValueError(f"center has {len(self.center)} components, expected {self.dim}")
         object.__setattr__(self, "center", tuple(float(c) for c in self.center))
 
-    def _factor(self, points: np.ndarray, side_length: float) -> np.ndarray:
-        delta = wrap_displacement(points - self.center, side_length)
+    def _factor(self, displace) -> np.ndarray:
+        delta = displace(self.center)
         r2 = (delta ** 2).sum(axis=1)
         return 1.0 + self.beta * _bump_factor(r2, self.sigma, self._bump_r0)
 
@@ -171,9 +183,8 @@ class ConformalBump(_BumpFactor):
     center: tuple
     r0: float
 
-    def sample(self, points: np.ndarray, side_length: float) -> np.ndarray:
-        factor = self._factor(np.asarray(points, float), side_length)
-        return factor[:, None, None] * np.eye(self.dim)
+    def sample(self, displace) -> np.ndarray:
+        return self._factor(displace)[:, None, None] * np.eye(self.dim)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -204,11 +215,9 @@ class ConformalRescale(_BumpFactor):
     def _bump_r0(self) -> float:
         return self.bump_r0
 
-    def sample(self, points: np.ndarray, side_length: float) -> np.ndarray:
-        points = np.asarray(points, dtype=float)
-        factor = self._factor(points, side_length)
-        return factor[:, None, None] * np.asarray(
-            self.base.sample(points, side_length), float)
+    def sample(self, displace) -> np.ndarray:
+        return self._factor(displace)[:, None, None] * np.asarray(
+            self.base.sample(displace), float)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -227,11 +236,11 @@ class AnisotropicBump(_BumpFactor):
         if not 0 <= self.axis < self.dim:
             raise ValueError(f"axis {self.axis} out of range for dim {self.dim}")
 
-    def sample(self, points: np.ndarray, side_length: float) -> np.ndarray:
-        points = np.asarray(points, dtype=float)
+    def sample(self, displace) -> np.ndarray:
+        factor = self._factor(displace)
         g = np.broadcast_to(np.eye(self.dim),
-                            (points.shape[0], self.dim, self.dim)).copy()
-        g[:, self.axis, self.axis] = self._factor(points, side_length)
+                            (factor.size, self.dim, self.dim)).copy()
+        g[:, self.axis, self.axis] = factor
         return g
 
 
@@ -275,6 +284,12 @@ class WeightedMeasure:
 def make_metric(grid: TorusGrid, profile) -> MetricField:
     """Sample a metric profile at the grid nodes and validate it.
 
+    The profile reads ``grid.displacement``.  det g and g^{-1} =
+    adj(g) / sqrt(det g) / sqrt(det g) are the 1 x 1 and 2 x 2 closed forms,
+    which the grid symmetries only permute within products and commutative
+    sums, so a symmetric sample stays symmetric to the bit; adj(g) / det g
+    would not keep a 2-d conformal metric's stencil constant.
+
     Raises ``ValueError`` if the sampled tensors are not symmetric positive
     definite, or if the profile's support radius does not fit strictly
     inside half a period (the bump must not wrap onto itself).
@@ -284,7 +299,7 @@ def make_metric(grid: TorusGrid, profile) -> MetricField:
         raise ValueError(
             f"support radius {r0} must be < half the side length "
             f"{grid.side_length / 2.0}")
-    g = np.asarray(profile.sample(grid.coordinates(), grid.side_length), float)
+    g = np.asarray(profile.sample(grid.displacement), float)
     if g.shape != (grid.node_count, grid.dim, grid.dim):
         raise ValueError(f"profile returned shape {g.shape}")
     if not np.allclose(g, np.swapaxes(g, 1, 2), atol=1e-12):
@@ -293,9 +308,15 @@ def make_metric(grid: TorusGrid, profile) -> MetricField:
     if eigs.min() <= 1e-12:
         raise ValueError(
             f"metric not uniformly elliptic (min eigenvalue {eigs.min():.3e})")
-    det = np.linalg.det(g)
-    return MetricField(grid=grid, tensor=g, inverse_tensor=np.linalg.inv(g),
-                       sqrt_det=np.sqrt(det))
+    if grid.dim == 1:
+        det, adjugate = g[:, 0, 0], np.ones_like(g)
+    else:
+        det = g[:, 0, 0] * g[:, 1, 1] - g[:, 0, 1] * g[:, 1, 0]
+        adjugate = np.stack([g[:, 1, 1], -g[:, 0, 1], -g[:, 1, 0], g[:, 0, 0]],
+                            axis=1).reshape(g.shape)
+    root = np.sqrt(det)[:, None, None]
+    return MetricField(grid=grid, tensor=g, inverse_tensor=adjugate / root / root,
+                       sqrt_det=root[:, 0, 0])
 
 
 def weighted_inner(u: np.ndarray, v: np.ndarray,

@@ -40,7 +40,6 @@ from .geometry import (
     _compact_cutoff,
     build_grid,
     make_metric,
-    wrap_displacement,
 )
 from .quadrature import LogQuadrature
 from .exterior import (
@@ -143,36 +142,21 @@ class RadialSquash:
                 f"radial stretch reaches {rad.min():.3e} (tangential "
                 f"{lam.min():.3e}); both must stay positive")
 
-    def _pulled(self, points: np.ndarray, side_length: float):
-        points = np.asarray(points, dtype=float)
-        delta = wrap_displacement(points - self.center, side_length)
+    def _stretch(self, delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(lam, lam'(r)/r) at displacements ``delta`` from the centre."""
         q = (delta ** 2).sum(axis=1) / self.radius ** 2
-        return points, delta, q
-
-    def map(self, points: np.ndarray, side_length: float) -> np.ndarray:
-        """Phi(points), reduced mod the period; bitwise identity outside.
-
-        Written as x + (lam - 1) (x - c) rather than c + lam (x - c): with
-        lam = 1 exactly outside the support, the first form adds an exact
-        zero and exterior points come back untouched to the last bit.
-        """
-        points, delta, q = self._pulled(points, side_length)
         lam, _ = _squash_shape(q, self.strength)
-        mapped = points + (lam - 1.0)[:, None] * delta
-        return np.mod(mapped, side_length)
-
-    def jacobian(self, points: np.ndarray, side_length: float) -> np.ndarray:
-        """Phi'(points), shape (M, dim, dim); exactly I outside the support."""
-        _, delta, q = self._pulled(points, side_length)
-        lam, _ = _squash_shape(q, self.strength)
-        b = _compact_cutoff(q)
         qi = np.clip(q, 0.0, 1.0 - 1e-12)
         slope = np.where(q < 1.0,
-                         -2.0 * self.strength * b
+                         -2.0 * self.strength * _compact_cutoff(q)
                          / (self.radius ** 2 * (1.0 - qi) ** 2),
                          0.0)
-        eye = np.eye(self.dim)
-        return (lam[:, None, None] * eye
+        return lam, slope
+
+    def jacobian(self, delta: np.ndarray) -> np.ndarray:
+        """Phi' (M, dim, dim) at displacements ``delta``; I outside the support."""
+        lam, slope = self._stretch(delta)
+        return (lam[:, None, None] * np.eye(self.dim)
                 + slope[:, None, None] * delta[:, :, None] * delta[:, None, :])
 
     def stretch_factors(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -185,9 +169,10 @@ class RadialSquash:
 class PullbackProfile:
     """Metric profile ``Phi^* g``: sample ``Phi'(x)^T g(Phi(x)) Phi'(x)``.
 
-    Because the squash is exactly the identity outside its support, the
-    pulled-back profile matches ``base`` exactly outside the union of the
-    two supports -- gauge pairs share exterior data to the last bit.
+    The base reads Phi(x) as c -> displace(c) + (lam - 1) d, d the
+    displacement from the squash centre, which adds an exact zero outside
+    the squash's support: the pulled-back profile matches ``base`` exactly
+    outside both supports -- gauge pairs share exterior data to the bit.
     """
 
     base: object
@@ -208,12 +193,20 @@ class PullbackProfile:
         return max(self.squash.radius,
                    float(getattr(self.base, "r0", 0.0) or 0.0))
 
-    def sample(self, points: np.ndarray, side_length: float) -> np.ndarray:
-        points = np.asarray(points, dtype=float)
-        mapped = self.squash.map(points, side_length)
-        jac = self.squash.jacobian(points, side_length)
-        g_at = np.asarray(self.base.sample(mapped, side_length), float)
-        return np.einsum("mji,mjk,mkl->mil", jac, g_at, jac)
+    def sample(self, displace) -> np.ndarray:
+        delta = displace(self.squash.center)
+        moved = (self.squash._stretch(delta)[0] - 1.0)[:, None] * delta
+        g = np.asarray(self.base.sample(lambda c: displace(c) + moved), float)
+        jac = self.squash.jacobian(delta)
+        return _matmul(np.swapaxes(jac, 1, 2), _matmul(g, jac))
+
+
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for stacks of 1 x 1 or 2 x 2 matrices, each entry summed in index
+    order, which the grid symmetries only negate in pairs or reorder."""
+    dims = range(a.shape[-1])
+    return np.stack([np.stack([sum(a[:, i, k] * b[:, k, j] for k in dims)
+                               for j in dims], axis=1) for i in dims], axis=1)
 
 
 def gauge_pullback(grid: TorusGrid, profile, squash: RadialSquash) -> MetricField:

@@ -188,7 +188,9 @@ def assemble_laplacian(metric: MetricField) -> DiscreteLaplaceBeltrami:
 
     - the edge (i, i + e_j) carries the mean kappa_j = (C_jj,i + C_jj,i+e_j)/2
       of its two ends, B_{i, i + e_j} = B_{i + e_j, i} = -kappa_j, and the
-      centre B_ii is the sum of kappa over the 2 dim edges at i;
+      centre B_ii is the sum of kappa over the 2 dim edges at i, paired by
+      axis, (kappa_0 + kappa_0') + (kappa_1 + kappa_1'), an order the grid
+      symmetries only permute within commutative sums;
     - a cross term enters only across a cell diagonal:
       B_{i, i+o} = -(o_j o_k / 4) (c_{i + o_j e_j} + c_{i + o_k e_k}) for
       o = o_j e_j + o_k e_k, with c = (C_jk + C_kj)/2 at the cell's two
@@ -201,11 +203,12 @@ def assemble_laplacian(metric: MetricField) -> DiscreteLaplaceBeltrami:
     coefficient, so u.B.u is a second-order quadrature of the Dirichlet
     energy where C varies (pairing C_i with (D+_k u)_i alone, which lives
     at i + e_k/2, is first-order).  B keeps positive semi-definiteness and
-    the constants as kernel, and a mirror of the grid maps it onto itself
-    whenever it maps C onto itself (with C_jk -> -C_jk across the mirrored
-    axis).  Where every node carries the same diagonal C (the identity
-    metric, constant diagonal metrics and, to roundoff, 2-d conformal
-    metrics, whose C = I) it is the classical 5-point stencil.  Offsets
+    the constants as kernel, and a grid mirror or the transposition maps
+    it onto itself to the bit whenever it maps C onto itself (with
+    C_jk -> -C_jk across a mirrored axis).  Where every node carries the
+    same diagonal C (the identity metric, constant diagonal metrics and, to
+    roundoff, 2-d conformal metrics, whose C = I) it is the classical
+    5-point stencil.  Offsets
     whose coefficient is 0 at every node are left out.  Support-operator
     stencils of this kind: Shashkov and Steinberg, J. Comput. Phys. 118
     (1995).  No dense matrix is built.
@@ -221,7 +224,7 @@ def assemble_laplacian(metric: MetricField) -> DiscreteLaplaceBeltrami:
         edge = 0.5 * (c[..., j, j] + np.roll(c[..., j, j], -1, axis=j))
         behind = np.roll(edge, 1, axis=j)  # the edge (i - e_j, i)
         table[tuple(step)], table[tuple(-step)] = -edge, -behind
-        table[centre] = table[centre] + edge + behind
+        table[centre] = table[centre] + (edge + behind)
         for k in range(j + 1, dim):
             cross = 0.5 * (c[..., j, k] + c[..., k, j])
             for oj, ok in itertools.product((1, -1), repeat=2):
@@ -374,10 +377,11 @@ def decompose(op: DiscreteLaplaceBeltrami, cap: int = DEFAULT_EIG_CAP,
        symmetries: the mirrors sigma0 (i, j) -> (-i, j) and
        sigma1 (i, j) -> (i, -j), indices modulo N, and the transposition
        tau (i, j) -> (j, i).  One holds if it maps B's stencil entries and
-       w onto themselves to within ``_SYMMETRY_ULPS`` units of roundoff of
-       max|B| and max w.  B is checked, not C, since B is what the blocks
-       split; the averaged stencil (:func:`assemble_laplacian`) maps a
-       mirror-invariant C (with C_01 -> -C_01) onto a mirror-invariant B.
+       w onto themselves exactly.  B is checked, not C, since B is what the
+       blocks split; the averaged stencil (:func:`assemble_laplacian`) maps
+       a mirror-invariant C (with C_01 -> -C_01) onto a mirror-invariant B,
+       and profiles centred on a grid symmetry centre are sampled so to the
+       bit (``geometry.TorusGrid.displacement``).
        S = W^{-1/2} B W^{-1/2} then commutes with the group G that the
        holding symmetries generate and splits into one block per
        irreducible representation of G (Bossavit, Comput. Methods Appl.
@@ -489,26 +493,6 @@ def _size_error(what: str, rows: int, cols: int) -> DecompositionSizeError:
         f"{8 * rows * cols / 1e6:.3g} MB")
 
 
-# how far, in units of roundoff of max|B| and max w, a 2-d operator may miss
-# a grid symmetry (sigma0, sigma1 or tau) and still take the block route.
-# Measured misses of B's stencil entries and of w, in those units:
-# - the centred conformal bump misses the mirrors by at most 0.125 and 1.5
-#   (the benchmark's bumps at N = 16 to 96), and tau by 0;
-# - its pullback by a centred radial squash misses the three by at most
-#   1.94 and 3.40 (the benchmark's pullbacks at N = 16 to 96): its tensors
-#   come out of an einsum whose summation order differs between a node and
-#   its image, and the node coordinates i h and (N - i) h are not mirror
-#   images to the bit;
-# - over the 2-d property tests' ranges (N = 12 to 24) B misses by at most
-#   2.89, and w by at most 4.10; a strongly squashed pullback can miss the
-#   mirrors in w by up to 8.9 and then takes a smaller group's blocks (the
-#   trivial group's at worst), which is slower but not less exact.
-# An operator without the symmetry misses it by O(1) relative: a pullback
-# centred on the diagonal but off the mirror axes misses the mirrors by
-# 0.05 max|B| and 0.4 max w.
-_SYMMETRY_ULPS = 8.0
-
-
 def _grid_symmetries(n: int) -> list[np.ndarray]:
     """sigma0, sigma1 and tau of the N x N grid, each as the node
     permutation p that maps node n to node p[n]."""
@@ -523,7 +507,8 @@ def _symmetry_blocks(op: DiscreteLaplaceBeltrami, entries: tuple
 
     A symmetry p holds if B_{p r, p c} = B_rc over the stencil entries
     ``entries`` (:meth:`DiscreteLaplaceBeltrami._form_entries`, every
-    (r, c) once) and w_{p n} = w_n, within ``_SYMMETRY_ULPS``.  Each block
+    (r, c) once) and w_{p n} = w_n, both exactly; one unit of roundoff off
+    symmetry leaves a smaller group, slower but not less exact.  Each block
     is (generators, signs, copies): the node permutations that generate its
     group, the value of its character on each of them, and the row
     permutations at which its eigenvectors are read, one set of modes per
@@ -544,13 +529,10 @@ def _symmetry_blocks(op: DiscreteLaplaceBeltrami, entries: tuple
     keys = rows * m + cols
     order = np.argsort(keys)
     w = op.measure.node_weights
-    tol = _SYMMETRY_ULPS * np.finfo(float).eps
 
     def holds(p: np.ndarray) -> bool:
         image = order[np.searchsorted(keys, p[rows] * m + p[cols], sorter=order)]
-        return bool(np.abs(values[image] - values).max()
-                    <= tol * np.abs(values).max()
-                    and np.abs(w[p] - w).max() <= tol * w.max())
+        return np.array_equal(values[image], values) and np.array_equal(w[p], w)
 
     sigma0, sigma1, tau = _grid_symmetries(op.grid.points_per_side)
     mirrors = [p for p in (sigma0, sigma1) if holds(p)]
@@ -605,10 +587,10 @@ def _block_eigenpairs(entries: tuple, root_w: np.ndarray, blocks: list,
     K_OP = u_O' S u_P, the sum of c_r c_c S_rc over the stencil entries
     (r, c) of B (``entries``) with r in O and c in P, so it is summed from
     the entries with ``np.bincount`` just before its eigensolve, and no
-    M x M matrix is formed before the basis.  K is the block of the
-    G-average of S, which is S itself for an exactly invariant operator
-    and for the trivial group (c = 1, K = S summed onto +0.0, so a -0.0
-    entry of B enters as +0.0).
+    M x M matrix is formed before the basis.  K is the block of S itself,
+    since a symmetry holds only if S is exactly invariant under it
+    (:func:`_symmetry_blocks`); for the trivial group c = 1 and K = S,
+    summed onto +0.0, so a -0.0 entry of B enters as +0.0.
     An eigenvector v of K is the node vector x_m = c_m v_{row of m}, read
     once per copy of the block at the copy's row permutation
     (:func:`_fill_rows`).  Rows alone are read right after each

@@ -267,6 +267,26 @@ def test_fd_rejects_bad_partitions(dec_bump):
                            np.zeros(n), np.array([]))
 
 
+def test_fd_rejects_a_repeated_node(dec_bump):
+    # counted once, the repeated node 4 would pass as a partition and its
+    # trace would silently read the last datum, 7
+    mesh = graded_mesh(dec_bump, 0.5, count=24)
+    n = dec_bump.node_count
+    with pytest.raises(ValueError, match="dirichlet_nodes and neumann_nodes "
+                                         "must partition"):
+        fd_extension_solve(dec_bump, 0.5, mesh, np.r_[np.arange(4, n), 4],
+                           np.arange(4), np.r_[np.ones(n - 4), 7.0],
+                           np.zeros(4))
+
+
+def test_fd_rejects_a_node_off_the_grid(dec_bump):
+    mesh = graded_mesh(dec_bump, 0.5, count=24)
+    n = dec_bump.node_count
+    with pytest.raises(ValueError, match=rf"must lie in \[0, {n}\)"):
+        fd_extension_solve(dec_bump, 0.5, mesh, np.arange(4, n),
+                           np.r_[np.arange(4), n], np.ones(n - 4), np.zeros(5))
+
+
 def _smooth_datum(dec):
     x = dec.grid.coordinates()[:, 0]
     L = dec.grid.side_length

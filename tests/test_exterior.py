@@ -16,6 +16,7 @@ from fracbeltrami.geometry import (
     build_grid,
     make_metric,
 )
+from fracbeltrami import spectral
 from fracbeltrami.spectral import (
     assemble_laplacian,
     decompose,
@@ -96,6 +97,19 @@ def test_ball_and_annulus_selectors(dec_bump):
     assert np.all(np.abs(x[ann] - 2.0) >= 0.25 - 1e-12)
     with pytest.raises(ValueError):
         nodes_in_annulus(grid, (2.0,), 0.5, 0.25)
+
+
+@pytest.mark.parametrize("n", [16, 20, 24, 40, 48, 80])
+def test_ball_about_the_centre_holds_the_grid_symmetries(n):
+    # the gauge layout's Omega (centre (2, 2), r 1.0): read from node-unit
+    # displacements, a ball about a grid centre maps onto itself under
+    # sigma0, sigma1 and tau at every N, so the Omega solve keeps the
+    # operator's dihedral blocks
+    grid = build_grid(2, 4.0, n)
+    omega = nodes_in_ball(grid, (2.0, 2.0), 1.0)
+    assert omega.size % 4 == 1  # the centre node and whole orbits of 4 or 8
+    for p in spectral._grid_symmetries(n):
+        assert np.array_equal(np.sort(p[omega]), omega)
 
 
 def test_config_partition(config):

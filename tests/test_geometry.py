@@ -145,9 +145,8 @@ def test_conformal_rescale_multiplies_base():
     grid = build_grid(2, 4.0, 16)
     base = AnisotropicBump(2, beta=0.4, sigma=0.4, center=(2.0, 2.0), r0=0.9)
     scaled = ConformalRescale(base, beta=0.1, sigma=0.5, center=(2.0, 2.0), bump_r0=0.9)
-    pts = grid.coordinates()
-    g_base = base.sample(pts, 4.0)
-    g = scaled.sample(pts, 4.0)
+    g_base = base.sample(grid.displacement)
+    g = scaled.sample(grid.displacement)
     # at the center the factor is exactly 1 + beta; outside it is exactly 1
     idx = int(np.argmin(grid.distance_to((2.0, 2.0))))
     np.testing.assert_allclose(g[idx], 1.1 * g_base[idx], rtol=1e-14)

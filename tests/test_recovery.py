@@ -24,6 +24,7 @@ from fracbeltrami.geometry import (
     IdentityMetric,
     build_grid,
     make_metric,
+    wrap_displacement,
 )
 from fracbeltrami import recovery
 from fracbeltrami.quadrature import LogQuadrature
@@ -108,23 +109,28 @@ def observer(grid32):
 # the squash family
 
 
+def _squashed(sq, delta):
+    """Phi about the squash centre: the displacement lam(r) d of the image
+    of a point at displacement d."""
+    lam, _ = sq.stretch_factors(np.linalg.norm(delta, axis=-1))
+    return np.asarray(lam)[..., None] * delta
+
+
 def test_squash_jacobian_matches_finite_differences():
     sq = RadialSquash(dim=2, center=(1.0, 1.2), radius=0.8, strength=0.3)
     # centre, generic interior, near the support edge, and far outside
     pts = np.array([[1.0, 1.2], [1.3, 1.0], [1.6, 1.7], [1.74, 1.2],
                     [3.5, 0.2]])
-    jac = sq.jacobian(pts, SIDE)
+    delta = wrap_displacement(pts - sq.center, SIDE)
+    jac = sq.jacobian(delta)
     eps = 1e-6
-    for k, p in enumerate(pts):
+    for k, d in enumerate(delta):
         num = np.zeros((2, 2))
         for a in range(2):
             step = np.zeros(2)
             step[a] = eps
-            fwd = sq.map((p + step)[None], SIDE)[0]
-            bwd = sq.map((p - step)[None], SIDE)[0]
-            col = fwd - bwd
-            col -= SIDE * np.round(col / SIDE)  # mod-L branch jumps
-            num[:, a] = col / (2.0 * eps)
+            num[:, a] = (_squashed(sq, d + step) - _squashed(sq, d - step)
+                         ) / (2.0 * eps)
         assert np.abs(num - jac[k]).max() < 1e-8
 
 
@@ -132,8 +138,7 @@ def test_squash_determinant_closed_form():
     # det Phi' = lam^{d-1} rho' with lam, rho' the tangential/radial factors
     sq = RadialSquash(dim=2, center=(2.0, 2.0), radius=0.7, strength=-0.4)
     grid = build_grid(2, SIDE, 16)
-    pts = grid.coordinates()
-    jac = sq.jacobian(pts, SIDE)
+    jac = sq.jacobian(grid.displacement(sq.center))
     r = grid.distance_to(sq.center)
     lam, rad = sq.stretch_factors(r)
     assert_allclose(np.linalg.det(jac), lam * rad, atol=1e-13)
@@ -144,10 +149,13 @@ def test_pullback_volume_identity():
     sq = RadialSquash(dim=2, center=(1.0, 1.2), radius=0.8, strength=0.3)
     base = ConformalBump(dim=2, beta=0.4, sigma=0.35, center=(1.1, 1.1),
                          r0=0.9)
-    pts = build_grid(2, SIDE, 12).coordinates()
-    pulled = PullbackProfile(base=base, squash=sq).sample(pts, SIDE)
-    jac = sq.jacobian(pts, SIDE)
-    g_at = base.sample(sq.map(pts, SIDE), SIDE)
+    grid = build_grid(2, SIDE, 12)
+    pulled = PullbackProfile(base=base, squash=sq).sample(grid.displacement)
+    delta = grid.displacement(sq.center)
+    jac = sq.jacobian(delta)
+    image = _squashed(sq, delta)
+    g_at = base.sample(lambda c: wrap_displacement(
+        image + (np.asarray(sq.center) - c), SIDE))
     lhs = np.sqrt(np.linalg.det(pulled))
     rhs = np.abs(np.linalg.det(jac)) * np.sqrt(np.linalg.det(g_at))
     assert_allclose(lhs, rhs, rtol=1e-12)
@@ -155,9 +163,10 @@ def test_pullback_volume_identity():
 
 def test_squash_identity_outside_support():
     sq = RadialSquash(dim=1, center=(2.0,), radius=0.5, strength=0.25)
-    pts = np.array([[0.1], [1.2], [2.8], [3.9]])
-    assert np.array_equal(sq.map(pts, SIDE), np.mod(pts, SIDE))
-    assert np.array_equal(sq.jacobian(pts, SIDE),
+    delta = np.array([[-1.9], [-0.8], [0.8], [1.9]])
+    assert np.array_equal(sq.stretch_factors(np.abs(delta[:, 0])),
+                          (np.ones(4), np.ones(4)))
+    assert np.array_equal(sq.jacobian(delta),
                           np.broadcast_to(np.eye(1), (4, 1, 1)))
 
 
@@ -165,18 +174,17 @@ def test_pullback_profile_exterior_bitwise_equal(grid32, config):
     # gauge pairs share exterior data to the last bit: outside both supports
     # the pulled-back samples coincide exactly with the base samples
     pulled = PullbackProfile(base=BASE_1D, squash=SQUASH_1D)
-    pts = grid32.coordinates()[config.exterior_nodes]
-    assert np.array_equal(pulled.sample(pts, SIDE),
-                          BASE_1D.sample(pts, SIDE))
+    ex = config.exterior_nodes
+    assert np.array_equal(pulled.sample(grid32.displacement)[ex],
+                          BASE_1D.sample(grid32.displacement)[ex])
 
 
 def test_zero_strength_squash_is_identity_pullback(grid32):
     sq = RadialSquash(dim=1, center=(2.0,), radius=0.5, strength=0.0)
     pulled = PullbackProfile(base=BASE_1D, squash=sq)
-    pts = grid32.coordinates()
-    # Phi = id up to roundoff in c + (x - c); the metric moves by O(eps)
-    assert_allclose(pulled.sample(pts, SIDE), BASE_1D.sample(pts, SIDE),
-                    atol=1e-13)
+    # Phi = id exactly: lam = 1 adds an exact zero to every displacement
+    assert np.array_equal(pulled.sample(grid32.displacement),
+                          BASE_1D.sample(grid32.displacement))
 
 
 def test_squash_validation():

@@ -343,9 +343,10 @@ class ConstantProfile:
     def dim(self) -> int:
         return len(self.tensor)
 
-    def sample(self, points, side_length):
+    def sample(self, displace):
         g = np.asarray(self.tensor, float)
-        return np.broadcast_to(g, (len(points),) + g.shape).copy()
+        m = len(displace((0.0,) * self.dim))
+        return np.broadcast_to(g, (m,) + g.shape).copy()
 
 
 def _pinned_dense(op):
@@ -486,8 +487,8 @@ def test_radial_pullback_form_holds_the_dihedral_group(beta, sigma, strength,
                                                        pull_in, radius, n):
     # the averaged stencil maps a mirror-invariant C (with C_01 -> -C_01)
     # onto a mirror-invariant B, so the pullback of a centred radial bump by
-    # a centred radial squash has a B that holds D4 within the roundoff
-    # tolerance; one entry of B moved off symmetry breaks the mirrors
+    # a centred radial squash has a B that holds D4 exactly; one entry of B
+    # moved by one unit of roundoff breaks the mirrors
     grid = build_grid(2, 4.0, n)
     op = assemble_laplacian(make_metric(grid, PullbackProfile(
         base=ConformalBump(2, beta=beta, sigma=sigma, center=(2.0, 2.0),
@@ -495,15 +496,14 @@ def test_radial_pullback_form_holds_the_dihedral_group(beta, sigma, strength,
         squash=RadialSquash(dim=2, center=(2.0, 2.0), radius=radius,
                             strength=-strength if pull_in else strength))))
     assert len(op.offsets) == 9  # the cross term is live
-    tol = spectral._SYMMETRY_ULPS * np.finfo(float).eps
     symmetries = spectral._grid_symmetries(n)
     b = op.form_matrix
-    assert all(_form_miss(b, p) <= tol for p in symmetries)
+    assert all(_form_miss(b, p) == 0.0 for p in symmetries)
     # B_ii at node (1, 2), which no grid symmetry fixes
     stencil = op.stencil.copy()
-    stencil[0, n + 2] += 2.0 * tol * np.abs(b).max()
+    stencil[0, n + 2] = np.nextafter(stencil[0, n + 2], np.inf)
     moved = dataclasses.replace(op, stencil=stencil)
-    assert all(_form_miss(moved.form_matrix, p) > tol for p in symmetries)
+    assert all(_form_miss(moved.form_matrix, p) > 0.0 for p in symmetries)
     # the moved operator keeps the trivial group alone: one block of M
     [(generators, signs, copies)] = spectral._symmetry_blocks(
         moved, moved._form_entries())
@@ -511,21 +511,77 @@ def test_radial_pullback_form_holds_the_dihedral_group(beta, sigma, strength,
     assert len(copies) == 1 and np.array_equal(copies[0], np.arange(n * n))
 
 
-def _perturbed(op, field, units, nodes):
-    """``op`` moved off symmetry at the grid nodes ``nodes``: by its stencil
-    coefficients (``field="coefficients"``), B's diagonal entry there by
-    ``units`` of roundoff of max|B|, or by the weight (``field="weights"``),
-    by ``units`` of roundoff of max w.  The operator then misses by that
-    much every grid symmetry that does not map ``nodes`` onto themselves."""
+def _offset_image(offset, which):
+    """The stencil offset that grid symmetry ``which`` (0: sigma0, 1: sigma1,
+    2: tau) maps ``offset`` to."""
+    o0, o1 = offset
+    return ((-o0, o1), (o0, -o1), (o1, o0))[which]
+
+
+@settings(max_examples=20, deadline=None)
+@given(beta=st.floats(0.2, 0.8), sigma=st.floats(0.2, 0.5),
+       radius=st.floats(0.5, 1.5), strength=st.floats(0.05, 0.3),
+       pull_in=st.booleans(), n=st.sampled_from([12, 16, 24, 32]))
+def test_centred_pullback_is_sampled_bitwise_dihedral(beta, sigma, radius,
+                                                      strength, pull_in, n):
+    # over the strongly squashed range, the sampled tensor, w and the
+    # stencil table map onto themselves under sigma0, sigma1 and tau to the
+    # bit (C_01 -> -C_01 across a mirror), so the blocks need no tolerance
+    grid = build_grid(2, 4.0, n)
+    metric = make_metric(grid, PullbackProfile(
+        base=ConformalBump(2, beta=beta, sigma=sigma, center=(2.0, 2.0),
+                           r0=1.5),
+        squash=RadialSquash(dim=2, center=(2.0, 2.0), radius=radius,
+                            strength=-strength if pull_in else strength)))
+    op = assemble_laplacian(metric)
+    w = op.measure.node_weights
+    table = dict(zip(op.offsets, op.stencil))
+    reflections = [np.diag([-1.0, 1.0]), np.diag([1.0, -1.0]),
+                   np.array([[0.0, 1.0], [1.0, 0.0]])]
+    for which, (p, r) in enumerate(zip(spectral._grid_symmetries(n),
+                                       reflections)):
+        assert np.array_equal(metric.tensor[p], r @ metric.tensor @ r)
+        assert np.array_equal(w[p], w)
+        for offset, coefficients in table.items():
+            assert np.array_equal(table[_offset_image(offset, which)][p],
+                                  coefficients)
+
+
+# three draws of the strongly squashed range whose w, sampled from node
+# coordinates, misses the mirrors by 8 to 11 units of roundoff; without the
+# five dihedral blocks, tau's two at N = 96 have 4656 rows each, above the cap
+SQUASHED_DRAWS = [(0.72, 0.27, 0.64, -0.229), (0.65, 0.46, 0.64, -0.255),
+                  (0.33, 0.37, 0.51, 0.228)]
+
+
+@pytest.mark.parametrize("n", [96, 128])
+@pytest.mark.parametrize("beta, sigma, radius, strength", SQUASHED_DRAWS)
+def test_squashed_draws_take_the_dihedral_blocks(beta, sigma, radius,
+                                                 strength, n):
+    grid = build_grid(2, 4.0, n)
+    op = assemble_laplacian(make_metric(grid, PullbackProfile(
+        base=ConformalBump(2, beta=beta, sigma=sigma, center=(2.0, 2.0),
+                           r0=1.5),
+        squash=RadialSquash(dim=2, center=(2.0, 2.0), radius=radius,
+                            strength=strength))))
+    blocks = spectral._symmetry_blocks(op, op._form_entries())
+    assert [len(generators) for generators, _, _ in blocks] == [3, 3, 3, 3, 2]
+
+
+def _perturbed(op, field, nodes):
+    """``op`` moved off symmetry by one unit of roundoff at the grid nodes
+    ``nodes``: B's diagonal entry there (``field="coefficients"``) or the
+    volume density that scales the weight (``field="weights"``).  The
+    operator then misses every grid symmetry that does not map ``nodes``
+    onto themselves."""
     n = op.grid.points_per_side
     index = [i * n + j for i, j in nodes]
-    eps = np.finfo(float).eps
     if field == "coefficients":
         stencil = op.stencil.copy()
-        stencil[0, index] += units * eps * np.abs(op.stencil).max()
+        stencil[0, index] = np.nextafter(stencil[0, index], np.inf)
         return dataclasses.replace(op, stencil=stencil)
     sqrt_det = op.metric.sqrt_det.copy()
-    sqrt_det[index] += units * eps * sqrt_det.max()
+    sqrt_det[index] = np.nextafter(sqrt_det[index], np.inf)
     return dataclasses.replace(
         op, metric=dataclasses.replace(op.metric, sqrt_det=sqrt_det))
 
@@ -542,29 +598,16 @@ PERTURBED = [
 
 
 @pytest.mark.parametrize("field, profile, nodes", PERTURBED)
-def test_transposition_route_within_the_roundoff_tolerance(field, profile,
-                                                           nodes):
-    # half the tolerance off symmetry: the diagonal pullback keeps its two
-    # transposition blocks and the bump its five dihedral ones
-    grid = build_grid(2, 4.0, 12)
-    op = _perturbed(assemble_laplacian(make_metric(grid, profile)), field,
-                    0.5 * spectral._SYMMETRY_ULPS, nodes)
-    dec, calls = _counted_decompose(op)
-    expected = (_transposition_block_sizes if profile is TAU_PULLBACK_2D
-                else _dihedral_block_sizes)
-    assert sorted(calls) == expected(12)
-    evals, _ = _pinned_dense(op)
-    assert np.abs(dec.eigenvalues - evals).max() <= 1e-13 * evals[-1]
-
-
-@pytest.mark.parametrize("field, profile, nodes", PERTURBED)
 def test_dense_route_beyond_the_roundoff_tolerance(field, profile, nodes):
-    # twice the tolerance off symmetry: the diagonal pullback falls back to
+    # one unit of roundoff off symmetry: the diagonal pullback falls back to
     # the trivial group's one eigensolve of size M, pinned bitwise; the bump
     # still holds tau, so it falls back to the two transposition blocks
     grid = build_grid(2, 4.0, 12)
-    op = _perturbed(assemble_laplacian(make_metric(grid, profile)), field,
-                    2.0 * spectral._SYMMETRY_ULPS, nodes)
+    base = assemble_laplacian(make_metric(grid, profile))
+    op = _perturbed(base, field, nodes)
+    if field == "weights":  # one unit of roundoff in the density moves w
+        assert not np.array_equal(op.measure.node_weights,
+                                  base.measure.node_weights)
     dec, calls = _counted_decompose(op)
     evals, basis = _pinned_dense(op)
     if profile is TAU_PULLBACK_2D:
@@ -1007,12 +1050,10 @@ def test_frac_rejects_alpha_outside_range(dec_1d_bump, alpha):
 # radial squash with the same centre, hold the dihedral group; centred on
 # the diagonal off the mirror axes they hold the grid transposition alone;
 # an anisotropic bump centred off the mirror axes and the diagonal, and its
-# conformal rescaling, hold no grid symmetry.  Over this strategy's range
-# (beta, sigma, the variant and N drawn 300 times) the dihedral profiles
-# miss the mirrors and the transposition by at most 1.93 units of roundoff
-# of max|B| and 4.10 of max w, and the diagonal ones the transposition by
-# 1.92 and 1.26, inside ``_SYMMETRY_ULPS`` = 8.  The windows sit outside
-# Omega.
+# conformal rescaling, hold no grid symmetry.  Centred on a grid symmetry
+# centre, the profiles are sampled bitwise invariant under the symmetries
+# they hold, so the route is read off exact comparisons.  The windows sit
+# outside Omega.
 ROUTE_REGION = RegionSpec(omega_center=(2.0, 2.0), omega_radius=0.8,
                           w1_center=(0.25, 2.0), w1_radius=0.3,
                           w2_center=(2.0, 0.25), w2_radius=0.3)

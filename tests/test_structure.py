@@ -15,7 +15,12 @@ stay there too, where the closed form reads the symbol: only
 ``spectral.py`` names ``fft``; the Fourier modes themselves are
 ``spectral._axis_modes``.  Heat factors minus
 one go through ``expm1``: the semigroup windows start at lam t ~ 1e-17,
-where ``exp(x) - 1`` formed by subtraction keeps no digit.
+where ``exp(x) - 1`` formed by subtraction keeps no digit.  Metric
+sampling (``geometry.py``, ``recovery.py``) names no ``einsum``, ``inv`` or
+``det``: their summation order is not one the grid symmetries only permute
+within commutative pairs, and the 1 x 1 and 2 x 2 closed forms that replace
+them are what keeps a symmetric sample symmetric to the bit, so that
+``spectral._symmetry_blocks`` can compare exactly.
 """
 
 import ast
@@ -107,6 +112,26 @@ def test_fft_guard_sees_both_spellings():
     for source in ("np.fft.fftn(a)", "from numpy.fft import fftn",
                    "from numpy import fft"):
         assert _naming_lines(ast.parse(source), "fft") == [1]
+
+
+SAMPLING = [ROOT / "src" / "fracbeltrami" / name
+            for name in ("geometry.py", "recovery.py")]
+
+
+@pytest.mark.parametrize("name", ["einsum", "inv", "det"])
+@pytest.mark.parametrize("path", SAMPLING, ids=lambda p: p.name)
+def test_sampling_writes_its_small_matrix_algebra_out(path, name):
+    lines = _naming_lines(ast.parse(path.read_text(), filename=str(path)), name)
+    assert not lines, (f"{path.name} names `{name}` at lines {lines}; write "
+                       "the 1 x 1 / 2 x 2 closed form as sums in index order, "
+                       "which keep the sampled metric bitwise symmetric")
+
+
+def test_sampling_guard_sees_each_spelling():
+    for source, name in (("np.einsum('mji,mjk->mik', a, b)", "einsum"),
+                         ("np.linalg.inv(g)", "inv"),
+                         ("from numpy.linalg import det", "det")):
+        assert _naming_lines(ast.parse(source), name) == [1]
 
 
 def _exp_minus_one_lines(tree):
