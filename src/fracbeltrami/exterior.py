@@ -67,7 +67,6 @@ __all__ = [
     "dtn_matrix",
     "SourceSolutionRecord",
     "poisson_solve",
-    "source_to_solution_map",
     "coercivity_constant",
 ]
 
@@ -458,7 +457,7 @@ def poisson_solve(dec: SpectralDecomposition, alpha: float,
 
     The identity A^a A^{1-a} = A holds exactly in the spectral calculus
     (both sides annihilate the constant), so no iteration is involved; the
-    record keeps the exterior restrictions the recovery pipeline consumes.
+    record keeps the exterior restrictions a paired comparison reads.
     """
     _check_alpha(alpha, allow_one=False)
     F = np.asarray(F, dtype=float)
@@ -470,10 +469,3 @@ def poisson_solve(dec: SpectralDecomposition, alpha: float,
     ex = config.exterior_nodes
     return SourceSolutionRecord(alpha=alpha, exterior_nodes=ex,
                                 source_values=F[ex], solution_values=w[ex])
-
-
-def source_to_solution_map(dec: SpectralDecomposition, alpha: float,
-                           config: ExteriorConfig,
-                           F_list) -> list[SourceSolutionRecord]:
-    """Batch of Poisson records, one per supplied exterior source."""
-    return [poisson_solve(dec, alpha, config, F) for F in F_list]

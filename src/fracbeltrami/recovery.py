@@ -1,4 +1,4 @@
-"""Gauge obstruction and recovery from exterior heat data.
+"""Gauge obstruction and the exterior heat-data test.
 
 Two questions sit on top of the exterior measurement maps.  First, how much
 can exterior data possibly determine?  Interior diffeomorphisms that fix the
@@ -14,16 +14,18 @@ source-to-solution records force the heat semigroup differences
 
     U(t, x) = (e^{t Lap_1} - e^{t Lap_2}) F~ (x)
 
-to vanish at exterior observation points; a weighted moment vector
+to vanish at exterior observation points, and with them the heat kernels
+at exterior pairs (``spectral.heat_kernel`` reads those off each
+decomposition, the records off ``exterior.poisson_solve``); a weighted
+moment vector
 
     mu_m = int U(t, x) t^{-1-a-m} dt,   m = 0 .. M,
 
-over a log-time window turns that into a finite, quantitative test, and
-agreement of the recovered heat kernels at exterior pairs is checked
-directly.  Moments are linear in U, so their raw size says nothing by
-itself; every moment is reported relative to the same weighted integral of
-a reference signal (the single-metric heat trace), which is what makes
-"vanishing" a scale-free verdict.
+over a log-time window turns that into a finite, quantitative test.
+Moments are linear in U, so their raw size says nothing by itself; every
+moment is reported relative to the same weighted integral of a reference
+signal (the single-metric heat trace), which is what makes "vanishing" a
+scale-free verdict.
 """
 
 from __future__ import annotations
@@ -42,18 +44,12 @@ from .geometry import (
     make_metric,
 )
 from .quadrature import LogQuadrature
-from .exterior import (
-    ExteriorConfig,
-    RegionSpec,
-    SourceSolutionRecord,
-    dtn_matrix,
-)
+from .exterior import RegionSpec, dtn_matrix
 from .spectral import (
     SpectralDecomposition,
     _check_alpha,
     assemble_laplacian,
     decompose,
-    heat_kernel,
 )
 
 __all__ = [
@@ -64,10 +60,7 @@ __all__ = [
     "MomentTable",
     "moment_vector",
     "heat_moment_table",
-    "VanishingReport",
     "vanishing_test",
-    "HeatKernelComparison",
-    "recover_heat_kernel_samples",
     "DtNComparisonReport",
     "dtn_difference_experiment",
     "gauge_experiment",
@@ -218,21 +211,6 @@ def gauge_pullback(grid: TorusGrid, profile, squash: RadialSquash) -> MetricFiel
 # heat semigroup differences observed from outside
 
 
-def _require_same_grid(dec1: SpectralDecomposition,
-                       dec2: SpectralDecomposition) -> None:
-    if dec1.grid != dec2.grid:
-        raise ValueError("the two decompositions must share a grid")
-
-
-def _require_exterior_agreement(dec1: SpectralDecomposition,
-                                dec2: SpectralDecomposition,
-                                nodes: np.ndarray, context: str) -> None:
-    if not dec1.metric.restricted_equal(dec2.metric, nodes):
-        raise ValueError(
-            f"the metrics disagree on {context}; the comparison is only "
-            "defined for metrics sharing their exterior data")
-
-
 def _trace_sampler(dec: SpectralDecomposition, F: np.ndarray,
                    x_index: int) -> Callable[[np.ndarray], np.ndarray]:
     """t -> (e^{-tA} F)(x), vectorised over t via the mode expansion."""
@@ -258,7 +236,8 @@ def _observation_guards(dec1: SpectralDecomposition,
     otherwise the difference conflates interior structure with trivially
     different data.
     """
-    _require_same_grid(dec1, dec2)
+    if dec1.grid != dec2.grid:
+        raise ValueError("the two decompositions must share a grid")
     F = np.asarray(F, dtype=float)
     if F.shape != (dec1.node_count,):
         raise ValueError("source must be a full node vector")
@@ -269,9 +248,12 @@ def _observation_guards(dec1: SpectralDecomposition,
     if x_index in support:
         raise ValueError("observation point must lie outside the source "
                          "support")
-    probe = np.append(support, x_index)
-    _require_exterior_agreement(dec1, dec2, probe,
-                                "the source support / observation set")
+    if not dec1.metric.restricted_equal(dec2.metric,
+                                        np.append(support, x_index)):
+        raise ValueError(
+            "the metrics disagree on the source support / observation set; "
+            "the comparison is only defined for metrics sharing their "
+            "exterior data")
     return F, x_index
 
 
@@ -406,33 +388,8 @@ def heat_moment_table(dec1: SpectralDecomposition,
                          reference_sampler=s1, x_index=x_index)
 
 
-@dataclasses.dataclass(frozen=True)
-class VanishingReport:
-    """Verdict of the moment test, with the per-order evidence attached."""
-
-    passed: bool
-    threshold: float
-    normalized_moments: np.ndarray
-    direct_ratio: float
-    moments: np.ndarray
-
-    def summary_lines(self) -> list[str]:
-        lines = [
-            f"m={m}: moment = {self.moments[m]: .6e}, relative = "
-            f"{self.normalized_moments[m]:.6e}"
-            for m in range(len(self.moments))
-        ]
-        lines.append(f"peak |U| / peak |reference| = {self.direct_ratio:.6e}")
-        lines.append(f"verdict: {'PASS' if self.passed else 'FAIL'} at "
-                     f"threshold {self.threshold:.3e}")
-        return lines
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return "\n".join(self.summary_lines())
-
-
-def vanishing_test(table: MomentTable, threshold: float) -> VanishingReport:
-    """Decide whether the signal behind ``table`` vanishes at the threshold.
+def vanishing_test(table: MomentTable, threshold: float) -> bool:
+    """Whether the signal behind ``table`` vanishes at the threshold (PASS).
 
     Both the largest normalised moment and the direct peak ratio must fall
     below ``threshold``; moments alone could be blind to a signal the
@@ -441,113 +398,8 @@ def vanishing_test(table: MomentTable, threshold: float) -> VanishingReport:
     """
     if not threshold > 0.0:
         raise ValueError("threshold must be positive")
-    normalized = table.normalized()
-    direct = table.direct_ratio()
-    worst = float(np.max(normalized, initial=0.0))
-    passed = bool(worst < threshold and direct < threshold)
-    return VanishingReport(passed=passed, threshold=float(threshold),
-                           normalized_moments=normalized, direct_ratio=direct,
-                           moments=table.moments.copy())
-
-
-# ----------------------------------------------------------------------
-# heat kernel recovery from source-to-solution data
-
-
-@dataclasses.dataclass(frozen=True)
-class HeatKernelComparison:
-    """Heat kernels of two metrics at sampled exterior (t, x, y) triples.
-
-    ``data_defect`` is the largest relative disagreement of the paired
-    source-to-solution records; the kernel comparison is only meaningful
-    when ``data_equal`` holds, since equal exterior data is the hypothesis
-    under which the kernels are determined.
-    """
-
-    t_values: np.ndarray
-    x_indices: np.ndarray
-    y_indices: np.ndarray
-    kernel_1: np.ndarray
-    kernel_2: np.ndarray
-    data_defect: float
-    data_tol: float
-
-    @property
-    def data_equal(self) -> bool:
-        return self.data_defect < self.data_tol
-
-    @property
-    def difference(self) -> np.ndarray:
-        return self.kernel_1 - self.kernel_2
-
-    @property
-    def kernel_scale(self) -> float:
-        return float(np.max(np.abs(self.kernel_1), initial=0.0))
-
-    def rows(self) -> list[tuple[float, int, int, float, float, float]]:
-        """(t, x, y, k1, k2, diff) rows, ready for tabulation."""
-        diff = self.difference
-        return [
-            (float(self.t_values[i]), int(self.x_indices[i]),
-             int(self.y_indices[i]), float(self.kernel_1[i]),
-             float(self.kernel_2[i]), float(diff[i]))
-            for i in range(len(self.t_values))
-        ]
-
-
-def recover_heat_kernel_samples(dec1: SpectralDecomposition,
-                                dec2: SpectralDecomposition,
-                                source_maps_1: Sequence[SourceSolutionRecord],
-                                source_maps_2: Sequence[SourceSolutionRecord],
-                                config: ExteriorConfig,
-                                t_list: Sequence[float],
-                                sample_count: int = 12,
-                                data_tol: float = 1e-10) -> HeatKernelComparison:
-    """Compare heat kernels at exterior pairs under matched exterior data.
-
-    The paired records must share sources and exterior node sets; their
-    solution defect quantifies how well the data agree, and the kernels are
-    then sampled on a deterministic spread of (t, x in W1, y in W2)
-    triples.  For identical operators the table is identically zero.
-    """
-    _require_same_grid(dec1, dec2)
-    if len(source_maps_1) != len(source_maps_2) or not source_maps_1:
-        raise ValueError("need equally many (and at least one) records per "
-                         "metric")
-    t_arr = np.asarray(t_list, dtype=float)
-    if t_arr.ndim != 1 or t_arr.size == 0 or np.any(t_arr <= 0.0):
-        raise ValueError("t_list must be a non-empty list of positive times")
-    scale = 0.0
-    defect = 0.0
-    for rec1, rec2 in zip(source_maps_1, source_maps_2):
-        if rec1.alpha != rec2.alpha:
-            raise ValueError("paired records carry different alpha")
-        if not (np.array_equal(rec1.exterior_nodes, config.exterior_nodes)
-                and np.array_equal(rec2.exterior_nodes,
-                                   config.exterior_nodes)):
-            raise ValueError("records were built for a different exterior")
-        if not np.array_equal(rec1.source_values, rec2.source_values):
-            raise ValueError("paired records must share their source")
-        scale = max(scale, float(np.max(np.abs(rec1.solution_values),
-                                        initial=0.0)))
-        defect = max(defect, float(np.max(np.abs(rec1.solution_values
-                                                 - rec2.solution_values),
-                                          initial=0.0)))
-    data_defect = defect / scale if scale > 0.0 else (0.0 if defect == 0.0
-                                                      else math.inf)
-    w1, w2 = config.w1_nodes, config.w2_nodes
-    count = int(sample_count)
-    if count <= 0:
-        raise ValueError("sample_count must be positive")
-    k = np.arange(count)
-    ts = t_arr[k % t_arr.size]
-    xs = w1[k % len(w1)]
-    ys = w2[(2 * k + 1) % len(w2)]
-    return HeatKernelComparison(t_values=ts, x_indices=xs, y_indices=ys,
-                                kernel_1=heat_kernel(dec1, ts, xs, ys),
-                                kernel_2=heat_kernel(dec2, ts, xs, ys),
-                                data_defect=data_defect,
-                                data_tol=float(data_tol))
+    worst = float(np.max(table.normalized(), initial=0.0))
+    return bool(worst < threshold and table.direct_ratio() < threshold)
 
 
 # ----------------------------------------------------------------------

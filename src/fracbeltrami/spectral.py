@@ -332,11 +332,15 @@ class SpectralDecomposition:
     def rows(self, nodes: np.ndarray) -> np.ndarray:
         """The basis rows phi_k(n) at the index array ``nodes``, (len, M).
 
-        A new array.  Raises for a node whose row is not held.
+        A new array.  Raises for a node outside [0, M), on either layout
+        (numpy would wrap a negative index), and for a node whose row is not
+        held.
         """
+        nodes = np.asarray(nodes)
+        if np.any((nodes < 0) | (nodes >= self.node_count)):
+            raise ValueError(f"nodes must lie in [0, {self.node_count})")
         if self.nodes is None:
             return self.basis[nodes]
-        nodes = np.asarray(nodes)
         at = np.minimum(np.searchsorted(self.nodes, nodes), self.nodes.size - 1)
         missing = nodes[self.nodes[at] != nodes]
         if missing.size:
@@ -804,13 +808,14 @@ def heat_kernel(dec: SpectralDecomposition, t, i, j):
     against a pair list (i, j) gives one row per time.  Scalar arguments
     give a float.  Memory is the broadcast size times M.  The product
     phi_k(i) phi_k(j) is formed first, so p_t(i, j) == p_t(j, i) bitwise.
+    Only the rows at i and j are read, so a decomposition holding those
+    rows alone (``decompose(op, nodes=...)``) gives the same bits.
     """
     t = np.asarray(t, float)
     if np.any(t <= 0):
         raise ValueError("heat kernel requires t > 0")
-    basis = dec.full_basis
     decay = np.exp(-t[..., None] * dec.eigenvalues)
-    values = (basis[i] * basis[j] * decay).sum(axis=-1)
+    values = (dec.rows(i) * dec.rows(j) * decay).sum(axis=-1)
     return float(values) if values.ndim == 0 else values
 
 

@@ -1,4 +1,4 @@
-"""Gauge pullbacks, heat-difference moments and kernel recovery.
+"""Gauge pullbacks, heat-difference moments and matched-data heat kernels.
 
 Exact oracles first: the squash Jacobian against central differences and
 the closed-form determinant, moment integrals against Gamma values, and
@@ -32,7 +32,7 @@ from fracbeltrami.exterior import (
     RegionSpec,
     dtn_matrix,
     dtn_partial,
-    source_to_solution_map,
+    poisson_solve,
 )
 from fracbeltrami.recovery import (
     PullbackProfile,
@@ -43,10 +43,9 @@ from fracbeltrami.recovery import (
     heat_difference_trace,
     heat_moment_table,
     moment_vector,
-    recover_heat_kernel_samples,
     vanishing_test,
 )
-from fracbeltrami.spectral import assemble_laplacian, decompose
+from fracbeltrami.spectral import assemble_laplacian, decompose, heat_kernel
 
 SIDE = 4.0
 
@@ -282,7 +281,7 @@ def test_moment_zero_signal_zero_table():
     assert np.all(table.moments == 0.0)
     assert np.all(table.normalized() == 0.0)
     assert table.direct_ratio() == 0.0
-    assert vanishing_test(table, 1e-12).passed
+    assert vanishing_test(table, 1e-12)
 
 
 def test_moment_window_metadata():
@@ -339,19 +338,8 @@ def test_vanishing_monotone_in_order_count(seed):
     few = moment_vector(u, 0.5, 3, QUAD, reference_sampler=ref)
     many = moment_vector(u, 0.5, 8, QUAD, reference_sampler=ref)
     threshold = 10.0 ** rng.uniform(-6, 0)
-    if vanishing_test(many, threshold).passed:
-        assert vanishing_test(few, threshold).passed
-
-
-def test_vanishing_report_lines():
-    table = moment_vector(lambda t: t * np.exp(-t), 0.5, 2, QUAD,
-                          reference_sampler=lambda t: t * np.exp(-t))
-    report = vanishing_test(table, 0.5)
-    lines = report.summary_lines()
-    assert len(lines) == 5  # three orders, the direct ratio, the verdict
-    assert lines[0].startswith("m=0")
-    assert "FAIL" in lines[-1]
-    assert not report.passed
+    if vanishing_test(many, threshold):
+        assert vanishing_test(few, threshold)
 
 
 # ----------------------------------------------------------------------
@@ -394,14 +382,13 @@ def test_gauge_pair_moments_pass_rescaled_pair_fails(dec_base, dec_gauge,
     threshold = 5e-3  # coarse-grid unit check; acceptance pins C * h^2
     gauge = heat_moment_table(dec_base, dec_gauge, ALPHA, source, observer,
                               quad=QUAD)
-    assert vanishing_test(gauge, threshold).passed
+    assert vanishing_test(gauge, threshold)
     distinct = heat_moment_table(dec_base, dec_rescaled, ALPHA, source,
                                  observer, quad=QUAD)
-    report = vanishing_test(distinct, threshold)
-    assert not report.passed
-    assert report.normalized_moments[0] > threshold
+    assert not vanishing_test(distinct, threshold)
+    assert distinct.normalized()[0] > threshold
     # the genuine metric difference dominates the gauge discretisation error
-    assert report.normalized_moments[0] > 3.0 * gauge.normalized().max()
+    assert distinct.normalized()[0] > 3.0 * gauge.normalized().max()
 
 
 def test_overlapping_windows_reach_the_same_verdict(grid32, dec_base,
@@ -417,69 +404,26 @@ def test_overlapping_windows_reach_the_same_verdict(grid32, dec_base,
     assert source[x] == 0.0
     table = heat_moment_table(dec_base, dec_gauge, ALPHA, source, x,
                               quad=QUAD)
-    assert vanishing_test(table, 5e-3).passed
+    assert vanishing_test(table, 5e-3)
 
 
 # ----------------------------------------------------------------------
-# heat kernel recovery
+# heat kernels under matched exterior data
 
 
-def test_kernel_recovery_identical_metrics_zero_table(dec_base, config,
-                                                      source):
-    maps = source_to_solution_map(dec_base, ALPHA, config, [source])
-    cmp = recover_heat_kernel_samples(dec_base, dec_base, maps, maps, config,
-                                      [0.1, 0.5, 2.0])
-    assert cmp.data_defect == 0.0
-    assert cmp.data_equal
-    assert np.all(cmp.difference == 0.0)
-    rows = cmp.rows()
-    assert len(rows) == 12
-    # times cycle through t_list; samples stay inside the windows
-    assert rows[0][0] == 0.1 and rows[1][0] == 0.5 and rows[3][0] == 0.1
-    assert all(r[1] in set(config.w1_nodes) for r in rows)
-    assert all(r[2] in set(config.w2_nodes) for r in rows)
-
-
-def test_kernel_recovery_gauge_pair(dec_base, dec_gauge, config, source):
-    maps1 = source_to_solution_map(dec_base, ALPHA, config, [source])
-    maps2 = source_to_solution_map(dec_gauge, ALPHA, config, [source])
-    cmp = recover_heat_kernel_samples(dec_base, dec_gauge, maps1, maps2,
-                                      config, [0.1, 0.5, 2.0],
-                                      data_tol=1e-4)
+def test_gauge_pair_shares_data_and_heat_kernels(dec_base, dec_gauge, config,
+                                                 source):
     # the source-to-solution data agree to discretisation accuracy ...
-    assert cmp.data_defect < 1e-4
-    assert cmp.data_equal
-    # ... and so do the recovered kernels
-    assert np.abs(cmp.difference).max() < 5e-3 * cmp.kernel_scale
-
-
-def test_kernel_recovery_validation(dec_base, dec_gauge, grid32, config,
-                                    source):
-    maps = source_to_solution_map(dec_base, ALPHA, config, [source])
-    other_f = np.roll(source, 1)
-    other_maps = source_to_solution_map(dec_gauge, ALPHA, config, [other_f])
-    with pytest.raises(ValueError, match="share their source"):
-        recover_heat_kernel_samples(dec_base, dec_gauge, maps, other_maps,
-                                    config, [0.1])
-    alpha_maps = source_to_solution_map(dec_gauge, 0.4, config, [source])
-    with pytest.raises(ValueError, match="alpha"):
-        recover_heat_kernel_samples(dec_base, dec_gauge, maps, alpha_maps,
-                                    config, [0.1])
-    small = RegionSpec(omega_center=(2.0,), omega_radius=0.3,
-                       w1_center=(0.5,), w1_radius=0.3,
-                       w2_center=(3.4,), w2_radius=0.3).build(grid32)
-    with pytest.raises(ValueError, match="different exterior"):
-        recover_heat_kernel_samples(dec_base, dec_gauge, maps, maps, small,
-                                    [0.1])
-    with pytest.raises(ValueError, match="at least one"):
-        recover_heat_kernel_samples(dec_base, dec_gauge, [], [], config,
-                                    [0.1])
-    with pytest.raises(ValueError, match="positive times"):
-        recover_heat_kernel_samples(dec_base, dec_gauge, maps, maps, config,
-                                    [0.1, -1.0])
-    with pytest.raises(ValueError, match="sample_count"):
-        recover_heat_kernel_samples(dec_base, dec_gauge, maps, maps, config,
-                                    [0.1], sample_count=0)
+    rec1 = poisson_solve(dec_base, ALPHA, config, source)
+    rec2 = poisson_solve(dec_gauge, ALPHA, config, source)
+    defect = np.abs(rec1.solution_values - rec2.solution_values).max()
+    assert defect < 1e-4 * np.abs(rec1.solution_values).max()
+    # ... and so do the heat kernels between the windows
+    t = np.array([0.1, 0.5, 2.0])[:, None, None]
+    w1, w2 = config.w1_nodes[:, None], config.w2_nodes
+    k1 = heat_kernel(dec_base, t, w1, w2)
+    k2 = heat_kernel(dec_gauge, t, w1, w2)
+    assert np.abs(k1 - k2).max() < 5e-3 * np.abs(k1).max()
 
 
 # ----------------------------------------------------------------------
@@ -691,6 +635,51 @@ def test_2d_gauge_operator_defect_is_second_order():
     ops = distinct.operator_defects
     assert ops.min() > 1e-3
     assert ops.max() / ops.min() < 1.1
+
+
+def _fixed_pair_kernels(profile, n, sources, observers):
+    """p_1 from each source to each observer on the N = n grid, the nodes
+    given in side-4 coordinates on every grid with N = 0 mod 4; the
+    decomposition holds their rows alone."""
+    grid = build_grid(2, SIDE, n)
+
+    def index(points):
+        cells = np.asarray(points) * n / SIDE
+        return np.ravel_multi_index(tuple(cells.astype(int).T), grid.shape)
+
+    x, y = index(sources), index(observers)
+    dec = decompose(assemble_laplacian(make_metric(grid, profile)),
+                    nodes=np.concatenate([x, y]))
+    return heat_kernel(dec, 1.0, x[:, None], y)
+
+
+def test_2d_fixed_pair_gauge_heat_defect_changes_sign():
+    # the named cause of the gauge verdict's ladder dependence: the signed
+    # relative gauge defect (p^a - p^b) / p^a of the heat kernel at t = 1,
+    # between fixed nodes, needs no Omega.  Pairs near the squash keep one
+    # sign and fall 5.4x or more per step ((1, 2) -> (2, 0): -4.93e-3,
+    # -8.07e-4, -1.27e-4); the pairs observed at (0, 0) change sign between
+    # N = 32 and 64 ((1, 2) -> (0, 0): -5.97e-4, -4.06e-5, +5.13e-5); the
+    # distinct pair moves by at most 1.4% ((1, 2) -> (2, 0): -2.21e-2 to
+    # -2.20e-2)
+    sources = [(0, 2), (1, 2)]
+    observers = [(2, 0), (2, 1), (0, 0)]
+    pulled = PullbackProfile(base=GAUGE_PROFILE, squash=GAUGE_SQUASH)
+    gauge, distinct = [], []
+    for n in (16, 32, 64):
+        p_a = _fixed_pair_kernels(GAUGE_PROFILE, n, sources, observers)
+        for other, out in ((pulled, gauge), (IdentityMetric(dim=2), distinct)):
+            p_b = _fixed_pair_kernels(other, n, sources, observers)
+            out.append((p_a - p_b) / p_a)
+    gauge, distinct = np.array(gauge), np.array(distinct)
+    near, far = gauge[..., :2], gauge[..., 2]
+    assert np.all(np.sign(near) == np.sign(near[0]))
+    assert np.all(near[:-1] / near[1:] >= 4.0)
+    assert np.all(np.sign(far[1]) == np.sign(far[0]))
+    assert np.all(np.sign(far[2]) == -np.sign(far[1]))
+    assert np.all(np.sign(distinct) == np.sign(distinct[0]))
+    size = np.abs(distinct)
+    assert np.all(size.max(axis=0) / size.min(axis=0) < 1.05)
 
 
 def test_2d_gauge_experiment_takes_the_dihedral_blocks(monkeypatch):

@@ -803,7 +803,6 @@ WHOLE_BASIS_READERS = {
     "project": lambda dec, config, F: dec.project(F),
     "synthesize": lambda dec, config, F: dec.synthesize(F),
     "heat_apply": lambda dec, config, F: heat_apply(dec, 0.5, F),
-    "heat_kernel": lambda dec, config, F: heat_kernel(dec, 0.5, 0, 1),
     "frac_apply_spectral": lambda dec, config, F: frac_apply_spectral(dec, 0.5, F),
     "frac_apply_balakrishnan":
         lambda dec, config, F: frac_apply_balakrishnan(dec, 0.5, F),
@@ -827,6 +826,36 @@ def test_whole_basis_readers_reject_rows_only(reader):
     dec, config, source = _rows_only()
     with pytest.raises(ValueError, match=r"decompose\(op\) without nodes="):
         WHOLE_BASIS_READERS[reader](dec, config, source)
+
+
+@pytest.mark.parametrize("profile", [IdentityMetric(2), BUMP_2D, PULLBACK_2D],
+                         ids=["closed-form", "conformal", "pullback"])
+def test_heat_kernel_reads_the_rows_alone(profile):
+    # heat_kernel reads the basis rows at i and j only, so a decomposition
+    # holding those rows alone gives the whole basis's kernel to the bit
+    op = assemble_laplacian(make_metric(build_grid(2, 4.0, 16), profile))
+    nodes = np.array([0, 17, 40, 136, 255])
+    rows = decompose(op, nodes=nodes)
+    t = np.array([0.1, 1.0, 4.0])[:, None, None]
+    i, j = nodes[:, None], nodes
+    assert np.array_equal(heat_kernel(rows, t, i, j),
+                          heat_kernel(decompose(op), t, i, j))
+    with pytest.raises(ValueError, match="not among"):
+        heat_kernel(rows, 1.0, 0, 1)
+
+
+@pytest.mark.parametrize("held", [None, np.arange(0, 16, 3)],
+                         ids=["whole", "rows-only"])
+def test_rows_reject_nodes_outside_the_grid(dec_1d_bump, held):
+    # numpy would read node -1 as node M - 1, so p_1(-1, 0) read p_1(15, 0)
+    dec = (dec_1d_bump if held is None
+           else decompose(dec_1d_bump.operator, nodes=held))
+    for nodes in ([-1], [0, 16], [[3], [-2]]):
+        with pytest.raises(ValueError, match=r"nodes must lie in \[0, 16\)"):
+            dec.rows(np.array(nodes))
+    with pytest.raises(ValueError, match=r"nodes must lie in \[0, 16\)"):
+        heat_kernel(dec, 1.0, -1, 0)
+    assert heat_kernel(dec, 1.0, 15, 0) == heat_kernel(dec_1d_bump, 1.0, 15, 0)
 
 
 def test_rows_rejects_nodes_not_held():

@@ -20,7 +20,9 @@ sampling (``geometry.py``, ``recovery.py``) names no ``einsum``, ``inv`` or
 ``det``: their summation order is not one the grid symmetries only permute
 within commutative pairs, and the 1 x 1 and 2 x 2 closed forms that replace
 them are what keeps a symmetric sample symmetric to the bit, so that
-``spectral._symmetry_blocks`` can compare exactly.
+``spectral._symmetry_blocks`` can compare exactly.  Deletions leave nothing
+behind: every name a module lists in ``__all__`` is defined there, and
+every name it imports is read there.
 """
 
 import ast
@@ -160,3 +162,48 @@ def test_no_exp_minus_one(path):
 def test_exp_minus_one_guard_sees_both_spellings():
     for source in ("np.exp(-x) - 1.0", "exp(x) - 1"):
         assert _exp_minus_one_lines(ast.parse(source)) == [1]
+
+
+def _loose_names(tree):
+    """(names ``__all__`` lists without a top-level definition, imported
+    names never read); ``__future__`` imports are directives, not names."""
+    defined, exported, imported = set(), [], {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = getattr(node, "targets", [getattr(node, "target", None)])
+            names = {t.id for t in targets if isinstance(t, ast.Name)}
+            defined |= names
+            if "__all__" in names:
+                exported = [elt.value for elt in node.value.elts]
+    for node in ast.walk(tree):
+        if (isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    defined |= set(imported)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    undefined = [name for name in exported if name not in defined]
+    unused = sorted(name for name in imported
+                    if name not in read and name not in exported)
+    return undefined, unused
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_loose_names(path):
+    undefined, unused = _loose_names(ast.parse(path.read_text(),
+                                               filename=str(path)))
+    assert not undefined, (f"{path.name} lists {undefined} in __all__ but "
+                           "defines none of them")
+    assert not unused, (f"{path.name} imports {unused} and never reads them; "
+                        "drop the imports")
+
+
+def test_loose_name_guard_sees_both_leftovers():
+    source = ("from __future__ import annotations\n"
+              "import math\nfrom .spectral import decompose, heat_kernel\n"
+              "__all__ = ['run', 'gone']\n"
+              "def run(op):\n    return decompose(op)\n")
+    assert _loose_names(ast.parse(source)) == (["gone"], ["heat_kernel", "math"])
