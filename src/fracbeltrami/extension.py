@@ -171,7 +171,7 @@ class ExtensionSolution:
 
     def evaluate(self, x_index: int, z: float) -> float:
         profiles = mode_profile(self.alpha, self.dec.eigenvalues, float(z))
-        return float(np.dot(self.dec.full_basis[x_index],
+        return float(np.dot(self.dec.rows(x_index),
                             self.mode_coefficients * profiles))
 
     def field(self, heights: np.ndarray) -> np.ndarray:
@@ -568,7 +568,7 @@ def _representation_setup(dec: SpectralDecomposition, F: np.ndarray,
                          "representation holds off-support")
     h_modes = dec.project(dec.operator.apply(F))
     h_modes[dec.eigenvalues == 0.0] = 0.0
-    rows = dec.full_basis[x_indices]
+    rows = dec.rows(x_indices)
     series = np.exp(-np.outer(quad.nodes, dec.eigenvalues)) @ (rows * h_modes).T
     return F, series.T
 

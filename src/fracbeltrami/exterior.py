@@ -17,25 +17,27 @@ every mode (``SpectralDecomposition.symmetry``), and when the grid
 symmetries it holds map Omega onto itself (a ball about the grid's centre,
 say), E_OO is block diagonal in the orbit basis of Omega (Bossavit,
 Comput. Methods Appl. Mech. Engrg. 1986): each block is formed from its
-own modes at one node per orbit and solved on its own; for the dihedral
-group the blocks take about 1/40 of the multiply-adds of the node-space
-Gram matrix, and the largest solve about a quarter of |Omega|.  Otherwise
-the trivial group's one block, every mode at every node of Omega, is the
-same loop's only pass (:func:`_omega_blocks`, :func:`_solve_blocks`).  The
-rows are read through ``SpectralDecomposition.rows``, so a decomposition
-that holds only some rows serves every solve whose nodes it holds: the
-partial map reads Omega, W1 and W2 (``ExteriorConfig.partial_map_nodes``),
-475 of 2304 nodes on the benchmark layout at 2-d N = 48, while the exterior
-Dirichlet solve and the Poisson solve need the whole basis.  The solve has
+own modes at one node per orbit, read straight off the decomposition's
+blocks, and solved on its own; for the dihedral group the blocks take
+about 1/40 of the multiply-adds of the node-space Gram matrix, and the
+largest solve about a quarter of |Omega|.  Otherwise one block, every mode
+at every node of Omega, is the same loop's only pass (:func:`_omega_blocks`,
+:func:`_solve_blocks`).  The data and the measurement read their rows
+through ``SpectralDecomposition.rows``, so a decomposition that holds only
+some rows serves every solve whose nodes it holds: the partial map reads
+Omega, W1 and W2 (``ExteriorConfig.partial_map_nodes``), 475 of 2304 nodes
+on the benchmark layout at 2-d N = 48, and the exterior Dirichlet solve
+reads Omega and every exterior node.  The Poisson solve is a spectral
+power of a full node vector, so it needs every node.  The solve has
 two readers: the exterior Dirichlet solve, and the partial
 Dirichlet-to-Neumann map  f |-> (A^a u^f)|_W2, as its |W2| x |W1| matrix
 Lambda = Lambda^{W1,W2} (one solve with the |W1| unit data as columns;
 column j is the W2 output of the unit datum at W1 node j) or for one datum
 as a record.  The matrix is all a caller needs to keep of a decomposition
 to measure the partial map: |W2| x |W1| numbers instead of M x M.  The full
-map on the exterior is A^a of the Dirichlet solution.  Beside them sit the
-fractional Poisson solve  w^F = A^{1-a} F  for exterior sources and the
-source-to-solution batches the recovery pipeline consumes.  Outputs are
+map on the exterior is A^a of the Dirichlet solution.  Beside them sits the
+fractional Poisson solve  w^F = A^{1-a} F  for exterior sources, whose
+records are the source-to-solution data.  Outputs are
 unweighted nodal samples; the symmetric pairing of the problem weights
 them by sqrt|g|.
 """
@@ -43,13 +45,13 @@ them by sqrt|g|.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
 from .geometry import TorusGrid
 from .spectral import (
     SpectralDecomposition,
-    SymmetryGroup,
     _check_alpha,
     _spectral_power,
     frac_apply_spectral,
@@ -239,32 +241,33 @@ def _omega_blocks(dec: SpectralDecomposition, alpha: float,
         W_O^{-1/2} E_OO W_O^{-1/2} = U diag(Y_k) U',   Y_k = H_k H_k',
 
     with H_k the eigenvector coefficients v of block k at its live Omega
-    orbits times lam^{a/2}: the rows of W^{1/2} Phi at one representative
-    node per orbit, divided by that node's coefficient, at the block's
-    columns.  Otherwise the trivial group's one block serves:
-    H = W_O^{1/2} Phi_O Lambda^{a/2} at every column.  Yields per block
-    with a live Omega orbit (H, copies); a copy is (columns, slot, coef):
-    its columns of the modes, and per Omega node the row of its orbit in H
-    and its coefficient in the copy, so (U_k z)_n = coef_n z[slot_n].  The
+    orbits times lam^{a/2}: the block's held rows of W^{1/2} Phi at those
+    orbits (``SymmetryBlock.vectors``) divided by coef at their
+    representatives.  Otherwise one block of every mode at every node of
+    Omega serves: H = W_O^{1/2} Phi_O Lambda^{a/2}.  Yields per block with
+    a live Omega orbit (H, copies); a copy is (columns, slot, coef): its
+    columns of the modes, and per Omega node the row of its orbit in H and
+    its coefficient in the copy, so (U_k z)_n = coef_n z[slot_n].  The
     copies of one block share H.
     """
     om = config.omega_nodes
-    group = dec.symmetry
-    if not _maps_onto_itself(group.generators, om, dec.node_count):
-        group = SymmetryGroup.trivial(dec.node_count)
     half = _spectral_power(dec.eigenvalues, 0.5 * alpha)
-    root_w = np.sqrt(dec.measure.node_weights)
-    for block in group.blocks:
+    if not _maps_onto_itself(dec.symmetry.generators, om, dec.node_count):
+        h = dec.rows(om)
+        h *= np.sqrt(dec.measure.node_weights[om])[:, None]
+        h *= half
+        yield h, [(np.arange(dec.node_count), np.arange(om.size),
+                   np.ones(om.size))]
+        return
+    for block in dec.symmetry.blocks:
         maps = [(block.index[p[om]], block.coef[p[om]]) for p in block.perms]
         orbit, coef = maps[0]
-        live = np.flatnonzero(coef)
-        rows, first = np.unique(orbit[live], return_index=True)
+        rows = np.unique(orbit[coef != 0.0])
         if rows.size == 0:
             continue
-        reps, cols = om[live[first]], block.columns[0]
-        h = dec.rows(reps)[:, cols]
-        h *= (root_w[reps] / coef[live[first]])[:, None]
-        h *= half[cols]
+        slot = block.slots(rows)
+        h = block.vectors[slot] / block.coef[block.reps[slot], None]
+        h *= half[block.columns[0]]
         yield h, [(columns, np.minimum(np.searchsorted(rows, orbit_c),
                                        rows.size - 1), coef_c)
                   for columns, (orbit_c, coef_c) in zip(block.columns, maps)]
@@ -390,13 +393,59 @@ def _measured(dec: SpectralDecomposition, alpha: float, nodes: np.ndarray,
     At nodes S away from the support of U the sum over modes cancels: on
     the 2-d layouts of the tests its terms add up to about 1.7e4 times the
     result, and accumulating them in float64 alone costs some 1e-12 of the
-    output.  The products and sums are therefore taken in extended
-    precision (numpy's longdouble; the same as float64 where the platform
-    has no wider type), which removes that part of the roundoff.
+    output.  The product is therefore formed by :func:`_accurate_product`,
+    to about the rounding of the result.
     """
     rows = dec.rows(nodes) * _spectral_power(dec.eigenvalues, 0.5 * alpha)
-    return (rows.astype(np.longdouble)
-            @ modes.astype(np.longdouble)).astype(float)
+    return _accurate_product(rows, modes)
+
+
+def _accurate_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b to about one rounding of the result, from one float64 BLAS
+    product.
+
+    An error-free split (Ozaki, Ogita, Oishi and Rump, Numer. Algorithms
+    2012): each row of ``a`` and each column of ``b`` is cut into two
+    slices of ``bits`` significant bits below the row's (column's) largest
+    magnitude and an exact remainder, so a = a1 + a2 + a3 and
+    b = b1 + b2 + b3 exactly.  The slices are stacked, so one product forms
+    all nine ai bj.  A slice product sums n terms, each one power of two
+    times an integer below 2^(2 bits + 1); with 2 bits + 1 + log2 n <= 53
+    every partial sum is exact in float64, whatever order BLAS sums in.
+    The products with a remainder carry rounding only at 2^(-2 bits) of
+    the row's and column's scale.  The nine products are summed with an
+    error-free two-sum and one final correction (Ogita, Rump and Oishi,
+    SISC 2005).
+    """
+    bits = (52 - math.ceil(math.log2(a.shape[1]))) // 2
+    stacked = (np.concatenate(_split(a, 1, bits))
+               @ np.concatenate(_split(b, 0, bits), axis=1))
+    rows, cols = a.shape[0], b.shape[1]
+    terms = stacked.reshape(3, rows, 3, cols).transpose(0, 2, 1, 3).reshape(
+        9, rows, cols)
+    total, error = terms[0], 0.0
+    for term in terms[1:]:
+        new = total + term
+        back = new - total
+        error = error + ((total - (new - back)) + (term - back))
+        total = new
+    return total + error
+
+
+def _split(x: np.ndarray, axis: int, bits: int) -> list[np.ndarray]:
+    """x = x1 + x2 + x3 exactly: x1 and x2 integer multiples of
+    2^(e - bits) and of 2^(e2 - bits), rounded off by adding and removing
+    0.75 * 2^(e + 53 - bits), with 2^e and 2^e2 the powers of two at or
+    above the largest magnitude of each line along ``axis`` of x and of
+    x - x1; x3 the rest."""
+    slices = []
+    for _ in range(2):
+        _, exponent = np.frexp(np.abs(x).max(axis=axis, keepdims=True))
+        shift = np.ldexp(0.75, exponent + 53 - bits)
+        head = (x + shift) - shift
+        slices.append(head)
+        x = x - head
+    return slices + [x]
 
 
 def _partial_map(dec: SpectralDecomposition, alpha: float,

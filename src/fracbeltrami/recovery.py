@@ -214,7 +214,7 @@ def gauge_pullback(grid: TorusGrid, profile, squash: RadialSquash) -> MetricFiel
 def _trace_sampler(dec: SpectralDecomposition, F: np.ndarray,
                    x_index: int) -> Callable[[np.ndarray], np.ndarray]:
     """t -> (e^{-tA} F)(x), vectorised over t via the mode expansion."""
-    weights = dec.project(F) * dec.full_basis[int(x_index)]
+    weights = dec.project(F) * dec.rows(int(x_index))
     lam = dec.eigenvalues
 
     def sample(t: np.ndarray) -> np.ndarray:

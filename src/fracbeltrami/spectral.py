@@ -240,28 +240,47 @@ def assemble_laplacian(metric: MetricField) -> DiscreteLaplaceBeltrami:
 
 @dataclasses.dataclass(frozen=True)
 class SymmetryBlock:
-    """One symmetry block of S and the columns of the modes it holds.
+    """One symmetry block of S: its eigenvectors and the modes they are.
 
     The block's matrix is written in the orbit vectors
     u_O = sum_{n in O} coef[n] e_n, with ``index[n]`` the block row of node
     n's orbit and ``coef[n]`` = +-1/sqrt|O| (0 on the orbits the block has
-    no vector on).  Its eigenvectors v are read once per copy: copy c holds
-    the modes at the columns ``columns[c]`` of the sorted basis (in the
-    order of v), and the node vector of v in copy c is
+    no vector on).  Its eigenvectors v are read once per copy: copy c
+    holds the modes at the columns ``columns[c]`` of the sorted basis (in
+    the order of v), and the node vector of v in copy c is
     x_n = coef[p n] v[index[p n]] with p = ``perms[c]``, x = W^{1/2} phi.
-    A generator g with coef[p g n] = chi coef[p n] at every node, chi = +-1,
-    labels the copy: x[g n] = chi x[n] for each of its modes.
+    ``vectors`` holds the first copy's x at ``reps``, one node per block
+    row (ascending, so in block-row order): the smallest node of every
+    orbit when the decomposition holds every node, else of the orbits its
+    nodes reach over every copy.  Any node's x is then its orbit's row
+    times coef[p n] / coef[rep], which is exactly +-1.  A generator g
+    with coef[p g n] = chi coef[p n] at every node, chi = +-1, labels the
+    copy: x[g n] = chi x[n] for each of its modes.
     """
 
     index: np.ndarray                  # (M,)
     coef: np.ndarray                   # (M,)
     perms: tuple[np.ndarray, ...]      # one row permutation per copy
     columns: tuple[np.ndarray, ...]    # per copy, its modes' sorted columns
+    reps: np.ndarray                   # (R,) one node per block row held
+    vectors: np.ndarray                # (R, k) x of the modes at ``reps``
+
+    def slots(self, rows: np.ndarray) -> np.ndarray:
+        """The rows of ``vectors`` that hold the block rows ``rows``."""
+        return np.searchsorted(self.index[self.reps], rows)
+
+    def node_vectors(self, nodes: np.ndarray, p: np.ndarray) -> np.ndarray:
+        """x = W^{1/2} phi of copy ``p``'s modes at ``nodes``, (len, k)."""
+        image = p[nodes]
+        slot = self.slots(self.index[image])
+        return self.vectors[slot] * (self.coef[image]
+                                     / self.coef[self.reps[slot]])[:, None]
 
 
 @dataclasses.dataclass(frozen=True)
 class SymmetryGroup:
-    """The grid symmetries a decomposition's modes are labelled by.
+    """The grid symmetries a decomposition's modes are labelled by, and the
+    blocks' eigenvectors.
 
     ``generators`` are node permutations (node n maps to p[n]); every mode
     lies in exactly one copy of one of ``blocks``.  The trivial group has
@@ -273,32 +292,42 @@ class SymmetryGroup:
     blocks: tuple[SymmetryBlock, ...]
 
     @classmethod
-    def trivial(cls, node_count: int) -> "SymmetryGroup":
-        every = np.arange(node_count)
+    def trivial(cls, vectors: np.ndarray,
+                nodes: np.ndarray | None = None) -> "SymmetryGroup":
+        """The trivial group holding ``vectors``, the rows at ``nodes``
+        (sorted; every node when None) of the eigenvectors x = W^{1/2} phi
+        of S in ascending order."""
+        every = np.arange(vectors.shape[1])
         return cls(generators=(), blocks=(SymmetryBlock(
-            index=every, coef=np.ones(node_count), perms=(every,),
-            columns=(every,)),))
+            index=every, coef=np.ones(every.size), perms=(every,),
+            columns=(every,), reps=every if nodes is None else nodes,
+            vectors=vectors),))
+
+
+# rows per block of the column sort in SpectralDecomposition.rows: the
+# sorted rows are written back in place through a temporary of _BLOCK rows
+_BLOCK = 64
 
 
 @dataclasses.dataclass
 class SpectralDecomposition:
     """Eigenpairs of A, orthonormal in the weighted inner product.
 
-    Columns of ``basis`` are the eigenvectors phi_k with
-    <phi_j, phi_k>_w = delta_jk, each with the sign its eigensolve gives
-    it (every reader is unchanged by a negation of a mode); eigenvalues
-    are sorted ascending with the zero mode (constants) first and snapped
-    to exactly 0.  ``grid``, ``metric`` and ``measure`` are those of
-    ``operator``.  ``nodes`` is None when ``basis`` holds every node;
-    otherwise ``basis`` holds only the rows at ``nodes`` (sorted, unique),
-    bitwise those rows of the whole basis, and :meth:`rows` is the only
-    reader that serves it.  ``symmetry`` records the symmetry block of
-    every mode (:class:`SymmetryGroup`, the trivial group when there is
-    none).
+    The eigenvectors phi_k, <phi_j, phi_k>_w = delta_jk, are held block by
+    block (``symmetry``, a :class:`SymmetryGroup`, the trivial group when
+    the operator holds no grid symmetry): each block's eigenvectors at one
+    node per orbit, each with the sign its eigensolve gives it (every
+    reader is unchanged by a negation of a mode).  No node-space basis is
+    held; :meth:`rows` forms phi at given nodes, bitwise the same whether
+    the decomposition holds every node or only some.  Eigenvalues are
+    sorted ascending with the zero mode (constants) first and snapped to
+    exactly 0.  ``grid``, ``metric`` and ``measure`` are those of
+    ``operator``.  ``nodes`` is None when every node's row can be formed;
+    otherwise only the rows at ``nodes`` (sorted, unique), and :meth:`rows`
+    is the only reader that serves it.
     """
 
     eigenvalues: np.ndarray  # (M,)
-    basis: np.ndarray        # (M, M), or (len(nodes), M)
     operator: DiscreteLaplaceBeltrami
     symmetry: SymmetryGroup
     nodes: np.ndarray | None = None
@@ -321,41 +350,89 @@ class SpectralDecomposition:
 
     @property
     def full_basis(self) -> np.ndarray:
-        """The whole (M, M) basis; raises on a rows-only decomposition."""
+        """The whole (M, M) basis, formed anew on each read; raises on a
+        rows-only decomposition."""
+        self._require_whole()
+        return self.rows(np.arange(self.node_count))
+
+    def _require_whole(self) -> None:
         if self.nodes is not None:
             raise ValueError(
                 f"this decomposition holds the eigenbasis at {self.nodes.size} "
                 f"of {self.node_count} nodes only; call decompose(op) without "
                 "nodes= for a reader of the whole basis")
-        return self.basis
 
     def rows(self, nodes: np.ndarray) -> np.ndarray:
-        """The basis rows phi_k(n) at the index array ``nodes``, (len, M).
+        """The basis rows phi_k(n) at the index array ``nodes``,
+        nodes.shape + (M,).
 
-        A new array.  Raises for a node outside [0, M), on either layout
-        (numpy would wrap a negative index), and for a node whose row is not
-        held.
+        A new array, formed block by block and copy by copy
+        (:meth:`SymmetryBlock.node_vectors`) in block order, then put in
+        the sorted order and divided by W^{1/2} one block of rows at a
+        time, which is quicker than writing each copy to its scattered
+        columns.
+        Raises for a node outside [0, M), on either layout (numpy would
+        wrap a negative index), and for a node whose row is not held.
         """
         nodes = np.asarray(nodes)
         if np.any((nodes < 0) | (nodes >= self.node_count)):
             raise ValueError(f"nodes must lie in [0, {self.node_count})")
-        if self.nodes is None:
-            return self.basis[nodes]
-        at = np.minimum(np.searchsorted(self.nodes, nodes), self.nodes.size - 1)
-        missing = nodes[self.nodes[at] != nodes]
-        if missing.size:
-            raise ValueError(
-                f"nodes {missing[:8].tolist()} are not among the "
-                f"{self.nodes.size} nodes whose basis rows this decomposition "
-                "holds; decompose with them in nodes=")
-        return self.basis[at]
+        flat = nodes.ravel()
+        if self.nodes is not None:
+            at = np.minimum(np.searchsorted(self.nodes, flat), self.nodes.size - 1)
+            missing = flat[self.nodes[at] != flat]
+            if missing.size:
+                raise ValueError(
+                    f"nodes {missing[:8].tolist()} are not among the "
+                    f"{self.nodes.size} nodes whose basis rows this "
+                    "decomposition holds; decompose with them in nodes=")
+        m = self.node_count
+        out, start, placed = np.empty((flat.size, m)), 0, []
+        for block in self.symmetry.blocks:
+            for p, cols in zip(block.perms, block.columns):
+                out[:, start:start + cols.size] = block.node_vectors(flat, p)
+                start += cols.size
+                placed.append(cols)
+        column = np.empty(m, dtype=int)
+        column[np.concatenate(placed)] = np.arange(m)
+        root_w = np.sqrt(self.measure.node_weights[flat])[:, None]
+        for r0 in range(0, flat.size, _BLOCK):  # column is a permutation
+            part = slice(r0, r0 + _BLOCK)
+            np.divide(np.take(out[part], column, axis=1, mode="clip"),
+                      root_w[part], out=out[part])
+        return out.reshape(nodes.shape + (m,))
 
     def project(self, u: np.ndarray) -> np.ndarray:
-        """Coefficients <phi_k, u>_w."""
-        return self.full_basis.T @ (self.measure.node_weights * u)
+        """Coefficients <phi_k, u>_w = x_k' W^{1/2} u of a node vector.
+
+        Per block and copy, W^{1/2} u is summed onto the block's orbit
+        vectors (weights coef[p n]), and the sums, divided by coef at the
+        representatives, are multiplied by the held rows: one product per
+        copy with the block's eigenvectors, v' s.
+        """
+        self._require_whole()
+        y = np.sqrt(self.measure.node_weights) * u
+        out = np.empty(self.node_count)
+        for block in self.symmetry.blocks:
+            scale = block.coef[block.reps]
+            for p, cols in zip(block.perms, block.columns):
+                sums = np.bincount(block.index[p], weights=block.coef[p] * y,
+                                   minlength=scale.size)
+                out[cols] = block.vectors.T @ (sums / scale)
+        return out
 
     def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
-        return self.full_basis @ coeffs
+        """The node vector sum_k coeffs_k phi_k: per block and copy, the
+        held rows times the copy's coefficients, divided by coef at the
+        representatives (v c) and read at every node's orbit."""
+        self._require_whole()
+        x = np.zeros(self.node_count)
+        for block in self.symmetry.blocks:
+            scale = block.coef[block.reps]
+            for p, cols in zip(block.perms, block.columns):
+                orbit = (block.vectors @ coeffs[cols]) / scale
+                x += block.coef[p] * orbit[block.index[p]]
+        return x / np.sqrt(self.measure.node_weights)
 
 
 def decompose(op: DiscreteLaplaceBeltrami, cap: int = DEFAULT_EIG_CAP,
@@ -410,53 +487,54 @@ def decompose(op: DiscreteLaplaceBeltrami, cap: int = DEFAULT_EIG_CAP,
        the trivial group, whose one block is S itself, solved by one
        eigensolve of size M.
 
-    Both routes record the block of every mode on the result
+    Both routes hold their eigenvectors block by block on the result
     (``SpectralDecomposition.symmetry``): the symmetry-block route the
     blocks it solved, each copy with its columns in the sorted order, and
     the closed form in 2-d the four blocks of the mirror group
     {sigma0, sigma1}, read off each mode's cos/sin parity on each axis (the
-    trivial group in 1-d).  The exterior layer solves its Omega problem one
-    block at a time on them (``exterior._solve_blocks``).
+    trivial group in 1-d).  Each block keeps W^{1/2} Phi of its modes at
+    one node per orbit, so no node-space basis is formed; the exterior
+    layer solves its Omega problem one block at a time straight from them
+    (``exterior._solve_blocks``).
 
     ``nodes`` asks for the basis rows at those nodes only (sorted and made
     unique, a non-empty 1-d index array; ``SpectralDecomposition.rows``
-    reads them).  The eigenvalues and the eigensolves are the same, and
-    each route fills only the rows asked for, so the rows are bitwise those
-    of the whole basis.
+    reads them): each block then keeps only the orbits those nodes reach,
+    over every copy.  The eigenvalues and the eigensolves are the same, and
+    a row is read the same way from either, so the rows are bitwise those
+    of the whole decomposition.
 
     Cost is memory as much as time: every M x M float64 matrix takes
     8 M^2 bytes (42.5 MB at M = 2304, 2-d N = 48).  The block route sums
-    each block from the stencil entries just before its eigensolve, and the
-    closed form fills the basis from two N x M per-axis tables, so only
-    the trivial group's one block is an M x M matrix besides the basis.
-    Its eigensolve peaks at about five of them -- S, numpy's working copy
-    of it, the eigenvectors and the 2 M^2 workspace of LAPACK's divide and
-    conquer -- and the whole basis is allocated only after it returns.
-    With ``nodes`` the basis is len(nodes) x M rows (475 x 2304 on the
-    benchmark layout at N = 48, 8.8 MB), and the block route reads each
-    block's eigenvectors into them right after its eigensolve.  Measured
-    at M = 2304 (x86-64, numpy 2.4, OpenBLAS at 2 threads), the peak
-    resident set rises above the caller's by 209 MiB for the trivial
-    group, with or without ``nodes``; with the whole basis by 104 MiB for
-    the transposition blocks, 50 MiB for the dihedral blocks (the bump
-    and its pullback alike) and 43 MiB for the closed form; with the
-    benchmark layout's rows by 62, 24 and 12 MiB.  With glibc's mmap threshold fixed
-    at 128 KiB, so that every freed block leaves the heap, the two block
-    routes rise 65 and 47 MiB with the whole basis.  Of the transposition
-    route's 62 MiB with rows, about 48 MiB is its larger eigensolve, of
-    N(N+1)/2 = 1176, with its input.
+    each block from the stencil entries just before its eigensolve and
+    keeps its held rows right after it, and the closed form reads its rows
+    off the N x N per-axis table, so only the trivial group's one block is
+    an M x M matrix.  Its eigensolve peaks at about five of them -- S,
+    numpy's working copy of it, the eigenvectors and the 2 M^2 workspace
+    of LAPACK's divide and conquer.  The dihedral blocks hold about M^2 / 8
+    numbers, the mirror blocks and the transposition blocks about M^2 / 4
+    and M^2 / 2.  Measured at M = 2304 (x86-64, numpy 2.4, OpenBLAS at 2
+    threads), the peak resident set rises above the caller's by 207 MiB
+    for the trivial group, with or without ``nodes``; for every node by
+    63 MiB for the transposition blocks, 22 MiB for the dihedral blocks
+    (the bump and its pullback alike) and 14 MiB for the closed form; with
+    the benchmark layout's 475 nodes by 57, 17 and 4 MiB.  With glibc's
+    mmap threshold fixed at 128 KiB, so that every freed block leaves the
+    heap, the two block routes rise 64 and 19 MiB for every node.  Of the
+    transposition route's 57 MiB with rows, about 48 MiB is its larger
+    eigensolve, of N(N+1)/2 = 1176, with its input.
 
-    ``cap`` bounds what each route holds.  The whole basis is M x M on
-    both routes, so without ``nodes`` M must not exceed it.  With ``nodes``
-    a route holds only the rows and each block's eigensolve, so it is
-    capped on len(nodes) and on the largest eigensolve, which is M for the
-    trivial group; with a larger group it may run beyond M = cap: at
-    N = 96 (M = 9216) the dihedral blocks are at most 2303 and the
-    benchmark layout's rows 1933.  Both routes share the zero snap of
-    :func:`_finish_eigenpairs`.  The result keeps its basis alive for as
-    long as it is referenced: callers should drop a decomposition once they
-    have read the blocks they need from it (``exterior.dtn_matrix``, say),
-    before the next call.
+    ``cap`` bounds what each route holds.  Without ``nodes`` M must not
+    exceed it, since the whole basis (``SpectralDecomposition.full_basis``)
+    is M x M.  With ``nodes`` a route holds only the rows those nodes reach
+    and each block's eigensolve, so it is capped on len(nodes) and on the
+    largest eigensolve, which is M for the trivial group; with a larger
+    group it may run beyond M = cap: at N = 96 (M = 9216) the dihedral
+    blocks are at most 2303 and the benchmark layout's rows 1933.  Both
+    routes share the zero snap of :func:`_snapped`.  The result keeps its
+    blocks alive for as long as it is referenced: callers should drop a
+    decomposition once they have read what they need from it
+    (``exterior.dtn_matrix``, say), before the next call.
     """
     m = op.grid.node_count
     if nodes is None:
@@ -476,19 +554,17 @@ def decompose(op: DiscreteLaplaceBeltrami, cap: int = DEFAULT_EIG_CAP,
             raise _size_error(f"{at.size} basis rows asked for, capped at {cap}",
                               at.size, m)
     w = op.measure.node_weights
-    root_w = np.sqrt(w)
     first = dict(zip(op.offsets, op.stencil[:, 0]))
     if (np.all(op.stencil == op.stencil[:, :1]) and np.all(w == w[0])
             and all(first.get(o[:j] + (-o[j],) + o[j + 1:]) == b
                     for o, b in first.items() for j in range(op.grid.dim))):
-        evals, evecs, group = _fourier_eigenpairs(op, w[0], at)
+        evals, group = _fourier_eigenpairs(op, w[0], at)
     else:
         entries = op._form_entries()
-        evals, evecs, group = _block_eigenpairs(
-            entries, root_w, _symmetry_blocks(op, entries), at, cap)
-    return SpectralDecomposition(
-        eigenvalues=_finish_eigenpairs(evals, evecs, root_w[at]),
-        basis=evecs, operator=op, symmetry=group, nodes=nodes)
+        evals, group = _block_eigenpairs(
+            entries, np.sqrt(w), _symmetry_blocks(op, entries), at, cap)
+    return SpectralDecomposition(eigenvalues=_snapped(evals), operator=op,
+                                 symmetry=group, nodes=nodes)
 
 
 def _size_error(what: str, rows: int, cols: int) -> DecompositionSizeError:
@@ -560,9 +636,10 @@ def _orbit_basis(generators: list[np.ndarray], signs: tuple, node_count: int
     ``node_count`` nodes, the character chi of each the product of the
     signs.  For the orbit O of node n, sum_g chi(g) e_{g n} is zero unless
     chi is 1 on the stabiliser of n, and otherwise a multiple of
-    u_O = sum_{m in O} c_m e_m with c_m = +-1/sqrt|O|.  Returns per node m
-    the block row of its orbit (ordered by the orbit's smallest node), c_m
-    (0 on the orbits without a vector) and the block size.
+    u_O = sum_{m in O} c_m e_m with c_m = +-1/sqrt|O|, the same magnitude
+    on every node of O.  Returns per node m the block row of its orbit
+    (ordered by the orbit's smallest node) and c_m (0 on the orbits without
+    a vector), and per block row its orbit's smallest node.
     """
     perms, chars = [np.arange(node_count)], [1.0]
     for gen, sign in zip(generators, signs):
@@ -577,71 +654,63 @@ def _orbit_basis(generators: list[np.ndarray], signs: tuple, node_count: int
     live = coef != 0.0
     index = np.where(live, np.cumsum(norm2 > 0.0)[rep] - 1, 0)
     coef[live] /= np.sqrt(norm2[rep[live]])
-    return index, coef, int(np.count_nonzero(norm2))
+    return index, coef, reps[norm2[reps] > 0.0]
 
 
 def _block_eigenpairs(entries: tuple, root_w: np.ndarray, blocks: list,
-                      at: np.ndarray, cap: int
-                      ) -> tuple[np.ndarray, np.ndarray, SymmetryGroup]:
+                      at: np.ndarray, cap: int) -> tuple[np.ndarray, SymmetryGroup]:
     """Eigenvalues of S from its symmetry blocks (:func:`_symmetry_blocks`),
-    the rows at the nodes ``at`` of its eigenvectors, and the record of the
-    blocks (:func:`_symmetry_group`).
+    sorted, and the blocks with their eigenvectors at the orbits that the
+    nodes ``at`` reach (:func:`_symmetry_group`).
 
     In a block's basis u_O (:func:`_orbit_basis`) its matrix is
     K_OP = u_O' S u_P, the sum of c_r c_c S_rc over the stencil entries
     (r, c) of B (``entries``) with r in O and c in P, so it is summed from
     the entries with ``np.bincount`` just before its eigensolve, and no
-    M x M matrix is formed before the basis.  K is the block of S itself,
-    since a symmetry holds only if S is exactly invariant under it
-    (:func:`_symmetry_blocks`); for the trivial group c = 1 and K = S,
-    summed onto +0.0, so a -0.0 entry of B enters as +0.0.
-    An eigenvector v of K is the node vector x_m = c_m v_{row of m}, read
-    once per copy of the block at the copy's row permutation
-    (:func:`_fill_rows`).  Rows alone are read right after each
-    eigensolve, so one block's eigenvectors are alive at a time.  The
-    whole M x M basis is allocated only after the last eigensolve, so that
-    it never sits beside an eigensolve's workspace.  The eigenvalues of
-    all copies are merged by a stable ascending sort (block order on ties)
-    and the columns sorted to match, one block of rows at a time, so no
-    temporary of the basis's size is formed.  An empty block
-    ((N^2 - 6N + 8)/8 = 0 at N = 4) is skipped.  Every block's orbit basis
-    is formed first, so a block larger than ``cap`` raises before any
-    eigensolve.
+    M x M matrix is formed.  K is the block of S itself, since a symmetry
+    holds only if S is exactly invariant under it (:func:`_symmetry_blocks`);
+    for the trivial group c = 1 and K = S, summed onto +0.0, so a -0.0
+    entry of B enters as +0.0.  An eigenvector v of K is the node vector
+    x_m = c_m v_{row of m}, read once per copy of the block at the copy's
+    row permutation; only its rows at the orbits of the nodes ``at``, over
+    every copy, are kept, right after each eigensolve, so one block's whole
+    eigenvectors are alive at a time.  The eigenvalues of all copies are
+    merged by a stable ascending sort (block order on ties).  An empty
+    block ((N^2 - 6N + 8)/8 = 0 at N = 4) is skipped.  Every block's orbit
+    basis is formed first, so a block larger than ``cap`` raises before
+    any eigensolve.
     """
     m = root_w.size
     bases = [_orbit_basis(generators, signs, m) for generators, signs, _ in blocks]
-    largest = max(k for _, _, k in bases)
+    largest = max(reps.size for _, _, reps in bases)
     if largest > cap:
         raise _size_error(f"largest eigensolve has {largest} rows, capped at "
                           f"{cap}", largest, largest)
     rows, cols, values = entries
     values = values / (root_w[rows] * root_w[cols])
-    basis = np.empty((at.size, m)) if at.size < m else None
-    evals, solved, start = [], [], 0
-    for (index, coef, k), (_, _, copies) in zip(bases, blocks):
-        if k:
-            vals, vecs = np.linalg.eigh(np.bincount(
-                index[rows] * k + index[cols], minlength=k * k,
-                weights=values * (coef[rows] * coef[cols])).reshape(k, k))
-            evals += [vals] * len(copies)
-            solved.append((vecs, index, coef, copies))
-            del vecs  # held by ``solved`` alone, until it is written
-        if basis is not None:
-            start = _fill_rows(basis, at, solved, start)
-    del rows, cols, values
-    if basis is None:
-        basis = np.empty((m, m))
-        _fill_rows(basis, at, solved, start)
+    evals, solved = [], []
+    for (index, coef, reps), (_, _, copies) in zip(bases, blocks):
+        k = reps.size
+        if not k:
+            continue
+        vals, vecs = np.linalg.eigh(np.bincount(
+            index[rows] * k + index[cols], minlength=k * k,
+            weights=values * (coef[rows] * coef[cols])).reshape(k, k))
+        evals += [vals] * len(copies)
+        held = np.unique(np.concatenate([index[p[at]] for p in copies]))
+        if held.size < k:
+            vecs = vecs[held]
+        vecs *= coef[reps[held], None]
+        solved.append((index, coef, copies, reps[held], vecs))
     evals = np.concatenate(evals)
     order = np.argsort(evals, kind="stable")
-    for r0 in range(0, at.size, _BLOCK):  # order is a permutation: no bounds check
-        basis[r0:r0 + _BLOCK] = np.take(basis[r0:r0 + _BLOCK], order, axis=1,
-                                        mode="clip")
-    return evals[order], basis, _symmetry_group(blocks, bases, order)
+    return evals[order], _symmetry_group(blocks, solved, order)
 
 
-def _symmetry_group(blocks: list, bases: list, order: np.ndarray) -> SymmetryGroup:
-    """The record of the solved blocks.
+def _symmetry_group(blocks: list, solved: list,
+                    order: np.ndarray) -> SymmetryGroup:
+    """The record of the solved blocks, (index, coef, copies, reps,
+    vectors) per non-empty block.
 
     The eigenvalues entered the sort block by block and copy by copy, so
     the columns of a copy are where the stable sort ``order`` put its
@@ -649,72 +718,36 @@ def _symmetry_group(blocks: list, bases: list, order: np.ndarray) -> SymmetryGro
     between the copies of one block, which have equal eigenvalues, in
     another order).  The group's generators are the longest list among the
     blocks (D4's 1-d blocks list sigma0, sigma1 and tau; its 2-d block
-    only the mirrors).  Empty blocks are left out.
+    only the mirrors).
     """
     column = np.empty_like(order)
     column[order] = np.arange(order.size)
     group = max((generators for generators, _, _ in blocks), key=len)
     out, start = [], 0
-    for (_, _, copies), (index, coef, k) in zip(blocks, bases):
-        if not k:
-            continue
+    for index, coef, copies, reps, vectors in solved:
+        k = vectors.shape[1]
         columns = tuple(column[start + c * k:start + (c + 1) * k]
                         for c in range(len(copies)))
         start += k * len(copies)
         out.append(SymmetryBlock(index=index, coef=coef, perms=tuple(copies),
-                                 columns=columns))
+                                 columns=columns, reps=reps, vectors=vectors))
     return SymmetryGroup(generators=tuple(group), blocks=tuple(out))
 
 
-def _fill_rows(basis: np.ndarray, at: np.ndarray, solved: list,
-               start: int) -> int:
-    """Write the solved blocks' eigenvectors at the nodes ``at`` into the
-    columns of ``basis`` from ``start`` on, emptying ``solved`` (each
-    block's eigenvectors are dropped once written); returns the next free
-    column."""
-    while solved:
-        vecs, index, coef, copies = solved.pop(0)
-        for p in copies:
-            for r0 in range(0, at.size, _BLOCK):
-                nodes = p[at[r0:r0 + _BLOCK]]
-                np.multiply(vecs[index[nodes]], coef[nodes, None],
-                            out=basis[r0:r0 + _BLOCK, start:start + len(vecs)])
-            start += len(vecs)
-        del vecs
-    return start
-
-
-# rows per block of the basis fills and of the block route's column sort.
-# A freed row block stays resident through the next eigensolve; at 64
-# (1.2 MB at M = 2304) the next block reuses it, and the peak stays the
-# eigensolve's.
-_BLOCK = 64
-
-
-def _finish_eigenpairs(evals: np.ndarray, evecs: np.ndarray,
-                       root_w: np.ndarray) -> np.ndarray:
-    """Zero snap and W-scaling shared by both routes.
-
-    ``evals`` ascend and ``evecs`` are rows of the matching
-    Euclidean-orthonormal eigenvectors of W^{1/2} A W^{-1/2}, ``root_w``
-    W^{1/2} at those rows.  Eigenvalues below 1e-12 lam_max are snapped to
-    0 (and a clearly negative one is an error).  The rows are divided by
-    W^{1/2} in place, so ``evecs`` becomes (rows of) the W-orthonormal
-    basis.  No sign is fixed: each eigenvector keeps the sign its route
-    gives it.  Returns the snapped eigenvalues.
-    """
+def _snapped(evals: np.ndarray) -> np.ndarray:
+    """The zero snap shared by both routes: of the ascending ``evals``,
+    those below 1e-12 lam_max are set to 0 (and a clearly negative one is
+    an error).  No sign is fixed: each eigenvector keeps the sign its
+    route gives it."""
     lam_max = max(float(evals[-1]), 1.0)
     if evals[0] < -1e-10 * lam_max:
         raise ArithmeticError(
             f"eigensolve produced spurious negative eigenvalue {evals[0]:.3e}")
-    evals = np.where(evals < 1e-12 * lam_max, 0.0, evals)
-    evecs /= root_w[:, None]
-    return evals
+    return np.where(evals < 1e-12 * lam_max, 0.0, evals)
 
 
 def _fourier_eigenpairs(op: DiscreteLaplaceBeltrami, weight: float,
-                        at: np.ndarray
-                        ) -> tuple[np.ndarray, np.ndarray, SymmetryGroup]:
+                        at: np.ndarray) -> tuple[np.ndarray, SymmetryGroup]:
     """Closed-form eigenpairs of an axis-separable circulant operator.
 
     With the same stencil entries and the same w at every node, each entry
@@ -726,11 +759,14 @@ def _fourier_eigenpairs(op: DiscreteLaplaceBeltrami, weight: float,
     has eigenvalue lam = sigma / w at theta_j = 2 pi c_j / N.  The symbol
     is the DFT of B's column at node 0, ``op.apply_form`` on the unit
     vector e_0.  The modes are ordered by a stable ascending sort of
-    lam (ties keep the flattened mode order).  Returns the basis rows at
-    the nodes ``at``; in 2-d the row of node (i, j) is Q[i, c_0] Q[j, c_1],
-    filled one block of rows at a time.  In 2-d the modes come labelled by
-    the mirror blocks (:func:`_mirror_labels`); in 1-d by the trivial
-    group.
+    lam (ties keep the flattened mode order).  In 1-d the modes are the
+    trivial group's, held at the nodes ``at``.  In 2-d they lie in the
+    blocks of the mirror group {sigma0, sigma1}: column c of the per-axis
+    table is a cosine, even under i -> -i, for 2c <= N and a sine, odd,
+    beyond, so the mode of frequency (c_0, c_1) lies in the block of the
+    signs of its two factors, with one copy.  Each block holds its modes
+    at the smallest node (i, j) of every orbit that ``at`` reaches,
+    x(i, j) = Q[i, c_0] Q[j, c_1].
     """
     grid = op.grid
     n, m = grid.points_per_side, grid.node_count
@@ -739,32 +775,21 @@ def _fourier_eigenpairs(op: DiscreteLaplaceBeltrami, weight: float,
     order = np.argsort(evals, kind="stable")
     q = _axis_modes(n)
     if grid.dim == 1:
-        return evals[order], q[np.ix_(at, order)], SymmetryGroup.trivial(m)
-    first, second = q[:, order // n], q[:, order % n]  # (N, M), per axis
-    basis = np.empty((at.size, m))
-    for r0 in range(0, at.size, _BLOCK):
-        nodes = at[r0:r0 + _BLOCK]
-        np.multiply(first[nodes // n], second[nodes % n],
-                    out=basis[r0:r0 + _BLOCK])
-    return evals[order], basis, _mirror_labels(order, n)
-
-
-def _mirror_labels(order: np.ndarray, n: int) -> SymmetryGroup:
-    """The closed form's modes on the blocks of the mirror group
-    {sigma0, sigma1}: column c of the per-axis table is a cosine, even
-    under i -> -i, for 2c <= N and a sine, odd, beyond, so the mode of
-    frequency (c_0, c_1) lies in the block of the signs of its two
-    factors.  Each block holds one copy of its modes."""
+        return evals[order], SymmetryGroup.trivial(q[np.ix_(at, order)], at)
     sigma0, sigma1, _ = _grid_symmetries(n)
-    parity = [np.where(2 * (order // n) <= n, 1.0, -1.0),
-              np.where(2 * (order % n) <= n, 1.0, -1.0)]
-    blocks = []
+    freqs = (order // n, order % n)
+    parity = [np.where(2 * f <= n, 1.0, -1.0) for f in freqs]
+    blocks, identity = [], np.arange(m)
     for signs in itertools.product((1.0, -1.0), repeat=2):
-        index, coef, _ = _orbit_basis([sigma0, sigma1], signs, n * n)
-        columns = np.flatnonzero((parity[0] == signs[0]) & (parity[1] == signs[1]))
-        blocks.append(SymmetryBlock(index=index, coef=coef,
-                                    perms=(np.arange(n * n),), columns=(columns,)))
-    return SymmetryGroup(generators=(sigma0, sigma1), blocks=tuple(blocks))
+        index, coef, reps = _orbit_basis([sigma0, sigma1], signs, m)
+        cols = np.flatnonzero((parity[0] == signs[0]) & (parity[1] == signs[1]))
+        reps = reps[np.unique(index[at])]
+        vectors = (q[np.ix_(reps // n, freqs[0][cols])]
+                   * q[np.ix_(reps % n, freqs[1][cols])])
+        blocks.append(SymmetryBlock(index=index, coef=coef, perms=(identity,),
+                                    columns=(cols,), reps=reps, vectors=vectors))
+    return evals[order], SymmetryGroup(generators=(sigma0, sigma1),
+                                       blocks=tuple(blocks))
 
 
 def _axis_modes(n: int) -> np.ndarray:

@@ -93,10 +93,10 @@ def _omega_family(dec, config, count=12):
     """Low eigenvectors cut off to omega: smooth inside, sharp at the rim."""
     mask = np.zeros(dec.node_count, dtype=bool)
     mask[config.omega_nodes] = True
-    family = []
+    family, basis = [], dec.full_basis
     for k in range(min(count, dec.node_count)):
-        v = np.where(mask, dec.basis[:, k], 0.0)
-        if np.linalg.norm(v) > 1e-13 * np.linalg.norm(dec.basis[:, k]):
+        v = np.where(mask, basis[:, k], 0.0)
+        if np.linalg.norm(v) > 1e-13 * np.linalg.norm(basis[:, k]):
             family.append(v)
     return family
 

@@ -737,11 +737,12 @@ def test_rows_only_decomposition_matches_the_whole_basis(monkeypatch, case):
     rows = decompose(op, nodes=config.partial_map_nodes[::-1])
     assert sorted(calls) == sorted(sizes * 2)
     assert np.array_equal(rows.nodes, config.partial_map_nodes)
-    assert rows.basis.shape == (config.partial_map_nodes.size, grid.node_count)
+    held = rows.rows(rows.nodes)
+    assert held.shape == (config.partial_map_nodes.size, grid.node_count)
     assert np.array_equal(rows.eigenvalues, full.eigenvalues)
-    assert np.array_equal(rows.basis, full.basis[rows.nodes])
+    assert np.array_equal(held, full.full_basis[rows.nodes])
     assert np.array_equal(rows.rows(config.w2_nodes),
-                          full.basis[config.w2_nodes])
+                          full.rows(config.w2_nodes))
     assert np.array_equal(dtn_matrix(rows, ALPHA, config),
                           dtn_matrix(full, ALPHA, config))
 

@@ -292,14 +292,15 @@ def test_decompose_invariants(dec_2d_aniso):
     assert dec.eigenvalues[0] == 0.0  # snapped zero mode
     assert np.all(np.diff(dec.eigenvalues) >= 0)
     # phi_0 constant
-    phi0 = dec.basis[:, 0]
+    basis = dec.full_basis
+    phi0 = basis[:, 0]
     assert np.abs(phi0 - phi0.mean()).max() < 1e-10
     # weighted orthonormality
-    gram = dec.basis.T @ (dec.basis * dec.measure.node_weights[:, None])
+    gram = basis.T @ (basis * dec.measure.node_weights[:, None])
     np.testing.assert_allclose(gram, np.eye(dec.node_count), atol=1e-10)
     # reconstruction A = Phi Lambda Phi^T W
-    rebuilt = (dec.basis * dec.eigenvalues) @ (
-        dec.basis.T * dec.measure.node_weights[None, :]
+    rebuilt = (basis * dec.eigenvalues) @ (
+        basis.T * dec.measure.node_weights[None, :]
     )
     dense = _dense_operator(dec.operator)
     np.testing.assert_allclose(rebuilt, dense, atol=1e-10 * np.abs(dense).max())
@@ -312,7 +313,7 @@ def test_decomposition_stores_geometry_once(dec_2d_aniso):
     assert [f.name for f in dataclasses.fields(dec.operator)] == [
         "offsets", "stencil", "metric"]
     assert [f.name for f in dataclasses.fields(dec)] == [
-        "eigenvalues", "basis", "operator", "symmetry", "nodes"]
+        "eigenvalues", "operator", "symmetry", "nodes"]
     assert dec.nodes is None  # the basis holds every node
     assert dec.grid is dec.operator.metric.grid
     assert dec.metric is dec.operator.metric
@@ -453,20 +454,19 @@ def test_decompose_pins_dense_reference(dim, n, profile, sizes):
     if sizes is None:
         assert calls == [grid.node_count]
         assert np.array_equal(dec.eigenvalues, evals)
-        assert np.array_equal(dec.basis, basis)
+        assert np.array_equal(dec.full_basis, basis)
         return
     assert sorted(calls) == sizes(n)
     lam_max = float(evals[-1])
     w = op.measure.node_weights
     assert dec.eigenvalues[0] == 0.0
     assert np.abs(dec.eigenvalues - evals).max() <= 1e-13 * lam_max
-    gram = dec.basis.T @ (dec.basis * w[:, None])
+    got = dec.full_basis
+    gram = got.T @ (got * w[:, None])
     assert np.abs(gram - np.eye(grid.node_count)).max() <= 1e-13
-    residual = op.apply(dec.basis) - dec.basis * dec.eigenvalues
+    residual = op.apply(got) - got * dec.eigenvalues
     assert np.sqrt(w @ residual ** 2).max() <= 1e-13 * lam_max
-    reference = SpectralDecomposition(
-        eigenvalues=evals, basis=basis, operator=op,
-        symmetry=SymmetryGroup.trivial(grid.node_count))
+    reference = _eigh_reference(op)
     u = np.random.default_rng(4).standard_normal(grid.node_count)
     for alpha in (0.25, 0.5, 0.75):
         got = frac_apply_spectral(dec, alpha, u)
@@ -613,7 +613,7 @@ def test_dense_route_beyond_the_roundoff_tolerance(field, profile, nodes):
     if profile is TAU_PULLBACK_2D:
         assert calls == [grid.node_count]
         assert np.array_equal(dec.eigenvalues, evals)
-        assert np.array_equal(dec.basis, basis)
+        assert np.array_equal(dec.full_basis, basis)
         return
     assert sorted(calls) == _transposition_block_sizes(12)
     assert np.abs(dec.eigenvalues - evals).max() <= 1e-13 * evals[-1]
@@ -667,7 +667,7 @@ def test_recorded_blocks_label_the_modes(dim, n, profile, generators, copies):
     assert sum(len(block.perms) for block in group.blocks) == copies
     columns = np.concatenate([c for block in group.blocks for c in block.columns])
     assert np.array_equal(np.sort(columns), np.arange(grid.node_count))
-    x = dec.basis * np.sqrt(dec.measure.node_weights)[:, None]
+    x = dec.full_basis * np.sqrt(dec.measure.node_weights)[:, None]
     labels = 0
     for block in group.blocks:
         index, coef = block.index[block.perms[0]], block.coef[block.perms[0]]
@@ -695,8 +695,9 @@ def test_recorded_blocks_label_the_modes(dim, n, profile, generators, copies):
 def _eigh_reference(op):
     """The dense-eigensolve decomposition, formed here as an oracle."""
     evals, basis = _pinned_dense(op)
-    return SpectralDecomposition(eigenvalues=evals, basis=basis, operator=op,
-                                 symmetry=SymmetryGroup.trivial(evals.size))
+    vectors = basis * np.sqrt(op.measure.node_weights)[:, None]
+    return SpectralDecomposition(eigenvalues=evals, operator=op,
+                                 symmetry=SymmetryGroup.trivial(vectors))
 
 
 @pytest.mark.parametrize("dim, n, profile", [
@@ -719,9 +720,10 @@ def test_closed_form_matches_dense_eigensolve(dim, n, profile):
     w = op.measure.node_weights
     assert dec.eigenvalues[0] == 0.0
     assert np.abs(dec.eigenvalues - ref.eigenvalues).max() <= 1e-12 * lam_max
-    gram = dec.basis.T @ (dec.basis * w[:, None])
+    basis = dec.full_basis
+    gram = basis.T @ (basis * w[:, None])
     assert np.abs(gram - np.eye(grid.node_count)).max() <= 1e-13
-    residual = _dense_operator(op) @ dec.basis - dec.basis * dec.eigenvalues
+    residual = _dense_operator(op) @ basis - basis * dec.eigenvalues
     assert np.linalg.norm(residual) <= 1e-12 * lam_max
     # eigenspaces are degenerate, so the bases differ; functions of A agree
     energy, energy_ref = frac_energy_matrix(dec, 0.5), frac_energy_matrix(ref, 0.5)
@@ -739,7 +741,7 @@ def test_decompose_is_deterministic():
     met = make_metric(grid, BUMP_1D)
     a = decompose(assemble_laplacian(met))
     b = decompose(assemble_laplacian(met))
-    np.testing.assert_array_equal(a.basis, b.basis)
+    np.testing.assert_array_equal(a.full_basis, b.full_basis)
     np.testing.assert_array_equal(a.eigenvalues, b.eigenvalues)
 
 
@@ -786,7 +788,93 @@ def test_rows_only_decomposition_needs_no_m_cap(profile):
     rows = decompose(op, cap=64, nodes=nodes)
     full = decompose(op)
     assert np.array_equal(rows.eigenvalues, full.eigenvalues)
-    assert np.array_equal(rows.basis, full.basis[nodes])
+    assert np.array_equal(rows.rows(nodes), full.full_basis[nodes])
+
+
+# a scattered node set with mirror and transposed partners: (1, 2), (2, 1),
+# (N - 1, 2), (1, N - 2), (N/2, N/2), (0, 0) and every fifth node
+def _scattered(n):
+    pairs = [(1, 2), (2, 1), (n - 1, 2), (1, n - 2), (n // 2, n // 2), (0, 0)]
+    return np.union1d(np.ravel_multi_index(np.transpose(pairs), (n, n)),
+                      np.arange(0, n * n, 5))
+
+
+@pytest.mark.parametrize("profile", [
+    BUMP_2D, PULLBACK_2D, ANISO_2D,
+    dataclasses.replace(BUMP_2D, center=(1.75, 1.75)),
+    dataclasses.replace(BUMP_2D, center=(1.7, 2.3)),
+], ids=["bump", "pullback", "aniso", "diagonal-bump", "off-centre-bump"])
+def test_rows_only_rows_are_the_whole_rows(profile):
+    # each block holds its eigenvectors at one node per orbit, only for the
+    # orbits the nodes reach when nodes= is given; any node's row is its
+    # orbit's row times an exact sign, so the rows are bitwise the whole
+    # decomposition's, under D4, both mirrors, tau alone and the trivial
+    # group alike
+    n = 12
+    op = assemble_laplacian(make_metric(build_grid(2, 4.0, n), profile))
+    nodes = _scattered(n)
+    rows, whole = decompose(op, nodes=nodes), decompose(op)
+    assert np.array_equal(rows.rows(nodes), whole.rows(nodes))
+    assert np.array_equal(whole.rows(nodes), whole.full_basis[nodes])
+    assert (sum(b.vectors.size for b in rows.symmetry.blocks)
+            < sum(b.vectors.size for b in whole.symmetry.blocks))
+
+
+@pytest.mark.parametrize("dim, n, profile", [
+    (2, 16, BUMP_2D),
+    (2, 12, ANISO_2D),
+    (2, 12, dataclasses.replace(BUMP_2D, center=(2.0, 1.5))),
+    (2, 12, TAU_PULLBACK_2D),
+    (2, 12, ANISO_OFF_CENTRE_2D),
+    (2, 12, IdentityMetric(2)),
+    (1, 16, BUMP_1D),
+], ids=["dihedral", "mirrors", "one-mirror", "transposition", "trivial-2d",
+        "closed-form", "trivial-1d"])
+def test_project_and_synthesize_match_the_dense_basis(dim, n, profile):
+    # the block-wise orbit sums and products agree with the node-space
+    # products of the basis they form
+    dec = decompose(assemble_laplacian(make_metric(build_grid(dim, 4.0, n),
+                                                   profile)))
+    basis, w = dec.full_basis, dec.measure.node_weights
+    rng = np.random.default_rng(11)
+    u, coeffs = rng.standard_normal((2, dec.node_count))
+    want = basis.T @ (w * u)
+    assert np.abs(dec.project(u) - want).max() <= 1e-13 * np.abs(want).max()
+    want = basis @ coeffs
+    assert np.abs(dec.synthesize(coeffs) - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def _held(dec):
+    """The elements of every array a decomposition holds beside its
+    operator: (largest array, the blocks' eigenvectors, the rest)."""
+    group = dec.symmetry
+    arrays = {id(a): a for a in [dec.eigenvalues, *group.generators] + [
+        a for b in group.blocks
+        for a in (b.index, b.coef, *b.perms, *b.columns, b.reps)]}
+    vectors = sum(b.vectors.size for b in group.blocks)
+    largest = max([a.size for a in arrays.values()]
+                  + [b.vectors.size for b in group.blocks])
+    return largest, vectors, sum(a.size for a in arrays.values())
+
+
+def test_dihedral_decomposition_holds_its_blocks_only():
+    # the D4 bump at N = 48 (M = 2304) holds no M x M array: its five
+    # blocks' eigenvectors take about M^2 / 8 elements, and the benchmark
+    # layout's rows about |nodes| M / 7; the node labels are O(M)
+    bench = RegionSpec(omega_center=(2.0, 2.0), omega_radius=1.0,
+                       w1_center=(0.2, 2.0), w1_radius=0.2,
+                       w2_center=(2.0, 0.2), w2_radius=0.2)
+    grid = build_grid(2, 4.0, 48)
+    m = grid.node_count
+    op = assemble_laplacian(make_metric(grid, BENCH_BUMP))
+    largest, vectors, rest = _held(decompose(op))
+    assert largest < m * m // 8
+    assert vectors <= 0.13 * m * m
+    assert rest <= 20 * m
+    nodes = bench.build(grid).partial_map_nodes
+    largest, vectors, rest = _held(decompose(op, nodes=nodes))
+    assert vectors <= 0.15 * nodes.size * m
+    assert rest <= 20 * m
 
 
 def _rows_only():
@@ -810,8 +898,6 @@ WHOLE_BASIS_READERS = {
     "jump_kernel": lambda dec, config, F: jump_kernel(dec, 0.5, [[0, 1]]),
     "extend_dirichlet": lambda dec, config, F: extension.extend_dirichlet(
         dec, 0.5, F),
-    "extension_evaluate": lambda dec, config, F: extension.ExtensionSolution(
-        alpha=0.5, dec=dec, mode_coefficients=F).evaluate(0, 0.1),
     "representation_solution": lambda dec, config, F:
         extension.representation_solution(dec, 0.5, F, config.w2_nodes[0], 0.1),
     "heat_difference_trace": lambda dec, config, F:
@@ -826,6 +912,21 @@ def test_whole_basis_readers_reject_rows_only(reader):
     dec, config, source = _rows_only()
     with pytest.raises(ValueError, match=r"decompose\(op\) without nodes="):
         WHOLE_BASIS_READERS[reader](dec, config, source)
+
+
+def test_extension_evaluate_reads_the_rows_alone():
+    # evaluate reads the basis row at its node only, so it serves a
+    # decomposition holding that row alone, to the bit
+    dec, config, source = _rows_only()
+
+    def evaluate(held, node):
+        return extension.ExtensionSolution(
+            alpha=0.5, dec=held, mode_coefficients=source).evaluate(node, 0.1)
+
+    x = config.w2_nodes[0]
+    assert evaluate(dec, x) == evaluate(decompose(dec.operator), x)
+    with pytest.raises(ValueError, match="not among"):
+        evaluate(dec, 0)
 
 
 @pytest.mark.parametrize("profile", [IdentityMetric(2), BUMP_2D, PULLBACK_2D],
@@ -861,7 +962,7 @@ def test_rows_reject_nodes_outside_the_grid(dec_1d_bump, held):
 def test_rows_rejects_nodes_not_held():
     dec, config, _ = _rows_only()
     held = dec.nodes
-    assert np.array_equal(dec.rows(held[::-1]), dec.basis[::-1])
+    assert np.array_equal(dec.rows(held[::-1]), dec.rows(held)[::-1])
     outside = np.setdiff1d(config.exterior_nodes, held)
     for nodes in ([held[0], outside[0]], [outside[-1]], [dec.node_count - 1]):
         with pytest.raises(ValueError, match="not among"):
@@ -1017,7 +1118,7 @@ def test_frac_alpha_one_is_laplacian(dec_1d_bump):
 
 def test_frac_on_eigenvector(dec_1d_bump):
     k = 5
-    phi = dec_1d_bump.basis[:, k]
+    phi = dec_1d_bump.full_basis[:, k]
     lam = dec_1d_bump.eigenvalues[k]
     np.testing.assert_allclose(
         frac_apply_spectral(dec_1d_bump, 0.3, phi), lam**0.3 * phi, atol=1e-12
@@ -1063,7 +1164,7 @@ def test_fractional_powers_emit_no_warnings(dec_2d_aniso):
     powers = np.zeros_like(lam)
     powers[lam > 0] = lam[lam > 0] ** 0.4
     assert np.array_equal(out, dec.synthesize(dec.project(u) * powers))
-    weighted = dec.basis * dec.measure.node_weights[:, None]
+    weighted = dec.full_basis * dec.measure.node_weights[:, None]
     e = (weighted * powers) @ weighted.T
     assert np.array_equal(energy, 0.5 * (e + e.T))
 
@@ -1282,9 +1383,9 @@ def test_jump_kernel_reads_no_dense_form(request, monkeypatch, case, alpha):
                              for off in (1, side + 1, m // 2)])
     assert len(listed) < m  # the row-wise branch
     cases = [(None, *np.triu_indices(m, 1)), (listed, listed[:, 0], listed[:, 1])]
-    expected = []
+    expected, basis = [], dec.full_basis
     for _, lo, hi in cases:
-        core = ((dec.basis[lo] * eta) * dec.basis[hi]).sum(axis=1)
+        core = ((basis[lo] * eta) * basis[hi]).sum(axis=1)
         head = form[lo, hi] * linear / grid.spacing ** (2 * grid.dim)
         expected.append(prefactor * (s[lo] * s[hi] * core - head))
 

@@ -20,7 +20,12 @@ sampling (``geometry.py``, ``recovery.py``) names no ``einsum``, ``inv`` or
 ``det``: their summation order is not one the grid symmetries only permute
 within commutative pairs, and the 1 x 1 and 2 x 2 closed forms that replace
 them are what keeps a symmetric sample symmetric to the bit, so that
-``spectral._symmetry_blocks`` can compare exactly.  Deletions leave nothing
+``spectral._symmetry_blocks`` can compare exactly.  A decomposition holds
+its symmetry blocks' eigenvectors, not a node-space basis, so
+``full_basis`` forms M x M numbers on each read: only the dense oracles
+that need every row at once (``frac_energy_matrix``, ``jump_kernel``) and
+``SpectralDecomposition`` itself read it; every other reader forms the rows
+it needs.  Deletions leave nothing
 behind: every name a module lists in ``__all__`` is defined there, and
 every name it imports is read there.
 """
@@ -114,6 +119,37 @@ def test_fft_guard_sees_both_spellings():
     for source in ("np.fft.fftn(a)", "from numpy.fft import fftn",
                    "from numpy import fft"):
         assert _naming_lines(ast.parse(source), "fft") == [1]
+
+
+# the readers that need every row of the basis at once; every other reader
+# forms the rows it reads (``rows``) or works block by block
+FULL_BASIS_READERS = {"frac_energy_matrix", "jump_kernel", "SpectralDecomposition"}
+
+
+def _full_basis_reads(tree):
+    """(line, enclosing top-level definition) of every ``.full_basis`` read."""
+    return [(node.lineno, getattr(top, "name", None))
+            for top in tree.body for node in ast.walk(top)
+            if isinstance(node, ast.Attribute) and node.attr == "full_basis"]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_full_basis_is_read_only_where_every_row_is_needed(path):
+    reads = _full_basis_reads(ast.parse(path.read_text(), filename=str(path)))
+    stray = [(line, owner) for line, owner in reads
+             if owner not in FULL_BASIS_READERS]
+    assert not stray, (f"{path.name} reads `.full_basis` at {stray}; read "
+                       "the rows it needs with dec.rows(nodes) instead")
+
+
+def test_full_basis_guard_sees_a_stray_read():
+    source = ("class SpectralDecomposition:\n"
+              "    def project(self, u):\n"
+              "        return self.full_basis.T @ u\n"
+              "def _trace_sampler(dec, x):\n"
+              "    return dec.full_basis[x]\n")
+    assert _full_basis_reads(ast.parse(source)) == [
+        (3, "SpectralDecomposition"), (5, "_trace_sampler")]
 
 
 SAMPLING = [ROOT / "src" / "fracbeltrami" / name
