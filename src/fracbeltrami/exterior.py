@@ -61,7 +61,6 @@ __all__ = [
     "ExteriorConfig",
     "RegionSpec",
     "nodes_in_ball",
-    "nodes_in_annulus",
     "make_exterior_config",
     "solve_exterior_dirichlet",
     "DtNRecord",
@@ -107,14 +106,6 @@ class ExteriorConfig:
 def nodes_in_ball(grid: TorusGrid, center, radius: float) -> np.ndarray:
     """Indices of nodes within torus distance `radius` of `center`."""
     return np.flatnonzero(grid.distance_to(center) <= radius)
-
-
-def nodes_in_annulus(grid: TorusGrid, center, r_inner: float,
-                     r_outer: float) -> np.ndarray:
-    if not 0.0 <= r_inner < r_outer:
-        raise ValueError("annulus needs 0 <= r_inner < r_outer")
-    d = grid.distance_to(center)
-    return np.flatnonzero((d >= r_inner) & (d <= r_outer))
 
 
 def _set_distance(grid: TorusGrid, a_nodes: np.ndarray,
@@ -248,9 +239,10 @@ def _omega_blocks(dec: SpectralDecomposition, alpha: float,
     a live Omega orbit (H, copies); a copy is (columns, slot, coef): its
     columns of the modes, and per Omega node the row of its orbit in H and
     its coefficient in the copy, so (U_k z)_n = coef_n z[slot_n].  The
-    copies of one block share H.
+    copies of one block share H.  Omega's rows must be held; they pass the
+    check every basis read makes (``SpectralDecomposition._held``).
     """
-    om = config.omega_nodes
+    om = dec._held(config.omega_nodes)
     half = _spectral_power(dec.eigenvalues, 0.5 * alpha)
     if not _maps_onto_itself(dec.symmetry.generators, om, dec.node_count):
         h = dec.rows(om)

@@ -37,8 +37,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .geometry import (
-    MetricField,
-    TorusGrid,
     _compact_cutoff,
     build_grid,
     make_metric,
@@ -55,7 +53,6 @@ from .spectral import (
 __all__ = [
     "RadialSquash",
     "PullbackProfile",
-    "gauge_pullback",
     "heat_difference_trace",
     "MomentTable",
     "moment_vector",
@@ -202,18 +199,14 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
                                for j in dims], axis=1) for i in dims], axis=1)
 
 
-def gauge_pullback(grid: TorusGrid, profile, squash: RadialSquash) -> MetricField:
-    """Sampled field of the pulled-back metric Phi^* g on ``grid``."""
-    return make_metric(grid, PullbackProfile(base=profile, squash=squash))
-
-
 # ----------------------------------------------------------------------
 # heat semigroup differences observed from outside
 
 
 def _trace_sampler(dec: SpectralDecomposition, F: np.ndarray,
                    x_index: int) -> Callable[[np.ndarray], np.ndarray]:
-    """t -> (e^{-tA} F)(x), vectorised over t via the mode expansion."""
+    """t -> (e^{-tA} F)(x), vectorised over t via the mode expansion; it
+    reads the basis rows on the support of F and at x only."""
     weights = dec.project(F) * dec.rows(int(x_index))
     lam = dec.eigenvalues
 
@@ -262,7 +255,9 @@ def heat_difference_trace(dec1: SpectralDecomposition,
                           x_index: int, t):
     """U(t, x) = (e^{t Lap_1} - e^{t Lap_2}) F (x) for an exterior observer.
 
-    ``t`` may be a scalar or an array; the result matches its shape.
+    ``t`` may be a scalar or an array; the result matches its shape.  Each
+    decomposition is read at the support of F and at x only, so one that
+    holds those rows alone (``decompose(op, nodes=...)``) serves.
     """
     F, x_index = _observation_guards(dec1, dec2, F, x_index)
     s1 = _trace_sampler(dec1, F, x_index)

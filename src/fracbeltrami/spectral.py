@@ -59,7 +59,7 @@ DEFAULT_EIG_CAP = 4096
 
 class DecompositionSizeError(ValueError):
     """Raised when a decomposition would hold more than its cap allows:
-    the whole basis beyond M = cap, or more rows or a larger eigensolve
+    more basis rows (every node without ``nodes=``) or a larger eigensolve
     than cap."""
 
 
@@ -323,8 +323,11 @@ class SpectralDecomposition:
     sorted ascending with the zero mode (constants) first and snapped to
     exactly 0.  ``grid``, ``metric`` and ``measure`` are those of
     ``operator``.  ``nodes`` is None when every node's row can be formed;
-    otherwise only the rows at ``nodes`` (sorted, unique), and :meth:`rows`
-    is the only reader that serves it.
+    otherwise only the rows at ``nodes`` (sorted, unique).  Every read of
+    the basis makes one check (:meth:`_held`) on the nodes it reads:
+    :meth:`rows` on its nodes, :meth:`project` on the support of its
+    vector and :meth:`synthesize` on every node.  So a decomposition
+    holding some rows serves each reader whose nodes it holds.
     """
 
     eigenvalues: np.ndarray  # (M,)
@@ -348,19 +351,22 @@ class SpectralDecomposition:
     def node_count(self) -> int:
         return self.eigenvalues.size
 
-    @property
-    def full_basis(self) -> np.ndarray:
-        """The whole (M, M) basis, formed anew on each read; raises on a
-        rows-only decomposition."""
-        self._require_whole()
-        return self.rows(np.arange(self.node_count))
-
-    def _require_whole(self) -> None:
+    def _held(self, nodes: np.ndarray) -> np.ndarray:
+        """``nodes`` flattened, after the one check every basis read makes:
+        each lies in [0, M) (numpy would wrap a negative index) and has its
+        row held."""
+        flat = np.asarray(nodes).ravel()
+        if np.any((flat < 0) | (flat >= self.node_count)):
+            raise ValueError(f"nodes must lie in [0, {self.node_count})")
         if self.nodes is not None:
-            raise ValueError(
-                f"this decomposition holds the eigenbasis at {self.nodes.size} "
-                f"of {self.node_count} nodes only; call decompose(op) without "
-                "nodes= for a reader of the whole basis")
+            at = np.minimum(np.searchsorted(self.nodes, flat), self.nodes.size - 1)
+            missing = flat[self.nodes[at] != flat]
+            if missing.size:
+                raise ValueError(
+                    f"nodes {missing[:8].tolist()} are not among the "
+                    f"{self.nodes.size} nodes whose basis rows this "
+                    "decomposition holds; decompose with them in nodes=")
+        return flat
 
     def rows(self, nodes: np.ndarray) -> np.ndarray:
         """The basis rows phi_k(n) at the index array ``nodes``,
@@ -371,22 +377,8 @@ class SpectralDecomposition:
         the sorted order and divided by W^{1/2} one block of rows at a
         time, which is quicker than writing each copy to its scattered
         columns.
-        Raises for a node outside [0, M), on either layout (numpy would
-        wrap a negative index), and for a node whose row is not held.
         """
-        nodes = np.asarray(nodes)
-        if np.any((nodes < 0) | (nodes >= self.node_count)):
-            raise ValueError(f"nodes must lie in [0, {self.node_count})")
-        flat = nodes.ravel()
-        if self.nodes is not None:
-            at = np.minimum(np.searchsorted(self.nodes, flat), self.nodes.size - 1)
-            missing = flat[self.nodes[at] != flat]
-            if missing.size:
-                raise ValueError(
-                    f"nodes {missing[:8].tolist()} are not among the "
-                    f"{self.nodes.size} nodes whose basis rows this "
-                    "decomposition holds; decompose with them in nodes=")
-        m = self.node_count
+        flat, m = self._held(nodes), self.node_count
         out, start, placed = np.empty((flat.size, m)), 0, []
         for block in self.symmetry.blocks:
             for p, cols in zip(block.perms, block.columns):
@@ -400,23 +392,30 @@ class SpectralDecomposition:
             part = slice(r0, r0 + _BLOCK)
             np.divide(np.take(out[part], column, axis=1, mode="clip"),
                       root_w[part], out=out[part])
-        return out.reshape(nodes.shape + (m,))
+        return out.reshape(np.shape(nodes) + (m,))
 
     def project(self, u: np.ndarray) -> np.ndarray:
         """Coefficients <phi_k, u>_w = x_k' W^{1/2} u of a node vector.
 
         Per block and copy, W^{1/2} u is summed onto the block's orbit
-        vectors (weights coef[p n]), and the sums, divided by coef at the
-        representatives, are multiplied by the held rows: one product per
-        copy with the block's eigenvectors, v' s.
+        vectors (weights coef[p n]) over u's nonzero nodes only, whose rows
+        are all it reads (an exact zero leaves a sum bitwise as it is), and
+        the sums, divided by coef at the representatives, are multiplied by
+        the held rows: one product per copy, v' s.
         """
-        self._require_whole()
-        y = np.sqrt(self.measure.node_weights) * u
+        u = np.asarray(u)
+        if u.shape != (self.node_count,):
+            raise ValueError(f"u must be a node vector of shape "
+                             f"({self.node_count},), got {u.shape}")
+        support = self._held(np.flatnonzero(u))
+        y = np.sqrt(self.measure.node_weights[support]) * u[support]
         out = np.empty(self.node_count)
         for block in self.symmetry.blocks:
             scale = block.coef[block.reps]
             for p, cols in zip(block.perms, block.columns):
-                sums = np.bincount(block.index[p], weights=block.coef[p] * y,
+                image = p[support]
+                sums = np.bincount(block.slots(block.index[image]),
+                                   weights=block.coef[image] * y,
                                    minlength=scale.size)
                 out[cols] = block.vectors.T @ (sums / scale)
         return out
@@ -424,8 +423,9 @@ class SpectralDecomposition:
     def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
         """The node vector sum_k coeffs_k phi_k: per block and copy, the
         held rows times the copy's coefficients, divided by coef at the
-        representatives (v c) and read at every node's orbit."""
-        self._require_whole()
+        representatives (v c) and read at every node's orbit, so every
+        node's row must be held."""
+        self._held(np.arange(self.node_count))
         x = np.zeros(self.node_count)
         for block in self.symmetry.blocks:
             scale = block.coef[block.reps]
@@ -498,11 +498,11 @@ def decompose(op: DiscreteLaplaceBeltrami, cap: int = DEFAULT_EIG_CAP,
     (``exterior._solve_blocks``).
 
     ``nodes`` asks for the basis rows at those nodes only (sorted and made
-    unique, a non-empty 1-d index array; ``SpectralDecomposition.rows``
-    reads them): each block then keeps only the orbits those nodes reach,
-    over every copy.  The eigenvalues and the eigensolves are the same, and
-    a row is read the same way from either, so the rows are bitwise those
-    of the whole decomposition.
+    unique, a non-empty 1-d index array), which serve every reader that
+    reads them alone: each block then keeps only the orbits those nodes
+    reach, over every copy.  The eigenvalues and the eigensolves are the
+    same, and a row is read the same way from either, so the rows are
+    bitwise those of the whole decomposition.
 
     Cost is memory as much as time: every M x M float64 matrix takes
     8 M^2 bytes (42.5 MB at M = 2304, 2-d N = 48).  The block route sums
@@ -524,23 +524,18 @@ def decompose(op: DiscreteLaplaceBeltrami, cap: int = DEFAULT_EIG_CAP,
     transposition route's 57 MiB with rows, about 48 MiB is its larger
     eigensolve, of N(N+1)/2 = 1176, with its input.
 
-    ``cap`` bounds what each route holds.  Without ``nodes`` M must not
-    exceed it, since the whole basis (``SpectralDecomposition.full_basis``)
-    is M x M.  With ``nodes`` a route holds only the rows those nodes reach
-    and each block's eigensolve, so it is capped on len(nodes) and on the
-    largest eigensolve, which is M for the trivial group; with a larger
-    group it may run beyond M = cap: at N = 96 (M = 9216) the dihedral
-    blocks are at most 2303 and the benchmark layout's rows 1933.  Both
-    routes share the zero snap of :func:`_snapped`.  The result keeps its
+    ``cap`` bounds the basis rows asked for, len(nodes) or every node
+    without ``nodes``, and the largest eigensolve, which is M for the
+    trivial group; with ``nodes`` and a larger group a route may run beyond
+    M = cap: at N = 96 (M = 9216) the dihedral blocks are at most 2303 and
+    the benchmark layout's rows 1933.  Both routes share the zero snap of
+    :func:`_snapped`.  The result keeps its
     blocks alive for as long as it is referenced: callers should drop a
     decomposition once they have read what they need from it
     (``exterior.dtn_matrix``, say), before the next call.
     """
     m = op.grid.node_count
     if nodes is None:
-        if m > cap:
-            raise _size_error(f"grid has {m} nodes, whole eigenbasis capped at "
-                              f"{cap}", m, m)
         at = np.arange(m)
     else:
         nodes = np.asarray(nodes, dtype=int)
@@ -550,9 +545,10 @@ def decompose(op: DiscreteLaplaceBeltrami, cap: int = DEFAULT_EIG_CAP,
         nodes = at = np.unique(nodes)
         if np.any((at < 0) | (at >= m)):
             raise ValueError(f"nodes must lie in [0, {m})")
-        if at.size > cap:
-            raise _size_error(f"{at.size} basis rows asked for, capped at {cap}",
-                              at.size, m)
+    if at.size > cap:
+        raise _size_error(f"{at.size} basis rows asked for, capped at {cap}",
+                          at.size, m, "list only the nodes read in nodes=, "
+                          "or raise cap")
     w = op.measure.node_weights
     first = dict(zip(op.offsets, op.stencil[:, 0]))
     if (np.all(op.stencil == op.stencil[:, :1]) and np.all(w == w[0])
@@ -567,10 +563,11 @@ def decompose(op: DiscreteLaplaceBeltrami, cap: int = DEFAULT_EIG_CAP,
                                  symmetry=group, nodes=nodes)
 
 
-def _size_error(what: str, rows: int, cols: int) -> DecompositionSizeError:
+def _size_error(what: str, rows: int, cols: int,
+                remedy: str) -> DecompositionSizeError:
     return DecompositionSizeError(
         f"{what}; one {rows} x {cols} float64 matrix takes "
-        f"{8 * rows * cols / 1e6:.3g} MB")
+        f"{8 * rows * cols / 1e6:.3g} MB; {remedy}")
 
 
 def _grid_symmetries(n: int) -> list[np.ndarray]:
@@ -685,7 +682,8 @@ def _block_eigenpairs(entries: tuple, root_w: np.ndarray, blocks: list,
     largest = max(reps.size for _, _, reps in bases)
     if largest > cap:
         raise _size_error(f"largest eigensolve has {largest} rows, capped at "
-                          f"{cap}", largest, largest)
+                          f"{cap}", largest, largest, "raise cap (fewer nodes= "
+                          "leave the eigensolves as they are)")
     rows, cols, values = entries
     values = values / (root_w[rows] * root_w[cols])
     evals, solved = [], []
@@ -873,12 +871,14 @@ def frac_apply_spectral(dec: SpectralDecomposition, alpha: float,
 def frac_energy_matrix(dec: SpectralDecomposition, alpha: float) -> np.ndarray:
     """Dense symmetric PSD matrix E = W A^alpha, u.E.v = <A^alpha u, v>_w.
 
-    Built anew on each call (M x M); the exterior layer forms only the
-    blocks it needs, so this serves as a dense oracle.
+    Built anew on each call from the rows at every node (M x M), so it
+    needs a decomposition that holds them all; the exterior layer forms
+    only the blocks it needs, so this serves as a dense oracle.
     """
     _check_alpha(alpha, allow_one=True)
     powers = _spectral_power(dec.eigenvalues, alpha)
-    weighted = dec.full_basis * dec.measure.node_weights[:, None]
+    weighted = dec.rows(np.arange(dec.node_count))
+    weighted *= dec.measure.node_weights[:, None]
     e = (weighted * powers) @ weighted.T
     return 0.5 * (e + e.T)
 
@@ -955,11 +955,16 @@ def jump_kernel(dec: SpectralDecomposition, alpha: float,
     form below agrees with the spectral pairing to roundoff on every grid.
     On the periodic grid the kernel reproduces the Euclidean power law at
     separations well inside a period.
+
+    Only the basis rows at the pairs' nodes are read (every node for
+    ``pairs=None``): one product over them when the pairs are at least as
+    many, else one row product per pair.
     """
     _check_alpha(alpha, allow_one=False)
     m = dec.node_count
     if pairs is None:
         ii, jj = np.triu_indices(m, 1)
+        nodes, lo, hi = np.arange(m), ii, jj
     else:
         pairs = np.asarray(pairs)
         ii, jj = pairs[:, 0], pairs[:, 1]
@@ -967,19 +972,20 @@ def jump_kernel(dec: SpectralDecomposition, alpha: float,
             raise ValueError("jump kernel is defined for distinct node pairs")
         if np.any(pairs < 0) or np.any(pairs >= m):
             raise ValueError(f"pair indices must lie in [0, {m})")
-    # evaluate on the canonical (low, high) ordering so K(i,j) == K(j,i)
-    # bitwise, then report the caller's index order
-    lo, hi = np.minimum(ii, jj), np.maximum(ii, jj)
-
-    basis = dec.full_basis
+        # evaluate on the canonical (low, high) ordering so K(i,j) == K(j,i)
+        # bitwise, then report the caller's index order
+        nodes, at = np.unique(np.concatenate([np.minimum(ii, jj),
+                                              np.maximum(ii, jj)]),
+                              return_inverse=True)
+        lo, hi = np.split(at, 2)
+    rows = dec.rows(nodes)
     eta = _semigroup_weights(dec.eigenvalues, alpha)
     prefactor = 1.0 / (2.0 * abs(math.gamma(-alpha)))
-    s = dec.metric.sqrt_det
-    if lo.size >= m:  # full (or near-full) pair sets: one dense product
-        full = (basis * eta) @ basis.T
-        core = full[lo, hi]
+    if lo.size >= nodes.size:  # dense pair sets: one product over their rows
+        core = ((rows * eta) @ rows.T)[lo, hi]
     else:
-        core = ((basis[lo] * eta) * basis[hi]).sum(axis=1)
+        core = ((rows[lo] * eta) * rows[hi]).sum(axis=1)
+    s = dec.metric.sqrt_det[nodes]
     values = prefactor * s[lo] * s[hi] * core
     return FracKernel(alpha=alpha, i_indices=ii, j_indices=jj, values=values,
                       grid=dec.grid)

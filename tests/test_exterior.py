@@ -32,7 +32,6 @@ from fracbeltrami.exterior import (
     dtn_matrix,
     dtn_partial,
     make_exterior_config,
-    nodes_in_annulus,
     nodes_in_ball,
     poisson_solve,
     solve_exterior_dirichlet,
@@ -88,16 +87,11 @@ def _swapped(config):
 # region configuration guards
 
 
-def test_ball_and_annulus_selectors(dec_bump):
+def test_ball_selector(dec_bump):
     grid = dec_bump.grid
     ball = nodes_in_ball(grid, (2.0,), 0.5)
     x = grid.coordinates()[:, 0]
     assert np.all(np.abs(x[ball] - 2.0) <= 0.5 + 1e-12)
-    ann = nodes_in_annulus(grid, (2.0,), 0.25, 0.5)
-    assert set(ann) < set(ball)
-    assert np.all(np.abs(x[ann] - 2.0) >= 0.25 - 1e-12)
-    with pytest.raises(ValueError):
-        nodes_in_annulus(grid, (2.0,), 0.5, 0.25)
 
 
 @pytest.mark.parametrize("n", [16, 20, 24, 40, 48, 80])
@@ -534,6 +528,21 @@ def test_omega_is_solved_one_orbit_block_at_a_time(monkeypatch):
     dtn_matrix(decompose(dec.operator, nodes=moved.partial_map_nodes), 0.5,
                moved)
     assert sizes == [moved.interior_count]
+
+
+def test_omega_blocks_check_that_omega_is_held():
+    # the Omega blocks read the held eigenvectors at Omega's orbits, so a
+    # decomposition holding W1 and W2 alone is refused by the one held-node
+    # check, on the symmetric and the moved Omega alike
+    grid = build_grid(2, 4.0, 24)
+    op = assemble_laplacian(make_metric(grid, BENCH_BUMP))
+    for spec in (BENCH_REGION,
+                 dataclasses.replace(BENCH_REGION, omega_center=(2.25, 2.0))):
+        config = spec.build(grid)
+        dec = decompose(op, nodes=np.union1d(config.w1_nodes, config.w2_nodes))
+        for reader in (dtn_matrix, coercivity_constant):
+            with pytest.raises(ValueError, match="not among"):
+                reader(dec, 0.5, config)
 
 
 def test_residual_guard_sums_over_the_blocks(dec_2d, monkeypatch):

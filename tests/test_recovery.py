@@ -39,13 +39,13 @@ from fracbeltrami.recovery import (
     RadialSquash,
     dtn_difference_experiment,
     gauge_experiment,
-    gauge_pullback,
     heat_difference_trace,
     heat_moment_table,
     moment_vector,
     vanishing_test,
 )
-from fracbeltrami.spectral import assemble_laplacian, decompose, heat_kernel
+from fracbeltrami.spectral import (assemble_laplacian, decompose,
+                                   heat_kernel, jump_kernel)
 
 SIDE = 4.0
 
@@ -80,8 +80,8 @@ def dec_base(grid32):
 
 @pytest.fixture(scope="module")
 def dec_gauge(grid32):
-    return decompose(assemble_laplacian(
-        gauge_pullback(grid32, BASE_1D, SQUASH_1D)))
+    return decompose(assemble_laplacian(make_metric(
+        grid32, PullbackProfile(base=BASE_1D, squash=SQUASH_1D))))
 
 
 @pytest.fixture(scope="module")
@@ -206,14 +206,14 @@ def test_pullback_profile_dim_mismatch():
 
 
 def test_gauge_pullback_is_valid_metric(grid32):
-    field = gauge_pullback(grid32, BASE_1D, SQUASH_1D)
+    field = make_metric(grid32, PullbackProfile(base=BASE_1D, squash=SQUASH_1D))
     # make_metric already validated SPD; the density genuinely moved
     base = make_metric(grid32, BASE_1D)
     assert not np.allclose(field.sqrt_det, base.sqrt_det)
     # total mass is diffeo-invariant in the continuum; the Riemann sums
     # agree once the squash is resolved (2.1e-3 at N=32, O(h^2) after)
     fine = build_grid(1, SIDE, 512)
-    pulled = gauge_pullback(fine, BASE_1D, SQUASH_1D)
+    pulled = make_metric(fine, PullbackProfile(base=BASE_1D, squash=SQUASH_1D))
     assert np.isclose(pulled.measure().total,
                       make_metric(fine, BASE_1D).measure().total, rtol=3e-5)
 
@@ -682,6 +682,47 @@ def test_2d_fixed_pair_gauge_heat_defect_changes_sign():
     assert np.all(size.max(axis=0) / size.min(axis=0) < 1.05)
 
 
+@pytest.mark.parametrize("pair", ["gauge", "distinct"])
+def test_2d_rows_only_heat_readers_match_the_whole_decomposition(pair):
+    # on the benchmark layout at N = 24 a decomposition holding the rows on
+    # Omega, W1 and W2 alone serves the heat readers, a source on W1 seen
+    # from W2: traces within 1e-13 of the reference peak (1.6e-15 read),
+    # moments within the moments of that trace error (the window's
+    # t^{-1-a-m} amplifies the traces' roundoff alike on both), the
+    # source's coefficients within 1e-13 and the jump kernel at three held
+    # pairs to the bit
+    grid = build_grid(2, SIDE, 24)
+    config = GAUGE_REGION.build(grid)
+    other = (PullbackProfile(base=GAUGE_PROFILE, squash=GAUGE_SQUASH)
+             if pair == "gauge" else IdentityMetric(dim=2))
+    whole, held = [], []
+    for profile in (GAUGE_PROFILE, other):
+        op = assemble_laplacian(make_metric(grid, profile))
+        whole.append(decompose(op))
+        held.append(decompose(op, nodes=config.partial_map_nodes))
+    F = _smooth_ball_source(grid, GAUGE_REGION.w1_center, GAUGE_REGION.w1_radius)
+    x = config.w2_nodes[0]
+    want = heat_moment_table(*whole, ALPHA, F, x, quad=QUAD)
+    got = heat_moment_table(*held, ALPHA, F, x, quad=QUAD)
+    peak = want.reference_peak
+    assert got.reference_peak == peak
+    assert np.abs(got.samples - want.samples).max() <= 1e-13 * peak
+    t = want.t_nodes[::40]
+    assert (np.abs(heat_difference_trace(*held, F, x, t)
+                   - heat_difference_trace(*whole, F, x, t)).max()
+            <= 1e-13 * peak)
+    amplified = QUAD.moments(np.full(QUAD.nodes.size, 1e-13 * peak),
+                             -1.0 - ALPHA - np.arange(want.order_count))
+    assert np.all(np.abs(got.moments - want.moments) <= amplified)
+    assert np.all(np.abs(got.scales - want.scales) <= amplified)
+    coeffs = whole[0].project(F)
+    assert (np.abs(held[0].project(F) - coeffs).max()
+            <= 1e-13 * np.abs(coeffs).max())
+    pairs = np.stack([config.w1_nodes[:3], config.w2_nodes[:3]], axis=1)
+    assert np.array_equal(jump_kernel(held[0], ALPHA, pairs).values,
+                          jump_kernel(whole[0], ALPHA, pairs).values)
+
+
 def test_2d_gauge_experiment_takes_the_dihedral_blocks(monkeypatch):
     # both metrics of the gauge pair hold D4, so no eigensolve is larger than
     # the 2-d representation's block, (N^2 - 4)/4, at either size
@@ -740,7 +781,7 @@ def test_rows_only_decomposition_matches_the_whole_basis(monkeypatch, case):
     held = rows.rows(rows.nodes)
     assert held.shape == (config.partial_map_nodes.size, grid.node_count)
     assert np.array_equal(rows.eigenvalues, full.eigenvalues)
-    assert np.array_equal(held, full.full_basis[rows.nodes])
+    assert np.array_equal(held, full.rows(np.arange(full.node_count))[rows.nodes])
     assert np.array_equal(rows.rows(config.w2_nodes),
                           full.rows(config.w2_nodes))
     assert np.array_equal(dtn_matrix(rows, ALPHA, config),

@@ -84,6 +84,11 @@ def dec_2d_aniso():
     return decompose(assemble_laplacian(make_metric(grid, ANISO_2D)))
 
 
+def _every_row(dec):
+    """The whole (M, M) basis, the rows at every node."""
+    return dec.rows(np.arange(dec.node_count))
+
+
 # ----------------------------------------------------------------------
 # assembly
 
@@ -292,7 +297,7 @@ def test_decompose_invariants(dec_2d_aniso):
     assert dec.eigenvalues[0] == 0.0  # snapped zero mode
     assert np.all(np.diff(dec.eigenvalues) >= 0)
     # phi_0 constant
-    basis = dec.full_basis
+    basis = _every_row(dec)
     phi0 = basis[:, 0]
     assert np.abs(phi0 - phi0.mean()).max() < 1e-10
     # weighted orthonormality
@@ -454,14 +459,14 @@ def test_decompose_pins_dense_reference(dim, n, profile, sizes):
     if sizes is None:
         assert calls == [grid.node_count]
         assert np.array_equal(dec.eigenvalues, evals)
-        assert np.array_equal(dec.full_basis, basis)
+        assert np.array_equal(_every_row(dec), basis)
         return
     assert sorted(calls) == sizes(n)
     lam_max = float(evals[-1])
     w = op.measure.node_weights
     assert dec.eigenvalues[0] == 0.0
     assert np.abs(dec.eigenvalues - evals).max() <= 1e-13 * lam_max
-    got = dec.full_basis
+    got = _every_row(dec)
     gram = got.T @ (got * w[:, None])
     assert np.abs(gram - np.eye(grid.node_count)).max() <= 1e-13
     residual = op.apply(got) - got * dec.eigenvalues
@@ -613,7 +618,7 @@ def test_dense_route_beyond_the_roundoff_tolerance(field, profile, nodes):
     if profile is TAU_PULLBACK_2D:
         assert calls == [grid.node_count]
         assert np.array_equal(dec.eigenvalues, evals)
-        assert np.array_equal(dec.full_basis, basis)
+        assert np.array_equal(_every_row(dec), basis)
         return
     assert sorted(calls) == _transposition_block_sizes(12)
     assert np.abs(dec.eigenvalues - evals).max() <= 1e-13 * evals[-1]
@@ -667,7 +672,7 @@ def test_recorded_blocks_label_the_modes(dim, n, profile, generators, copies):
     assert sum(len(block.perms) for block in group.blocks) == copies
     columns = np.concatenate([c for block in group.blocks for c in block.columns])
     assert np.array_equal(np.sort(columns), np.arange(grid.node_count))
-    x = dec.full_basis * np.sqrt(dec.measure.node_weights)[:, None]
+    x = _every_row(dec) * np.sqrt(dec.measure.node_weights)[:, None]
     labels = 0
     for block in group.blocks:
         index, coef = block.index[block.perms[0]], block.coef[block.perms[0]]
@@ -720,7 +725,7 @@ def test_closed_form_matches_dense_eigensolve(dim, n, profile):
     w = op.measure.node_weights
     assert dec.eigenvalues[0] == 0.0
     assert np.abs(dec.eigenvalues - ref.eigenvalues).max() <= 1e-12 * lam_max
-    basis = dec.full_basis
+    basis = _every_row(dec)
     gram = basis.T @ (basis * w[:, None])
     assert np.abs(gram - np.eye(grid.node_count)).max() <= 1e-13
     residual = _dense_operator(op) @ basis - basis * dec.eigenvalues
@@ -741,7 +746,7 @@ def test_decompose_is_deterministic():
     met = make_metric(grid, BUMP_1D)
     a = decompose(assemble_laplacian(met))
     b = decompose(assemble_laplacian(met))
-    np.testing.assert_array_equal(a.full_basis, b.full_basis)
+    np.testing.assert_array_equal(_every_row(a), _every_row(b))
     np.testing.assert_array_equal(a.eigenvalues, b.eigenvalues)
 
 
@@ -754,13 +759,16 @@ def test_decompose_size_cap():
         decompose(op, cap=8)
 
 
-# N = 16 (M = 256): the whole basis is capped on M on every route; rows
-# alone are capped on their count, and the symmetry blocks also on the
-# largest eigensolve: 63 rows, the dihedral 2-d representation's, or M for
-# an operator without grid symmetries (the trivial group's one block)
+# N = 16 (M = 256): every route is capped on the rows asked for, all M
+# without nodes=, and the symmetry blocks also on the largest eigensolve:
+# 63 rows, the dihedral 2-d representation's, or M for an operator without
+# grid symmetries (the trivial group's one block)
 @pytest.mark.parametrize("profile, cap, rows, message", [
-    (IdentityMetric(2), 255, None, r"grid has 256 nodes, whole eigenbasis"),
-    (BUMP_2D, 255, None, r"grid has 256 nodes, whole eigenbasis"),
+    (IdentityMetric(2), 255, None, r"256 basis rows asked for, capped at 255; "
+                                   r"one 256 x 256 float64 matrix takes "
+                                   r"0\.524 MB; list only the nodes read in "
+                                   r"nodes=, or raise cap"),
+    (BUMP_2D, 255, None, r"256 basis rows asked for, capped at 255"),
     (IdentityMetric(2), 20, 30, r"30 basis rows asked for, capped at 20; "
                                 r"one 30 x 256 float64 matrix takes 0\.0614 MB"),
     (BUMP_2D, 70, 80, r"80 basis rows asked for"),
@@ -788,7 +796,7 @@ def test_rows_only_decomposition_needs_no_m_cap(profile):
     rows = decompose(op, cap=64, nodes=nodes)
     full = decompose(op)
     assert np.array_equal(rows.eigenvalues, full.eigenvalues)
-    assert np.array_equal(rows.rows(nodes), full.full_basis[nodes])
+    assert np.array_equal(rows.rows(nodes), _every_row(full)[nodes])
 
 
 # a scattered node set with mirror and transposed partners: (1, 2), (2, 1),
@@ -815,7 +823,7 @@ def test_rows_only_rows_are_the_whole_rows(profile):
     nodes = _scattered(n)
     rows, whole = decompose(op, nodes=nodes), decompose(op)
     assert np.array_equal(rows.rows(nodes), whole.rows(nodes))
-    assert np.array_equal(whole.rows(nodes), whole.full_basis[nodes])
+    assert np.array_equal(whole.rows(nodes), _every_row(whole)[nodes])
     assert (sum(b.vectors.size for b in rows.symmetry.blocks)
             < sum(b.vectors.size for b in whole.symmetry.blocks))
 
@@ -835,7 +843,7 @@ def test_project_and_synthesize_match_the_dense_basis(dim, n, profile):
     # products of the basis they form
     dec = decompose(assemble_laplacian(make_metric(build_grid(dim, 4.0, n),
                                                    profile)))
-    basis, w = dec.full_basis, dec.measure.node_weights
+    basis, w = _every_row(dec), dec.measure.node_weights
     rng = np.random.default_rng(11)
     u, coeffs = rng.standard_normal((2, dec.node_count))
     want = basis.T @ (w * u)
@@ -887,21 +895,46 @@ def _rows_only():
     return decompose(op, nodes=config.partial_map_nodes), config, source
 
 
-WHOLE_BASIS_READERS = {
+# readers that read the rows on their nodes only: the source's support
+# (W1), the observer (W2) or the pairs' nodes.  BUMP_2D is the identity
+# beyond r0 = 1.5 of the centre, so on W1 and W2 at N = 12, and its heat
+# trace is compared with the flat torus's
+HELD_NODE_READERS = {
     "project": lambda dec, config, F: dec.project(F),
+    "extend_dirichlet": lambda dec, config, F: extension.extend_dirichlet(
+        dec, 0.5, F).mode_coefficients,
+    "jump_kernel": lambda dec, config, F: jump_kernel(dec, 0.5, np.stack(
+        [config.w1_nodes[:3], config.w2_nodes[:3]], axis=1)).values,
+    "heat_difference_trace": lambda dec, config, F:
+        recovery.heat_difference_trace(dec, decompose(assemble_laplacian(
+            make_metric(config.grid, IdentityMetric(2)))), F, config.w2_nodes[0],
+            np.array([0.1, 0.5, 2.0])),
+}
+
+
+@pytest.mark.parametrize("reader", HELD_NODE_READERS)
+def test_held_node_readers_serve_rows_only(reader):
+    # the same values as the whole decomposition's, within 1e-13 (project
+    # sums the support's orbits against the held rows only)
+    dec, config, source = _rows_only()
+    got = HELD_NODE_READERS[reader](dec, config, source)
+    want = HELD_NODE_READERS[reader](decompose(dec.operator), config, source)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+# readers that read every node: the node vectors of synthesize and of the
+# spectral powers built on it, the dense energy matrix, and the series of
+# the representation, whose H = A F reaches the stencil neighbours of
+# supp F beyond W1
+WHOLE_BASIS_READERS = {
     "synthesize": lambda dec, config, F: dec.synthesize(F),
     "heat_apply": lambda dec, config, F: heat_apply(dec, 0.5, F),
     "frac_apply_spectral": lambda dec, config, F: frac_apply_spectral(dec, 0.5, F),
     "frac_apply_balakrishnan":
         lambda dec, config, F: frac_apply_balakrishnan(dec, 0.5, F),
     "frac_energy_matrix": lambda dec, config, F: frac_energy_matrix(dec, 0.5),
-    "jump_kernel": lambda dec, config, F: jump_kernel(dec, 0.5, [[0, 1]]),
-    "extend_dirichlet": lambda dec, config, F: extension.extend_dirichlet(
-        dec, 0.5, F),
     "representation_solution": lambda dec, config, F:
         extension.representation_solution(dec, 0.5, F, config.w2_nodes[0], 0.1),
-    "heat_difference_trace": lambda dec, config, F:
-        recovery.heat_difference_trace(dec, dec, F, config.w2_nodes[0], 0.5),
     "poisson_solve": lambda dec, config, F: exterior.poisson_solve(
         dec, 0.5, config, F),
 }
@@ -910,7 +943,8 @@ WHOLE_BASIS_READERS = {
 @pytest.mark.parametrize("reader", WHOLE_BASIS_READERS)
 def test_whole_basis_readers_reject_rows_only(reader):
     dec, config, source = _rows_only()
-    with pytest.raises(ValueError, match=r"decompose\(op\) without nodes="):
+    with pytest.raises(ValueError, match=r"not among .* decompose with them "
+                                         r"in nodes="):
         WHOLE_BASIS_READERS[reader](dec, config, source)
 
 
@@ -957,6 +991,10 @@ def test_rows_reject_nodes_outside_the_grid(dec_1d_bump, held):
     with pytest.raises(ValueError, match=r"nodes must lie in \[0, 16\)"):
         heat_kernel(dec, 1.0, -1, 0)
     assert heat_kernel(dec, 1.0, 15, 0) == heat_kernel(dec_1d_bump, 1.0, 15, 0)
+    # project reads the nonzero nodes of u, so u must be a whole node vector
+    for u in (np.ones(15), np.ones(17)):
+        with pytest.raises(ValueError, match=r"node vector of shape \(16,\)"):
+            dec.project(u)
 
 
 def test_rows_rejects_nodes_not_held():
@@ -1118,7 +1156,7 @@ def test_frac_alpha_one_is_laplacian(dec_1d_bump):
 
 def test_frac_on_eigenvector(dec_1d_bump):
     k = 5
-    phi = dec_1d_bump.full_basis[:, k]
+    phi = _every_row(dec_1d_bump)[:, k]
     lam = dec_1d_bump.eigenvalues[k]
     np.testing.assert_allclose(
         frac_apply_spectral(dec_1d_bump, 0.3, phi), lam**0.3 * phi, atol=1e-12
@@ -1164,7 +1202,7 @@ def test_fractional_powers_emit_no_warnings(dec_2d_aniso):
     powers = np.zeros_like(lam)
     powers[lam > 0] = lam[lam > 0] ** 0.4
     assert np.array_equal(out, dec.synthesize(dec.project(u) * powers))
-    weighted = dec.full_basis * dec.measure.node_weights[:, None]
+    weighted = _every_row(dec) * dec.measure.node_weights[:, None]
     e = (weighted * powers) @ weighted.T
     assert np.array_equal(energy, 0.5 * (e + e.T))
 
@@ -1383,7 +1421,7 @@ def test_jump_kernel_reads_no_dense_form(request, monkeypatch, case, alpha):
                              for off in (1, side + 1, m // 2)])
     assert len(listed) < m  # the row-wise branch
     cases = [(None, *np.triu_indices(m, 1)), (listed, listed[:, 0], listed[:, 1])]
-    expected, basis = [], dec.full_basis
+    expected, basis = [], _every_row(dec)
     for _, lo, hi in cases:
         core = ((basis[lo] * eta) * basis[hi]).sum(axis=1)
         head = form[lo, hi] * linear / grid.spacing ** (2 * grid.dim)
@@ -1396,6 +1434,23 @@ def test_jump_kernel_reads_no_dense_form(request, monkeypatch, case, alpha):
     for (pairs, _, _), want in zip(cases, expected):
         got = jump_kernel(dec, alpha, pairs=pairs).values
         assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
+
+
+def test_jump_kernel_dense_pair_list_reads_its_nodes_only(dec_2d_pullback):
+    # every pair among six nodes: 15 pairs, at least as many as their nodes,
+    # take one product over those six rows, which a decomposition holding
+    # them alone forms to the bit; the values are those of pairs=None
+    dec = dec_2d_pullback
+    nodes = np.array([3, 40, 41, 57, 130, 255])
+    pairs = np.array(list(itertools.combinations(nodes, 2)))[:, ::-1]
+    whole = jump_kernel(dec, 0.5, pairs)
+    held = jump_kernel(decompose(dec.operator, nodes=nodes), 0.5, pairs)
+    assert np.array_equal(held.values, whole.values)
+    every = jump_kernel(dec, 0.5)
+    table = np.zeros((dec.node_count,) * 2)
+    table[every.i_indices, every.j_indices] = every.values
+    want = table[pairs[:, 1], pairs[:, 0]]
+    assert np.abs(whole.values - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_energy_form_vanishes_on_constants(dec_1d_bump):

@@ -21,11 +21,12 @@ sampling (``geometry.py``, ``recovery.py``) names no ``einsum``, ``inv`` or
 within commutative pairs, and the 1 x 1 and 2 x 2 closed forms that replace
 them are what keeps a symmetric sample symmetric to the bit, so that
 ``spectral._symmetry_blocks`` can compare exactly.  A decomposition holds
-its symmetry blocks' eigenvectors, not a node-space basis, so
-``full_basis`` forms M x M numbers on each read: only the dense oracles
-that need every row at once (``frac_energy_matrix``, ``jump_kernel``) and
-``SpectralDecomposition`` itself read it; every other reader forms the rows
-it needs.  Deletions leave nothing
+its symmetry blocks' eigenvectors (``SymmetryBlock.vectors``), not a
+node-space basis, and those blocks are the one storage every basis read
+goes through: only ``spectral.py`` reads them, where each reader of
+``SpectralDecomposition`` checks that the nodes it reads are held, and
+the exterior layer's ``_omega_blocks``, which solves Omega in the blocks'
+own coordinates.  Deletions leave nothing
 behind: every name a module lists in ``__all__`` is defined there, and
 every name it imports is read there.
 """
@@ -121,35 +122,40 @@ def test_fft_guard_sees_both_spellings():
         assert _naming_lines(ast.parse(source), "fft") == [1]
 
 
-# the readers that need every row of the basis at once; every other reader
-# forms the rows it reads (``rows``) or works block by block
-FULL_BASIS_READERS = {"frac_energy_matrix", "jump_kernel", "SpectralDecomposition"}
+# where a block's held eigenvectors may be read: the module that stores them,
+# and the exterior layer's Omega blocks, which read H_k off them in the
+# blocks' own coordinates; every other reader goes through
+# SpectralDecomposition, whose readers check the nodes they read
+VECTORS_READERS = {"spectral.py": None, "exterior.py": {"_omega_blocks"}}
 
 
-def _full_basis_reads(tree):
-    """(line, enclosing top-level definition) of every ``.full_basis`` read."""
+def _vectors_reads(tree):
+    """(line, enclosing top-level definition) of every ``.vectors`` read."""
     return [(node.lineno, getattr(top, "name", None))
             for top in tree.body for node in ast.walk(top)
-            if isinstance(node, ast.Attribute) and node.attr == "full_basis"]
+            if isinstance(node, ast.Attribute) and node.attr == "vectors"]
 
 
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
-def test_full_basis_is_read_only_where_every_row_is_needed(path):
-    reads = _full_basis_reads(ast.parse(path.read_text(), filename=str(path)))
-    stray = [(line, owner) for line, owner in reads
-             if owner not in FULL_BASIS_READERS]
-    assert not stray, (f"{path.name} reads `.full_basis` at {stray}; read "
-                       "the rows it needs with dec.rows(nodes) instead")
+def test_block_vectors_are_read_only_where_they_are_stored(path):
+    reads = _vectors_reads(ast.parse(path.read_text(), filename=str(path)))
+    allowed = VECTORS_READERS.get(path.name, set())
+    if allowed is None:
+        assert reads, f"{path.name} no longer reads `.vectors`; update this guard"
+        return
+    stray = [(line, owner) for line, owner in reads if owner not in allowed]
+    assert not stray, (f"{path.name} reads `SymmetryBlock.vectors` at {stray}; "
+                       "read the basis through SpectralDecomposition.rows, "
+                       "project or synthesize instead")
 
 
-def test_full_basis_guard_sees_a_stray_read():
-    source = ("class SpectralDecomposition:\n"
-              "    def project(self, u):\n"
-              "        return self.full_basis.T @ u\n"
+def test_block_vectors_guard_sees_a_stray_read():
+    source = ("def _omega_blocks(dec):\n"
+              "    return [b.vectors for b in dec.symmetry.blocks]\n"
               "def _trace_sampler(dec, x):\n"
-              "    return dec.full_basis[x]\n")
-    assert _full_basis_reads(ast.parse(source)) == [
-        (3, "SpectralDecomposition"), (5, "_trace_sampler")]
+              "    return dec.symmetry.blocks[0].vectors[x]\n")
+    assert _vectors_reads(ast.parse(source)) == [
+        (2, "_omega_blocks"), (4, "_trace_sampler")]
 
 
 SAMPLING = [ROOT / "src" / "fracbeltrami" / name
