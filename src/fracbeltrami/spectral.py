@@ -353,11 +353,8 @@ class SpectralDecomposition:
 
     def _held(self, nodes: np.ndarray) -> np.ndarray:
         """``nodes`` flattened, after the one check every basis read makes:
-        each lies in [0, M) (numpy would wrap a negative index) and has its
-        row held."""
-        flat = np.asarray(nodes).ravel()
-        if np.any((flat < 0) | (flat >= self.node_count)):
-            raise ValueError(f"nodes must lie in [0, {self.node_count})")
+        they are node indices (:func:`_node_indices`) whose rows are held."""
+        flat = _node_indices(nodes, self.node_count).ravel()
         if self.nodes is not None:
             at = np.minimum(np.searchsorted(self.nodes, flat), self.nodes.size - 1)
             missing = flat[self.nodes[at] != flat]
@@ -507,22 +504,21 @@ def decompose(op: DiscreteLaplaceBeltrami, cap: int = DEFAULT_EIG_CAP,
     Cost is memory as much as time: every M x M float64 matrix takes
     8 M^2 bytes (42.5 MB at M = 2304, 2-d N = 48).  The block route sums
     each block from the stencil entries just before its eigensolve and
-    keeps its held rows right after it, and the closed form reads its rows
-    off the N x N per-axis table, so only the trivial group's one block is
-    an M x M matrix.  Its eigensolve peaks at about five of them -- S,
-    numpy's working copy of it, the eigenvectors and the 2 M^2 workspace
-    of LAPACK's divide and conquer.  The dihedral blocks hold about M^2 / 8
-    numbers, the mirror blocks and the transposition blocks about M^2 / 4
-    and M^2 / 2.  Measured at M = 2304 (x86-64, numpy 2.4, OpenBLAS at 2
-    threads), the peak resident set rises above the caller's by 207 MiB
-    for the trivial group, with or without ``nodes``; for every node by
-    63 MiB for the transposition blocks, 22 MiB for the dihedral blocks
-    (the bump and its pullback alike) and 14 MiB for the closed form; with
-    the benchmark layout's 475 nodes by 57, 17 and 4 MiB.  With glibc's
-    mmap threshold fixed at 128 KiB, so that every freed block leaves the
-    heap, the two block routes rise 64 and 19 MiB for every node.  Of the
-    transposition route's 57 MiB with rows, about 48 MiB is its larger
-    eigensolve, of N(N+1)/2 = 1176, with its input.
+    keeps its held rows right after it, largest block first, and the
+    closed form reads its rows off the N x N per-axis table, so only the
+    trivial group's one block is an M x M matrix.  Its eigensolve peaks at
+    about five of them -- S, numpy's working copy of it, the eigenvectors
+    and the 2 M^2 workspace of LAPACK's divide and conquer.  The dihedral
+    blocks hold about M^2 / 8 numbers, the mirror blocks and the
+    transposition blocks about M^2 / 4 and M^2 / 2.  Measured at M = 2304
+    (x86-64, numpy 2.4, OpenBLAS at 2 threads), the peak resident set
+    rises above the caller's by 209 MiB for the trivial group, with or
+    without ``nodes``; for every node by 65 MiB for the transposition
+    blocks, 16 MiB for the dihedral blocks (the bump and its pullback
+    alike) and 14 MiB for the closed form; with the benchmark layout's 475
+    nodes by 57, 16 and 4 MiB.  With glibc's mmap threshold fixed at
+    128 KiB, so that every freed block leaves the heap, the two block
+    routes rise 63 and 16 MiB for every node.
 
     ``cap`` bounds the basis rows asked for, len(nodes) or every node
     without ``nodes``, and the largest eigensolve, which is M for the
@@ -538,13 +534,11 @@ def decompose(op: DiscreteLaplaceBeltrami, cap: int = DEFAULT_EIG_CAP,
     if nodes is None:
         at = np.arange(m)
     else:
-        nodes = np.asarray(nodes, dtype=int)
+        nodes = _node_indices(nodes, m)
         if nodes.ndim != 1 or nodes.size == 0:
             raise ValueError(f"nodes must be a non-empty 1-d index array, got "
                              f"shape {nodes.shape}")
         nodes = at = np.unique(nodes)
-        if np.any((at < 0) | (at >= m)):
-            raise ValueError(f"nodes must lie in [0, {m})")
     if at.size > cap:
         raise _size_error(f"{at.size} basis rows asked for, capped at {cap}",
                           at.size, m, "list only the nodes read in nodes=, "
@@ -556,11 +550,25 @@ def decompose(op: DiscreteLaplaceBeltrami, cap: int = DEFAULT_EIG_CAP,
                     for o, b in first.items() for j in range(op.grid.dim))):
         evals, group = _fourier_eigenpairs(op, w[0], at)
     else:
-        entries = op._form_entries()
         evals, group = _block_eigenpairs(
-            entries, np.sqrt(w), _symmetry_blocks(op, entries), at, cap)
+            op._form_entries(), np.sqrt(w), _symmetry_blocks(op), at, cap)
     return SpectralDecomposition(eigenvalues=_snapped(evals), operator=op,
                                  symmetry=group, nodes=nodes)
+
+
+def _node_indices(nodes, m: int) -> np.ndarray:
+    """``nodes`` as an integer array, after the check that
+    :func:`decompose` and every basis read share: integer node indices
+    (numpy would read a boolean mask as the nodes 0 and 1, and a float
+    array is truncated) in [0, m) (numpy would wrap a negative index)."""
+    nodes = np.asarray(nodes)
+    if nodes.size and nodes.dtype.kind not in "iu":
+        raise ValueError(f"nodes must be integer node indices, got dtype "
+                         f"{nodes.dtype}; pass np.flatnonzero(mask) for a "
+                         "boolean mask, and round float nodes to int")
+    if np.any((nodes < 0) | (nodes >= m)):
+        raise ValueError(f"nodes must lie in [0, {m})")
+    return nodes.astype(int, copy=False)
 
 
 def _size_error(what: str, rows: int, cols: int,
@@ -578,20 +586,23 @@ def _grid_symmetries(n: int) -> list[np.ndarray]:
             for image in (((-i) % n, j), (i, (-j) % n), (j, i))]
 
 
-def _symmetry_blocks(op: DiscreteLaplaceBeltrami, entries: tuple
+def _symmetry_blocks(op: DiscreteLaplaceBeltrami
                      ) -> list[tuple[list[np.ndarray], tuple, list[np.ndarray]]]:
     """The blocks of S under the grid symmetries of the operator.
 
-    A symmetry p holds if B_{p r, p c} = B_rc over the stencil entries
-    ``entries`` (:meth:`DiscreteLaplaceBeltrami._form_entries`, every
-    (r, c) once) and w_{p n} = w_n, both exactly; one unit of roundoff off
-    symmetry leaves a smaller group, slower but not less exact.  Each block
-    is (generators, signs, copies): the node permutations that generate its
-    group, the value of its character on each of them, and the row
-    permutations at which its eigenvectors are read, one set of modes per
-    copy.  A group of commuting involutions (one mirror, both, or tau alone)
-    has one block per sign pattern.  Tau with a mirror generates D4, since
-    it conjugates one mirror into the other.  D4's four 1-d representations are the sign
+    A symmetry p holds if B_{p r, p c} = B_rc and w_{p n} = w_n, both
+    exactly; one unit of roundoff off symmetry leaves a smaller group,
+    slower but not less exact.  B is read on its stencil table: p maps
+    the offset o to its image L o ((-o0, o1) for sigma0, (o0, -o1) for
+    sigma1, (o1, o0) for tau), and holds if ``stencil[L o][p] ==
+    stencil[o]`` for every listed offset o; an offset whose image is not
+    listed (zero at every node) fails.  Each block is (generators, signs,
+    copies): the node permutations that generate its group, the value of
+    its character on each of them, and the row permutations at which its
+    eigenvectors are read, one set of modes per copy.  A group of
+    commuting involutions (one mirror, both, or tau alone) has one block
+    per sign pattern.  Tau with a mirror generates D4, since it conjugates
+    one mirror into the other.  D4's four 1-d representations are the sign
     patterns with equal signs on the mirrors.  Its 2-d one, E, is the block
     of the mirror group's pattern (+1, -1): tau maps it onto the pattern
     (-1, +1), so the block's eigenvectors read at tau-permuted rows are E's
@@ -602,18 +613,19 @@ def _symmetry_blocks(op: DiscreteLaplaceBeltrami, entries: tuple
     identity = np.arange(m)
     if op.grid.dim != 2:
         return [([], (), [identity])]
-    rows, cols, values = entries
-    keys = rows * m + cols
-    order = np.argsort(keys)
+    table = dict(zip(op.offsets, op.stencil))
     w = op.measure.node_weights
 
-    def holds(p: np.ndarray) -> bool:
-        image = order[np.searchsorted(keys, p[rows] * m + p[cols], sorter=order)]
-        return np.array_equal(values[image], values) and np.array_equal(w[p], w)
+    def holds(p: np.ndarray, image) -> bool:
+        return np.array_equal(w[p], w) and all(
+            image(o) in table and np.array_equal(table[image(o)][p], coefs)
+            for o, coefs in table.items())
 
     sigma0, sigma1, tau = _grid_symmetries(op.grid.points_per_side)
-    mirrors = [p for p in (sigma0, sigma1) if holds(p)]
-    tau_holds = holds(tau)
+    mirrors = [p for p, image in ((sigma0, lambda o: (-o[0], o[1])),
+                                  (sigma1, lambda o: (o[0], -o[1])))
+               if holds(p, image)]
+    tau_holds = holds(tau, lambda o: (o[1], o[0]))
     if tau_holds and mirrors:
         return [([sigma0, sigma1, tau], (a, a, b), [identity])
                 for a, b in itertools.product((1.0, -1.0), repeat=2)
@@ -671,11 +683,18 @@ def _block_eigenpairs(entries: tuple, root_w: np.ndarray, blocks: list,
     x_m = c_m v_{row of m}, read once per copy of the block at the copy's
     row permutation; only its rows at the orbits of the nodes ``at``, over
     every copy, are kept, right after each eigensolve, so one block's whole
-    eigenvectors are alive at a time.  The eigenvalues of all copies are
-    merged by a stable ascending sort (block order on ties).  An empty
-    block ((N^2 - 6N + 8)/8 = 0 at N = 4) is skipped.  Every block's orbit
-    basis is formed first, so a block larger than ``cap`` raises before
-    any eigensolve.
+    eigenvectors are alive at a time.  The blocks are solved largest first
+    (a stable sort by size, block order on equal sizes): the largest
+    eigensolve, which sets the peak, then runs with no other block's
+    eigenvectors held (in block order D4's 2-d block, 575 rows at N = 48,
+    ran last, beside the 2.7 MB of the four others).  The eigenvalues of
+    all copies and the solved blocks are merged in block order, the
+    eigenvalues by a stable ascending sort (block order on ties), so the
+    sort and :func:`_symmetry_group` see the sequence of a block-order
+    solve and the order of the eigensolves changes no bit of the result.
+    An empty block ((N^2 - 6N + 8)/8 = 0 at N = 4) is skipped.  Every
+    block's orbit basis is formed first, so a block larger than ``cap``
+    raises before any eigensolve.
     """
     m = root_w.size
     bases = [_orbit_basis(generators, signs, m) for generators, signs, _ in blocks]
@@ -686,23 +705,26 @@ def _block_eigenpairs(entries: tuple, root_w: np.ndarray, blocks: list,
                           "leave the eigensolves as they are)")
     rows, cols, values = entries
     values = values / (root_w[rows] * root_w[cols])
-    evals, solved = [], []
-    for (index, coef, reps), (_, _, copies) in zip(bases, blocks):
+    evals, solved = [[]] * len(blocks), [None] * len(blocks)
+    for b in sorted(range(len(blocks)), key=lambda b: bases[b][2].size,
+                    reverse=True):  # stable: block order on equal sizes
+        (index, coef, reps), copies = bases[b], blocks[b][2]
         k = reps.size
         if not k:
             continue
         vals, vecs = np.linalg.eigh(np.bincount(
             index[rows] * k + index[cols], minlength=k * k,
             weights=values * (coef[rows] * coef[cols])).reshape(k, k))
-        evals += [vals] * len(copies)
+        evals[b] = [vals] * len(copies)
         held = np.unique(np.concatenate([index[p[at]] for p in copies]))
         if held.size < k:
             vecs = vecs[held]
         vecs *= coef[reps[held], None]
-        solved.append((index, coef, copies, reps[held], vecs))
-    evals = np.concatenate(evals)
+        solved[b] = (index, coef, copies, reps[held], vecs)
+    evals = np.concatenate(sum(evals, []))
     order = np.argsort(evals, kind="stable")
-    return evals[order], _symmetry_group(blocks, solved, order)
+    return evals[order], _symmetry_group(
+        blocks, [record for record in solved if record is not None], order)
 
 
 def _symmetry_group(blocks: list, solved: list,

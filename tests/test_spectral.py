@@ -9,6 +9,7 @@ quadrature accuracy.
 import dataclasses
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -510,8 +511,7 @@ def test_radial_pullback_form_holds_the_dihedral_group(beta, sigma, strength,
     moved = dataclasses.replace(op, stencil=stencil)
     assert all(_form_miss(moved.form_matrix, p) > 0.0 for p in symmetries)
     # the moved operator keeps the trivial group alone: one block of M
-    [(generators, signs, copies)] = spectral._symmetry_blocks(
-        moved, moved._form_entries())
+    [(generators, signs, copies)] = spectral._symmetry_blocks(moved)
     assert (generators, signs) == ([], ())
     assert len(copies) == 1 and np.array_equal(copies[0], np.arange(n * n))
 
@@ -569,7 +569,7 @@ def test_squashed_draws_take_the_dihedral_blocks(beta, sigma, radius,
                            r0=1.5),
         squash=RadialSquash(dim=2, center=(2.0, 2.0), radius=radius,
                             strength=strength))))
-    blocks = spectral._symmetry_blocks(op, op._form_entries())
+    blocks = spectral._symmetry_blocks(op)
     assert [len(generators) for generators, _, _ in blocks] == [3, 3, 3, 3, 2]
 
 
@@ -641,6 +641,28 @@ def test_benchmark_operators_take_their_routes(profile, sizes):
     op = assemble_laplacian(make_metric(build_grid(2, 4.0, 24), profile))
     _, calls = _counted_decompose(op)
     assert sorted(calls) == sizes
+
+
+
+@pytest.mark.parametrize("n, profile", [
+    (16, BUMP_2D),
+    (12, ANISO_2D),
+    (12, dataclasses.replace(BUMP_2D, center=(2.0, 1.5))),
+    (12, TAU_PULLBACK_2D),
+    (12, ANISO_OFF_CENTRE_2D),
+], ids=["dihedral", "mirrors", "one-mirror", "transposition", "trivial"])
+def test_largest_block_is_solved_first(monkeypatch, n, profile):
+    # the eigensolves run largest first, so the largest one holds no other
+    # block's eigenvectors; the blocks are still recorded in block order
+    op = assemble_laplacian(make_metric(build_grid(2, 4.0, n), profile))
+    sizes = [spectral._orbit_basis(generators, signs, n * n)[2].size
+             for generators, signs, _ in spectral._symmetry_blocks(op)]
+    eigh, calls = np.linalg.eigh, []
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda a: calls.append(a.shape[0]) or eigh(a))
+    dec = decompose(op)
+    assert calls == sorted(sizes, reverse=True)
+    assert [b.vectors.shape[1] for b in dec.symmetry.blocks] == sizes
 
 
 @pytest.mark.parametrize("dim, n, profile, generators, copies", [
@@ -885,6 +907,30 @@ def test_dihedral_decomposition_holds_its_blocks_only():
     assert rest <= 20 * m
 
 
+def test_dihedral_peak_is_its_largest_eigensolve():
+    # the traced peak of a whole D4 decomposition at N = 48 is the largest
+    # block's matrix and eigenvectors (575 x 575 each, 5.29 MB) plus less
+    # than the other four blocks' eigenvectors (2.69 MB), which are not yet
+    # formed while it runs (3.32 MB above the two with the blocks solved in
+    # block order, 1.19 MB largest first)
+    op = assemble_laplacian(make_metric(build_grid(2, 4.0, 48), BUMP_2D))
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        dec = decompose(op)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    sizes = sorted(b.vectors.shape[1] for b in dec.symmetry.blocks)
+    assert sizes == [253, 276, 300, 325, 575]
+    others = 8 * sum(k * k for k in sizes[:-1])
+    assert peak - 2 * 8 * sizes[-1] ** 2 < others
+
+
 def _rows_only():
     """A 2-d decomposition holding the rows on Omega, W1 and W2 alone, its
     layout, a source off Omega and a node outside the source's support."""
@@ -995,6 +1041,23 @@ def test_rows_reject_nodes_outside_the_grid(dec_1d_bump, held):
     for u in (np.ones(15), np.ones(17)):
         with pytest.raises(ValueError, match=r"node vector of shape \(16,\)"):
             dec.project(u)
+
+
+@pytest.mark.parametrize("held", [None, np.arange(0, 16, 3)],
+                         ids=["whole", "rows-only"])
+def test_node_arrays_must_be_integer(dec_1d_bump, held):
+    # numpy would read the floats as nodes 3 and 9 and the mask as the
+    # nodes 1, 0 and 1; both decompose and every basis read refuse them
+    op = dec_1d_bump.operator
+    dec = dec_1d_bump if held is None else decompose(op, nodes=held)
+    for nodes in (np.array([3.7, 9.2]), np.array([True, False, True])):
+        with pytest.raises(ValueError, match=r"nodes must be integer node "
+                                             r"indices, got dtype .*flatnonzero"):
+            decompose(op, nodes=nodes)
+        with pytest.raises(ValueError, match="must be integer node indices"):
+            dec.rows(nodes)
+    assert np.array_equal(dec.rows(np.array([3, 9], dtype=np.uint8)),
+                          dec.rows(np.array([3, 9])))
 
 
 def test_rows_rejects_nodes_not_held():
