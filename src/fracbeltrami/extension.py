@@ -48,7 +48,7 @@ from .quadrature import LogQuadrature
 from .solvers import conjugate_gradient
 from .geometry import TorusGrid
 from .spectral import (SpectralDecomposition, _axis_modes, _check_alpha,
-                       frac_apply_spectral)
+                       _node_indices, frac_apply_spectral)
 
 __all__ = [
     "bessel_k",
@@ -413,11 +413,9 @@ def fd_extension_solve(dec: SpectralDecomposition, alpha: float,
     w = op.measure.node_weights
     n = len(w)
 
-    dir_nodes = np.asarray(dirichlet_nodes, dtype=int)
-    neu_nodes = np.asarray(neumann_nodes, dtype=int)
+    dir_nodes = _node_indices(dirichlet_nodes, n, "dirichlet_nodes")
+    neu_nodes = _node_indices(neumann_nodes, n, "neumann_nodes")
     listed = np.concatenate([dir_nodes.ravel(), neu_nodes.ravel()])
-    if np.any((listed < 0) | (listed >= n)):
-        raise ValueError(f"dirichlet_nodes and neumann_nodes must lie in [0, {n})")
     if np.any(np.bincount(listed, minlength=n) != 1):
         raise ValueError("dirichlet_nodes and neumann_nodes must partition "
                          "the grid, each node once")
@@ -425,6 +423,14 @@ def fd_extension_solve(dec: SpectralDecomposition, alpha: float,
     f_neumann = np.asarray(f_neumann, float)
     if f_dirichlet.shape != dir_nodes.shape or f_neumann.shape != neu_nodes.shape:
         raise ValueError("boundary data must align with the node index lists")
+    # before any arithmetic: one inf would only surface, as a NaN residual,
+    # after every CG iteration
+    for name, nodes, f in (("f_dirichlet", dir_nodes, f_dirichlet),
+                           ("f_neumann", neu_nodes, f_neumann)):
+        bad = ~np.isfinite(f)
+        if np.any(bad):
+            raise ValueError(f"{name} must be finite; it is not at the nodes "
+                             f"{nodes[bad][:8].tolist()}")
     if dir_nodes.size == 0 and f_neumann.size:
         total_flux = float(np.dot(w[neu_nodes], f_neumann))
         if abs(total_flux) > 1e-10 * float(np.dot(w[neu_nodes], np.abs(f_neumann)) + 1e-300):
@@ -456,7 +462,13 @@ def fd_extension_solve(dec: SpectralDecomposition, alpha: float,
     lift[0, dir_nodes] = f_dirichlet
     rhs = np.zeros((P + 1, n))
     rhs[0, neu_nodes] = -w[neu_nodes] * f_neumann
-    rhs -= apply_full(lift)
+    # rhs -= apply_full(lift), whose terms reach levels 0 and 1 only, since
+    # the lift lives on level 0: its vertical flux G_0 and its form B f,
+    # each level's terms added in apply_full's order
+    G0 = cond[0] * (0.0 - lift[0])
+    Y0 = op.apply_form(lift[0])
+    rhs[0] -= (0.0 - G0) * w + Y0 * diag_m[0]
+    rhs[1] -= G0 * w + Y0 * off_m[0]
 
     # symmetric Jacobi scaling: the assembled diagonal spans many decades on
     # the strongly graded mesh (c_0 ~ z_1^{-2a}), so the meaning of a

@@ -53,6 +53,7 @@ from .geometry import TorusGrid
 from .spectral import (
     SpectralDecomposition,
     _check_alpha,
+    _node_indices,
     _spectral_power,
     frac_apply_spectral,
 )
@@ -148,15 +149,12 @@ def make_exterior_config(grid: TorusGrid, omega_nodes, w1_nodes, w2_nodes,
     (the recovery pipeline legitimately uses overlapping windows).  The
     exterior must be connected as a grid graph.
     """
-    omega = np.unique(np.asarray(omega_nodes, dtype=int))
-    w1 = np.unique(np.asarray(w1_nodes, dtype=int))
-    w2 = np.unique(np.asarray(w2_nodes, dtype=int))
     n = grid.node_count
+    omega, w1, w2 = (np.unique(_node_indices(s, n, name)) for name, s in (
+        ("omega", omega_nodes), ("w1", w1_nodes), ("w2", w2_nodes)))
     for name, s in (("omega", omega), ("w1", w1), ("w2", w2)):
         if s.size == 0:
             raise ValueError(f"{name} node set is empty")
-        if s.min() < 0 or s.max() >= n:
-            raise ValueError(f"{name} node indices out of range")
     mask = np.ones(n, dtype=bool)
     mask[omega] = False
     exterior = np.flatnonzero(mask)

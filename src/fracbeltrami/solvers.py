@@ -31,13 +31,18 @@ def conjugate_gradient(matvec: Callable[[np.ndarray], np.ndarray],
 
     ``precondition`` applies an SPD approximation of S^{-1} to a residual;
     ``np.copy`` gives plain CG.  The stopping test and the returned residual
-    are those of S x = b itself, ||b - S x|| / ||b||.  Raises RuntimeError
-    if the residual has not dropped below rtol * ||b|| after max_iter
-    iterations.
+    are those of S x = b itself, ||b - S x|| / ||b||.  Raises ValueError
+    at once if ||b|| is not finite, and RuntimeError as soon as the
+    residual is not (a non-finite value from ``matvec`` or
+    ``precondition``), or if it has not dropped below rtol * ||b|| after
+    max_iter iterations.
     """
     b = np.asarray(b, float)
     x = np.zeros_like(b)
     b_norm = math.sqrt(float(b @ b))
+    if not math.isfinite(b_norm):
+        raise ValueError(f"conjugate gradients needs a finite right-hand "
+                         f"side, got ||b|| = {b_norm}")
     if b_norm == 0.0:
         return x, 0, 0.0
     r = b.copy()
@@ -51,6 +56,9 @@ def conjugate_gradient(matvec: Callable[[np.ndarray], np.ndarray],
         x += alpha * p
         r -= alpha * Sp
         rr = float(r @ r)
+        if not math.isfinite(rr):
+            raise RuntimeError(f"conjugate gradients broke down: residual "
+                               f"norm {math.sqrt(rr)} at iteration {k}")
         if callback is not None:
             callback(x)
         if math.sqrt(rr) <= rtol * b_norm:

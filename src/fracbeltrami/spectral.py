@@ -269,12 +269,14 @@ class SymmetryBlock:
         """The rows of ``vectors`` that hold the block rows ``rows``."""
         return np.searchsorted(self.index[self.reps], rows)
 
-    def node_vectors(self, nodes: np.ndarray, p: np.ndarray) -> np.ndarray:
-        """x = W^{1/2} phi of copy ``p``'s modes at ``nodes``, (len, k)."""
+    def node_vectors(self, nodes: np.ndarray, p: np.ndarray,
+                     out: np.ndarray) -> np.ndarray:
+        """x = W^{1/2} phi of copy ``p``'s modes at ``nodes``, written into
+        ``out``, (len, k)."""
         image = p[nodes]
         slot = self.slots(self.index[image])
-        return self.vectors[slot] * (self.coef[image]
-                                     / self.coef[self.reps[slot]])[:, None]
+        return np.multiply(self.vectors[slot], (
+            self.coef[image] / self.coef[self.reps[slot]])[:, None], out=out)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -304,8 +306,9 @@ class SymmetryGroup:
             vectors=vectors),))
 
 
-# rows per block of the column sort in SpectralDecomposition.rows: the
-# sorted rows are written back in place through a temporary of _BLOCK rows
+# rows per block of SpectralDecomposition.rows: each block of output rows
+# is formed in one reused work array of _BLOCK rows, so no temporary beside
+# the output grows with the number of rows read
 _BLOCK = 64
 
 
@@ -369,26 +372,35 @@ class SpectralDecomposition:
         """The basis rows phi_k(n) at the index array ``nodes``,
         nodes.shape + (M,).
 
-        A new array, formed block by block and copy by copy
-        (:meth:`SymmetryBlock.node_vectors`) in block order, then put in
-        the sorted order and divided by W^{1/2} one block of rows at a
-        time, which is quicker than writing each copy to its scattered
-        columns.
+        A new array, formed _BLOCK rows at a time: every block copy's node
+        vectors (:meth:`SymmetryBlock.node_vectors`) are written in block
+        order into one reused (_BLOCK, M) work array, which is taken into
+        the sorted columns of the output rows and divided there by W^{1/2}.
+        So beside the output a read holds that work array and per-copy
+        temporaries of at most _BLOCK rows, whatever the number of rows,
+        and every element goes through the same gather, +-1 scale,
+        permutation and division: a row is bitwise the same read alone or
+        with others.
         """
         flat, m = self._held(nodes), self.node_count
-        out, start, placed = np.empty((flat.size, m)), 0, []
-        for block in self.symmetry.blocks:
-            for p, cols in zip(block.perms, block.columns):
-                out[:, start:start + cols.size] = block.node_vectors(flat, p)
-                start += cols.size
-                placed.append(cols)
         column = np.empty(m, dtype=int)
-        column[np.concatenate(placed)] = np.arange(m)
+        column[np.concatenate([cols for block in self.symmetry.blocks
+                               for cols in block.columns])] = np.arange(m)
         root_w = np.sqrt(self.measure.node_weights[flat])[:, None]
-        for r0 in range(0, flat.size, _BLOCK):  # column is a permutation
-            part = slice(r0, r0 + _BLOCK)
-            np.divide(np.take(out[part], column, axis=1, mode="clip"),
-                      root_w[part], out=out[part])
+        out = np.empty((flat.size, m))
+        work = np.empty((min(_BLOCK, flat.size), m))
+        for r0 in range(0, flat.size, _BLOCK):
+            part, start = slice(r0, r0 + _BLOCK), 0
+            at = flat[part]
+            for block in self.symmetry.blocks:
+                for p, cols in zip(block.perms, block.columns):
+                    block.node_vectors(
+                        at, p, work[:at.size, start:start + cols.size])
+                    start += cols.size
+            # column is a permutation, so clipping never acts, and the
+            # output slice is contiguous: take writes it with no copy
+            np.take(work[:at.size], column, axis=1, out=out[part], mode="clip")
+            out[part] /= root_w[part]
         return out.reshape(np.shape(nodes) + (m,))
 
     def project(self, u: np.ndarray) -> np.ndarray:
@@ -518,7 +530,11 @@ def decompose(op: DiscreteLaplaceBeltrami, cap: int = DEFAULT_EIG_CAP,
     alike) and 14 MiB for the closed form; with the benchmark layout's 475
     nodes by 57, 16 and 4 MiB.  With glibc's mmap threshold fixed at
     128 KiB, so that every freed block leaves the heap, the two block
-    routes rise 63 and 16 MiB for every node.
+    routes rise 63 and 16 MiB for every node.  Readers hold basis rows,
+    8 M bytes a node, and :meth:`SpectralDecomposition.rows` forms them
+    _BLOCK = 64 at a time, so a read holds one 64 x M work array beside
+    its output: the exterior solve's 3587 rows at N = 64 (118 MB) peak
+    at 120 MB traced.
 
     ``cap`` bounds the basis rows asked for, len(nodes) or every node
     without ``nodes``, and the largest eigensolve, which is M for the
@@ -556,18 +572,23 @@ def decompose(op: DiscreteLaplaceBeltrami, cap: int = DEFAULT_EIG_CAP,
                                  symmetry=group, nodes=nodes)
 
 
-def _node_indices(nodes, m: int) -> np.ndarray:
-    """``nodes`` as an integer array, after the check that
-    :func:`decompose` and every basis read share: integer node indices
-    (numpy would read a boolean mask as the nodes 0 and 1, and a float
-    array is truncated) in [0, m) (numpy would wrap a negative index)."""
+def _node_indices(nodes, m: int, name: str = "nodes") -> np.ndarray:
+    """``nodes`` as an integer array, after the check that every node
+    array the package is given shares (:func:`decompose`, every basis
+    read, ``exterior.make_exterior_config``,
+    ``extension.fd_extension_solve``): integer node indices (numpy would
+    read a boolean mask as the nodes 0 and 1, and a float array is
+    truncated) in [0, m) (numpy would wrap a negative index).  ``name``
+    names the array in the messages."""
     nodes = np.asarray(nodes)
     if nodes.size and nodes.dtype.kind not in "iu":
-        raise ValueError(f"nodes must be integer node indices, got dtype "
+        raise ValueError(f"{name} must be integer node indices, got dtype "
                          f"{nodes.dtype}; pass np.flatnonzero(mask) for a "
                          "boolean mask, and round float nodes to int")
-    if np.any((nodes < 0) | (nodes >= m)):
-        raise ValueError(f"nodes must lie in [0, {m})")
+    outside = (nodes < 0) | (nodes >= m)
+    if np.any(outside):
+        raise ValueError(f"{name} must lie in [0, {m}); "
+                         f"{nodes[outside][:8].tolist()} are out of range")
     return nodes.astype(int, copy=False)
 
 

@@ -287,6 +287,41 @@ def test_fd_rejects_a_node_off_the_grid(dec_bump):
                            np.r_[np.arange(4), n], np.ones(n - 4), np.zeros(5))
 
 
+def test_fd_rejects_non_integer_nodes(dec_bump):
+    # numpy would truncate ex + 0.9 and om + 0.3 to the partition and solve
+    # on it; a boolean mask would read as the nodes 0 and 1
+    mesh = graded_mesh(dec_bump, 0.5, count=24)
+    n = dec_bump.node_count
+    ex, om = np.arange(4, n), np.arange(4)
+    mask = np.arange(n) < 4
+    for nodes, name in (((ex + 0.9, om), "dirichlet_nodes"),
+                        ((ex, om + 0.3), "neumann_nodes"),
+                        ((ex, mask), "neumann_nodes")):
+        with pytest.raises(ValueError, match=f"{name} must be integer node "
+                                             "indices.*flatnonzero"):
+            fd_extension_solve(dec_bump, 0.5, mesh, *nodes, np.ones(n - 4),
+                               np.zeros(len(nodes[1])))
+
+
+@pytest.mark.parametrize("which", ["dirichlet", "neumann"])
+def test_fd_rejects_non_finite_data_at_once(dec_bump, which):
+    # unchecked, one inf runs all 20000 CG iterations and then reports a
+    # stall with residual nan; the check names the nodes and comes before
+    # any arithmetic, so no RuntimeWarning is raised first
+    mesh = graded_mesh(dec_bump, 0.5, count=24)
+    n = dec_bump.node_count
+    ex, om = np.arange(4, n), np.arange(4)
+    f_d, f_n = np.ones(n - 4), np.zeros(4)
+    if which == "dirichlet":
+        f_d[[3, 9]] = np.inf, -np.inf
+        nodes = r"f_dirichlet must be finite; it is not at the nodes \[7, 13\]"
+    else:
+        f_n[2] = np.nan
+        nodes = r"f_neumann must be finite; it is not at the nodes \[2\]"
+    with pytest.raises(ValueError, match=nodes):
+        fd_extension_solve(dec_bump, 0.5, mesh, ex, om, f_d, f_n)
+
+
 def _smooth_datum(dec):
     x = dec.grid.coordinates()[:, 0]
     L = dec.grid.side_length
@@ -606,6 +641,25 @@ def test_cg_zero_rhs_and_stall():
     with pytest.raises(RuntimeError):
         conjugate_gradient(lambda v: s @ v, np.ones(30), np.copy, rtol=1e-14,
                            max_iter=3)
+
+
+def test_cg_rejects_a_non_finite_system_at_once():
+    # unchecked, a NaN or inf right-hand side, or a NaN the operator
+    # returns, runs every iteration and then reports a stall
+    s, b = _spd_system(9)
+    for bad in (np.nan, np.inf):
+        b_bad = b.copy()
+        b_bad[5] = bad
+        with pytest.raises(ValueError, match=r"finite right-hand side.*"
+                                             f"{bad}"):
+            conjugate_gradient(lambda v: s @ v, b_bad, np.copy)
+    s_bad = s.copy()
+    s_bad[3, 3] = np.nan
+    calls = []
+    with pytest.raises(RuntimeError, match="broke down: residual norm nan "
+                                           "at iteration 1"):
+        conjugate_gradient(lambda v: calls.append(1) or s_bad @ v, b, np.copy)
+    assert len(calls) == 1
 
 
 def _spd_system(seed, n=40):

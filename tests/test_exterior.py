@@ -124,8 +124,19 @@ def test_config_rejects_bad_layouts(dec_bump):
     w2 = nodes_in_ball(grid, (3.4,), 0.3)
     with pytest.raises(ValueError, match="empty"):
         make_exterior_config(grid, omega, np.array([], int), w2)
-    with pytest.raises(ValueError, match="out of range"):
+    with pytest.raises(ValueError, match=r"w1 must lie in \[0, 32\); \[99\] "
+                                         "are out of range"):
         make_exterior_config(grid, omega, np.array([99]), w2)
+    # numpy would truncate the floats (W1 = [0, 1]) and read the Omega mask
+    # as the nodes 0 and 1; the shared node check refuses both
+    mask = np.isin(np.arange(grid.node_count), omega)
+    for layout, name in (((omega + 0.7, w1, w2), "omega"),
+                         ((omega, [0.2, 1.9], w2), "w1"),
+                         ((omega, w1, [8.5]), "w2"),
+                         ((mask, w1, w2), "omega")):
+        with pytest.raises(ValueError, match=f"{name} must be integer node "
+                                             "indices.*flatnonzero"):
+            make_exterior_config(grid, *layout)
     with pytest.raises(ValueError, match="no exterior"):
         make_exterior_config(grid, np.arange(grid.node_count), w1, w2)
     with pytest.raises(ValueError, match="exterior"):

@@ -644,13 +644,19 @@ def test_benchmark_operators_take_their_routes(profile, sizes):
 
 
 
-@pytest.mark.parametrize("n, profile", [
+# one operator per symmetry group the block route finds, at N = 16 for the
+# dihedral group and N = 12 (M = 144) for the others
+BLOCK_PROFILES = [
     (16, BUMP_2D),
     (12, ANISO_2D),
     (12, dataclasses.replace(BUMP_2D, center=(2.0, 1.5))),
     (12, TAU_PULLBACK_2D),
     (12, ANISO_OFF_CENTRE_2D),
-], ids=["dihedral", "mirrors", "one-mirror", "transposition", "trivial"])
+]
+BLOCK_IDS = ["dihedral", "mirrors", "one-mirror", "transposition", "trivial"]
+
+
+@pytest.mark.parametrize("n, profile", BLOCK_PROFILES, ids=BLOCK_IDS)
 def test_largest_block_is_solved_first(monkeypatch, n, profile):
     # the eigensolves run largest first, so the largest one holds no other
     # block's eigenvectors; the blocks are still recorded in block order
@@ -907,6 +913,21 @@ def test_dihedral_decomposition_holds_its_blocks_only():
     assert rest <= 20 * m
 
 
+def _traced_peak(call):
+    """``call()`` and its traced peak in bytes above what was held before."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        out = call()
+        return out, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
 def test_dihedral_peak_is_its_largest_eigensolve():
     # the traced peak of a whole D4 decomposition at N = 48 is the largest
     # block's matrix and eigenvectors (575 x 575 each, 5.29 MB) plus less
@@ -914,21 +935,52 @@ def test_dihedral_peak_is_its_largest_eigensolve():
     # formed while it runs (3.32 MB above the two with the blocks solved in
     # block order, 1.19 MB largest first)
     op = assemble_laplacian(make_metric(build_grid(2, 4.0, 48), BUMP_2D))
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        dec = decompose(op)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        if not tracing:
-            tracemalloc.stop()
+    dec, peak = _traced_peak(lambda: decompose(op))
     sizes = sorted(b.vectors.shape[1] for b in dec.symmetry.blocks)
     assert sizes == [253, 276, 300, 325, 575]
     others = 8 * sum(k * k for k in sizes[:-1])
     assert peak - 2 * 8 * sizes[-1] ** 2 < others
+
+
+@pytest.mark.parametrize("n, profile", BLOCK_PROFILES + [
+    (12, IdentityMetric(2))], ids=BLOCK_IDS + ["closed-form"])
+def test_rows_formed_in_blocks_are_the_rows_read_one_by_one(n, profile):
+    # rows forms its output _BLOCK = 64 rows at a time; every element goes
+    # through the same arithmetic, so reads that end inside, at and just
+    # past a block's last row are bitwise the rows read one node at a time,
+    # from the whole decomposition and from one holding those nodes only
+    assert spectral._BLOCK == 64
+    op = assemble_laplacian(make_metric(build_grid(2, 4.0, n), profile))
+    whole = decompose(op)
+    order = np.random.default_rng(n).permutation(n * n)
+    for count in (1, 63, 64, 65, 129):
+        nodes = order[:count]
+        one_by_one = np.stack([whole.rows(np.array([k]))[0] for k in nodes])
+        for dec in (whole, decompose(op, nodes=nodes)):
+            assert np.array_equal(dec.rows(nodes), one_by_one)
+
+
+# the mixed-extension benchmark's operator and layout, restated
+MIXED_PROFILE = ConformalBump(dim=2, beta=0.5, sigma=0.3, center=(2.0, 2.0),
+                              r0=0.7)
+MIXED_REGION = RegionSpec(omega_center=(2.0, 2.0), omega_radius=0.8,
+                          w1_center=(0.3, 2.0), w1_radius=0.3,
+                          w2_center=(2.0, 0.3), w2_radius=0.3)
+
+
+def test_exterior_rows_peak_at_their_output_and_one_work_block():
+    # the exterior solve's read at N = 32: 895 rows of M = 1024 (7.33 MB).
+    # Beside them rows holds one (_BLOCK, M) work array (0.52 MB) and, per
+    # copy, index arrays and one gather of at most _BLOCK rows of the
+    # largest block (255 modes), which the 0.4 MB slack covers; forming
+    # each copy's node vectors for every row at once holds 3.65 MB more
+    grid = build_grid(2, 4.0, 32)
+    m = grid.node_count
+    dec = decompose(assemble_laplacian(make_metric(grid, MIXED_PROFILE)))
+    nodes = MIXED_REGION.build(grid).exterior_nodes
+    assert nodes.size == 895
+    rows, peak = _traced_peak(lambda: dec.rows(nodes))
+    assert peak - rows.nbytes <= 8 * spectral._BLOCK * m + 0.4e6
 
 
 def _rows_only():
