@@ -48,7 +48,7 @@ from .quadrature import LogQuadrature
 from .solvers import conjugate_gradient
 from .geometry import TorusGrid
 from .spectral import (SpectralDecomposition, _axis_modes, _check_alpha,
-                       _node_indices, frac_apply_spectral)
+                       _node_indices, _spectral_power)
 
 __all__ = [
     "bessel_k",
@@ -193,11 +193,12 @@ def neumann_trace(sol: ExtensionSolution) -> np.ndarray:
 
     Analytic per mode: the z^{2a} slope of the profile is
     -(Gamma(1-a)/Gamma(1+a)) (lam/4)^a, so the weighted derivative limit is
-    -d_a lam^a per unit boundary coefficient.  (The test suite re-derives
+    -d_a lam^a per unit boundary coefficient, so the trace is one
+    synthesis of the datum's modes times lam^a.  (The test suite re-derives
     the same constant by numeric z->0 extrapolation of the profile.)
     """
-    u0 = sol.dec.synthesize(sol.mode_coefficients)
-    return -d_alpha(sol.alpha) * frac_apply_spectral(sol.dec, sol.alpha, u0)
+    powers = _spectral_power(sol.dec.eigenvalues, sol.alpha)
+    return -d_alpha(sol.alpha) * sol.dec.synthesize(sol.mode_coefficients * powers)
 
 
 # ----------------------------------------------------------------------
@@ -571,15 +572,16 @@ def _representation_setup(dec: SpectralDecomposition, F: np.ndarray,
                           x_indices: np.ndarray, quad: LogQuadrature
                           ) -> tuple[np.ndarray, np.ndarray]:
     """F as floats and the heat series (e^{t Lap} H)(x) on the window (nodes
-    along the last axis), one row per node x, for H = A F with the zero mode
-    projected out.  The nodes must lie off supp F."""
+    along the last axis), one row per node x, for H = A F.  H's modes are
+    lam_k <phi_k, F>_w, exact in the spectral calculus (the zero mode's
+    lam_0 is exactly 0), so only the rows on supp F and at the nodes x are
+    read.  The nodes must lie off supp F."""
     F = np.asarray(F, float)
     inside = x_indices[F[x_indices] != 0.0]
     if inside.size:
         raise ValueError(f"nodes {inside.tolist()} lie inside supp F; the "
                          "representation holds off-support")
-    h_modes = dec.project(dec.operator.apply(F))
-    h_modes[dec.eigenvalues == 0.0] = 0.0
+    h_modes = dec.eigenvalues * dec.project(F)
     rows = dec.rows(x_indices)
     series = np.exp(-np.outer(quad.nodes, dec.eigenvalues)) @ (rows * h_modes).T
     return F, series.T
@@ -591,12 +593,15 @@ def representation_solution(dec: SpectralDecomposition, alpha: float,
     H = (-Lap) F, valid off the support of F (even in z by construction).
 
     The integral runs over (0, inf) by ``LogQuadrature.semigroup``: below the
-    window the log-time integrand is H(x) e^{a s} or steeper."""
+    window the log-time integrand is H(x) e^{a s} or steeper.  Only the
+    basis rows on supp F and at x are read, so a decomposition holding
+    those alone (``decompose(op, nodes=...)``) serves."""
     _check_alpha(alpha, allow_one=False)
     if z < 0.0:
         raise ValueError("representation height must satisfy z >= 0")
     quad = LogQuadrature.semigroup(dec.eigenvalues, left=alpha, right=math.inf)
-    _, series = _representation_setup(dec, F, np.array([x_index]), quad)
+    x_indices = _node_indices(np.atleast_1d(x_index), dec.node_count, "x_index")
+    _, series = _representation_setup(dec, F, x_indices, quad)
     val = quad.moments(series[0] * np.exp(-z * z / (4.0 * quad.nodes)), alpha - 1.0)
     return float(val) / math.gamma(alpha)
 
@@ -644,7 +649,8 @@ def series_coefficients(dec: SpectralDecomposition, alpha: float,
         raise ValueError("series order J must lie in 0..12")
     if quad is None:
         quad = series_quadrature(dec)
-    x_indices = np.atleast_1d(np.asarray(x_indices, dtype=int))
+    x_indices = np.atleast_1d(_node_indices(x_indices, dec.node_count,
+                                            "x_indices"))
     F, series = _representation_setup(dec, F, x_indices, quad)
     support = np.flatnonzero(F != 0.0)
     if support.size == 0:

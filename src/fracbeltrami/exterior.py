@@ -13,11 +13,11 @@ with the rows G_S = W_S Phi_S Lambda^{a/2} of the eigenbasis, every block is
 E_ST = G_S G_T', so a solve needs only the rows on Omega and on the support
 of the data, once for a whole block of data given as columns.  Nor is E_OO
 formed in node space.  The decomposition records the symmetry block of
-every mode (``SpectralDecomposition.symmetry``), and when the grid
+every mode (``SpectralDecomposition.blocks``), and when the grid
 symmetries it holds map Omega onto itself (a ball about the grid's centre,
 say), E_OO is block diagonal in the orbit basis of Omega (Bossavit,
 Comput. Methods Appl. Mech. Engrg. 1986): each block is formed from its
-own modes at one node per orbit, read straight off the decomposition's
+own modes in its orbit coordinates, read straight off the decomposition's
 blocks, and solved on its own; for the dihedral group the blocks take
 about 1/40 of the multiply-adds of the node-space Gram matrix, and the
 largest solve about a quarter of |Omega|.  Otherwise one block, every mode
@@ -222,7 +222,7 @@ def _omega_blocks(dec: SpectralDecomposition, alpha: float,
                   config: ExteriorConfig):
     """The Omega problem one symmetry block at a time.
 
-    If every generator of ``dec.symmetry`` maps Omega onto itself, E_OO
+    If every generator of ``dec.generators`` maps Omega onto itself, E_OO
     commutes with the group, and in the orbit basis U of Omega (the block
     vectors u_O of :class:`spectral.SymmetryBlock` on the orbits inside
     Omega, orthonormal and complete on Omega)
@@ -230,10 +230,10 @@ def _omega_blocks(dec: SpectralDecomposition, alpha: float,
         W_O^{-1/2} E_OO W_O^{-1/2} = U diag(Y_k) U',   Y_k = H_k H_k',
 
     with H_k the eigenvector coefficients v of block k at its live Omega
-    orbits times lam^{a/2}: the block's held rows of W^{1/2} Phi at those
-    orbits (``SymmetryBlock.vectors``) divided by coef at their
-    representatives.  Otherwise one block of every mode at every node of
-    Omega serves: H = W_O^{1/2} Phi_O Lambda^{a/2}.  Yields per block with
+    orbits times lam^{a/2}: the block's held rows at those orbits
+    (``SymmetryBlock.vectors``, which are in orbit coordinates).  Otherwise
+    one block of every mode at every node of Omega serves:
+    H = W_O^{1/2} Phi_O Lambda^{a/2}.  Yields per block with
     a live Omega orbit (H, copies); a copy is (columns, slot, coef): its
     columns of the modes, and per Omega node the row of its orbit in H and
     its coefficient in the copy, so (U_k z)_n = coef_n z[slot_n].  The
@@ -242,21 +242,20 @@ def _omega_blocks(dec: SpectralDecomposition, alpha: float,
     """
     om = dec._held(config.omega_nodes)
     half = _spectral_power(dec.eigenvalues, 0.5 * alpha)
-    if not _maps_onto_itself(dec.symmetry.generators, om, dec.node_count):
+    if not _maps_onto_itself(dec.generators, om, dec.node_count):
         h = dec.rows(om)
         h *= np.sqrt(dec.measure.node_weights[om])[:, None]
         h *= half
         yield h, [(np.arange(dec.node_count), np.arange(om.size),
                    np.ones(om.size))]
         return
-    for block in dec.symmetry.blocks:
+    for block in dec.blocks:
         maps = [(block.index[p[om]], block.coef[p[om]]) for p in block.perms]
         orbit, coef = maps[0]
         rows = np.unique(orbit[coef != 0.0])
         if rows.size == 0:
             continue
-        slot = block.slots(rows)
-        h = block.vectors[slot] / block.coef[block.reps[slot], None]
+        h = block.vectors[rows]
         h *= half[block.columns[0]]
         yield h, [(columns, np.minimum(np.searchsorted(rows, orbit_c),
                                        rows.size - 1), coef_c)

@@ -46,6 +46,7 @@ from .exterior import RegionSpec, dtn_matrix
 from .spectral import (
     SpectralDecomposition,
     _check_alpha,
+    _node_indices,
     assemble_laplacian,
     decompose,
 )
@@ -207,7 +208,7 @@ def _trace_sampler(dec: SpectralDecomposition, F: np.ndarray,
                    x_index: int) -> Callable[[np.ndarray], np.ndarray]:
     """t -> (e^{-tA} F)(x), vectorised over t via the mode expansion; it
     reads the basis rows on the support of F and at x only."""
-    weights = dec.project(F) * dec.rows(int(x_index))
+    weights = dec.project(F) * dec.rows(x_index)
     lam = dec.eigenvalues
 
     def sample(t: np.ndarray) -> np.ndarray:
@@ -224,7 +225,9 @@ def _observation_guards(dec1: SpectralDecomposition,
                         x_index: int) -> tuple[np.ndarray, int]:
     """Shared checks for exterior heat observation: geometry must be honest.
 
-    The observation node must lie outside the source support, and both
+    The observation node must be a node index, checked like every node
+    array the package is given (``spectral._node_indices``: a float or a
+    bool is refused, not truncated), and lie outside the source support; both
     metrics must agree node-exactly on the support and at the observer --
     otherwise the difference conflates interior structure with trivially
     different data.
@@ -235,9 +238,7 @@ def _observation_guards(dec1: SpectralDecomposition,
     if F.shape != (dec1.node_count,):
         raise ValueError("source must be a full node vector")
     support = np.flatnonzero(F != 0.0)
-    x_index = int(x_index)
-    if x_index < 0 or x_index >= dec1.node_count:
-        raise ValueError(f"observation index {x_index} out of range")
+    x_index = int(_node_indices(x_index, dec1.node_count, "observation index"))
     if x_index in support:
         raise ValueError("observation point must lie outside the source "
                          "support")

@@ -243,67 +243,33 @@ class SymmetryBlock:
     """One symmetry block of S: its eigenvectors and the modes they are.
 
     The block's matrix is written in the orbit vectors
-    u_O = sum_{n in O} coef[n] e_n, with ``index[n]`` the block row of node
-    n's orbit and ``coef[n]`` = +-1/sqrt|O| (0 on the orbits the block has
-    no vector on).  Its eigenvectors v are read once per copy: copy c
-    holds the modes at the columns ``columns[c]`` of the sorted basis (in
-    the order of v), and the node vector of v in copy c is
-    x_n = coef[p n] v[index[p n]] with p = ``perms[c]``, x = W^{1/2} phi.
-    ``vectors`` holds the first copy's x at ``reps``, one node per block
-    row (ascending, so in block-row order): the smallest node of every
-    orbit when the decomposition holds every node, else of the orbits its
-    nodes reach over every copy.  Any node's x is then its orbit's row
-    times coef[p n] / coef[rep], which is exactly +-1.  A generator g
-    with coef[p g n] = chi coef[p n] at every node, chi = +-1, labels the
-    copy: x[g n] = chi x[n] for each of its modes.
+    u_O = sum_{n in O} coef[n] e_n, with ``coef[n]`` = +-1/sqrt|O| (0 on
+    the orbits the block has no vector on).  ``vectors`` holds its
+    eigenvectors v in those coordinates, one row per orbit held: every
+    orbit when the decomposition holds every node, else the orbits its
+    nodes reach over every copy.  ``index[n]`` is the row of ``vectors``
+    that holds node n's orbit, wherever that orbit is held.  The
+    eigenvectors are read once per copy: copy c holds the modes at the
+    columns ``columns[c]`` of the sorted basis (in the order of v), and
+    its node vector is x_n = coef[p n] v[index[p n]] with p = ``perms[c]``,
+    x = W^{1/2} phi.  A generator g with coef[p g n] = chi coef[p n] at
+    every node, chi = +-1, labels the copy: x[g n] = chi x[n] for each of
+    its modes.
     """
 
     index: np.ndarray                  # (M,)
     coef: np.ndarray                   # (M,)
     perms: tuple[np.ndarray, ...]      # one row permutation per copy
     columns: tuple[np.ndarray, ...]    # per copy, its modes' sorted columns
-    reps: np.ndarray                   # (R,) one node per block row held
-    vectors: np.ndarray                # (R, k) x of the modes at ``reps``
-
-    def slots(self, rows: np.ndarray) -> np.ndarray:
-        """The rows of ``vectors`` that hold the block rows ``rows``."""
-        return np.searchsorted(self.index[self.reps], rows)
+    vectors: np.ndarray                # (R, k) v at the R orbits held
 
     def node_vectors(self, nodes: np.ndarray, p: np.ndarray,
                      out: np.ndarray) -> np.ndarray:
         """x = W^{1/2} phi of copy ``p``'s modes at ``nodes``, written into
         ``out``, (len, k)."""
         image = p[nodes]
-        slot = self.slots(self.index[image])
-        return np.multiply(self.vectors[slot], (
-            self.coef[image] / self.coef[self.reps[slot]])[:, None], out=out)
-
-
-@dataclasses.dataclass(frozen=True)
-class SymmetryGroup:
-    """The grid symmetries a decomposition's modes are labelled by, and the
-    blocks' eigenvectors.
-
-    ``generators`` are node permutations (node n maps to p[n]); every mode
-    lies in exactly one copy of one of ``blocks``.  The trivial group has
-    no generators and one block, S itself: every column, c = 1 at every
-    node.
-    """
-
-    generators: tuple[np.ndarray, ...]
-    blocks: tuple[SymmetryBlock, ...]
-
-    @classmethod
-    def trivial(cls, vectors: np.ndarray,
-                nodes: np.ndarray | None = None) -> "SymmetryGroup":
-        """The trivial group holding ``vectors``, the rows at ``nodes``
-        (sorted; every node when None) of the eigenvectors x = W^{1/2} phi
-        of S in ascending order."""
-        every = np.arange(vectors.shape[1])
-        return cls(generators=(), blocks=(SymmetryBlock(
-            index=every, coef=np.ones(every.size), perms=(every,),
-            columns=(every,), reps=every if nodes is None else nodes,
-            vectors=vectors),))
+        return np.multiply(self.vectors[self.index[image]],
+                           self.coef[image][:, None], out=out)
 
 
 # rows per block of SpectralDecomposition.rows: each block of output rows
@@ -317,25 +283,28 @@ class SpectralDecomposition:
     """Eigenpairs of A, orthonormal in the weighted inner product.
 
     The eigenvectors phi_k, <phi_j, phi_k>_w = delta_jk, are held block by
-    block (``symmetry``, a :class:`SymmetryGroup`, the trivial group when
-    the operator holds no grid symmetry): each block's eigenvectors at one
-    node per orbit, each with the sign its eigensolve gives it (every
-    reader is unchanged by a negation of a mode).  No node-space basis is
-    held; :meth:`rows` forms phi at given nodes, bitwise the same whether
-    the decomposition holds every node or only some.  Eigenvalues are
-    sorted ascending with the zero mode (constants) first and snapped to
-    exactly 0.  ``grid``, ``metric`` and ``measure`` are those of
-    ``operator``.  ``nodes`` is None when every node's row can be formed;
-    otherwise only the rows at ``nodes`` (sorted, unique).  Every read of
-    the basis makes one check (:meth:`_held`) on the nodes it reads:
-    :meth:`rows` on its nodes, :meth:`project` on the support of its
-    vector and :meth:`synthesize` on every node.  So a decomposition
-    holding some rows serves each reader whose nodes it holds.
+    block: ``blocks`` are the blocks of the group that the node permutations
+    ``generators`` (node n maps to p[n]) generate, every mode in exactly one
+    copy of one of them (with no generators, the trivial group's one block,
+    S itself: every column, coef = 1 at every node).  Each
+    :class:`SymmetryBlock` holds its eigenvectors in its orbit coordinates,
+    each with the sign its route gives it (every reader is unchanged by a
+    negation of a mode).  No node-space basis is held; :meth:`rows` forms
+    phi at given nodes, bitwise the same whether the decomposition holds
+    every node or only some.  Eigenvalues are sorted ascending with the zero
+    mode (constants) first and snapped to exactly 0.  ``grid``, ``metric``
+    and ``measure`` are those of ``operator``.  ``nodes`` is None when every
+    node's row can be formed; otherwise only the rows at ``nodes`` (sorted,
+    unique).  Every read of the basis makes one check (:meth:`_held`) on the
+    nodes it reads: :meth:`rows` on its nodes, :meth:`project` on the
+    support of its vector and :meth:`synthesize` on every node.  So a
+    decomposition holding some rows serves each reader whose nodes it holds.
     """
 
     eigenvalues: np.ndarray  # (M,)
     operator: DiscreteLaplaceBeltrami
-    symmetry: SymmetryGroup
+    generators: tuple[np.ndarray, ...]
+    blocks: tuple[SymmetryBlock, ...]
     nodes: np.ndarray | None = None
 
     @property
@@ -378,13 +347,13 @@ class SpectralDecomposition:
         the sorted columns of the output rows and divided there by W^{1/2}.
         So beside the output a read holds that work array and per-copy
         temporaries of at most _BLOCK rows, whatever the number of rows,
-        and every element goes through the same gather, +-1 scale,
+        and every element goes through the same gather, coef scale,
         permutation and division: a row is bitwise the same read alone or
         with others.
         """
         flat, m = self._held(nodes), self.node_count
         column = np.empty(m, dtype=int)
-        column[np.concatenate([cols for block in self.symmetry.blocks
+        column[np.concatenate([cols for block in self.blocks
                                for cols in block.columns])] = np.arange(m)
         root_w = np.sqrt(self.measure.node_weights[flat])[:, None]
         out = np.empty((flat.size, m))
@@ -392,7 +361,7 @@ class SpectralDecomposition:
         for r0 in range(0, flat.size, _BLOCK):
             part, start = slice(r0, r0 + _BLOCK), 0
             at = flat[part]
-            for block in self.symmetry.blocks:
+            for block in self.blocks:
                 for p, cols in zip(block.perms, block.columns):
                     block.node_vectors(
                         at, p, work[:at.size, start:start + cols.size])
@@ -409,8 +378,8 @@ class SpectralDecomposition:
         Per block and copy, W^{1/2} u is summed onto the block's orbit
         vectors (weights coef[p n]) over u's nonzero nodes only, whose rows
         are all it reads (an exact zero leaves a sum bitwise as it is), and
-        the sums, divided by coef at the representatives, are multiplied by
-        the held rows: one product per copy, v' s.
+        the sums are multiplied by the held rows: one product per copy,
+        v' s.
         """
         u = np.asarray(u)
         if u.shape != (self.node_count,):
@@ -419,28 +388,24 @@ class SpectralDecomposition:
         support = self._held(np.flatnonzero(u))
         y = np.sqrt(self.measure.node_weights[support]) * u[support]
         out = np.empty(self.node_count)
-        for block in self.symmetry.blocks:
-            scale = block.coef[block.reps]
+        for block in self.blocks:
             for p, cols in zip(block.perms, block.columns):
                 image = p[support]
-                sums = np.bincount(block.slots(block.index[image]),
+                sums = np.bincount(block.index[image],
                                    weights=block.coef[image] * y,
-                                   minlength=scale.size)
-                out[cols] = block.vectors.T @ (sums / scale)
+                                   minlength=block.vectors.shape[0])
+                out[cols] = block.vectors.T @ sums
         return out
 
     def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
         """The node vector sum_k coeffs_k phi_k: per block and copy, the
-        held rows times the copy's coefficients, divided by coef at the
-        representatives (v c) and read at every node's orbit, so every
-        node's row must be held."""
+        held rows times the copy's coefficients (v c), read at every node's
+        orbit times coef there, so every node's row must be held."""
         self._held(np.arange(self.node_count))
         x = np.zeros(self.node_count)
-        for block in self.symmetry.blocks:
-            scale = block.coef[block.reps]
+        for block in self.blocks:
             for p, cols in zip(block.perms, block.columns):
-                orbit = (block.vectors @ coeffs[cols]) / scale
-                x += block.coef[p] * orbit[block.index[p]]
+                x += block.coef[p] * (block.vectors @ coeffs[cols])[block.index[p]]
         return x / np.sqrt(self.measure.node_weights)
 
 
@@ -454,7 +419,7 @@ def decompose(op: DiscreteLaplaceBeltrami, cap: int = DEFAULT_EIG_CAP,
        (the identity metric, or any constant metric with a diagonal
        tensor), A is a circulant whose symbol is even along every axis,
        and tensor products of the per-axis Fourier modes diagonalise it
-       exactly; see :func:`_fourier_eigenpairs`.  Each condition is
+       exactly; see :func:`_fourier_blocks`.  Each condition is
        needed: in 2-d a conformal metric has C_jk = sqrt|g| g^{jk} = I at
        every node (the Dirichlet energy is conformally invariant) while its
        weights vary, and a constant C_01 != 0 fills the cell diagonals with
@@ -496,14 +461,17 @@ def decompose(op: DiscreteLaplaceBeltrami, cap: int = DEFAULT_EIG_CAP,
        the trivial group, whose one block is S itself, solved by one
        eigensolve of size M.
 
-    Both routes hold their eigenvectors block by block on the result
-    (``SpectralDecomposition.symmetry``): the symmetry-block route the
-    blocks it solved, each copy with its columns in the sorted order, and
-    the closed form in 2-d the four blocks of the mirror group
-    {sigma0, sigma1}, read off each mode's cos/sin parity on each axis (the
-    trivial group in 1-d).  Each block keeps W^{1/2} Phi of its modes at
-    one node per orbit, so no node-space basis is formed; the exterior
-    layer solves its Omega problem one block at a time straight from them
+    The two routes differ only in how one block's eigenpairs are found:
+    the symmetry-block route solves the blocks of the group it found, and
+    the closed form in 2-d takes the four blocks of the mirror group
+    {sigma0, sigma1}, whose modes it reads off each mode's cos/sin parity
+    on each axis (the trivial group's one block in 1-d).  Everything else
+    is :func:`_block_eigenpairs`: the orbit bases, the rows held, the
+    merge of the eigenvalues and the columns of every copy, and the one
+    record of the result (``SpectralDecomposition.blocks``), where each
+    block keeps its eigenvectors in its orbit coordinates, one row per
+    orbit, so no node-space basis is formed; the exterior layer solves its
+    Omega problem one block at a time straight from them
     (``exterior._solve_blocks``).
 
     ``nodes`` asks for the basis rows at those nodes only (sorted and made
@@ -538,11 +506,11 @@ def decompose(op: DiscreteLaplaceBeltrami, cap: int = DEFAULT_EIG_CAP,
 
     ``cap`` bounds the basis rows asked for, len(nodes) or every node
     without ``nodes``, and the largest eigensolve, which is M for the
-    trivial group; with ``nodes`` and a larger group a route may run beyond
-    M = cap: at N = 96 (M = 9216) the dihedral blocks are at most 2303 and
-    the benchmark layout's rows 1933.  Both routes share the zero snap of
-    :func:`_snapped`.  The result keeps its
-    blocks alive for as long as it is referenced: callers should drop a
+    trivial group (the closed form solves none); with ``nodes`` and a
+    larger group a route may run beyond M = cap: at N = 96 (M = 9216) the
+    dihedral blocks are at most 2303 and the benchmark layout's rows 1933.
+    Both routes share the zero snap of :func:`_snapped`.  The result keeps
+    its blocks alive for as long as it is referenced: callers should drop a
     decomposition once they have read what they need from it
     (``exterior.dtn_matrix``, say), before the next call.
     """
@@ -564,22 +532,25 @@ def decompose(op: DiscreteLaplaceBeltrami, cap: int = DEFAULT_EIG_CAP,
     if (np.all(op.stencil == op.stencil[:, :1]) and np.all(w == w[0])
             and all(first.get(o[:j] + (-o[j],) + o[j + 1:]) == b
                     for o, b in first.items() for j in range(op.grid.dim))):
-        evals, group = _fourier_eigenpairs(op, w[0], at)
+        blocks, solve = _fourier_blocks(op, w[0])
     else:
-        evals, group = _block_eigenpairs(
-            op._form_entries(), np.sqrt(w), _symmetry_blocks(op), at, cap)
+        blocks, solve = _symmetry_blocks(op), _eigensolve(op, cap)
+    evals, generators, records = _block_eigenpairs(blocks, solve, at)
     return SpectralDecomposition(eigenvalues=_snapped(evals), operator=op,
-                                 symmetry=group, nodes=nodes)
+                                 generators=generators, blocks=records,
+                                 nodes=nodes)
 
 
 def _node_indices(nodes, m: int, name: str = "nodes") -> np.ndarray:
     """``nodes`` as an integer array, after the check that every node
     array the package is given shares (:func:`decompose`, every basis
-    read, ``exterior.make_exterior_config``,
-    ``extension.fd_extension_solve``): integer node indices (numpy would
-    read a boolean mask as the nodes 0 and 1, and a float array is
-    truncated) in [0, m) (numpy would wrap a negative index).  ``name``
-    names the array in the messages."""
+    read, :func:`jump_kernel`'s pairs, ``exterior.make_exterior_config``,
+    ``extension.fd_extension_solve``, ``extension.representation_solution``
+    and ``series_coefficients``, and the observer of the heat differences
+    in ``recovery``): integer node indices (numpy would read a boolean
+    mask as the nodes 0 and 1, and a float array is truncated) in [0, m)
+    (numpy would wrap a negative index).  ``name`` names the array in the
+    messages."""
     nodes = np.asarray(nodes)
     if nodes.size and nodes.dtype.kind not in "iu":
         raise ValueError(f"{name} must be integer node indices, got dtype "
@@ -687,92 +658,63 @@ def _orbit_basis(generators: list[np.ndarray], signs: tuple, node_count: int
     return index, coef, reps[norm2[reps] > 0.0]
 
 
-def _block_eigenpairs(entries: tuple, root_w: np.ndarray, blocks: list,
-                      at: np.ndarray, cap: int) -> tuple[np.ndarray, SymmetryGroup]:
-    """Eigenvalues of S from its symmetry blocks (:func:`_symmetry_blocks`),
-    sorted, and the blocks with their eigenvectors at the orbits that the
-    nodes ``at`` reach (:func:`_symmetry_group`).
+def _block_eigenpairs(blocks: list, solve, at: np.ndarray
+                      ) -> tuple[np.ndarray, tuple, tuple[SymmetryBlock, ...]]:
+    """Eigenvalues of S, sorted, the generators of its group and its
+    blocks, with their eigenvectors at the orbits that the nodes ``at``
+    reach.
 
-    In a block's basis u_O (:func:`_orbit_basis`) its matrix is
-    K_OP = u_O' S u_P, the sum of c_r c_c S_rc over the stencil entries
-    (r, c) of B (``entries``) with r in O and c in P, so it is summed from
-    the entries with ``np.bincount`` just before its eigensolve, and no
-    M x M matrix is formed.  K is the block of S itself, since a symmetry
-    holds only if S is exactly invariant under it (:func:`_symmetry_blocks`);
-    for the trivial group c = 1 and K = S, summed onto +0.0, so a -0.0
-    entry of B enters as +0.0.  An eigenvector v of K is the node vector
-    x_m = c_m v_{row of m}, read once per copy of the block at the copy's
-    row permutation; only its rows at the orbits of the nodes ``at``, over
-    every copy, are kept, right after each eigensolve, so one block's whole
-    eigenvectors are alive at a time.  The blocks are solved largest first
-    (a stable sort by size, block order on equal sizes): the largest
+    ``blocks`` lists (generators, signs, copies) per block
+    (:func:`_symmetry_blocks`), and ``solve(signs, index, coef, reps,
+    held)`` finds one block's eigenvalues, given its orbit basis
+    (:func:`_orbit_basis`), and its eigenvectors v at the block rows
+    ``held``: by an eigensolve (:func:`_eigensolve`) or in closed form
+    (:func:`_fourier_blocks`).  The rows held are the orbits of the nodes
+    ``at`` over every copy, and ``index`` is renumbered onto them.  Every
+    block's orbit basis is formed first, and the blocks are solved largest
+    first (a stable sort by size, block order on equal sizes): the largest
     eigensolve, which sets the peak, then runs with no other block's
     eigenvectors held (in block order D4's 2-d block, 575 rows at N = 48,
-    ran last, beside the 2.7 MB of the four others).  The eigenvalues of
-    all copies and the solved blocks are merged in block order, the
-    eigenvalues by a stable ascending sort (block order on ties), so the
-    sort and :func:`_symmetry_group` see the sequence of a block-order
-    solve and the order of the eigensolves changes no bit of the result.
-    An empty block ((N^2 - 6N + 8)/8 = 0 at N = 4) is skipped.  Every
-    block's orbit basis is formed first, so a block larger than ``cap``
-    raises before any eigensolve.
+    ran last, beside the 2.7 MB of the four others), and a block over the
+    eigensolve's cap raises before any eigensolve.  An empty block
+    ((N^2 - 6N + 8)/8 = 0 at N = 4) is skipped.  The eigenvalues of all
+    copies are merged in block order by a stable ascending sort (block
+    order on ties), so the order of the solves changes no bit of the
+    result, and the columns of a copy are where the sort put its entries;
+    nothing is sorted again (a re-sort would break the ties between the
+    copies of one block, which have equal eigenvalues, in another order).
+    The group's generators are the longest list among the blocks (D4's
+    1-d blocks list sigma0, sigma1 and tau; its 2-d block only the
+    mirrors).
     """
-    m = root_w.size
+    m = blocks[0][2][0].size  # a copy's permutation maps every node
     bases = [_orbit_basis(generators, signs, m) for generators, signs, _ in blocks]
-    largest = max(reps.size for _, _, reps in bases)
-    if largest > cap:
-        raise _size_error(f"largest eigensolve has {largest} rows, capped at "
-                          f"{cap}", largest, largest, "raise cap (fewer nodes= "
-                          "leave the eigensolves as they are)")
-    rows, cols, values = entries
-    values = values / (root_w[rows] * root_w[cols])
     evals, solved = [[]] * len(blocks), [None] * len(blocks)
     for b in sorted(range(len(blocks)), key=lambda b: bases[b][2].size,
                     reverse=True):  # stable: block order on equal sizes
-        (index, coef, reps), copies = bases[b], blocks[b][2]
-        k = reps.size
-        if not k:
+        (index, coef, reps), (_, signs, copies) = bases[b], blocks[b]
+        if not reps.size:
             continue
-        vals, vecs = np.linalg.eigh(np.bincount(
-            index[rows] * k + index[cols], minlength=k * k,
-            weights=values * (coef[rows] * coef[cols])).reshape(k, k))
-        evals[b] = [vals] * len(copies)
         held = np.unique(np.concatenate([index[p[at]] for p in copies]))
-        if held.size < k:
-            vecs = vecs[held]
-        vecs *= coef[reps[held], None]
-        solved[b] = (index, coef, copies, reps[held], vecs)
+        vals, vectors = solve(signs, index, coef, reps, held)
+        evals[b] = [vals] * len(copies)
+        if held.size < reps.size:
+            index = np.searchsorted(held, index)
+        solved[b] = (index, coef, copies, vectors)
     evals = np.concatenate(sum(evals, []))
     order = np.argsort(evals, kind="stable")
-    return evals[order], _symmetry_group(
-        blocks, [record for record in solved if record is not None], order)
-
-
-def _symmetry_group(blocks: list, solved: list,
-                    order: np.ndarray) -> SymmetryGroup:
-    """The record of the solved blocks, (index, coef, copies, reps,
-    vectors) per non-empty block.
-
-    The eigenvalues entered the sort block by block and copy by copy, so
-    the columns of a copy are where the stable sort ``order`` put its
-    entries; nothing is sorted again (a re-sort would break the ties
-    between the copies of one block, which have equal eigenvalues, in
-    another order).  The group's generators are the longest list among the
-    blocks (D4's 1-d blocks list sigma0, sigma1 and tau; its 2-d block
-    only the mirrors).
-    """
     column = np.empty_like(order)
     column[order] = np.arange(order.size)
-    group = max((generators for generators, _, _ in blocks), key=len)
-    out, start = [], 0
-    for index, coef, copies, reps, vectors in solved:
+    records, start = [], 0
+    for index, coef, copies, vectors in (r for r in solved if r is not None):
         k = vectors.shape[1]
         columns = tuple(column[start + c * k:start + (c + 1) * k]
                         for c in range(len(copies)))
         start += k * len(copies)
-        out.append(SymmetryBlock(index=index, coef=coef, perms=tuple(copies),
-                                 columns=columns, reps=reps, vectors=vectors))
-    return SymmetryGroup(generators=tuple(group), blocks=tuple(out))
+        records.append(SymmetryBlock(index=index, coef=coef, perms=tuple(copies),
+                                     columns=columns, vectors=vectors))
+    generators = max((generators for generators, _, _ in blocks), key=len)
+    return evals[order], tuple(generators), tuple(records)
 
 
 def _snapped(evals: np.ndarray) -> np.ndarray:
@@ -787,9 +729,41 @@ def _snapped(evals: np.ndarray) -> np.ndarray:
     return np.where(evals < 1e-12 * lam_max, 0.0, evals)
 
 
-def _fourier_eigenpairs(op: DiscreteLaplaceBeltrami, weight: float,
-                        at: np.ndarray) -> tuple[np.ndarray, SymmetryGroup]:
-    """Closed-form eigenpairs of an axis-separable circulant operator.
+def _eigensolve(op: DiscreteLaplaceBeltrami, cap: int):
+    """The ``solve`` of :func:`_block_eigenpairs` by one eigensolve a block.
+
+    In a block's basis u_O (:func:`_orbit_basis`) its matrix is
+    K_OP = u_O' S u_P, the sum of c_r c_c S_rc over the stencil entries
+    (r, c) of B with r in O and c in P, so it is summed from the entries
+    with ``np.bincount`` just before its eigensolve, and no M x M matrix
+    is formed.  K is the block of S itself, since a symmetry holds only if
+    S is exactly invariant under it (:func:`_symmetry_blocks`); for the
+    trivial group c = 1 and K = S, summed onto +0.0, so a -0.0 entry of B
+    enters as +0.0.  Only the rows ``held`` of its eigenvectors are kept,
+    right after the eigensolve.  A block larger than ``cap`` raises before
+    its eigensolve, and the largest block comes first.
+    """
+    rows, cols, values = op._form_entries()
+    root_w = np.sqrt(op.measure.node_weights)
+    values = values / (root_w[rows] * root_w[cols])
+
+    def solve(signs, index, coef, reps, held):
+        k = reps.size
+        if k > cap:
+            raise _size_error(f"largest eigensolve has {k} rows, capped at "
+                              f"{cap}", k, k, "raise cap (fewer nodes= "
+                              "leave the eigensolves as they are)")
+        vals, vecs = np.linalg.eigh(np.bincount(
+            index[rows] * k + index[cols], minlength=k * k,
+            weights=values * (coef[rows] * coef[cols])).reshape(k, k))
+        return vals, vecs[held] if held.size < k else vecs
+
+    return solve
+
+
+def _fourier_blocks(op: DiscreteLaplaceBeltrami, weight: float):
+    """The blocks and the closed-form ``solve`` of an axis-separable
+    circulant operator, for :func:`_block_eigenpairs`.
 
     With the same stencil entries and the same w at every node, each entry
     equal to that of its offset negated along any one axis, B is a
@@ -799,38 +773,37 @@ def _fourier_eigenpairs(op: DiscreteLaplaceBeltrami, weight: float,
     diagonalise it: mode (c_0, ..., c_{dim-1}), flattened like the nodes,
     has eigenvalue lam = sigma / w at theta_j = 2 pi c_j / N.  The symbol
     is the DFT of B's column at node 0, ``op.apply_form`` on the unit
-    vector e_0.  The modes are ordered by a stable ascending sort of
-    lam (ties keep the flattened mode order).  In 1-d the modes are the
-    trivial group's, held at the nodes ``at``.  In 2-d they lie in the
-    blocks of the mirror group {sigma0, sigma1}: column c of the per-axis
-    table is a cosine, even under i -> -i, for 2c <= N and a sine, odd,
-    beyond, so the mode of frequency (c_0, c_1) lies in the block of the
-    signs of its two factors, with one copy.  Each block holds its modes
-    at the smallest node (i, j) of every orbit that ``at`` reaches,
-    x(i, j) = Q[i, c_0] Q[j, c_1].
+    vector e_0.  In 1-d the modes are the trivial group's one block.  In
+    2-d they lie in the blocks of the mirror group {sigma0, sigma1}:
+    column c of the per-axis table is a cosine, even under i -> -i, for
+    2c <= N and a sine, odd, beyond, so the mode of frequency (c_0, c_1)
+    lies in the block of the signs of its two factors, with one copy.  A
+    block's ``solve`` takes the modes of its parity in flattened order and
+    forms v at the held orbits' smallest nodes (i, j),
+    v = Q[i, c_0] Q[j, c_1] / coef(i, j).  It runs no eigensolve, so no
+    block is capped.
     """
     grid = op.grid
     n, m = grid.points_per_side, grid.node_count
     column = op.apply_form(np.eye(1, m).ravel()).reshape(grid.shape)
     evals = np.fft.fftn(column).real.ravel() / weight
-    order = np.argsort(evals, kind="stable")
     q = _axis_modes(n)
-    if grid.dim == 1:
-        return evals[order], SymmetryGroup.trivial(q[np.ix_(at, order)], at)
-    sigma0, sigma1, _ = _grid_symmetries(n)
-    freqs = (order // n, order % n)
+    freqs = np.unravel_index(np.arange(m), grid.shape)
     parity = [np.where(2 * f <= n, 1.0, -1.0) for f in freqs]
-    blocks, identity = [], np.arange(m)
-    for signs in itertools.product((1.0, -1.0), repeat=2):
-        index, coef, reps = _orbit_basis([sigma0, sigma1], signs, m)
-        cols = np.flatnonzero((parity[0] == signs[0]) & (parity[1] == signs[1]))
-        reps = reps[np.unique(index[at])]
-        vectors = (q[np.ix_(reps // n, freqs[0][cols])]
-                   * q[np.ix_(reps % n, freqs[1][cols])])
-        blocks.append(SymmetryBlock(index=index, coef=coef, perms=(identity,),
-                                    columns=(cols,), reps=reps, vectors=vectors))
-    return evals[order], SymmetryGroup(generators=(sigma0, sigma1),
-                                       blocks=tuple(blocks))
+    mirrors = _grid_symmetries(n)[:2] if grid.dim == 2 else []
+    blocks = [(mirrors, signs, [np.arange(m)])
+              for signs in itertools.product((1.0, -1.0), repeat=len(mirrors))]
+
+    def solve(signs, index, coef, reps, held):
+        modes = np.flatnonzero(functools.reduce(
+            np.logical_and, [p == s for p, s in zip(parity, signs)],
+            np.ones(m, dtype=bool)))
+        at = np.unravel_index(reps[held], grid.shape)
+        x = functools.reduce(np.multiply, [q[np.ix_(i, f[modes])]
+                                           for i, f in zip(at, freqs)])
+        return evals[modes], x / coef[reps[held], None]
+
+    return blocks, solve
 
 
 def _axis_modes(n: int) -> np.ndarray:
@@ -1009,12 +982,13 @@ def jump_kernel(dec: SpectralDecomposition, alpha: float,
         ii, jj = np.triu_indices(m, 1)
         nodes, lo, hi = np.arange(m), ii, jj
     else:
-        pairs = np.asarray(pairs)
+        pairs = _node_indices(pairs, m, "pair indices")
+        if pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise ValueError(f"pair indices must be a (k, 2) array, got shape "
+                             f"{pairs.shape}")
         ii, jj = pairs[:, 0], pairs[:, 1]
         if np.any(ii == jj):
             raise ValueError("jump kernel is defined for distinct node pairs")
-        if np.any(pairs < 0) or np.any(pairs >= m):
-            raise ValueError(f"pair indices must lie in [0, {m})")
         # evaluate on the canonical (low, high) ordering so K(i,j) == K(j,i)
         # bitwise, then report the caller's index order
         nodes, at = np.unique(np.concatenate([np.minimum(ii, jj),

@@ -605,6 +605,44 @@ def test_series_decay_steepens_with_distance(dec_identity_wide):
     assert drop == pytest.approx(want, rel=0.4)
 
 
+@pytest.mark.parametrize("x", [40.6, True], ids=["float", "bool"])
+def test_representation_readers_refuse_non_integer_nodes(dec_identity_wide, x):
+    # a float node was truncated onto node 40 (series_coefficients) or
+    # raised numpy's IndexError (representation_solution), and a bool was
+    # read as node 1; both lie off supp F
+    F = _source(dec_identity_wide)
+    with pytest.raises(ValueError, match="x_index must be integer node indices"):
+        representation_solution(dec_identity_wide, 0.5, F, x, 0.0)
+    with pytest.raises(ValueError, match="x_indices must be integer node indices"):
+        series_coefficients(dec_identity_wide, 0.5, F, [x], 4)
+
+
+def test_representation_reads_supp_f_and_x_alone():
+    # H's modes are lam_k <phi_k, F>_w, so a 2-d decomposition holding the
+    # rows on supp F and at the stations alone serves both readers, and
+    # both match the whole decomposition's within 1e-12; at z = 0 the
+    # representation is the Poisson solution A^{1-a} F
+    grid = build_grid(2, 4.0, 16)
+    op = assemble_laplacian(make_metric(grid, ConformalBump(
+        2, beta=0.6, sigma=0.5, center=(2.0, 2.0), r0=1.5)))
+    d = grid.distance_to((0.75, 2.0))
+    F = np.where(d < 0.5, np.cos(np.pi * d) ** 2, 0.0)
+    stations = np.array([np.argmin(grid.distance_to(c))
+                         for c in ((3.25, 2.0), (2.0, 3.25))])
+    rows = decompose(op, nodes=np.union1d(np.flatnonzero(F), stations))
+    whole = decompose(op)
+    poisson = frac_apply_spectral(whole, 0.5, F)[stations]
+    for x, want in zip(stations, poisson):
+        got = [representation_solution(dec, 0.5, F, x, z)
+               for dec in (rows, whole) for z in (0.0, 0.3)]
+        assert abs(got[0] - got[2]) <= 1e-12 * abs(got[2])
+        assert abs(got[1] - got[3]) <= 1e-12 * abs(got[3])
+        assert abs(got[2] - want) <= 1e-12 * abs(want)
+    got, want = (series_coefficients(dec, 0.5, F, stations, 4).values
+                 for dec in (rows, whole))
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
 def test_series_window_guard(dec_identity_wide):
     dec = dec_identity_wide
     F = _source(dec)

@@ -435,8 +435,8 @@ def dec_group(request):
     profile, generators, blocks = GROUP_CASES[request.param]
     dec = decompose(assemble_laplacian(make_metric(build_grid(2, 4.0, 16),
                                                    profile)))
-    assert len(dec.symmetry.generators) == generators
-    assert len(dec.symmetry.blocks) == blocks
+    assert len(dec.generators) == generators
+    assert len(dec.blocks) == blocks
     return dec
 
 
@@ -524,14 +524,14 @@ def test_omega_is_solved_one_orbit_block_at_a_time(monkeypatch):
     dec = decompose(assemble_laplacian(make_metric(grid, BENCH_BUMP)),
                     nodes=config.partial_map_nodes)
     live = []  # per block: its orbits inside Omega, and its copies
-    for block in dec.symmetry.blocks:
+    for block in dec.blocks:
         inside = block.coef[om] != 0.0
         live.append((np.unique(block.index[om][inside]).size, len(block.perms)))
     # the orbit vectors of Omega, over every copy, are a basis of it
     assert sum(k * copies for k, copies in live) == om.size
     sizes = _spy_on_solve(monkeypatch)
     dtn_matrix(dec, 0.5, config)
-    assert len(sizes) == len(dec.symmetry.blocks) == 5
+    assert len(sizes) == len(dec.blocks) == 5
     assert max(sizes) <= max(k for k, _ in live) < om.size // 3
     # an Omega off the symmetry centre is one system of |Omega|
     moved = dataclasses.replace(BENCH_REGION, omega_center=(2.25, 2.0)).build(grid)
@@ -559,7 +559,7 @@ def test_omega_blocks_check_that_omega_is_held():
 def test_residual_guard_sums_over_the_blocks(dec_2d, monkeypatch):
     # the dihedral blocks each solve the last column 1e-6 off; the residual
     # of that column, summed over the blocks, trips the guard
-    assert len(dec_2d.symmetry.blocks) == 5
+    assert len(dec_2d.blocks) == 5
     config = REGION_2D.build(dec_2d.grid)
     _last_column_off(monkeypatch)
     with pytest.raises(ArithmeticError, match="residual"):

@@ -376,6 +376,24 @@ def test_heat_difference_guards(dec_base, dec_gauge, dec_rescaled, source,
         heat_difference_trace(dec_base, dec_rescaled, bad, observer, 0.5)
 
 
+READ_AT_OBSERVER = {
+    "heat_difference_trace": lambda dec, F, x:
+        heat_difference_trace(dec, dec, F, x, 1.0),
+    "heat_moment_table": lambda dec, F, x:
+        heat_moment_table(dec, dec, ALPHA, F, x, quad=QUAD),
+}
+
+
+@pytest.mark.parametrize("x", [27.7, True], ids=["float", "bool"])
+@pytest.mark.parametrize("reader", READ_AT_OBSERVER)
+def test_observer_must_be_an_integer_node(dec_base, source, reader, x):
+    # a float observer was truncated onto node 27 and a bool read as
+    # node 1, both off the source, so the reader ran at a node not asked for
+    with pytest.raises(ValueError,
+                       match="observation index must be integer node indices"):
+        READ_AT_OBSERVER[reader](dec_base, source, x)
+
+
 def test_gauge_pair_moments_pass_rescaled_pair_fails(dec_base, dec_gauge,
                                                      dec_rescaled, source,
                                                      observer):

@@ -35,7 +35,7 @@ from fracbeltrami.spectral import (
     DecompositionSizeError,
     DiscreteLaplaceBeltrami,
     SpectralDecomposition,
-    SymmetryGroup,
+    SymmetryBlock,
     assemble_laplacian,
     decompose,
     energy_form,
@@ -319,7 +319,7 @@ def test_decomposition_stores_geometry_once(dec_2d_aniso):
     assert [f.name for f in dataclasses.fields(dec.operator)] == [
         "offsets", "stencil", "metric"]
     assert [f.name for f in dataclasses.fields(dec)] == [
-        "eigenvalues", "operator", "symmetry", "nodes"]
+        "eigenvalues", "operator", "generators", "blocks", "nodes"]
     assert dec.nodes is None  # the basis holds every node
     assert dec.grid is dec.operator.metric.grid
     assert dec.metric is dec.operator.metric
@@ -330,7 +330,7 @@ def test_decomposition_stores_geometry_once(dec_2d_aniso):
                            for f in dataclasses.fields(dec)})
     assert rebuilt.grid is dec.grid
     assert np.array_equal(rebuilt.measure.node_weights, expected)
-    assert rebuilt.symmetry is dec.symmetry  # the block labels travel too
+    assert rebuilt.blocks is dec.blocks  # the block labels travel too
 
 
 def test_trace_identity(dec_1d_bump):
@@ -668,7 +668,7 @@ def test_largest_block_is_solved_first(monkeypatch, n, profile):
                         lambda a: calls.append(a.shape[0]) or eigh(a))
     dec = decompose(op)
     assert calls == sorted(sizes, reverse=True)
-    assert [b.vectors.shape[1] for b in dec.symmetry.blocks] == sizes
+    assert [b.vectors.shape[1] for b in dec.blocks] == sizes
 
 
 @pytest.mark.parametrize("dim, n, profile, generators, copies", [
@@ -689,39 +689,39 @@ def test_largest_block_is_solved_first(monkeypatch, n, profile):
 def test_recorded_blocks_label_the_modes(dim, n, profile, generators, copies):
     # every mode lies in one copy of one recorded block; a copy's node
     # vectors are coef[p n] v[index[p n]] for one set of coefficients v per
-    # block, read at one representative node per orbit of the first copy;
-    # and each generator g under which a copy's coefficients change by one
-    # sign chi gives x[g n] = chi x[n] (x = W^{1/2} phi) on its modes, the
-    # copy's character on g
+    # block, the block's vectors in its orbit coordinates; and each
+    # generator g under which a copy's coefficients change by one sign chi
+    # gives x[g n] = chi x[n] (x = W^{1/2} phi) on its modes, the copy's
+    # character on g
     grid = build_grid(dim, 4.0, n)
     dec = decompose(assemble_laplacian(make_metric(grid, profile)))
-    group = dec.symmetry
-    assert len(group.generators) == generators
-    assert sum(len(block.perms) for block in group.blocks) == copies
-    columns = np.concatenate([c for block in group.blocks for c in block.columns])
+    assert len(dec.generators) == generators
+    assert sum(len(block.perms) for block in dec.blocks) == copies
+    columns = np.concatenate([c for block in dec.blocks for c in block.columns])
     assert np.array_equal(np.sort(columns), np.arange(grid.node_count))
     x = _every_row(dec) * np.sqrt(dec.measure.node_weights)[:, None]
     labels = 0
-    for block in group.blocks:
+    for block in dec.blocks:
         index, coef = block.index[block.perms[0]], block.coef[block.perms[0]]
         live = np.flatnonzero(coef)
         orbits, first = np.unique(index[live], return_index=True)
         reps = live[first]
         v = np.zeros((index.max() + 1, len(block.columns[0])))
         v[orbits] = x[np.ix_(reps, block.columns[0])] / coef[reps, None]
+        assert np.abs(block.vectors - v).max() <= 1e-13  # orbit coordinates
         for p, cols in zip(block.perms, block.columns):
             assert np.array_equal(dec.eigenvalues[cols],
                                   dec.eigenvalues[block.columns[0]])
             c = block.coef[p]
             rebuilt = c[:, None] * v[block.index[p]]
             assert np.abs(rebuilt - x[:, cols]).max() <= 1e-13
-            for g in group.generators:
+            for g in dec.generators:
                 for chi in (1.0, -1.0):
                     if np.array_equal(c[g], chi * c):
                         labels += 1
                         assert np.abs(x[g][:, cols] - chi * x[:, cols]).max() <= 1e-13
     # every copy is labelled by every generator but D4's 2-d block by tau
-    two_d = sum(len(b.perms) for b in group.blocks if len(b.perms) == 2)
+    two_d = sum(len(b.perms) for b in dec.blocks if len(b.perms) == 2)
     assert labels == copies * generators - two_d
 
 
@@ -729,8 +729,11 @@ def _eigh_reference(op):
     """The dense-eigensolve decomposition, formed here as an oracle."""
     evals, basis = _pinned_dense(op)
     vectors = basis * np.sqrt(op.measure.node_weights)[:, None]
+    every = np.arange(evals.size)
+    block = SymmetryBlock(index=every, coef=np.ones(every.size), perms=(every,),
+                          columns=(every,), vectors=vectors)
     return SpectralDecomposition(eigenvalues=evals, operator=op,
-                                 symmetry=SymmetryGroup.trivial(vectors))
+                                 generators=(), blocks=(block,))
 
 
 @pytest.mark.parametrize("dim, n, profile", [
@@ -841,9 +844,9 @@ def _scattered(n):
     dataclasses.replace(BUMP_2D, center=(1.7, 2.3)),
 ], ids=["bump", "pullback", "aniso", "diagonal-bump", "off-centre-bump"])
 def test_rows_only_rows_are_the_whole_rows(profile):
-    # each block holds its eigenvectors at one node per orbit, only for the
+    # each block holds its eigenvectors one row per orbit, only for the
     # orbits the nodes reach when nodes= is given; any node's row is its
-    # orbit's row times an exact sign, so the rows are bitwise the whole
+    # orbit's row times its coef, so the rows are bitwise the whole
     # decomposition's, under D4, both mirrors, tau alone and the trivial
     # group alike
     n = 12
@@ -852,8 +855,8 @@ def test_rows_only_rows_are_the_whole_rows(profile):
     rows, whole = decompose(op, nodes=nodes), decompose(op)
     assert np.array_equal(rows.rows(nodes), whole.rows(nodes))
     assert np.array_equal(whole.rows(nodes), _every_row(whole)[nodes])
-    assert (sum(b.vectors.size for b in rows.symmetry.blocks)
-            < sum(b.vectors.size for b in whole.symmetry.blocks))
+    assert (sum(b.vectors.size for b in rows.blocks)
+            < sum(b.vectors.size for b in whole.blocks))
 
 
 @pytest.mark.parametrize("dim, n, profile", [
@@ -883,13 +886,11 @@ def test_project_and_synthesize_match_the_dense_basis(dim, n, profile):
 def _held(dec):
     """The elements of every array a decomposition holds beside its
     operator: (largest array, the blocks' eigenvectors, the rest)."""
-    group = dec.symmetry
-    arrays = {id(a): a for a in [dec.eigenvalues, *group.generators] + [
-        a for b in group.blocks
-        for a in (b.index, b.coef, *b.perms, *b.columns, b.reps)]}
-    vectors = sum(b.vectors.size for b in group.blocks)
+    arrays = {id(a): a for a in [dec.eigenvalues, *dec.generators] + [
+        a for b in dec.blocks for a in (b.index, b.coef, *b.perms, *b.columns)]}
+    vectors = sum(b.vectors.size for b in dec.blocks)
     largest = max([a.size for a in arrays.values()]
-                  + [b.vectors.size for b in group.blocks])
+                  + [b.vectors.size for b in dec.blocks])
     return largest, vectors, sum(a.size for a in arrays.values())
 
 
@@ -936,7 +937,7 @@ def test_dihedral_peak_is_its_largest_eigensolve():
     # block order, 1.19 MB largest first)
     op = assemble_laplacian(make_metric(build_grid(2, 4.0, 48), BUMP_2D))
     dec, peak = _traced_peak(lambda: decompose(op))
-    sizes = sorted(b.vectors.shape[1] for b in dec.symmetry.blocks)
+    sizes = sorted(b.vectors.shape[1] for b in dec.blocks)
     assert sizes == [253, 276, 300, 325, 575]
     others = 8 * sum(k * k for k in sizes[:-1])
     assert peak - 2 * 8 * sizes[-1] ** 2 < others
@@ -994,7 +995,8 @@ def _rows_only():
 
 
 # readers that read the rows on their nodes only: the source's support
-# (W1), the observer (W2) or the pairs' nodes.  BUMP_2D is the identity
+# (W1), the observer (W2) or the pairs' nodes; the representation reads
+# supp F and x, since H = A F enters through its modes lam_k <phi_k, F>_w.  BUMP_2D is the identity
 # beyond r0 = 1.5 of the centre, so on W1 and W2 at N = 12, and its heat
 # trace is compared with the flat torus's
 HELD_NODE_READERS = {
@@ -1007,6 +1009,8 @@ HELD_NODE_READERS = {
         recovery.heat_difference_trace(dec, decompose(assemble_laplacian(
             make_metric(config.grid, IdentityMetric(2)))), F, config.w2_nodes[0],
             np.array([0.1, 0.5, 2.0])),
+    "representation_solution": lambda dec, config, F:
+        extension.representation_solution(dec, 0.5, F, config.w2_nodes[0], 0.1),
 }
 
 
@@ -1021,9 +1025,7 @@ def test_held_node_readers_serve_rows_only(reader):
 
 
 # readers that read every node: the node vectors of synthesize and of the
-# spectral powers built on it, the dense energy matrix, and the series of
-# the representation, whose H = A F reaches the stencil neighbours of
-# supp F beyond W1
+# spectral powers built on it, and the dense energy matrix
 WHOLE_BASIS_READERS = {
     "synthesize": lambda dec, config, F: dec.synthesize(F),
     "heat_apply": lambda dec, config, F: heat_apply(dec, 0.5, F),
@@ -1031,8 +1033,6 @@ WHOLE_BASIS_READERS = {
     "frac_apply_balakrishnan":
         lambda dec, config, F: frac_apply_balakrishnan(dec, 0.5, F),
     "frac_energy_matrix": lambda dec, config, F: frac_energy_matrix(dec, 0.5),
-    "representation_solution": lambda dec, config, F:
-        extension.representation_solution(dec, 0.5, F, config.w2_nodes[0], 0.1),
     "poisson_solve": lambda dec, config, F: exterior.poisson_solve(
         dec, 0.5, config, F),
 }
@@ -1469,6 +1469,19 @@ def test_jump_kernel_rejects_indices_off_the_grid(dec_1d_bump, pair):
     # a negative index would wrap to K(0, 15) and be recorded as j = -1
     with pytest.raises(ValueError, match="pair indices"):
         jump_kernel(dec_1d_bump, 0.5, pairs=[pair])
+
+
+@pytest.mark.parametrize("pairs, message", [
+    ([[0.0, 5.0]], "pair indices must be integer node indices"),
+    ([[True, False]], "pair indices must be integer node indices"),
+    ([0, 5], r"pair indices must be a \(k, 2\) array, got shape \(2,\)"),
+    ([[0, 5, 9]], r"pair indices must be a \(k, 2\) array"),
+], ids=["float", "bool", "one-d", "triples"])
+def test_jump_kernel_checks_its_pairs(dec_1d_bump, pairs, message):
+    # the pairs go through the shared node check and a shape check, so
+    # each message names the caller's argument
+    with pytest.raises(ValueError, match=message):
+        jump_kernel(dec_1d_bump, 0.5, pairs=pairs)
 
 
 @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])

@@ -21,12 +21,15 @@ sampling (``geometry.py``, ``recovery.py``) names no ``einsum``, ``inv`` or
 within commutative pairs, and the 1 x 1 and 2 x 2 closed forms that replace
 them are what keeps a symmetric sample symmetric to the bit, so that
 ``spectral._symmetry_blocks`` can compare exactly.  A decomposition holds
-its symmetry blocks' eigenvectors (``SymmetryBlock.vectors``), not a
-node-space basis, and those blocks are the one storage every basis read
-goes through: only ``spectral.py`` reads them, where each reader of
-``SpectralDecomposition`` checks that the nodes it reads are held, and
-the exterior layer's ``_omega_blocks``, which solves Omega in the blocks'
-own coordinates.  Deletions leave nothing
+its symmetry blocks' eigenvectors in their orbit coordinates
+(``SymmetryBlock.vectors``), not a node-space basis, and those blocks are
+the one storage every basis read goes through: only ``spectral.py`` reads
+them, where each reader of ``SpectralDecomposition`` checks that the nodes
+it reads are held, and the exterior layer's ``_omega_blocks``, which
+solves Omega in the blocks' own coordinates.  Both routes of ``decompose``
+build that record at one site, the merge ``_block_eigenpairs``, so a
+second bookkeeping path for the blocks' columns cannot come back
+unnoticed.  Deletions leave nothing
 behind: every name a module lists in ``__all__`` is defined there, and
 every name it imports is read there.
 """
@@ -151,11 +154,39 @@ def test_block_vectors_are_read_only_where_they_are_stored(path):
 
 def test_block_vectors_guard_sees_a_stray_read():
     source = ("def _omega_blocks(dec):\n"
-              "    return [b.vectors for b in dec.symmetry.blocks]\n"
+              "    return [b.vectors for b in dec.blocks]\n"
               "def _trace_sampler(dec, x):\n"
-              "    return dec.symmetry.blocks[0].vectors[x]\n")
+              "    return dec.blocks[0].vectors[x]\n")
     assert _vectors_reads(ast.parse(source)) == [
         (2, "_omega_blocks"), (4, "_trace_sampler")]
+
+
+def _calls(tree, name):
+    """(line, enclosing top-level definition) of every call of ``name``,
+    as a bare name or an attribute."""
+    return [(node.lineno, getattr(top, "name", None))
+            for top in tree.body for node in ast.walk(top)
+            if isinstance(node, ast.Call) and name in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+
+
+def test_symmetry_blocks_are_built_at_one_site():
+    sites = [(path.name, owner) for path in PACKAGE
+             for _, owner in _calls(ast.parse(path.read_text(),
+                                              filename=str(path)),
+                                    "SymmetryBlock")]
+    assert sites == [("spectral.py", "_block_eigenpairs")], (
+        f"`SymmetryBlock(` is called at {sites}; build every block in "
+        "spectral._block_eigenpairs, the one merge of both decompose routes")
+
+
+def test_block_site_guard_counts_a_second_path():
+    source = ("def _block_eigenpairs(blocks):\n"
+              "    return [SymmetryBlock(index=i) for i in blocks]\n"
+              "def _fourier_eigenpairs(op):\n"
+              "    return (spectral.SymmetryBlock(index=op),)\n")
+    assert _calls(ast.parse(source), "SymmetryBlock") == [
+        (2, "_block_eigenpairs"), (4, "_fourier_eigenpairs")]
 
 
 SAMPLING = [ROOT / "src" / "fracbeltrami" / name
