@@ -48,7 +48,7 @@ from .quadrature import LogQuadrature
 from .solvers import conjugate_gradient
 from .geometry import TorusGrid
 from .spectral import (SpectralDecomposition, _axis_modes, _check_alpha,
-                       _node_indices, _spectral_power)
+                       _check_integers, _node_indices, _spectral_power)
 
 __all__ = [
     "bessel_k",
@@ -310,6 +310,7 @@ def graded_mesh(dec: SpectralDecomposition, alpha: float,
         raise ValueError(
             f"truncation height {height:.3g} is below 5/sqrt(lam_1) = "
             f"{5.0 / math.sqrt(lam1):.3g}; modes would still be active at the cap")
+    _check_integers([count], "count")
     if count < 2:
         raise ValueError("extension mesh needs at least two intervals")
     kappa = 4.0 - 2.0 * alpha

@@ -12,13 +12,13 @@ block is SPD whenever Omega is a proper subset.  E is never formed whole:
 with the rows G_S = W_S Phi_S Lambda^{a/2} of the eigenbasis, every block is
 E_ST = G_S G_T', so a solve needs only the rows on Omega and on the support
 of the data, once for a whole block of data given as columns.  Nor is E_OO
-formed in node space.  The decomposition records the symmetry block of
-every mode (``SpectralDecomposition.blocks``), and when the grid
-symmetries it holds map Omega onto itself (a ball about the grid's centre,
-say), E_OO is block diagonal in the orbit basis of Omega (Bossavit,
-Comput. Methods Appl. Mech. Engrg. 1986): each block is formed from its
-own modes in its orbit coordinates, read straight off the decomposition's
-blocks, and solved on its own; for the dihedral group the blocks take
+formed in node space.  The decomposition holds one record per set of
+modes of a symmetry block (``SpectralDecomposition.blocks``), and when
+the grid symmetries it holds map Omega onto itself (a ball about the
+grid's centre, say), E_OO is block diagonal in the orbit basis of Omega
+(Bossavit, Comput. Methods Appl. Mech. Engrg. 1986): each record's block
+is formed from its own modes in its orbit coordinates, read straight off
+the record, and solved on its own; for the dihedral group the blocks take
 about 1/40 of the multiply-adds of the node-space Gram matrix, and the
 largest solve about a quarter of |Omega|.  Otherwise one block, every mode
 at every node of Omega, is the same loop's only pass (:func:`_omega_blocks`,
@@ -220,25 +220,25 @@ class RegionSpec:
 
 def _omega_blocks(dec: SpectralDecomposition, alpha: float,
                   config: ExteriorConfig):
-    """The Omega problem one symmetry block at a time.
+    """The Omega problem one record of the decomposition at a time.
 
     If every generator of ``dec.generators`` maps Omega onto itself, E_OO
-    commutes with the group, and in the orbit basis U of Omega (the block
-    vectors u_O of :class:`spectral.SymmetryBlock` on the orbits inside
-    Omega, orthonormal and complete on Omega)
+    commutes with the group, and in the orbit basis U of Omega (the
+    vectors u_O of each :class:`spectral.SymmetryBlock` on the orbits
+    inside Omega, orthonormal and complete on Omega)
 
         W_O^{-1/2} E_OO W_O^{-1/2} = U diag(Y_k) U',   Y_k = H_k H_k',
 
-    with H_k the eigenvector coefficients v of block k at its live Omega
-    orbits times lam^{a/2}: the block's held rows at those orbits
+    with H_k the eigenvector coefficients v of record k at its live Omega
+    orbits times lam^{a/2}: the record's held rows at those orbits
     (``SymmetryBlock.vectors``, which are in orbit coordinates).  Otherwise
-    one block of every mode at every node of Omega serves:
-    H = W_O^{1/2} Phi_O Lambda^{a/2}.  Yields per block with
-    a live Omega orbit (H, copies); a copy is (columns, slot, coef): its
-    columns of the modes, and per Omega node the row of its orbit in H and
-    its coefficient in the copy, so (U_k z)_n = coef_n z[slot_n].  The
-    copies of one block share H.  Omega's rows must be held; they pass the
-    check every basis read makes (``SpectralDecomposition._held``).
+    one record of every mode at every node of Omega serves:
+    H = W_O^{1/2} Phi_O Lambda^{a/2}.  Yields per record with a live Omega
+    orbit (H, columns, slot, coef): H, the columns of its modes, and per
+    Omega node the row of its orbit in H and its coefficient, so
+    (U_k z)_n = coef_n z[slot_n].  The two records of D4's 2-d block give
+    the same H.  Omega's rows must be held; they pass the check every
+    basis read makes (``SpectralDecomposition._held``).
     """
     om = dec._held(config.omega_nodes)
     half = _spectral_power(dec.eigenvalues, 0.5 * alpha)
@@ -246,20 +246,17 @@ def _omega_blocks(dec: SpectralDecomposition, alpha: float,
         h = dec.rows(om)
         h *= np.sqrt(dec.measure.node_weights[om])[:, None]
         h *= half
-        yield h, [(np.arange(dec.node_count), np.arange(om.size),
-                   np.ones(om.size))]
+        yield h, np.arange(dec.node_count), np.arange(om.size), np.ones(om.size)
         return
     for block in dec.blocks:
-        maps = [(block.index[p[om]], block.coef[p[om]]) for p in block.perms]
-        orbit, coef = maps[0]
+        orbit, coef = block.index[om], block.coef[om]
         rows = np.unique(orbit[coef != 0.0])
         if rows.size == 0:
             continue
         h = block.vectors[rows]
-        h *= half[block.columns[0]]
-        yield h, [(columns, np.minimum(np.searchsorted(rows, orbit_c),
-                                       rows.size - 1), coef_c)
-                  for columns, (orbit_c, coef_c) in zip(block.columns, maps)]
+        h *= half[block.columns]
+        yield (h, block.columns,
+               np.minimum(np.searchsorted(rows, orbit), rows.size - 1), coef)
 
 
 def _maps_onto_itself(generators: tuple, nodes: np.ndarray,
@@ -277,16 +274,16 @@ def _solve_blocks(dec: SpectralDecomposition, alpha: float,
     ``f_in`` holds one datum per column, shape (|in|, k).  The half-power
     modes of the data, d = G_in' F, are formed once; then, block by block
     (:func:`_omega_blocks`), with z_k = U_k' W_O^{1/2} U_O the system is
-    Y_k z_k = -H_k d_k on the block's columns d_k of d, solved by one
-    ``np.linalg.solve`` for all k data and all copies of the block, and
-    only the block's columns of the modes change:
+    Y_k z_k = -H_k d_k on the record's columns d_k of d, solved by one
+    ``np.linalg.solve`` for all k data, and only the record's columns of
+    the modes change:
     d_k <- d_k - H_k' Y_k^{-1} H_k d_k.  W_O drops out, since W_O^{1/2}
     does not change the row space of G_O.  Returns
     U_O = W_O^{-1/2} sum_k U_k z_k (|O|, k) and the half-power modes
     G' U = Lambda^{a/2} Phi' W U (M, k) of the full solutions U (F on
     `in_nodes`, 0 on the rest of the exterior).  Every exterior solve is
     guarded: the worst column's relative residual ||b - Y z|| / ||b||,
-    each norm summed over the blocks (the residual of the symmetrically
+    each norm summed over the records (the residual of the symmetrically
     scaled system W_O^{-1/2} E_OO W_O^{-1/2} in the orbit basis), must
     stay below 1e-9, or ``ArithmeticError`` is raised.
     """
@@ -302,18 +299,14 @@ def _solve_blocks(dec: SpectralDecomposition, alpha: float,
     count = f_in.shape[1]
     u_omega = np.zeros((config.interior_count, count))
     b_norm2, r_norm2 = np.zeros(count), np.zeros(count)
-    for h, copies in _omega_blocks(dec, alpha, config):
+    for h, cols, slot, coef in _omega_blocks(dec, alpha, config):
         block = h @ h.T
-        rhs = np.concatenate([-(h @ modes[cols]) for cols, _, _ in copies],
-                             axis=1)
+        rhs = -(h @ modes[cols])
         z = np.linalg.solve(block, rhs)
-        b_norm2 += np.square(rhs).sum(axis=0).reshape(-1, count).sum(axis=0)
-        r_norm2 += np.square(rhs - block @ z).sum(axis=0).reshape(
-            -1, count).sum(axis=0)
-        for (cols, slot, coef), z_c in zip(copies,
-                                           np.split(z, len(copies), axis=1)):
-            modes[cols] += h.T @ z_c
-            u_omega += coef[:, None] * z_c[slot]
+        b_norm2 += np.square(rhs).sum(axis=0)
+        r_norm2 += np.square(rhs - block @ z).sum(axis=0)
+        modes[cols] += h.T @ z
+        u_omega += coef[:, None] * z[slot]
     u_omega /= np.sqrt(w[config.omega_nodes])[:, None]
     residual = float(np.sqrt(np.divide(r_norm2, b_norm2,
                                        out=np.zeros_like(r_norm2),
@@ -355,7 +348,7 @@ def coercivity_constant(dec: SpectralDecomposition, alpha: float,
     diagnostic for the energy estimates.
     """
     return float(min(np.linalg.eigvalsh(h @ h.T)[0]
-                     for h, _ in _omega_blocks(dec, alpha, config)))
+                     for h, _, _, _ in _omega_blocks(dec, alpha, config)))
 
 
 # ----------------------------------------------------------------------

@@ -46,6 +46,7 @@ from .exterior import RegionSpec, dtn_matrix
 from .spectral import (
     SpectralDecomposition,
     _check_alpha,
+    _check_integers,
     _node_indices,
     assemble_laplacian,
     decompose,
@@ -450,7 +451,8 @@ def dtn_difference_experiment(alpha: float, region: RegionSpec, profile_a,
     sizes.  The profiles must agree node-exactly on the exterior of every
     grid -- otherwise the defect mixes interior structure with trivially
     different boundary data and the experiment means nothing.  ``sizes``
-    must strictly increase: a ladder that does not refine judges nothing.
+    must be integers that strictly increase: a ladder that does not refine
+    judges nothing.
 
     Each size measures the partial map of each metric as its |W2| x |W1|
     matrix Lambda (``exterior.dtn_matrix``).  Lambda reads the eigenbasis
@@ -465,6 +467,7 @@ def dtn_difference_experiment(alpha: float, region: RegionSpec, profile_a,
     _check_alpha(alpha, allow_one=False)
     if len(sizes) < 2:
         raise ValueError("need at least two grid sizes to judge refinement")
+    _check_integers(sizes, "every grid size")
     if any(coarse >= fine for coarse, fine in zip(sizes, sizes[1:])):
         raise ValueError(f"grid sizes must strictly increase to judge "
                          f"refinement, got {tuple(sizes)}")

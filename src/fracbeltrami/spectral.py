@@ -32,6 +32,7 @@ import dataclasses
 import functools
 import itertools
 import math
+import numbers
 
 import numpy as np
 
@@ -240,36 +241,31 @@ def assemble_laplacian(metric: MetricField) -> DiscreteLaplaceBeltrami:
 
 @dataclasses.dataclass(frozen=True)
 class SymmetryBlock:
-    """One symmetry block of S: its eigenvectors and the modes they are.
+    """One set of modes of a symmetry block of S: eigenvectors and columns.
 
-    The block's matrix is written in the orbit vectors
-    u_O = sum_{n in O} coef[n] e_n, with ``coef[n]`` = +-1/sqrt|O| (0 on
-    the orbits the block has no vector on).  ``vectors`` holds its
-    eigenvectors v in those coordinates, one row per orbit held: every
-    orbit when the decomposition holds every node, else the orbits its
-    nodes reach over every copy.  ``index[n]`` is the row of ``vectors``
-    that holds node n's orbit, wherever that orbit is held.  The
-    eigenvectors are read once per copy: copy c holds the modes at the
-    columns ``columns[c]`` of the sorted basis (in the order of v), and
-    its node vector is x_n = coef[p n] v[index[p n]] with p = ``perms[c]``,
-    x = W^{1/2} phi.  A generator g with coef[p g n] = chi coef[p n] at
-    every node, chi = +-1, labels the copy: x[g n] = chi x[n] for each of
-    its modes.
+    The modes are written in the orbit vectors u_O = sum_{n in O} coef[n] e_n,
+    with ``coef[n]`` = +-1/sqrt|O| (0 on the orbits without a vector).
+    ``vectors`` holds the eigenvectors v in those coordinates, one row per
+    orbit held: every orbit when the decomposition holds every node, else
+    the orbits its nodes read with a nonzero coef.  ``index[n]`` is the row
+    of ``vectors`` holding node n's orbit, wherever that orbit is held;
+    node n's vector is x_n = coef[n] v[index[n]], x = W^{1/2} phi, and the
+    modes take the columns ``columns`` of the sorted basis.  A generator g
+    with coef[g n] = chi coef[n] at every node, chi = +-1, labels the set:
+    x[g n] = chi x[n].  D4's 2-d block is two records over one ``vectors``:
+    the partner's index and coef are the first's at tau-permuted nodes.
     """
 
-    index: np.ndarray                  # (M,)
-    coef: np.ndarray                   # (M,)
-    perms: tuple[np.ndarray, ...]      # one row permutation per copy
-    columns: tuple[np.ndarray, ...]    # per copy, its modes' sorted columns
-    vectors: np.ndarray                # (R, k) v at the R orbits held
+    index: np.ndarray    # (M,)
+    coef: np.ndarray     # (M,)
+    columns: np.ndarray  # (k,) the modes' sorted columns
+    vectors: np.ndarray  # (R, k) v at the R orbits held
 
-    def node_vectors(self, nodes: np.ndarray, p: np.ndarray,
-                     out: np.ndarray) -> np.ndarray:
-        """x = W^{1/2} phi of copy ``p``'s modes at ``nodes``, written into
-        ``out``, (len, k)."""
-        image = p[nodes]
-        return np.multiply(self.vectors[self.index[image]],
-                           self.coef[image][:, None], out=out)
+    def node_vectors(self, nodes: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """x = W^{1/2} phi of the modes at ``nodes``, written into ``out``,
+        (len, k)."""
+        return np.multiply(self.vectors[self.index[nodes]],
+                           self.coef[nodes][:, None], out=out)
 
 
 # rows per block of SpectralDecomposition.rows: each block of output rows
@@ -282,12 +278,12 @@ _BLOCK = 64
 class SpectralDecomposition:
     """Eigenpairs of A, orthonormal in the weighted inner product.
 
-    The eigenvectors phi_k, <phi_j, phi_k>_w = delta_jk, are held block by
-    block: ``blocks`` are the blocks of the group that the node permutations
-    ``generators`` (node n maps to p[n]) generate, every mode in exactly one
-    copy of one of them (with no generators, the trivial group's one block,
-    S itself: every column, coef = 1 at every node).  Each
-    :class:`SymmetryBlock` holds its eigenvectors in its orbit coordinates,
+    The eigenvectors phi_k, <phi_j, phi_k>_w = delta_jk, are held set by
+    set: ``blocks`` holds one :class:`SymmetryBlock` per set of modes of
+    the group that the node permutations ``generators`` (node n maps to
+    p[n]) generate, every mode in exactly one of them (with no generators,
+    the trivial group's one block, S itself: every column, coef = 1 at
+    every node).  Each holds its eigenvectors in its orbit coordinates,
     each with the sign its route gives it (every reader is unchanged by a
     negation of a mode).  No node-space basis is held; :meth:`rows` forms
     phi at given nodes, bitwise the same whether the decomposition holds
@@ -341,11 +337,11 @@ class SpectralDecomposition:
         """The basis rows phi_k(n) at the index array ``nodes``,
         nodes.shape + (M,).
 
-        A new array, formed _BLOCK rows at a time: every block copy's node
-        vectors (:meth:`SymmetryBlock.node_vectors`) are written in block
+        A new array, formed _BLOCK rows at a time: every record's node
+        vectors (:meth:`SymmetryBlock.node_vectors`) are written in record
         order into one reused (_BLOCK, M) work array, which is taken into
         the sorted columns of the output rows and divided there by W^{1/2}.
-        So beside the output a read holds that work array and per-copy
+        So beside the output a read holds that work array and per-record
         temporaries of at most _BLOCK rows, whatever the number of rows,
         and every element goes through the same gather, coef scale,
         permutation and division: a row is bitwise the same read alone or
@@ -353,8 +349,7 @@ class SpectralDecomposition:
         """
         flat, m = self._held(nodes), self.node_count
         column = np.empty(m, dtype=int)
-        column[np.concatenate([cols for block in self.blocks
-                               for cols in block.columns])] = np.arange(m)
+        column[np.concatenate([b.columns for b in self.blocks])] = np.arange(m)
         root_w = np.sqrt(self.measure.node_weights[flat])[:, None]
         out = np.empty((flat.size, m))
         work = np.empty((min(_BLOCK, flat.size), m))
@@ -362,10 +357,9 @@ class SpectralDecomposition:
             part, start = slice(r0, r0 + _BLOCK), 0
             at = flat[part]
             for block in self.blocks:
-                for p, cols in zip(block.perms, block.columns):
-                    block.node_vectors(
-                        at, p, work[:at.size, start:start + cols.size])
-                    start += cols.size
+                k = block.columns.size
+                block.node_vectors(at, work[:at.size, start:start + k])
+                start += k
             # column is a permutation, so clipping never acts, and the
             # output slice is contiguous: take writes it with no copy
             np.take(work[:at.size], column, axis=1, out=out[part], mode="clip")
@@ -375,11 +369,10 @@ class SpectralDecomposition:
     def project(self, u: np.ndarray) -> np.ndarray:
         """Coefficients <phi_k, u>_w = x_k' W^{1/2} u of a node vector.
 
-        Per block and copy, W^{1/2} u is summed onto the block's orbit
-        vectors (weights coef[p n]) over u's nonzero nodes only, whose rows
-        are all it reads (an exact zero leaves a sum bitwise as it is), and
-        the sums are multiplied by the held rows: one product per copy,
-        v' s.
+        Per record, W^{1/2} u is summed onto its orbit vectors (weights
+        coef[n]) over u's nonzero nodes only, whose rows are all it reads
+        (an exact zero leaves a sum bitwise as it is), and the sums are
+        multiplied by the held rows: one product per record, v' s.
         """
         u = np.asarray(u)
         if u.shape != (self.node_count,):
@@ -389,23 +382,20 @@ class SpectralDecomposition:
         y = np.sqrt(self.measure.node_weights[support]) * u[support]
         out = np.empty(self.node_count)
         for block in self.blocks:
-            for p, cols in zip(block.perms, block.columns):
-                image = p[support]
-                sums = np.bincount(block.index[image],
-                                   weights=block.coef[image] * y,
-                                   minlength=block.vectors.shape[0])
-                out[cols] = block.vectors.T @ sums
+            sums = np.bincount(block.index[support],
+                               weights=block.coef[support] * y,
+                               minlength=block.vectors.shape[0])
+            out[block.columns] = block.vectors.T @ sums
         return out
 
     def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
-        """The node vector sum_k coeffs_k phi_k: per block and copy, the
-        held rows times the copy's coefficients (v c), read at every node's
-        orbit times coef there, so every node's row must be held."""
+        """The node vector sum_k coeffs_k phi_k: per record, the held rows
+        times its coefficients (v c), read at every node's orbit times coef
+        there, so every node's row must be held."""
         self._held(np.arange(self.node_count))
         x = np.zeros(self.node_count)
         for block in self.blocks:
-            for p, cols in zip(block.perms, block.columns):
-                x += block.coef[p] * (block.vectors @ coeffs[cols])[block.index[p]]
+            x += block.coef * (block.vectors @ coeffs[block.columns])[block.index]
         return x / np.sqrt(self.measure.node_weights)
 
 
@@ -467,19 +457,19 @@ def decompose(op: DiscreteLaplaceBeltrami, cap: int = DEFAULT_EIG_CAP,
     {sigma0, sigma1}, whose modes it reads off each mode's cos/sin parity
     on each axis (the trivial group's one block in 1-d).  Everything else
     is :func:`_block_eigenpairs`: the orbit bases, the rows held, the
-    merge of the eigenvalues and the columns of every copy, and the one
-    record of the result (``SpectralDecomposition.blocks``), where each
-    block keeps its eigenvectors in its orbit coordinates, one row per
-    orbit, so no node-space basis is formed; the exterior layer solves its
-    Omega problem one block at a time straight from them
+    merge of the eigenvalues and the records of the result
+    (``SpectralDecomposition.blocks``), one per set of modes, each keeping
+    its eigenvectors in its orbit coordinates, one row per orbit, so no
+    node-space basis is formed; the exterior layer solves its Omega
+    problem one record at a time straight from them
     (``exterior._solve_blocks``).
 
     ``nodes`` asks for the basis rows at those nodes only (sorted and made
     unique, a non-empty 1-d index array), which serve every reader that
     reads them alone: each block then keeps only the orbits those nodes
-    reach, over every copy.  The eigenvalues and the eigensolves are the
-    same, and a row is read the same way from either, so the rows are
-    bitwise those of the whole decomposition.
+    read with a nonzero coef in one of its sets of modes.  The eigenvalues
+    and the eigensolves are the same, and a row is read the same way from
+    either, so the rows are bitwise those of the whole decomposition.
 
     Cost is memory as much as time: every M x M float64 matrix takes
     8 M^2 bytes (42.5 MB at M = 2304, 2-d N = 48).  The block route sums
@@ -563,6 +553,13 @@ def _node_indices(nodes, m: int, name: str = "nodes") -> np.ndarray:
     return nodes.astype(int, copy=False)
 
 
+def _check_integers(values, name: str) -> None:
+    """Refuse a float or a bool among ``values``, which int() would read."""
+    if any(isinstance(v, bool) or not isinstance(v, numbers.Integral)
+           for v in values):
+        raise ValueError(f"{name} must be an integer, got {list(values)}")
+
+
 def _size_error(what: str, rows: int, cols: int,
                 remedy: str) -> DecompositionSizeError:
     return DecompositionSizeError(
@@ -591,7 +588,8 @@ def _symmetry_blocks(op: DiscreteLaplaceBeltrami
     listed (zero at every node) fails.  Each block is (generators, signs,
     copies): the node permutations that generate its group, the value of
     its character on each of them, and the row permutations at which its
-    eigenvectors are read, one set of modes per copy.  A group of
+    eigenvectors are read, one set of modes (one record of
+    :func:`_block_eigenpairs`) per copy.  A group of
     commuting involutions (one mirror, both, or tau alone) has one block
     per sign pattern.  Tau with a mirror generates D4, since it conjugates
     one mirror into the other.  D4's four 1-d representations are the sign
@@ -642,14 +640,14 @@ def _orbit_basis(generators: list[np.ndarray], signs: tuple, node_count: int
     (ordered by the orbit's smallest node) and c_m (0 on the orbits without
     a vector), and per block row its orbit's smallest node.
     """
-    perms, chars = [np.arange(node_count)], [1.0]
+    elements, chars = [np.arange(node_count)], [1.0]
     for gen, sign in zip(generators, signs):
-        perms += [gen[p] for p in perms]
+        elements += [gen[g] for g in elements]
         chars += [sign * c for c in chars]
-    perms = np.array(perms)
-    rep = perms.min(axis=0)  # the smallest node of each orbit
+    elements = np.array(elements)
+    rep = elements.min(axis=0)  # the smallest node of each orbit
     reps = np.flatnonzero(rep == np.arange(rep.size))
-    coef = np.bincount(perms[:, reps].ravel(), minlength=rep.size,
+    coef = np.bincount(elements[:, reps].ravel(), minlength=rep.size,
                        weights=np.repeat(chars, reps.size))
     norm2 = np.bincount(rep, weights=coef ** 2, minlength=rep.size)
     live = coef != 0.0
@@ -661,58 +659,58 @@ def _orbit_basis(generators: list[np.ndarray], signs: tuple, node_count: int
 def _block_eigenpairs(blocks: list, solve, at: np.ndarray
                       ) -> tuple[np.ndarray, tuple, tuple[SymmetryBlock, ...]]:
     """Eigenvalues of S, sorted, the generators of its group and its
-    blocks, with their eigenvectors at the orbits that the nodes ``at``
-    reach.
+    records, with their eigenvectors at the orbits that the nodes ``at``
+    read.
 
     ``blocks`` lists (generators, signs, copies) per block
     (:func:`_symmetry_blocks`), and ``solve(signs, index, coef, reps,
     held)`` finds one block's eigenvalues, given its orbit basis
     (:func:`_orbit_basis`), and its eigenvectors v at the block rows
     ``held``: by an eigensolve (:func:`_eigensolve`) or in closed form
-    (:func:`_fourier_blocks`).  The rows held are the orbits of the nodes
-    ``at`` over every copy, and ``index`` is renumbered onto them.  Every
-    block's orbit basis is formed first, and the blocks are solved largest
-    first (a stable sort by size, block order on equal sizes): the largest
-    eigensolve, which sets the peak, then runs with no other block's
-    eigenvectors held (in block order D4's 2-d block, 575 rows at N = 48,
-    ran last, beside the 2.7 MB of the four others), and a block over the
-    eigensolve's cap raises before any eigensolve.  An empty block
-    ((N^2 - 6N + 8)/8 = 0 at N = 4) is skipped.  The eigenvalues of all
-    copies are merged in block order by a stable ascending sort (block
-    order on ties), so the order of the solves changes no bit of the
-    result, and the columns of a copy are where the sort put its entries;
-    nothing is sorted again (a re-sort would break the ties between the
-    copies of one block, which have equal eigenvalues, in another order).
-    The group's generators are the longest list among the blocks (D4's
-    1-d blocks list sigma0, sigma1 and tau; its 2-d block only the
-    mirrors).
+    (:func:`_fourier_blocks`).  The rows held are the orbits that the nodes
+    ``at`` read with a nonzero coef in some copy (a block none reads keeps
+    its first, the row its zero-coef nodes read), and ``index`` is
+    renumbered onto them.  Every block's orbit basis is formed first, and
+    the blocks are solved largest first (a stable sort by size, block order
+    on equal sizes): the largest eigensolve, which sets the peak, then runs
+    with no other block's eigenvectors held (in block order D4's 2-d block,
+    575 rows at N = 48, ran last, beside the 2.7 MB of the four others), and
+    a block over the eigensolve's cap raises before any eigensolve.  An
+    empty block ((N^2 - 6N + 8)/8 = 0 at N = 4) is skipped.  Each copy p is
+    one record over the block's ``vectors``, with ``index[p]`` and
+    ``coef[p]``.  The eigenvalues of all records are merged in block order
+    by a stable ascending sort (block order on ties), so the order of the
+    solves changes no bit of the result, and the columns of a record are
+    where the sort put its entries; nothing is sorted again (a re-sort would
+    break the ties between the copies of one block, which have equal
+    eigenvalues, in another order).  The group's generators are the longest
+    list among the blocks (D4's 1-d blocks list sigma0, sigma1 and tau; its
+    2-d block only the mirrors).
     """
     m = blocks[0][2][0].size  # a copy's permutation maps every node
     bases = [_orbit_basis(generators, signs, m) for generators, signs, _ in blocks]
-    evals, solved = [[]] * len(blocks), [None] * len(blocks)
+    solved = [[]] * len(blocks)
     for b in sorted(range(len(blocks)), key=lambda b: bases[b][2].size,
                     reverse=True):  # stable: block order on equal sizes
         (index, coef, reps), (_, signs, copies) = bases[b], blocks[b]
         if not reps.size:
             continue
-        held = np.unique(np.concatenate([index[p[at]] for p in copies]))
+        read = np.concatenate([index[p[at]][coef[p[at]] != 0.0] for p in copies])
+        held = np.unique(read) if read.size else np.zeros(1, dtype=int)
         vals, vectors = solve(signs, index, coef, reps, held)
-        evals[b] = [vals] * len(copies)
         if held.size < reps.size:
             index = np.searchsorted(held, index)
-        solved[b] = (index, coef, copies, vectors)
-    evals = np.concatenate(sum(evals, []))
+        solved[b] = [(vals, index[p], coef[p], vectors) for p in copies]
+    solved = sum(solved, [])
+    evals = np.concatenate([vals for vals, _, _, _ in solved])
     order = np.argsort(evals, kind="stable")
     column = np.empty_like(order)
     column[order] = np.arange(order.size)
     records, start = [], 0
-    for index, coef, copies, vectors in (r for r in solved if r is not None):
-        k = vectors.shape[1]
-        columns = tuple(column[start + c * k:start + (c + 1) * k]
-                        for c in range(len(copies)))
-        start += k * len(copies)
-        records.append(SymmetryBlock(index=index, coef=coef, perms=tuple(copies),
-                                     columns=columns, vectors=vectors))
+    for vals, index, coef, vectors in solved:
+        records.append(SymmetryBlock(index=index, coef=coef, vectors=vectors,
+                                     columns=column[start:start + vals.size]))
+        start += vals.size
     generators = max((generators for generators, _, _ in blocks), key=len)
     return evals[order], tuple(generators), tuple(records)
 

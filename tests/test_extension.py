@@ -217,6 +217,15 @@ def test_mesh_invariants(dec_bump):
         ExtensionMesh(alpha=0.5, heights=np.array([0.1, 0.2, 0.3]), grading=1.0)
 
 
+@pytest.mark.parametrize("count", [48.5, 48.0, True],
+                         ids=["half", "float", "bool"])
+def test_graded_mesh_refuses_a_non_integer_count(dec_bump, count):
+    # np.arange(count + 1) / count would make 50 heights of 48.5
+    with pytest.raises(ValueError, match="count must be an integer"):
+        graded_mesh(dec_bump, 0.5, count=count)
+    assert graded_mesh(dec_bump, 0.5, count=np.int64(48)).heights.size == 49
+
+
 def test_mesh_conductance_exact_on_flux_solution():
     # the pure-flux solution A + B z^{2a} has constant weighted flux 2aB;
     # harmonic-mean conductances reproduce it exactly on any mesh

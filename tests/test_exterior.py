@@ -307,6 +307,14 @@ def _assert_columns_are_records(dec, alpha, config):
     f = np.random.default_rng(5).standard_normal(n1)
     out = dtn_partial(dec, alpha, config, f).output_values
     assert np.max(np.abs(lam @ f - out)) <= 1e-12 * np.max(np.abs(out))
+    # any datum: an output entry sums terms of Lambda's scale times f, so
+    # the roundoff of either side is bounded on the scale max|Lambda| ||f||_1
+    # (the bound above, on max|record|, is below it for some data)
+    scale = np.max(np.abs(lam))
+    for f in np.random.default_rng(6).standard_normal((20, n1)):
+        out = dtn_partial(dec, alpha, config, f).output_values
+        assert (np.max(np.abs(lam @ f - out))
+                <= 1e-12 * scale * np.abs(f).sum())
 
 
 def test_dtn_matrix_columns_are_records(dec_bump, config):
@@ -406,10 +414,10 @@ def test_dtn_2d_weighted_symmetry(beta, sigma, strength, alpha):
 # the Omega problem in symmetry coordinates, against node-space oracles
 
 # operators of each symmetry group decompose records at N = 16 (side 4):
-# profile, number of generators, number of blocks
+# profile, number of generators, number of records (one per set of modes)
 GROUP_CASES = {
-    "dihedral-bump": (BUMP_2D, 3, 5),
-    "dihedral-pullback": (_pullback(BUMP_2D), 3, 5),
+    "dihedral-bump": (BUMP_2D, 3, 6),
+    "dihedral-pullback": (_pullback(BUMP_2D), 3, 6),
     "mirrors": (AnisotropicBump(2, beta=0.5, sigma=0.5, center=(2.0, 2.0),
                                 r0=1.5), 2, 4),
     "transposition": (PullbackProfile(
@@ -523,16 +531,16 @@ def test_omega_is_solved_one_orbit_block_at_a_time(monkeypatch):
     om = config.omega_nodes
     dec = decompose(assemble_laplacian(make_metric(grid, BENCH_BUMP)),
                     nodes=config.partial_map_nodes)
-    live = []  # per block: its orbits inside Omega, and its copies
+    live = []  # per record: its orbits inside Omega
     for block in dec.blocks:
         inside = block.coef[om] != 0.0
-        live.append((np.unique(block.index[om][inside]).size, len(block.perms)))
-    # the orbit vectors of Omega, over every copy, are a basis of it
-    assert sum(k * copies for k, copies in live) == om.size
+        live.append(np.unique(block.index[om][inside]).size)
+    # the orbit vectors of Omega, over every record, are a basis of it
+    assert sum(live) == om.size
     sizes = _spy_on_solve(monkeypatch)
     dtn_matrix(dec, 0.5, config)
-    assert len(sizes) == len(dec.blocks) == 5
-    assert max(sizes) <= max(k for k, _ in live) < om.size // 3
+    assert len(sizes) == len(dec.blocks) == 6
+    assert max(sizes) <= max(live) < om.size // 3
     # an Omega off the symmetry centre is one system of |Omega|
     moved = dataclasses.replace(BENCH_REGION, omega_center=(2.25, 2.0)).build(grid)
     sizes.clear()
@@ -557,9 +565,9 @@ def test_omega_blocks_check_that_omega_is_held():
 
 
 def test_residual_guard_sums_over_the_blocks(dec_2d, monkeypatch):
-    # the dihedral blocks each solve the last column 1e-6 off; the residual
-    # of that column, summed over the blocks, trips the guard
-    assert len(dec_2d.blocks) == 5
+    # the dihedral records each solve the last column 1e-6 off; the
+    # residual of that column, summed over the records, trips the guard
+    assert len(dec_2d.blocks) == 6
     config = REGION_2D.build(dec_2d.grid)
     _last_column_off(monkeypatch)
     with pytest.raises(ArithmeticError, match="residual"):

@@ -851,3 +851,19 @@ def test_experiment_validation():
     with pytest.raises(ValueError, match="exterior"):
         dtn_difference_experiment(ALPHA, REGION, BASE_1D, shifted, DATA_1D,
                                   side_length=SIDE, sizes=(16, 32))
+
+
+@pytest.mark.parametrize("sizes", [(16, 16.5), (16.0, 32), (True, 16),
+                                   (16, np.float64(32.0))],
+                         ids=["half", "float", "bool", "numpy-float"])
+@pytest.mark.parametrize("experiment", ["gauge", "distinct"])
+def test_experiments_refuse_non_integer_sizes(experiment, sizes):
+    # int() would build N = 16 twice from (16, 16.5) and judge it as a
+    # ladder, and read True as N = 1
+    with pytest.raises(ValueError, match="grid size must be an integer"):
+        if experiment == "gauge":
+            gauge_experiment(ALPHA, REGION, BASE_1D, SQUASH_1D, DATA_1D,
+                             side_length=SIDE, sizes=sizes)
+        else:
+            dtn_difference_experiment(ALPHA, REGION, BASE_1D, BASE_1D,
+                                      DATA_1D, side_length=SIDE, sizes=sizes)

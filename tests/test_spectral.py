@@ -372,14 +372,14 @@ def _pinned_dense(op):
     return evals, evecs / root_w[:, None]
 
 
-def _counted_decompose(op):
-    """decompose(op) and the sizes of the eigensolves it ran."""
+def _counted_decompose(op, nodes=None):
+    """decompose(op, nodes=nodes) and the sizes of the eigensolves it ran."""
     eigh = np.linalg.eigh
     calls = []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(np.linalg, "eigh",
                       lambda a: calls.append(a.shape[0]) or eigh(a))
-        dec = decompose(op)
+        dec = decompose(op, nodes=nodes)
     return dec, calls
 
 
@@ -624,10 +624,14 @@ def test_dense_route_beyond_the_roundoff_tolerance(field, profile, nodes):
     assert np.abs(dec.eigenvalues - evals).max() <= 1e-13 * evals[-1]
 
 
-# the benchmark's operators (side 4, centre (2, 2)), restated here so that a
-# fall-back to a slower route fails these tests before it shows in a timing
+# the benchmark's operators and layout (side 4, centre (2, 2)), restated
+# here so that a fall-back to a slower route fails these tests before it
+# shows in a timing
 BENCH_BUMP = ConformalBump(dim=2, beta=0.5, sigma=0.3, center=(2.0, 2.0),
                            r0=0.9)
+BENCH_REGION = RegionSpec(omega_center=(2.0, 2.0), omega_radius=1.0,
+                          w1_center=(0.2, 2.0), w1_radius=0.2,
+                          w2_center=(2.0, 0.2), w2_radius=0.2)
 BENCH_PULLBACK = PullbackProfile(base=BENCH_BUMP, squash=RadialSquash(
     dim=2, center=(2.0, 2.0), radius=0.9, strength=0.15))
 
@@ -661,14 +665,17 @@ def test_largest_block_is_solved_first(monkeypatch, n, profile):
     # the eigensolves run largest first, so the largest one holds no other
     # block's eigenvectors; the blocks are still recorded in block order
     op = assemble_laplacian(make_metric(build_grid(2, 4.0, n), profile))
+    blocks = spectral._symmetry_blocks(op)
     sizes = [spectral._orbit_basis(generators, signs, n * n)[2].size
-             for generators, signs, _ in spectral._symmetry_blocks(op)]
+             for generators, signs, _ in blocks]
     eigh, calls = np.linalg.eigh, []
     monkeypatch.setattr(np.linalg, "eigh",
                         lambda a: calls.append(a.shape[0]) or eigh(a))
     dec = decompose(op)
     assert calls == sorted(sizes, reverse=True)
-    assert [b.vectors.shape[1] for b in dec.blocks] == sizes
+    # one record per copy of a block, in block order
+    assert [b.vectors.shape[1] for b in dec.blocks] == [
+        k for k, (_, _, copies) in zip(sizes, blocks) for _ in copies]
 
 
 @pytest.mark.parametrize("dim, n, profile, generators, copies", [
@@ -687,41 +694,43 @@ def test_largest_block_is_solved_first(monkeypatch, n, profile):
         "transposition", "one-mirror", "trivial-2d", "closed-form",
         "closed-form-aniso", "trivial-1d", "closed-form-1d"])
 def test_recorded_blocks_label_the_modes(dim, n, profile, generators, copies):
-    # every mode lies in one copy of one recorded block; a copy's node
-    # vectors are coef[p n] v[index[p n]] for one set of coefficients v per
-    # block, the block's vectors in its orbit coordinates; and each
-    # generator g under which a copy's coefficients change by one sign chi
-    # gives x[g n] = chi x[n] (x = W^{1/2} phi) on its modes, the copy's
-    # character on g
+    # every mode lies in one recorded set of modes; a record's node vectors
+    # are coef[n] v[index[n]], v its vectors in its orbit coordinates, and
+    # the records of one block (which share v) have equal eigenvalues; and
+    # each generator g under which a record's coefficients change by one
+    # sign chi gives x[g n] = chi x[n] (x = W^{1/2} phi) on its modes, the
+    # record's character on g
     grid = build_grid(dim, 4.0, n)
     dec = decompose(assemble_laplacian(make_metric(grid, profile)))
     assert len(dec.generators) == generators
-    assert sum(len(block.perms) for block in dec.blocks) == copies
-    columns = np.concatenate([c for block in dec.blocks for c in block.columns])
+    assert len(dec.blocks) == copies
+    columns = np.concatenate([block.columns for block in dec.blocks])
     assert np.array_equal(np.sort(columns), np.arange(grid.node_count))
     x = _every_row(dec) * np.sqrt(dec.measure.node_weights)[:, None]
     labels = 0
     for block in dec.blocks:
-        index, coef = block.index[block.perms[0]], block.coef[block.perms[0]]
+        index, coef, cols = block.index, block.coef, block.columns
         live = np.flatnonzero(coef)
         orbits, first = np.unique(index[live], return_index=True)
         reps = live[first]
-        v = np.zeros((index.max() + 1, len(block.columns[0])))
-        v[orbits] = x[np.ix_(reps, block.columns[0])] / coef[reps, None]
+        v = np.zeros((index.max() + 1, cols.size))
+        v[orbits] = x[np.ix_(reps, cols)] / coef[reps, None]
         assert np.abs(block.vectors - v).max() <= 1e-13  # orbit coordinates
-        for p, cols in zip(block.perms, block.columns):
-            assert np.array_equal(dec.eigenvalues[cols],
-                                  dec.eigenvalues[block.columns[0]])
-            c = block.coef[p]
-            rebuilt = c[:, None] * v[block.index[p]]
-            assert np.abs(rebuilt - x[:, cols]).max() <= 1e-13
-            for g in dec.generators:
-                for chi in (1.0, -1.0):
-                    if np.array_equal(c[g], chi * c):
-                        labels += 1
-                        assert np.abs(x[g][:, cols] - chi * x[:, cols]).max() <= 1e-13
-    # every copy is labelled by every generator but D4's 2-d block by tau
-    two_d = sum(len(b.perms) for b in dec.blocks if len(b.perms) == 2)
+        for other in dec.blocks:
+            if other.vectors is block.vectors:
+                assert np.array_equal(dec.eigenvalues[other.columns],
+                                      dec.eigenvalues[cols])
+        rebuilt = coef[:, None] * v[index]
+        assert np.abs(rebuilt - x[:, cols]).max() <= 1e-13
+        for g in dec.generators:
+            for chi in (1.0, -1.0):
+                if np.array_equal(coef[g], chi * coef):
+                    labels += 1
+                    assert np.abs(x[g][:, cols] - chi * x[:, cols]).max() <= 1e-13
+    # every record is labelled by every generator but D4's 2-d block's two
+    # (the records that share their vectors) by tau
+    two_d = sum(sum(o.vectors is b.vectors for o in dec.blocks) == 2
+                for b in dec.blocks)
     assert labels == copies * generators - two_d
 
 
@@ -730,8 +739,8 @@ def _eigh_reference(op):
     evals, basis = _pinned_dense(op)
     vectors = basis * np.sqrt(op.measure.node_weights)[:, None]
     every = np.arange(evals.size)
-    block = SymmetryBlock(index=every, coef=np.ones(every.size), perms=(every,),
-                          columns=(every,), vectors=vectors)
+    block = SymmetryBlock(index=every, coef=np.ones(every.size), columns=every,
+                          vectors=vectors)
     return SpectralDecomposition(eigenvalues=evals, operator=op,
                                  generators=(), blocks=(block,))
 
@@ -883,24 +892,63 @@ def test_project_and_synthesize_match_the_dense_basis(dim, n, profile):
     assert np.abs(dec.synthesize(coeffs) - want).max() <= 1e-13 * np.abs(want).max()
 
 
+def test_rows_only_blocks_hold_the_orbits_their_nodes_read():
+    # a block keeps an orbit only if a held node reads it with a nonzero
+    # coef: the benchmark layout's 475 nodes at N = 48 read 77, 68, 59, 51
+    # and 126 orbits of the D4 bump's five blocks (the 2-d block's two
+    # records share its rows); a node whose coef is 0 reads a held row
+    # times 0, so the rows are the whole decomposition's.  Node 0, fixed by
+    # D4, reads no orbit of the four blocks whose coef is 0 there, and each
+    # still holds one row
+    grid = build_grid(2, 4.0, 48)
+    op = assemble_laplacian(make_metric(grid, BENCH_BUMP))
+    whole = decompose(op)
+    nodes = BENCH_REGION.build(grid).partial_map_nodes
+    assert nodes.size == 475
+    dec = decompose(op, nodes=nodes)
+    assert [b.vectors.shape[0] for b in dec.blocks] == [77, 68, 59, 51, 126, 126]
+    assert np.array_equal(dec.rows(nodes), whole.rows(nodes))
+    corner = decompose(op, nodes=[0])
+    assert [b.vectors.shape[0] for b in corner.blocks] == [1] * 6
+    assert np.array_equal(corner.rows([0]), whole.rows([0]))
+
+
+@pytest.mark.parametrize("rows_only", [False, True], ids=["whole", "rows-only"])
+@pytest.mark.parametrize("n", [16, 48])
+def test_dihedral_partner_records_share_one_eigensolve(n, rows_only):
+    # D4's 2-d block is one eigensolve (five in all) and two records over
+    # the same vectors; the partner's node vectors are the first's at the
+    # tau-permuted nodes, to the bit
+    grid = build_grid(2, 4.0, n)
+    op = assemble_laplacian(make_metric(grid, BENCH_BUMP))
+    nodes = BENCH_REGION.build(grid).partial_map_nodes if rows_only else None
+    dec, calls = _counted_decompose(op, nodes)
+    assert len(calls) == 5 and len(dec.blocks) == 6
+    first, partner = dec.blocks[4:]  # the 2-d block's, last in block order
+    assert first.vectors is partner.vectors
+    assert len({id(b.vectors) for b in dec.blocks}) == 5
+    tau = spectral._grid_symmetries(n)[2]
+    held = np.arange(grid.node_count) if nodes is None else nodes
+    out = np.empty((2, held.size, first.columns.size))
+    assert np.array_equal(partner.node_vectors(held, out[0]),
+                          first.node_vectors(tau[held], out[1]))
+
+
 def _held(dec):
     """The elements of every array a decomposition holds beside its
-    operator: (largest array, the blocks' eigenvectors, the rest)."""
+    operator: (largest array, the blocks' eigenvectors, the rest); the
+    vectors that two records share are counted once."""
     arrays = {id(a): a for a in [dec.eigenvalues, *dec.generators] + [
-        a for b in dec.blocks for a in (b.index, b.coef, *b.perms, *b.columns)]}
-    vectors = sum(b.vectors.size for b in dec.blocks)
-    largest = max([a.size for a in arrays.values()]
-                  + [b.vectors.size for b in dec.blocks])
-    return largest, vectors, sum(a.size for a in arrays.values())
+        a for b in dec.blocks for a in (b.index, b.coef, b.columns)]}
+    held = {id(b.vectors): b.vectors.size for b in dec.blocks}
+    largest = max([a.size for a in arrays.values()] + list(held.values()))
+    return largest, sum(held.values()), sum(a.size for a in arrays.values())
 
 
 def test_dihedral_decomposition_holds_its_blocks_only():
     # the D4 bump at N = 48 (M = 2304) holds no M x M array: its five
     # blocks' eigenvectors take about M^2 / 8 elements, and the benchmark
     # layout's rows about |nodes| M / 7; the node labels are O(M)
-    bench = RegionSpec(omega_center=(2.0, 2.0), omega_radius=1.0,
-                       w1_center=(0.2, 2.0), w1_radius=0.2,
-                       w2_center=(2.0, 0.2), w2_radius=0.2)
     grid = build_grid(2, 4.0, 48)
     m = grid.node_count
     op = assemble_laplacian(make_metric(grid, BENCH_BUMP))
@@ -908,7 +956,7 @@ def test_dihedral_decomposition_holds_its_blocks_only():
     assert largest < m * m // 8
     assert vectors <= 0.13 * m * m
     assert rest <= 20 * m
-    nodes = bench.build(grid).partial_map_nodes
+    nodes = BENCH_REGION.build(grid).partial_map_nodes
     largest, vectors, rest = _held(decompose(op, nodes=nodes))
     assert vectors <= 0.15 * nodes.size * m
     assert rest <= 20 * m
@@ -937,7 +985,8 @@ def test_dihedral_peak_is_its_largest_eigensolve():
     # block order, 1.19 MB largest first)
     op = assemble_laplacian(make_metric(build_grid(2, 4.0, 48), BUMP_2D))
     dec, peak = _traced_peak(lambda: decompose(op))
-    sizes = sorted(b.vectors.shape[1] for b in dec.blocks)
+    sizes = sorted({id(b.vectors): b.vectors.shape[1]
+                    for b in dec.blocks}.values())
     assert sizes == [253, 276, 300, 325, 575]
     others = 8 * sum(k * k for k in sizes[:-1])
     assert peak - 2 * 8 * sizes[-1] ** 2 < others

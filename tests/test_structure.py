@@ -21,15 +21,17 @@ sampling (``geometry.py``, ``recovery.py``) names no ``einsum``, ``inv`` or
 within commutative pairs, and the 1 x 1 and 2 x 2 closed forms that replace
 them are what keeps a symmetric sample symmetric to the bit, so that
 ``spectral._symmetry_blocks`` can compare exactly.  A decomposition holds
-its symmetry blocks' eigenvectors in their orbit coordinates
-(``SymmetryBlock.vectors``), not a node-space basis, and those blocks are
+its eigenvectors in records, one ``SymmetryBlock`` per set of modes, each
+in its orbit coordinates, not a node-space basis, and those records are
 the one storage every basis read goes through: only ``spectral.py`` reads
-them, where each reader of ``SpectralDecomposition`` checks that the nodes
-it reads are held, and the exterior layer's ``_omega_blocks``, which
-solves Omega in the blocks' own coordinates.  Both routes of ``decompose``
-build that record at one site, the merge ``_block_eigenpairs``, so a
-second bookkeeping path for the blocks' columns cannot come back
-unnoticed.  Deletions leave nothing
+their fields (``index``, ``coef``, ``columns``, ``vectors``), where each
+reader of ``SpectralDecomposition`` checks that the nodes it reads are
+held, and the exterior layer's ``_omega_blocks``, which solves Omega in
+the records' own coordinates.  A record's row permutation is applied once,
+when it is built, so no module names ``perms``.  Both routes of
+``decompose`` build the records at one site, the merge
+``_block_eigenpairs``, so a second bookkeeping path for the blocks'
+columns cannot come back unnoticed.  Deletions leave nothing
 behind: every name a module lists in ``__all__`` is defined there, and
 every name it imports is read there.
 """
@@ -125,29 +127,31 @@ def test_fft_guard_sees_both_spellings():
         assert _naming_lines(ast.parse(source), "fft") == [1]
 
 
-# where a block's held eigenvectors may be read: the module that stores them,
-# and the exterior layer's Omega blocks, which read H_k off them in the
-# blocks' own coordinates; every other reader goes through
-# SpectralDecomposition, whose readers check the nodes they read
-VECTORS_READERS = {"spectral.py": None, "exterior.py": {"_omega_blocks"}}
+# where a record's fields may be read: the module that stores them, and the
+# exterior layer's Omega blocks, which read H_k off them in the records' own
+# coordinates; every other reader goes through SpectralDecomposition, whose
+# readers check the nodes they read
+RECORD_FIELDS = {"index", "coef", "columns", "vectors"}
+RECORD_READERS = {"spectral.py": None, "exterior.py": {"_omega_blocks"}}
 
 
-def _vectors_reads(tree):
-    """(line, enclosing top-level definition) of every ``.vectors`` read."""
+def _record_reads(tree):
+    """(line, enclosing top-level definition) of every read of a
+    ``SymmetryBlock`` field."""
     return [(node.lineno, getattr(top, "name", None))
             for top in tree.body for node in ast.walk(top)
-            if isinstance(node, ast.Attribute) and node.attr == "vectors"]
+            if isinstance(node, ast.Attribute) and node.attr in RECORD_FIELDS]
 
 
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
 def test_block_vectors_are_read_only_where_they_are_stored(path):
-    reads = _vectors_reads(ast.parse(path.read_text(), filename=str(path)))
-    allowed = VECTORS_READERS.get(path.name, set())
+    reads = _record_reads(ast.parse(path.read_text(), filename=str(path)))
+    allowed = RECORD_READERS.get(path.name, set())
     if allowed is None:
-        assert reads, f"{path.name} no longer reads `.vectors`; update this guard"
+        assert reads, f"{path.name} no longer reads a record; update this guard"
         return
     stray = [(line, owner) for line, owner in reads if owner not in allowed]
-    assert not stray, (f"{path.name} reads `SymmetryBlock.vectors` at {stray}; "
+    assert not stray, (f"{path.name} reads a `SymmetryBlock` field at {stray}; "
                        "read the basis through SpectralDecomposition.rows, "
                        "project or synthesize instead")
 
@@ -156,9 +160,35 @@ def test_block_vectors_guard_sees_a_stray_read():
     source = ("def _omega_blocks(dec):\n"
               "    return [b.vectors for b in dec.blocks]\n"
               "def _trace_sampler(dec, x):\n"
-              "    return dec.blocks[0].vectors[x]\n")
-    assert _vectors_reads(ast.parse(source)) == [
-        (2, "_omega_blocks"), (4, "_trace_sampler")]
+              "    return dec.blocks[0].vectors[x]\n"
+              "def _orbit_sums(dec, y):\n"
+              "    return [(b.index, b.coef * y, b.columns) for b in dec.blocks]\n")
+    assert _record_reads(ast.parse(source)) == [
+        (2, "_omega_blocks"), (4, "_trace_sampler")] + [(6, "_orbit_sums")] * 3
+
+
+def _perms_lines(tree):
+    """Lines that name ``perms``: as an attribute, a variable, a keyword or
+    a parameter."""
+    return sorted(node.lineno for node in ast.walk(tree) if "perms" in (
+        getattr(node, "attr", None), getattr(node, "id", None),
+        getattr(node, "arg", None)))
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_module_names_perms(path):
+    lines = _perms_lines(ast.parse(path.read_text(), filename=str(path)))
+    assert not lines, (f"{path.name} names `perms` at lines {lines}; a record "
+                       "is one set of modes, whose index and coef are read at "
+                       "its row permutation once, in spectral._block_eigenpairs")
+
+
+def test_perms_guard_sees_each_spelling():
+    source = ("for p in block.perms:\n    pass\n"
+              "SymmetryBlock(perms=(p,))\n"
+              "perms = []\n"
+              "def node_vectors(nodes, perms):\n    return nodes\n")
+    assert _perms_lines(ast.parse(source)) == [1, 3, 4, 5]
 
 
 def _calls(tree, name):
