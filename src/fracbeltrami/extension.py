@@ -627,29 +627,24 @@ class SeriesCoefficients:
         return self.values @ powers
 
 
-def series_quadrature(dec: SpectralDecomposition,
-                      count: int = 400) -> LogQuadrature:
-    """Default t-window for the series integrals.
-
-    Below the cell diffusion time h^2/4 the discrete off-diagonal heat
-    kernel is polynomial in t (not Gaussian-small), which would make the
-    t^{a-1-j} integrals blow up for large j; above it the kernel tracks the
-    continuum Gaussian and the integrals are tame.  The true mass lost by
-    starting at h^2/4 is exponentially small at any off-support x.
-    """
-    t_min = dec.grid.spacing**2 / 4.0
-    return LogQuadrature.log_uniform(t_min=t_min, t_max=1e4, count=count)
-
-
 def series_coefficients(dec: SpectralDecomposition, alpha: float,
-                        F: np.ndarray, x_indices, J: int,
-                        quad: LogQuadrature | None = None) -> SeriesCoefficients:
-    """Coefficients C_j(x) = c^_a (-1)^j 4^{-j}/j! int (e^{t Lap} H)(x) t^{a-1-j} dt."""
+                        F: np.ndarray, x_indices, J: int) -> SeriesCoefficients:
+    """Coefficients C_j(x) = c^_a (-1)^j 4^{-j}/j! int (e^{t Lap} H)(x) t^{a-1-j} dt.
+
+    The t-window starts at the cell diffusion time h^2/4: below it the
+    discrete off-diagonal heat kernel is polynomial in t (not
+    Gaussian-small), which would make the t^{a-1-j} integrals blow up for
+    large j; above it the kernel tracks the continuum Gaussian and the
+    integrals are tame.  The true mass lost by starting at h^2/4 is
+    exponentially small at any off-support x.  It ends at t = 1e4, with 400
+    nodes.
+    """
     _check_alpha(alpha, allow_one=False)
+    _check_integers([J], "series order J")
     if not 0 <= J <= 12:
         raise ValueError("series order J must lie in 0..12")
-    if quad is None:
-        quad = series_quadrature(dec)
+    quad = LogQuadrature.log_uniform(t_min=dec.grid.spacing**2 / 4.0,
+                                     t_max=1e4, count=400)
     x_indices = np.atleast_1d(_node_indices(x_indices, dec.node_count,
                                             "x_indices"))
     F, series = _representation_setup(dec, F, x_indices, quad)

@@ -290,9 +290,9 @@ def make_metric(grid: TorusGrid, profile) -> MetricField:
     sums, so a symmetric sample stays symmetric to the bit; adj(g) / det g
     would not keep a 2-d conformal metric's stencil constant.
 
-    Raises ``ValueError`` if the sampled tensors are not symmetric positive
-    definite, or if the profile's support radius does not fit strictly
-    inside half a period (the bump must not wrap onto itself).
+    Raises ``ValueError`` if the sampled tensors are not finite, symmetric
+    and positive definite, or if the profile's support radius does not fit
+    strictly inside half a period (the bump must not wrap onto itself).
     """
     r0 = getattr(profile, "r0", None)
     if r0 is not None and r0 >= grid.side_length / 2.0:
@@ -302,6 +302,8 @@ def make_metric(grid: TorusGrid, profile) -> MetricField:
     g = np.asarray(profile.sample(grid.displacement), float)
     if g.shape != (grid.node_count, grid.dim, grid.dim):
         raise ValueError(f"profile returned shape {g.shape}")
+    if not np.isfinite(g).all():
+        raise ValueError("profile returned non-finite metric samples")
     if not np.allclose(g, np.swapaxes(g, 1, 2), atol=1e-12):
         raise ValueError("metric tensors must be symmetric")
     eigs = np.linalg.eigvalsh(g)

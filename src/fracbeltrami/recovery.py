@@ -77,28 +77,22 @@ __all__ = [
 #
 #     Phi'(x) = lam I + (lam'(r)/r) d d^T,        d = x - c,
 #
-# with eigenvalues lam (tangential, d-1 times) and rho'(r) = lam + lam' r
-# (radial); Phi is an orientation-preserving bijection of the ball iff both
-# stay positive.  Since b'(q) = -b(q)/(1-q)^2,
+# with eigenvalues lam (tangential, d-1 times) and rho'(r) = lam + (lam'/r) r^2
+# (radial).  Since b'(q) = -b(q)/(1-q)^2,
 #
 #     lam'(r)/r = -2 s b(q) / (R^2 (1-q)^2),
 #
 # which is analytic at r = 0, so the Jacobian formula needs no special case
-# on the axis.
+# on the axis.  Phi is an orientation-preserving bijection of the ball iff
+# both eigenvalues stay positive.  lam >= min(1, 1 + s) as b lies in [0, 1],
+# and rho' = 1 + s g(q) with g = b h, h = 1 - 2q/(1-q)^2: g(0) = 1 is its
+# maximum, and g' = -b (h + 2(1+q)/(1-q)) / (1-q)^2 vanishes where
+# q^2 + 4q - 3 = 0, at its minimum g* = g(q*) = -1.50114, q* = sqrt(7) - 2.
+# So Phi is a diffeomorphism iff  -1 < s < -1/g* = 0.66616.
 
-
-def _squash_shape(q: np.ndarray, strength: float) -> tuple[np.ndarray, np.ndarray]:
-    """Return (lam, rho') at q = (r/R)^2; both are 1 outside the support."""
-    q = np.asarray(q, dtype=float)
-    b = _compact_cutoff(q)
-    lam = 1.0 + strength * b
-    inside = q < 1.0
-    qi = np.clip(q, 0.0, 1.0 - 1e-12)
-    # rho' = lam + lam' r = 1 + s b (1 - 2 q / (1-q)^2)
-    rad = np.where(inside,
-                   1.0 + strength * b * (1.0 - 2.0 * qi / (1.0 - qi) ** 2),
-                   1.0)
-    return lam, rad
+_Q_STAR = math.sqrt(7.0) - 2.0
+_G_STAR = float(_compact_cutoff(_Q_STAR)) * (1.0 - 2.0 * _Q_STAR
+                                             / (1.0 - _Q_STAR) ** 2)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -106,9 +100,10 @@ class RadialSquash:
     """Radial diffeomorphism equal to the identity outside ``radius``.
 
     ``strength`` > 0 pushes mass outward (the ball is inflated near the
-    centre), negative values pull it in.  Validity is not a closed-form
-    inequality in ``strength``, so the tangential and radial stretch factors
-    are checked on a dense sample of the support at construction.
+    centre), negative values pull it in.  The map is a diffeomorphism iff
+    -1 < ``strength`` < -1/g* = 0.66616 (the closed form above), where the
+    tangential stretch 1 + s and the least radial stretch 1 + s g* stay
+    positive; construction refuses any other strength, NaN included.
     """
 
     dim: int
@@ -122,53 +117,57 @@ class RadialSquash:
         if len(self.center) != self.dim:
             raise ValueError(f"center has {len(self.center)} components, "
                              f"expected {self.dim}")
-        if self.radius <= 0.0:
-            raise ValueError("radius must be positive")
+        if not 0.0 < self.radius < math.inf:
+            raise ValueError(f"radius must be positive and finite, got "
+                             f"{self.radius}")
         object.__setattr__(self, "center",
                            tuple(float(c) for c in self.center))
-        lam, rad = _squash_shape(np.linspace(0.0, 1.0, 4001), self.strength)
-        worst = min(lam.min(), rad.min())
-        if worst <= 1e-9:
+        worst = min(1.0 + self.strength, 1.0 + self.strength * _G_STAR)
+        if not worst > 1e-9:
             raise ValueError(
-                f"strength {self.strength} is not a diffeomorphism: the "
-                f"radial stretch reaches {rad.min():.3e} (tangential "
-                f"{lam.min():.3e}); both must stay positive")
+                f"strength {self.strength} is not a diffeomorphism: it must "
+                f"lie in (-1, {-1.0 / _G_STAR:.5f}), where the tangential "
+                f"and radial stretches stay positive")
 
-    def _stretch(self, delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(lam, lam'(r)/r) at displacements ``delta`` from the centre."""
-        q = (delta ** 2).sum(axis=1) / self.radius ** 2
-        lam, _ = _squash_shape(q, self.strength)
+    def _shape(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(lam, lam'(r)/r) at q = (r/R)^2; b is an exact zero outside the
+        support, so there they are (1, 0)."""
+        b = _compact_cutoff(q)
         qi = np.clip(q, 0.0, 1.0 - 1e-12)
-        slope = np.where(q < 1.0,
-                         -2.0 * self.strength * _compact_cutoff(q)
-                         / (self.radius ** 2 * (1.0 - qi) ** 2),
-                         0.0)
-        return lam, slope
+        return (1.0 + self.strength * b,
+                -2.0 * self.strength * b / (self.radius ** 2 * (1.0 - qi) ** 2))
 
-    def jacobian(self, delta: np.ndarray) -> np.ndarray:
-        """Phi' (M, dim, dim) at displacements ``delta``; I outside the support."""
-        lam, slope = self._stretch(delta)
-        return (lam[:, None, None] * np.eye(self.dim)
+    def pullback(self, delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(Phi(x) - x, Phi'(x)) at displacements ``delta`` (M, dim) of x from
+        the centre: an exact zero and I outside the support."""
+        lam, slope = self._shape((delta ** 2).sum(axis=1) / self.radius ** 2)
+        return ((lam - 1.0)[:, None] * delta,
+                lam[:, None, None] * np.eye(self.dim)
                 + slope[:, None, None] * delta[:, :, None] * delta[:, None, :])
 
     def stretch_factors(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(tangential, radial) stretch at radii r: (lam(r), rho'(r))."""
-        q = (np.asarray(r, dtype=float) / self.radius) ** 2
-        return _squash_shape(q, self.strength)
+        r = np.asarray(r, dtype=float)
+        lam, slope = self._shape((r / self.radius) ** 2)
+        return lam, lam + slope * r ** 2
 
 
 @dataclasses.dataclass(frozen=True)
 class PullbackProfile:
     """Metric profile ``Phi^* g``: sample ``Phi'(x)^T g(Phi(x)) Phi'(x)``.
 
-    The base reads Phi(x) as c -> displace(c) + (lam - 1) d, d the
-    displacement from the squash centre, which adds an exact zero outside
-    the squash's support: the pulled-back profile matches ``base`` exactly
-    outside both supports -- gauge pairs share exterior data to the bit.
+    The map ``squash`` is any object with four members: ``dim``, ``center``,
+    ``radius`` (Phi is the identity farther than that from ``center``) and
+    ``pullback(delta)``, which returns (Phi(x) - x, Phi'(x)) at the nodes'
+    displacements ``delta`` from the centre; ``RadialSquash`` is one.  The
+    base reads Phi(x) as c -> displace(c) + (Phi(x) - x), which adds an exact
+    zero outside the map's support: the pulled-back profile matches ``base``
+    exactly outside both supports -- gauge pairs share exterior data to the
+    bit.
     """
 
     base: object
-    squash: RadialSquash
+    squash: object
 
     def __post_init__(self):
         base_dim = getattr(self.base, "dim", None)
@@ -186,10 +185,8 @@ class PullbackProfile:
                    float(getattr(self.base, "r0", 0.0) or 0.0))
 
     def sample(self, displace) -> np.ndarray:
-        delta = displace(self.squash.center)
-        moved = (self.squash._stretch(delta)[0] - 1.0)[:, None] * delta
+        moved, jac = self.squash.pullback(displace(self.squash.center))
         g = np.asarray(self.base.sample(lambda c: displace(c) + moved), float)
-        jac = self.squash.jacobian(delta)
         return _matmul(np.swapaxes(jac, 1, 2), _matmul(g, jac))
 
 
@@ -317,10 +314,10 @@ class MomentTable:
 
 
 def moment_vector(U_sampler: Callable[[np.ndarray], np.ndarray], alpha: float,
-                  M: int, quad: LogQuadrature | None = None, *,
+                  M: int, quad: LogQuadrature, *,
                   reference_sampler: Callable[[np.ndarray], np.ndarray] | None = None,
                   x_index: int | None = None) -> MomentTable:
-    """Evaluate the moment vector of ``U_sampler`` over a log-time window.
+    """Evaluate the moment vector of ``U_sampler`` over the window ``quad``.
 
     The weight t^{-1-alpha-m} makes the small-t edge dangerous: a signal
     that has not decayed by ``t_min`` is amplified by up to
@@ -330,11 +327,10 @@ def moment_vector(U_sampler: Callable[[np.ndarray], np.ndarray], alpha: float,
     ``reference_sampler`` all scales are 1 and the moments are raw.
     """
     _check_alpha(alpha, allow_one=False)
-    if not isinstance(M, (int, np.integer)) or M < 0:
+    _check_integers([M], "moment count M (a non-negative integer)")
+    if M < 0:
         raise ValueError(f"moment count M must be a non-negative integer, "
                          f"got {M}")
-    if quad is None:
-        quad = LogQuadrature.log_uniform(1e-3, 1e3, 400)
     t = quad.nodes
     values = np.asarray(U_sampler(t), dtype=float)
     if values.shape != t.shape:
@@ -359,30 +355,32 @@ def moment_vector(U_sampler: Callable[[np.ndarray], np.ndarray], alpha: float,
                        reference_peak=peak, x_index=x_index)
 
 
+# the window of every heat moment table, and its highest order
+_HEAT_WINDOW = LogQuadrature.log_uniform(5e-2, 1e3, 400)
+_HEAT_ORDER = 8
+
+
 def heat_moment_table(dec1: SpectralDecomposition,
                       dec2: SpectralDecomposition, alpha: float,
-                      F: np.ndarray, x_index: int, M: int = 8,
-                      quad: LogQuadrature | None = None) -> MomentTable:
+                      F: np.ndarray, x_index: int) -> MomentTable:
     """Moment table of the heat-semigroup difference seen at one node.
 
     The reference scale is the single-metric heat trace (e^{-t A_1} F)(x):
     moments are linear in U, so only this relative size distinguishes "zero
     up to discretisation" from "small because the experiment was small".
 
-    The default window starts at t = 0.05 rather than the generic 1e-3:
-    with separated source and observer, the discrete traces below the
-    diffusion time are pure floating-point cancellation (~1e-16), and the
-    t^{-1-alpha-m} weights turn that noise into the dominant contribution
-    of every high-order moment -- the noise/noise ratio is O(1) and does
-    not shrink under refinement.
+    The table holds the orders m = 0..8 on 400 nodes from t = 0.05 to 1e3.
+    The window starts no lower: with separated source and observer, the
+    discrete traces below the diffusion time are pure floating-point
+    cancellation (~1e-16), and the t^{-1-alpha-m} weights turn that noise
+    into the dominant contribution of every high-order moment -- the
+    noise/noise ratio is O(1) and does not shrink under refinement.
     """
     F, x_index = _observation_guards(dec1, dec2, F, x_index)
-    if quad is None:
-        quad = LogQuadrature.log_uniform(5e-2, 1e3, 400)
     s1 = _trace_sampler(dec1, F, x_index)
     s2 = _trace_sampler(dec2, F, x_index)
-    return moment_vector(lambda t: s1(t) - s2(t), alpha, M, quad,
-                         reference_sampler=s1, x_index=x_index)
+    return moment_vector(lambda t: s1(t) - s2(t), alpha, _HEAT_ORDER,
+                         _HEAT_WINDOW, reference_sampler=s1, x_index=x_index)
 
 
 def vanishing_test(table: MomentTable, threshold: float) -> bool:

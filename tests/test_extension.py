@@ -661,9 +661,47 @@ def test_series_window_guard(dec_identity_wide):
         series_coefficients(dec, 0.5, F, [close], 12)
     with pytest.raises(ValueError):
         series_coefficients(dec, 0.5, F, [close], 13)
+    # True ran as J = 1, and 2.5 raised a bare TypeError from range()
+    for order in (True, 2.5):
+        with pytest.raises(ValueError,
+                           match="series order J must be an integer"):
+            series_coefficients(dec, 0.5, F, [close], order)
     inside = int(np.flatnonzero(F)[0])
     with pytest.raises(ValueError):
         series_coefficients(dec, 0.5, F, [inside], 4)
+
+
+def _guard_fd_misaligned(dec):
+    n = dec.node_count
+    return fd_extension_solve(dec, 0.5, graded_mesh(dec, 0.5, count=8),
+                              np.arange(4, n), np.arange(4), np.ones(n - 5),
+                              np.zeros(4))
+
+
+EXTENSION_GUARDS = {
+    "profile-negative-z": (lambda dec: mode_profile(0.5, 1.0, -0.1),
+                           "extension height must satisfy z >= 0"),
+    "mesh-two-heights": (lambda dec: ExtensionMesh(
+        alpha=0.5, heights=np.array([0.0, 1.0]), grading=1.0),
+        "needs at least three heights"),
+    "mesh-grading-below-one": (lambda dec: ExtensionMesh(
+        alpha=0.5, heights=np.array([0.0, 0.5, 1.0]), grading=0.5),
+        "grading exponent must be >= 1"),
+    "mesh-one-interval": (lambda dec: graded_mesh(dec, 0.5, count=1),
+                          "needs at least two intervals"),
+    "fd-misaligned-data": (_guard_fd_misaligned,
+                           "boundary data must align with the node index"),
+    "series-zero-source": (lambda dec: series_coefficients(
+        dec, 0.5, np.zeros(dec.node_count), [0], 4),
+        "F vanishes identically"),
+}
+
+
+@pytest.mark.parametrize("case", EXTENSION_GUARDS)
+def test_extension_guards_name_the_fault(dec_bump, case):
+    call, match = EXTENSION_GUARDS[case]
+    with pytest.raises(ValueError, match=match):
+        call(dec_bump)
 
 
 # ----------------------------------------------------------------------

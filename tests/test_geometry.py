@@ -7,6 +7,7 @@ lattice sums of periodic data.
 """
 
 import dataclasses
+import types
 
 import numpy as np
 import pytest
@@ -169,6 +170,42 @@ def test_conformal_rescale_multiplies_base():
 def test_bump_profiles_reject_bad_parameters(factory):
     with pytest.raises(ValueError):
         factory()
+
+
+def _sampled(g):
+    """make_metric on a 2-d N = 8 grid, for a profile whose sample is ``g``."""
+    return make_metric(build_grid(2, 4.0, 8),
+                       types.SimpleNamespace(sample=lambda displace: g))
+
+
+def _tiled(tensor):
+    return np.tile(np.asarray(tensor, float), (64, 1, 1))
+
+
+GEOMETRY_GUARDS = {
+    "bump-r0": (lambda: ConformalBump(2, beta=0.5, sigma=0.4, center=(2.0, 2.0),
+                                      r0=0.0),
+                "support radius r0 must be positive"),
+    "anisotropic-axis": (lambda: AnisotropicBump(
+        2, beta=0.5, sigma=0.4, center=(2.0, 2.0), r0=0.8, axis=2),
+        "axis 2 out of range for dim 2"),
+    "sample-shape": (lambda: _sampled(np.ones((64, 2))),
+                     "profile returned shape"),
+    "asymmetric": (lambda: _sampled(_tiled([[1.0, 0.5], [0.0, 1.0]])),
+                   "metric tensors must be symmetric"),
+    "not-elliptic": (lambda: _sampled(_tiled([[1.0, 0.0], [0.0, -1.0]])),
+                     "not uniformly elliptic"),
+    # a NaN sample was reported as "metric tensors must be symmetric"
+    "non-finite": (lambda: _sampled(_tiled([[1.0, 0.0], [0.0, np.nan]])),
+                   "profile returned non-finite metric samples"),
+}
+
+
+@pytest.mark.parametrize("case", GEOMETRY_GUARDS)
+def test_geometry_guards_name_the_fault(case):
+    call, match = GEOMETRY_GUARDS[case]
+    with pytest.raises(ValueError, match=match):
+        call()
 
 
 def test_make_metric_rejects_wide_bump():

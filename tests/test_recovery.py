@@ -56,7 +56,7 @@ BASE_1D = ConformalBump(dim=1, beta=0.5, sigma=0.3, center=(2.0,), r0=0.45)
 SQUASH_1D = RadialSquash(dim=1, center=(2.0,), radius=0.52, strength=0.12)
 # same 10%-style rescaling used throughout: a conformal factor inside omega
 RESCALE_1D = ConformalRescale(BASE_1D, 0.2, 0.35, (2.0,), 0.45)
-QUAD = LogQuadrature.log_uniform(5e-2, 1e3, 400)
+QUAD = LogQuadrature.log_uniform(5e-2, 1e3, 400)  # the heat tables' window
 ALPHA = 0.5
 
 
@@ -121,7 +121,7 @@ def test_squash_jacobian_matches_finite_differences():
     pts = np.array([[1.0, 1.2], [1.3, 1.0], [1.6, 1.7], [1.74, 1.2],
                     [3.5, 0.2]])
     delta = wrap_displacement(pts - sq.center, SIDE)
-    jac = sq.jacobian(delta)
+    jac = sq.pullback(delta)[1]
     eps = 1e-6
     for k, d in enumerate(delta):
         num = np.zeros((2, 2))
@@ -137,7 +137,7 @@ def test_squash_determinant_closed_form():
     # det Phi' = lam^{d-1} rho' with lam, rho' the tangential/radial factors
     sq = RadialSquash(dim=2, center=(2.0, 2.0), radius=0.7, strength=-0.4)
     grid = build_grid(2, SIDE, 16)
-    jac = sq.jacobian(grid.displacement(sq.center))
+    jac = sq.pullback(grid.displacement(sq.center))[1]
     r = grid.distance_to(sq.center)
     lam, rad = sq.stretch_factors(r)
     assert_allclose(np.linalg.det(jac), lam * rad, atol=1e-13)
@@ -151,7 +151,7 @@ def test_pullback_volume_identity():
     grid = build_grid(2, SIDE, 12)
     pulled = PullbackProfile(base=base, squash=sq).sample(grid.displacement)
     delta = grid.displacement(sq.center)
-    jac = sq.jacobian(delta)
+    jac = sq.pullback(delta)[1]
     image = _squashed(sq, delta)
     g_at = base.sample(lambda c: wrap_displacement(
         image + (np.asarray(sq.center) - c), SIDE))
@@ -165,7 +165,7 @@ def test_squash_identity_outside_support():
     delta = np.array([[-1.9], [-0.8], [0.8], [1.9]])
     assert np.array_equal(sq.stretch_factors(np.abs(delta[:, 0])),
                           (np.ones(4), np.ones(4)))
-    assert np.array_equal(sq.jacobian(delta),
+    assert np.array_equal(sq.pullback(delta)[1],
                           np.broadcast_to(np.eye(1), (4, 1, 1)))
 
 
@@ -193,10 +193,33 @@ def test_squash_validation():
         RadialSquash(dim=2, center=(1.0, 1.0), radius=0.5, strength=-1.05)
     with pytest.raises(ValueError, match="radius"):
         RadialSquash(dim=1, center=(0.5,), radius=0.0, strength=0.1)
+    # non-finite inputs were accepted, and a NaN then surfaced in
+    # make_metric as "metric tensors must be symmetric"
+    with pytest.raises(ValueError, match="strength nan is not a diffeo"):
+        dataclasses.replace(SQUASH_1D, strength=math.nan)
+    for radius in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="radius must be positive and "
+                                             "finite"):
+            dataclasses.replace(SQUASH_1D, radius=radius)
     with pytest.raises(ValueError, match="center"):
         RadialSquash(dim=2, center=(0.5,), radius=0.5, strength=0.1)
     with pytest.raises(ValueError, match="dim"):
         RadialSquash(dim=3, center=(0.5, 0.5, 0.5), radius=0.5, strength=0.1)
+
+
+def test_squash_validity_is_the_closed_form():
+    # -1 < s < -1/g*, g* = g(sqrt(7) - 2) the least radial shape factor
+    for strength in (0.6661, -0.999999):
+        RadialSquash(dim=1, center=(0.5,), radius=0.5, strength=strength)
+    for strength in (0.6662, -1.0):
+        with pytest.raises(ValueError, match="diffeomorphism"):
+            RadialSquash(dim=1, center=(0.5,), radius=0.5, strength=strength)
+    # the least radial stretch on a dense sample of the support is 1 + s g*
+    sq = RadialSquash(dim=1, center=(0.5,), radius=0.5, strength=0.5)
+    _, rad = sq.stretch_factors(np.linspace(0.0, 0.5, 200001))
+    g_star = math.exp(1.0 - 1.0 / (3.0 - math.sqrt(7.0))) * (
+        1.0 - 2.0 * (math.sqrt(7.0) - 2.0) / (3.0 - math.sqrt(7.0)) ** 2)
+    assert abs(rad.min() - (1.0 + 0.5 * g_star)) < 1e-9
 
 
 def test_pullback_profile_dim_mismatch():
@@ -305,6 +328,10 @@ def test_moment_input_validation():
         moment_vector(lambda t: t, 0.5, -1, QUAD)
     with pytest.raises(ValueError, match="non-negative integer"):
         moment_vector(lambda t: t, 0.5, 2.5, QUAD)
+    # True was read as M = 1: a table of two orders nobody asked for
+    with pytest.raises(ValueError, match="non-negative integer"):
+        moment_vector(lambda t: t, 0.5, True, QUAD)
+    assert moment_vector(lambda t: t, 0.5, np.int64(2), QUAD).order_count == 3
     with pytest.raises(ValueError, match="alpha"):
         moment_vector(lambda t: t, 1.0, 2, QUAD)
     with pytest.raises(ValueError, match="non-finite"):
@@ -369,6 +396,9 @@ def test_heat_difference_guards(dec_base, dec_gauge, dec_rescaled, source,
                               int(config.w1_nodes[2]), 0.5)
     with pytest.raises(ValueError, match="out of range"):
         heat_difference_trace(dec_base, dec_gauge, source, 9999, 0.5)
+    for t in (-1.0, np.array([0.5, -1e-3])):
+        with pytest.raises(ValueError, match="heat trace requires t >= 0"):
+            heat_difference_trace(dec_base, dec_gauge, source, observer, t)
     # source sitting on the region where the metrics differ is dishonest
     bad = np.zeros(dec_base.node_count)
     bad[config.omega_nodes] = 1.0
@@ -380,7 +410,7 @@ READ_AT_OBSERVER = {
     "heat_difference_trace": lambda dec, F, x:
         heat_difference_trace(dec, dec, F, x, 1.0),
     "heat_moment_table": lambda dec, F, x:
-        heat_moment_table(dec, dec, ALPHA, F, x, quad=QUAD),
+        heat_moment_table(dec, dec, ALPHA, F, x),
 }
 
 
@@ -398,11 +428,10 @@ def test_gauge_pair_moments_pass_rescaled_pair_fails(dec_base, dec_gauge,
                                                      dec_rescaled, source,
                                                      observer):
     threshold = 5e-3  # coarse-grid unit check; acceptance pins C * h^2
-    gauge = heat_moment_table(dec_base, dec_gauge, ALPHA, source, observer,
-                              quad=QUAD)
+    gauge = heat_moment_table(dec_base, dec_gauge, ALPHA, source, observer)
     assert vanishing_test(gauge, threshold)
     distinct = heat_moment_table(dec_base, dec_rescaled, ALPHA, source,
-                                 observer, quad=QUAD)
+                                 observer)
     assert not vanishing_test(distinct, threshold)
     assert distinct.normalized()[0] > threshold
     # the genuine metric difference dominates the gauge discretisation error
@@ -420,8 +449,7 @@ def test_overlapping_windows_reach_the_same_verdict(grid32, dec_base,
     assert np.intersect1d(cfg.w1_nodes, cfg.w2_nodes).size > 0
     x = int(np.argmin(grid32.distance_to((1.05,))))
     assert source[x] == 0.0
-    table = heat_moment_table(dec_base, dec_gauge, ALPHA, source, x,
-                              quad=QUAD)
+    table = heat_moment_table(dec_base, dec_gauge, ALPHA, source, x)
     assert vanishing_test(table, 5e-3)
 
 
@@ -720,8 +748,8 @@ def test_2d_rows_only_heat_readers_match_the_whole_decomposition(pair):
         held.append(decompose(op, nodes=config.partial_map_nodes))
     F = _smooth_ball_source(grid, GAUGE_REGION.w1_center, GAUGE_REGION.w1_radius)
     x = config.w2_nodes[0]
-    want = heat_moment_table(*whole, ALPHA, F, x, quad=QUAD)
-    got = heat_moment_table(*held, ALPHA, F, x, quad=QUAD)
+    want = heat_moment_table(*whole, ALPHA, F, x)
+    got = heat_moment_table(*held, ALPHA, F, x)
     peak = want.reference_peak
     assert got.reference_peak == peak
     assert np.abs(got.samples - want.samples).max() <= 1e-13 * peak

@@ -1730,6 +1730,30 @@ def test_moments_match_direct_sum():
         LogQuadrature(nodes=quad.nodes, weights=-quad.weights)
 
 
+QUADRATURE_GUARDS = {
+    "mismatched": (lambda: LogQuadrature(nodes=[1.0, 2.0], weights=[1.0]),
+                   "nodes and weights must be matching 1-d arrays"),
+    "one-node": (lambda: LogQuadrature(nodes=[1.0], weights=[1.0]),
+                 "quadrature needs at least two nodes"),
+    "decreasing-nodes": (lambda: LogQuadrature(nodes=[2.0, 1.0],
+                                               weights=[1.0, 1.0]),
+                         "nodes must be positive and strictly increasing"),
+    "zero-spectrum": (lambda: LogQuadrature.semigroup(np.zeros(3), 0.5, 1.0),
+                      "need a finite spectrum with a positive eigenvalue"),
+    "zero-end-rate": (lambda: LogQuadrature.semigroup(np.arange(3.0), 0.0, 1.0),
+                      "positive end rates"),
+    "other-node-set": (lambda: LogQuadrature.log_uniform(1e-3, 1.0, 10).moments(
+        np.ones(9), 0.0), "integrand sampled on a different node set"),
+}
+
+
+@pytest.mark.parametrize("case", QUADRATURE_GUARDS)
+def test_quadrature_guards_name_the_fault(case):
+    call, match = QUADRATURE_GUARDS[case]
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [

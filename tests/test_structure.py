@@ -31,7 +31,10 @@ the records' own coordinates.  A record's row permutation is applied once,
 when it is built, so no module names ``perms``.  Both routes of
 ``decompose`` build the records at one site, the merge
 ``_block_eigenpairs``, so a second bookkeeping path for the blocks'
-columns cannot come back unnoticed.  Deletions leave nothing
+columns cannot come back unnoticed.  ``recovery.PullbackProfile`` reads
+its map through four members, ``dim``, ``center``, ``radius`` and
+``pullback``, so any map that has them serves, with no change to the
+profile.  Deletions leave nothing
 behind: every name a module lists in ``__all__`` is defined there, and
 every name it imports is read there.
 """
@@ -39,7 +42,11 @@ every name it imports is read there.
 import ast
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from fracbeltrami.geometry import ConformalBump, build_grid
+from fracbeltrami.recovery import PullbackProfile
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src" / "fracbeltrami").glob("*.py"))
@@ -217,6 +224,66 @@ def test_block_site_guard_counts_a_second_path():
               "    return (spectral.SymmetryBlock(index=op),)\n")
     assert _calls(ast.parse(source), "SymmetryBlock") == [
         (2, "_block_eigenpairs"), (4, "_fourier_eigenpairs")]
+
+
+# what PullbackProfile may read of its map
+MAP_MEMBERS = {"dim", "center", "radius", "pullback"}
+
+
+def _map_reads(tree):
+    """(line, member) of every read of ``squash`` inside ``PullbackProfile``;
+    the member is None where the map itself is handed on."""
+    cls = next(node for node in tree.body if isinstance(node, ast.ClassDef)
+               and node.name == "PullbackProfile")
+    parents = {child: node for node in ast.walk(cls)
+               for child in ast.iter_child_nodes(node)}
+    return sorted(((node.lineno, parents[node].attr
+                    if isinstance(parents[node], ast.Attribute) else None)
+                   for node in ast.walk(cls)
+                   if isinstance(node, ast.Attribute) and node.attr == "squash"),
+                  key=lambda read: read[0])
+
+
+def test_pullback_reads_its_map_through_four_members():
+    path = ROOT / "src" / "fracbeltrami" / "recovery.py"
+    reads = _map_reads(ast.parse(path.read_text(), filename=str(path)))
+    assert reads, "PullbackProfile no longer reads `squash`; update this guard"
+    stray = [(line, member) for line, member in reads
+             if member not in MAP_MEMBERS]
+    assert not stray, (f"PullbackProfile reads its map at {stray}; read it "
+                       f"through {sorted(MAP_MEMBERS)} only, so that any map "
+                       "with those members serves")
+
+
+def test_map_guard_sees_a_private_read():
+    source = ("class PullbackProfile:\n"
+              "    def sample(self, displace):\n"
+              "        lam = self.squash._stretch(displace(self.squash.center))\n"
+              "        return helper(self.squash)\n")
+    assert _map_reads(ast.parse(source)) == [
+        (3, "_stretch"), (3, "center"), (4, None)]
+
+
+class _IdentityMap:
+    """A map with the four members and nothing else: Phi = id."""
+
+    dim = 2
+    center = (1.0, 1.2)
+    radius = 0.8
+
+    def pullback(self, delta):
+        return (np.zeros_like(delta),
+                np.broadcast_to(np.eye(2), (len(delta), 2, 2)))
+
+
+def test_any_map_with_the_four_members_pulls_back():
+    base = ConformalBump(dim=2, beta=0.4, sigma=0.35, center=(1.1, 1.1),
+                         r0=0.9)
+    grid = build_grid(2, 4.0, 16)
+    pulled = PullbackProfile(base=base, squash=_IdentityMap())
+    assert pulled.dim == 2 and pulled.r0 == 0.9
+    assert np.array_equal(pulled.sample(grid.displacement),
+                          base.sample(grid.displacement))
 
 
 SAMPLING = [ROOT / "src" / "fracbeltrami" / name
