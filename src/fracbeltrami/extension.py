@@ -48,7 +48,8 @@ from .quadrature import LogQuadrature
 from .solvers import conjugate_gradient
 from .geometry import TorusGrid
 from .spectral import (SpectralDecomposition, _axis_modes, _check_alpha,
-                       _check_integers, _node_indices, _spectral_power)
+                       _check_integers, _heat_series, _node_indices,
+                       _spectral_power)
 
 __all__ = [
     "bessel_k",
@@ -113,7 +114,7 @@ def bessel_k(alpha: float, z):
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"Bessel order must lie in (0, 1), got {alpha}")
     arr = np.asarray(z, dtype=float)
-    if np.any(arr <= 0.0):
+    if not np.all(arr > 0.0):
         raise ValueError("bessel_k requires z > 0")
     scalar = arr.ndim == 0
     flat = np.atleast_1d(arr).ravel()
@@ -141,8 +142,10 @@ def mode_profile(alpha: float, lam, z):
     """
     _check_alpha(alpha, allow_one=False)
     lam_arr, z_arr = np.broadcast_arrays(np.asarray(lam, float), np.asarray(z, float))
-    if np.any(z_arr < 0.0):
+    if not np.all(z_arr >= 0.0):
         raise ValueError("extension height must satisfy z >= 0")
+    if not np.all(lam_arr >= 0.0):
+        raise ValueError("mode eigenvalue must satisfy lam >= 0")
     s = np.sqrt(lam_arr) * z_arr
     out = np.ones_like(s)
     # e^{-s} underflow: profile is exactly 0 to double precision
@@ -211,7 +214,6 @@ class ExtensionMesh:
 
     alpha: float
     heights: np.ndarray
-    grading: float
 
     def __post_init__(self):
         z = np.asarray(self.heights, float)
@@ -219,8 +221,6 @@ class ExtensionMesh:
             raise ValueError("extension mesh needs at least three heights")
         if z[0] != 0.0 or np.any(np.diff(z) <= 0.0):
             raise ValueError("heights must increase strictly from z_0 = 0")
-        if self.grading < 1.0:
-            raise ValueError("mesh grading exponent must be >= 1")
         object.__setattr__(self, "heights", z)
 
     @property
@@ -315,7 +315,7 @@ def graded_mesh(dec: SpectralDecomposition, alpha: float,
         raise ValueError("extension mesh needs at least two intervals")
     kappa = 4.0 - 2.0 * alpha
     p = np.arange(count + 1) / count
-    return ExtensionMesh(alpha=alpha, heights=height * p**kappa, grading=kappa)
+    return ExtensionMesh(alpha=alpha, heights=height * p**kappa)
 
 
 @dataclasses.dataclass
@@ -573,19 +573,17 @@ def _representation_setup(dec: SpectralDecomposition, F: np.ndarray,
                           x_indices: np.ndarray, quad: LogQuadrature
                           ) -> tuple[np.ndarray, np.ndarray]:
     """F as floats and the heat series (e^{t Lap} H)(x) on the window (nodes
-    along the last axis), one row per node x, for H = A F.  H's modes are
-    lam_k <phi_k, F>_w, exact in the spectral calculus (the zero mode's
-    lam_0 is exactly 0), so only the rows on supp F and at the nodes x are
-    read.  The nodes must lie off supp F."""
+    along the last axis, ``spectral._heat_series``), one row per node x, for
+    H = A F.  H's modes are lam_k <phi_k, F>_w, exact in the spectral
+    calculus (the zero mode's lam_0 is exactly 0), so only the rows on
+    supp F and at the nodes x are read.  The nodes must lie off supp F."""
     F = np.asarray(F, float)
     inside = x_indices[F[x_indices] != 0.0]
     if inside.size:
         raise ValueError(f"nodes {inside.tolist()} lie inside supp F; the "
                          "representation holds off-support")
     h_modes = dec.eigenvalues * dec.project(F)
-    rows = dec.rows(x_indices)
-    series = np.exp(-np.outer(quad.nodes, dec.eigenvalues)) @ (rows * h_modes).T
-    return F, series.T
+    return F, _heat_series(dec, h_modes, x_indices, quad.nodes).T
 
 
 def representation_solution(dec: SpectralDecomposition, alpha: float,
@@ -598,7 +596,7 @@ def representation_solution(dec: SpectralDecomposition, alpha: float,
     basis rows on supp F and at x are read, so a decomposition holding
     those alone (``decompose(op, nodes=...)``) serves."""
     _check_alpha(alpha, allow_one=False)
-    if z < 0.0:
+    if not z >= 0.0:
         raise ValueError("representation height must satisfy z >= 0")
     quad = LogQuadrature.semigroup(dec.eigenvalues, left=alpha, right=math.inf)
     x_indices = _node_indices(np.atleast_1d(x_index), dec.node_count, "x_index")

@@ -18,7 +18,7 @@ the grid symmetries it holds map Omega onto itself (a ball about the
 grid's centre, say), E_OO is block diagonal in the orbit basis of Omega
 (Bossavit, Comput. Methods Appl. Mech. Engrg. 1986): each record's block
 is formed from its own modes in its orbit coordinates, read straight off
-the record, and solved on its own; for the dihedral group the blocks take
+the record, and solved once per eigensolve; for the dihedral group they take
 about 1/40 of the multiply-adds of the node-space Gram matrix, and the
 largest solve about a quarter of |Omega|.  Otherwise one block, every mode
 at every node of Omega, is the same loop's only pass (:func:`_omega_blocks`,
@@ -45,6 +45,7 @@ them by sqrt|g|.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -197,8 +198,9 @@ class RegionSpec:
         dims = {len(self.omega_center), len(self.w1_center), len(self.w2_center)}
         if len(dims) != 1:
             raise ValueError("region centres must share a dimension")
-        if min(self.omega_radius, self.w1_radius, self.w2_radius) <= 0.0:
-            raise ValueError("region radii must be positive")
+        for radius in (self.omega_radius, self.w1_radius, self.w2_radius):
+            if not radius > 0.0:
+                raise ValueError("region radii must be positive")
 
     @property
     def dim(self) -> int:
@@ -233,12 +235,12 @@ def _omega_blocks(dec: SpectralDecomposition, alpha: float,
     orbits times lam^{a/2}: the record's held rows at those orbits
     (``SymmetryBlock.vectors``, which are in orbit coordinates).  Otherwise
     one record of every mode at every node of Omega serves:
-    H = W_O^{1/2} Phi_O Lambda^{a/2}.  Yields per record with a live Omega
-    orbit (H, columns, slot, coef): H, the columns of its modes, and per
+    H = W_O^{1/2} Phi_O Lambda^{a/2}.  Yields per ``vectors`` with a live
+    Omega orbit (H, parts), parts holding per record over it (D4's 2-d block
+    has two, adjacent in ``dec.blocks``) the columns of its modes, and per
     Omega node the row of its orbit in H and its coefficient, so
-    (U_k z)_n = coef_n z[slot_n].  The two records of D4's 2-d block give
-    the same H.  Omega's rows must be held; they pass the check every
-    basis read makes (``SpectralDecomposition._held``).
+    (U_k z)_n = coef_n z[slot_n].  Omega's rows must be held; they pass the
+    check every basis read makes (``SpectralDecomposition._held``).
     """
     om = dec._held(config.omega_nodes)
     half = _spectral_power(dec.eigenvalues, 0.5 * alpha)
@@ -246,17 +248,18 @@ def _omega_blocks(dec: SpectralDecomposition, alpha: float,
         h = dec.rows(om)
         h *= np.sqrt(dec.measure.node_weights[om])[:, None]
         h *= half
-        yield h, np.arange(dec.node_count), np.arange(om.size), np.ones(om.size)
+        yield h, [(np.arange(h.shape[1]), np.arange(om.size), np.ones(om.size))]
         return
-    for block in dec.blocks:
-        orbit, coef = block.index[om], block.coef[om]
-        rows = np.unique(orbit[coef != 0.0])
+    for _, shared in itertools.groupby(dec.blocks, key=lambda b: id(b.vectors)):
+        shared = [(b, b.index[om], b.coef[om]) for b in shared]
+        rows = np.unique(np.concatenate([o[c != 0.0] for _, o, c in shared]))
         if rows.size == 0:
             continue
-        h = block.vectors[rows]
-        h *= half[block.columns]
-        yield (h, block.columns,
-               np.minimum(np.searchsorted(rows, orbit), rows.size - 1), coef)
+        first, last = shared[0][0], rows.size - 1
+        h = first.vectors[rows]
+        h *= half[first.columns]
+        yield h, [(b.columns, np.minimum(np.searchsorted(rows, o), last), c)
+                  for b, o, c in shared]
 
 
 def _maps_onto_itself(generators: tuple, nodes: np.ndarray,
@@ -275,8 +278,8 @@ def _solve_blocks(dec: SpectralDecomposition, alpha: float,
     modes of the data, d = G_in' F, are formed once; then, block by block
     (:func:`_omega_blocks`), with z_k = U_k' W_O^{1/2} U_O the system is
     Y_k z_k = -H_k d_k on the record's columns d_k of d, solved by one
-    ``np.linalg.solve`` for all k data, and only the record's columns of
-    the modes change:
+    ``np.linalg.solve`` for all k data of every record that shares H_k, and
+    only the record's columns of the modes change:
     d_k <- d_k - H_k' Y_k^{-1} H_k d_k.  W_O drops out, since W_O^{1/2}
     does not change the row space of G_O.  Returns
     U_O = W_O^{-1/2} sum_k U_k z_k (|O|, k) and the half-power modes
@@ -299,14 +302,15 @@ def _solve_blocks(dec: SpectralDecomposition, alpha: float,
     count = f_in.shape[1]
     u_omega = np.zeros((config.interior_count, count))
     b_norm2, r_norm2 = np.zeros(count), np.zeros(count)
-    for h, cols, slot, coef in _omega_blocks(dec, alpha, config):
+    for h, parts in _omega_blocks(dec, alpha, config):
         block = h @ h.T
-        rhs = -(h @ modes[cols])
+        rhs = -np.hstack([h @ modes[cols] for cols, _, _ in parts])
         z = np.linalg.solve(block, rhs)
-        b_norm2 += np.square(rhs).sum(axis=0)
-        r_norm2 += np.square(rhs - block @ z).sum(axis=0)
-        modes[cols] += h.T @ z
-        u_omega += coef[:, None] * z[slot]
+        for norm2, r in ((b_norm2, rhs), (r_norm2, rhs - block @ z)):
+            norm2 += np.square(r).sum(axis=0).reshape(-1, count).sum(axis=0)
+        for (cols, slot, coef), zk in zip(parts, np.hsplit(z, len(parts))):
+            modes[cols] += h.T @ zk
+            u_omega += coef[:, None] * zk[slot]
     u_omega /= np.sqrt(w[config.omega_nodes])[:, None]
     residual = float(np.sqrt(np.divide(r_norm2, b_norm2,
                                        out=np.zeros_like(r_norm2),
@@ -344,11 +348,11 @@ def coercivity_constant(dec: SpectralDecomposition, alpha: float,
 
     The smallest eigenvalue of W^{-1/2} E_OO W^{-1/2} = U diag(Y_k) U'
     (:func:`_omega_blocks`, U orthogonal), so the smallest over the blocks'
-    Y_k = H_k H_k'; strictly positive for a proper Omega, and a per-grid
-    diagnostic for the energy estimates.
+    Y_k = H_k H_k', one per eigensolve; strictly positive for a proper
+    Omega, and a per-grid diagnostic for the energy estimates.
     """
     return float(min(np.linalg.eigvalsh(h @ h.T)[0]
-                     for h, _, _, _ in _omega_blocks(dec, alpha, config)))
+                     for h, _ in _omega_blocks(dec, alpha, config)))
 
 
 # ----------------------------------------------------------------------

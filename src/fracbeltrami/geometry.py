@@ -57,7 +57,7 @@ class TorusGrid:
     def __post_init__(self):
         if self.dim not in (1, 2):
             raise ValueError(f"dim must be 1 or 2, got {self.dim}")
-        if self.side_length <= 0:
+        if not self.side_length > 0:
             raise ValueError("side_length must be positive")
         n = self.points_per_side
         if n < 4 or n % 2 != 0:
@@ -153,11 +153,11 @@ class _BumpFactor:
         return self.r0
 
     def __post_init__(self):
-        if self.beta <= -1.0:
+        if not self.beta > -1.0:
             raise ValueError(f"bump amplitude beta must exceed -1 for ellipticity, got {self.beta}")
-        if self.sigma <= 0.0:
+        if not self.sigma > 0.0:
             raise ValueError("sigma must be positive")
-        if self._bump_r0 <= 0.0:
+        if not self._bump_r0 > 0.0:
             raise ValueError("support radius r0 must be positive")
         if len(self.center) != self.dim:
             raise ValueError(f"center has {len(self.center)} components, expected {self.dim}")
@@ -295,7 +295,7 @@ def make_metric(grid: TorusGrid, profile) -> MetricField:
     strictly inside half a period (the bump must not wrap onto itself).
     """
     r0 = getattr(profile, "r0", None)
-    if r0 is not None and r0 >= grid.side_length / 2.0:
+    if r0 is not None and not r0 < grid.side_length / 2.0:
         raise ValueError(
             f"support radius {r0} must be < half the side length "
             f"{grid.side_length / 2.0}")

@@ -47,6 +47,7 @@ from .spectral import (
     SpectralDecomposition,
     _check_alpha,
     _check_integers,
+    _heat_series,
     _node_indices,
     assemble_laplacian,
     decompose,
@@ -202,22 +203,6 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # heat semigroup differences observed from outside
 
 
-def _trace_sampler(dec: SpectralDecomposition, F: np.ndarray,
-                   x_index: int) -> Callable[[np.ndarray], np.ndarray]:
-    """t -> (e^{-tA} F)(x), vectorised over t via the mode expansion; it
-    reads the basis rows on the support of F and at x only."""
-    weights = dec.project(F) * dec.rows(x_index)
-    lam = dec.eigenvalues
-
-    def sample(t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        if np.any(t < 0):
-            raise ValueError("heat trace requires t >= 0")
-        return np.exp(-np.multiply.outer(t, lam)) @ weights
-
-    return sample
-
-
 def _observation_guards(dec1: SpectralDecomposition,
                         dec2: SpectralDecomposition, F: np.ndarray,
                         x_index: int) -> tuple[np.ndarray, int]:
@@ -259,10 +244,11 @@ def heat_difference_trace(dec1: SpectralDecomposition,
     holds those rows alone (``decompose(op, nodes=...)``) serves.
     """
     F, x_index = _observation_guards(dec1, dec2, F, x_index)
-    s1 = _trace_sampler(dec1, F, x_index)
-    s2 = _trace_sampler(dec2, F, x_index)
     t_arr = np.asarray(t, dtype=float)
-    out = s1(t_arr) - s2(t_arr)
+    if not np.all(t_arr >= 0):
+        raise ValueError("heat trace requires t >= 0")
+    out = (_heat_series(dec1, dec1.project(F), x_index, t_arr)
+           - _heat_series(dec2, dec2.project(F), x_index, t_arr))
     return float(out) if np.ndim(t) == 0 else out
 
 
@@ -313,18 +299,18 @@ class MomentTable:
         return math.inf if peak > 0.0 else 0.0
 
 
-def moment_vector(U_sampler: Callable[[np.ndarray], np.ndarray], alpha: float,
-                  M: int, quad: LogQuadrature, *,
-                  reference_sampler: Callable[[np.ndarray], np.ndarray] | None = None,
+def moment_vector(values: np.ndarray, alpha: float, M: int,
+                  quad: LogQuadrature, *, reference: np.ndarray | None = None,
                   x_index: int | None = None) -> MomentTable:
-    """Evaluate the moment vector of ``U_sampler`` over the window ``quad``.
+    """The moment vector of a signal U over the window ``quad``.
 
-    The weight t^{-1-alpha-m} makes the small-t edge dangerous: a signal
-    that has not decayed by ``t_min`` is amplified by up to
-    t_min^{-1-alpha-M}, so ``LogQuadrature.moments`` rejects the
-    combination before it can overflow, with instructions to widen the
-    window or lower the order M.  Without a
-    ``reference_sampler`` all scales are 1 and the moments are raw.
+    ``values`` and ``reference`` are U and the reference signal sampled at
+    the window's nodes ``quad.nodes``.  The weight t^{-1-alpha-m} makes the
+    small-t edge dangerous: a signal that has not decayed by ``t_min`` is
+    amplified by up to t_min^{-1-alpha-M}, so ``LogQuadrature.moments``
+    rejects the combination before it can overflow, with instructions to
+    widen the window or lower the order M.  Without a ``reference`` all
+    scales are 1 and the moments are raw.
     """
     _check_alpha(alpha, allow_one=False)
     _check_integers([M], "moment count M (a non-negative integer)")
@@ -332,19 +318,19 @@ def moment_vector(U_sampler: Callable[[np.ndarray], np.ndarray], alpha: float,
         raise ValueError(f"moment count M must be a non-negative integer, "
                          f"got {M}")
     t = quad.nodes
-    values = np.asarray(U_sampler(t), dtype=float)
+    values = np.array(values, dtype=float)
     if values.shape != t.shape:
-        raise ValueError(f"sampler returned shape {values.shape}, expected "
-                         f"{t.shape}")
+        raise ValueError(f"samples of shape {values.shape} do not match the "
+                         f"window's nodes, shape {t.shape}")
     if not np.all(np.isfinite(values)):
-        raise ValueError("sampler returned non-finite values on the window")
+        raise ValueError("samples hold non-finite values on the window")
     exponents = -1.0 - alpha - np.arange(M + 1, dtype=float)
     moments = quad.moments(values, exponents)
-    if reference_sampler is not None:
-        ref = np.asarray(reference_sampler(t), dtype=float)
+    if reference is not None:
+        ref = np.asarray(reference, dtype=float)
         if ref.shape != t.shape or not np.all(np.isfinite(ref)):
-            raise ValueError("reference sampler must return finite values "
-                             "on the window")
+            raise ValueError("reference must be finite samples at the "
+                             "window's nodes")
         scales = quad.moments(np.abs(ref), exponents)
         peak = float(np.max(np.abs(ref), initial=0.0))
     else:
@@ -368,6 +354,7 @@ def heat_moment_table(dec1: SpectralDecomposition,
     The reference scale is the single-metric heat trace (e^{-t A_1} F)(x):
     moments are linear in U, so only this relative size distinguishes "zero
     up to discretisation" from "small because the experiment was small".
+    Each trace is sampled once, the first also serving as the reference.
 
     The table holds the orders m = 0..8 on 400 nodes from t = 0.05 to 1e3.
     The window starts no lower: with separated source and observer, the
@@ -377,10 +364,11 @@ def heat_moment_table(dec1: SpectralDecomposition,
     noise/noise ratio is O(1) and does not shrink under refinement.
     """
     F, x_index = _observation_guards(dec1, dec2, F, x_index)
-    s1 = _trace_sampler(dec1, F, x_index)
-    s2 = _trace_sampler(dec2, F, x_index)
-    return moment_vector(lambda t: s1(t) - s2(t), alpha, _HEAT_ORDER,
-                         _HEAT_WINDOW, reference_sampler=s1, x_index=x_index)
+    t = _HEAT_WINDOW.nodes
+    u1 = _heat_series(dec1, dec1.project(F), x_index, t)
+    u2 = _heat_series(dec2, dec2.project(F), x_index, t)
+    return moment_vector(u1 - u2, alpha, _HEAT_ORDER, _HEAT_WINDOW,
+                         reference=u1, x_index=x_index)
 
 
 def vanishing_test(table: MomentTable, threshold: float) -> bool:

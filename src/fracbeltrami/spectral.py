@@ -828,7 +828,7 @@ def _axis_modes(n: int) -> np.ndarray:
 
 def heat_apply(dec: SpectralDecomposition, t: float, u: np.ndarray) -> np.ndarray:
     """e^{-tA} u; a weighted-L2 contraction for t >= 0."""
-    if t < 0:
+    if not t >= 0:
         raise ValueError("heat semigroup requires t >= 0")
     if t == 0:
         return np.array(u, dtype=float, copy=True)
@@ -849,11 +849,17 @@ def heat_kernel(dec: SpectralDecomposition, t, i, j):
     rows alone (``decompose(op, nodes=...)``) gives the same bits.
     """
     t = np.asarray(t, float)
-    if np.any(t <= 0):
+    if not np.all(t > 0):
         raise ValueError("heat kernel requires t > 0")
     decay = np.exp(-t[..., None] * dec.eigenvalues)
     values = (dec.rows(i) * dec.rows(j) * decay).sum(axis=-1)
     return float(values) if values.ndim == 0 else values
+
+
+def _heat_series(dec: SpectralDecomposition, modes, nodes, t) -> np.ndarray:
+    """(e^{-tA} G)(x) = sum_k e^{-t lam_k} phi_k(x) G_k at ``nodes`` (the
+    rows it reads) from the modes G_k, shape t.shape + nodes.shape."""
+    return np.exp(-np.multiply.outer(t, dec.eigenvalues)) @ (dec.rows(nodes) * modes).T
 
 
 # --------------------------------------------------------------------------

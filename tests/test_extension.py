@@ -206,15 +206,14 @@ def test_mesh_invariants(dec_bump):
     mesh = graded_mesh(dec_bump, 0.25)
     assert mesh.heights[0] == 0.0
     assert np.all(np.diff(mesh.heights) > 0)
-    assert mesh.grading >= 1.0
     lam1 = dec_bump.eigenvalues[1]
     assert mesh.height >= 5.0 / math.sqrt(lam1)
     with pytest.raises(ValueError):
         graded_mesh(dec_bump, 0.25, height=1.0 / math.sqrt(lam1))
     with pytest.raises(ValueError):
-        ExtensionMesh(alpha=0.5, heights=np.array([0.0, 2.0, 1.0]), grading=1.0)
+        ExtensionMesh(alpha=0.5, heights=np.array([0.0, 2.0, 1.0]))
     with pytest.raises(ValueError):
-        ExtensionMesh(alpha=0.5, heights=np.array([0.1, 0.2, 0.3]), grading=1.0)
+        ExtensionMesh(alpha=0.5, heights=np.array([0.1, 0.2, 0.3]))
 
 
 @pytest.mark.parametrize("count", [48.5, 48.0, True],
@@ -230,8 +229,7 @@ def test_mesh_conductance_exact_on_flux_solution():
     # the pure-flux solution A + B z^{2a} has constant weighted flux 2aB;
     # harmonic-mean conductances reproduce it exactly on any mesh
     a = 0.3
-    mesh = ExtensionMesh(alpha=a, heights=np.array([0.0, 0.1, 0.5, 1.3, 2.0]),
-                         grading=1.0)
+    mesh = ExtensionMesh(alpha=a, heights=np.array([0.0, 0.1, 0.5, 1.3, 2.0]))
     u = 1.7 + 0.9 * mesh.heights ** (2 * a)
     flux = mesh.conductances() * np.diff(u)
     assert_allclose(flux, 2 * a * 0.9, rtol=1e-13)
@@ -682,11 +680,8 @@ EXTENSION_GUARDS = {
     "profile-negative-z": (lambda dec: mode_profile(0.5, 1.0, -0.1),
                            "extension height must satisfy z >= 0"),
     "mesh-two-heights": (lambda dec: ExtensionMesh(
-        alpha=0.5, heights=np.array([0.0, 1.0]), grading=1.0),
+        alpha=0.5, heights=np.array([0.0, 1.0])),
         "needs at least three heights"),
-    "mesh-grading-below-one": (lambda dec: ExtensionMesh(
-        alpha=0.5, heights=np.array([0.0, 0.5, 1.0]), grading=0.5),
-        "grading exponent must be >= 1"),
     "mesh-one-interval": (lambda dec: graded_mesh(dec, 0.5, count=1),
                           "needs at least two intervals"),
     "fd-misaligned-data": (_guard_fd_misaligned,
@@ -700,6 +695,35 @@ EXTENSION_GUARDS = {
 @pytest.mark.parametrize("case", EXTENSION_GUARDS)
 def test_extension_guards_name_the_fault(dec_bump, case):
     call, match = EXTENSION_GUARDS[case]
+    with pytest.raises(ValueError, match=match):
+        call(dec_bump)
+
+
+def _representation_at_nan_height(dec):
+    F = np.zeros(dec.node_count)
+    F[:3] = 1.0
+    return representation_solution(dec, 0.5, F, dec.node_count // 2, math.nan)
+
+
+NAN_INPUTS = {
+    "profile-nan-z": (lambda dec: mode_profile(0.5, 1.0, math.nan),
+                      "extension height must satisfy z >= 0"),
+    "profile-nan-lam": (lambda dec: mode_profile(0.5, math.nan, 0.3),
+                        "mode eigenvalue must satisfy lam >= 0"),
+    "profile-negative-lam": (lambda dec: mode_profile(0.5, -1.0, 0.3),
+                             "mode eigenvalue must satisfy lam >= 0"),
+    "bessel-nan-z": (lambda dec: bessel_k(0.5, np.array([1.0, math.nan])),
+                     "bessel_k requires z > 0"),
+    "representation-nan-z": (_representation_at_nan_height,
+                             "representation height must satisfy z >= 0"),
+}
+
+
+@pytest.mark.parametrize("case", NAN_INPUTS)
+def test_extension_refuses_nan_inputs(dec_bump, case):
+    # a NaN passed the `z < 0` and `z <= 0` guards, and lam had none: the
+    # profile read 1.0, the Bessel function and the representation NaN
+    call, match = NAN_INPUTS[case]
     with pytest.raises(ValueError, match=match):
         call(dec_bump)
 

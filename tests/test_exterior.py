@@ -152,6 +152,14 @@ def test_config_rejects_bad_layouts(dec_bump):
     assert len(cfg.w2_nodes) > 0
 
 
+@pytest.mark.parametrize("field", ["omega_radius", "w1_radius", "w2_radius"])
+def test_region_refuses_a_nan_radius(field):
+    # min() of the three radii dropped a NaN after the first, and a NaN
+    # compared false against zero; each radius is now checked on its own
+    with pytest.raises(ValueError, match="region radii must be positive"):
+        dataclasses.replace(REGION_2D, **{field: math.nan})
+
+
 def test_config_rejects_disconnected_exterior():
     grid = build_grid(2, 4.0, 16)
     ix = np.arange(grid.node_count) // 16   # first-axis index
@@ -539,7 +547,15 @@ def test_omega_is_solved_one_orbit_block_at_a_time(monkeypatch):
     assert sum(live) == om.size
     sizes = _spy_on_solve(monkeypatch)
     dtn_matrix(dec, 0.5, config)
-    assert len(sizes) == len(dec.blocks) == 6
+    # one solve per eigensolve: D4's 2-d block is two records over one
+    # set of vectors, whose data are solved side by side
+    assert len(dec.blocks) == 6
+    assert len(sizes) == len({id(block.vectors) for block in dec.blocks}) == 5
+    spectra, eigvalsh = [], np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda a: spectra.append(a.shape[0]) or eigvalsh(a))
+    coercivity_constant(dec, 0.5, config)
+    assert sorted(spectra) == sorted(sizes)
     assert max(sizes) <= max(live) < om.size // 3
     # an Omega off the symmetry centre is one system of |Omega|
     moved = dataclasses.replace(BENCH_REGION, omega_center=(2.25, 2.0)).build(grid)

@@ -7,6 +7,7 @@ lattice sums of periodic data.
 """
 
 import dataclasses
+import math
 import types
 
 import numpy as np
@@ -204,6 +205,33 @@ GEOMETRY_GUARDS = {
 @pytest.mark.parametrize("case", GEOMETRY_GUARDS)
 def test_geometry_guards_name_the_fault(case):
     call, match = GEOMETRY_GUARDS[case]
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
+NAN_PARAMETERS = {
+    "grid-side": (lambda: build_grid(2, math.nan, 8),
+                  "side_length must be positive"),
+    "bump-r0": (lambda: ConformalBump(2, beta=0.5, sigma=0.4,
+                                      center=(2.0, 2.0), r0=math.nan),
+                "support radius r0 must be positive"),
+    "bump-sigma": (lambda: ConformalBump(2, beta=0.5, sigma=math.nan,
+                                         center=(2.0, 2.0), r0=0.8),
+                   "sigma must be positive"),
+    "bump-beta": (lambda: ConformalBump(2, beta=math.nan, sigma=0.4,
+                                        center=(2.0, 2.0), r0=0.8),
+                  "beta must exceed -1"),
+    "rescale-r0": (lambda: ConformalRescale(IdentityMetric(2), 0.5, 0.4,
+                                            (2.0, 2.0), math.nan),
+                   "support radius r0 must be positive"),
+}
+
+
+@pytest.mark.parametrize("case", NAN_PARAMETERS)
+def test_geometry_refuses_nan_parameters(case):
+    # each passed its `x <= bound` guard: a NaN r0 sampled the identity
+    # metric, a NaN sigma or beta a NaN metric, a NaN side a NaN grid
+    call, match = NAN_PARAMETERS[case]
     with pytest.raises(ValueError, match=match):
         call()
 

@@ -249,7 +249,7 @@ def test_moment_gamma_oracle():
     # U = t^2 e^{-t}, alpha = 1/2: mu_0 = Gamma(3/2), mu_1 = Gamma(1/2);
     # the wide window keeps the truncated tails below the quadrature error
     quad = LogQuadrature.log_uniform(1e-10, 1e4, 2000)
-    table = moment_vector(lambda t: t ** 2 * np.exp(-t), 0.5, 1, quad)
+    table = moment_vector(quad.nodes ** 2 * np.exp(-quad.nodes), 0.5, 1, quad)
     assert_allclose(table.moments[0], math.gamma(1.5), rtol=1e-12)
     # mu_1's integrand ~ t^{-1/2} at 0: truncation at 1e-10 costs ~2e-5 rel
     assert_allclose(table.moments[1], math.sqrt(math.pi), rtol=5e-5)
@@ -264,8 +264,8 @@ def test_moment_shift_identity():
     def u(t):
         return np.polyval(coef, t) * np.exp(-t)
 
-    lower = moment_vector(u, 0.3, 5, QUAD)
-    lifted = moment_vector(lambda t: t * u(t), 0.3, 6, QUAD)
+    lower = moment_vector(u(QUAD.nodes), 0.3, 5, QUAD)
+    lifted = moment_vector(QUAD.nodes * u(QUAD.nodes), 0.3, 6, QUAD)
     assert_allclose(lifted.moments[1:], lower.moments, rtol=1e-13)
 
 
@@ -282,9 +282,10 @@ def test_moment_linearity(seed):
     def u2(t):
         return np.polyval(c2, t) * np.exp(-t)
 
-    mix = moment_vector(lambda t: a * u1(t) + b * u2(t), 0.5, 4, QUAD)
-    m1 = moment_vector(u1, 0.5, 4, QUAD)
-    m2 = moment_vector(u2, 0.5, 4, QUAD)
+    t = QUAD.nodes
+    mix = moment_vector(a * u1(t) + b * u2(t), 0.5, 4, QUAD)
+    m1 = moment_vector(u1(t), 0.5, 4, QUAD)
+    m2 = moment_vector(u2(t), 0.5, 4, QUAD)
     scale = np.abs(m1.moments).max() + np.abs(m2.moments).max()
     assert np.abs(mix.moments - (a * m1.moments + b * m2.moments)).max() \
         <= 1e-12 * max(scale, 1.0)
@@ -292,15 +293,15 @@ def test_moment_linearity(seed):
 
 def test_moment_self_reference_normalizes_to_one():
     # positive U referenced against itself: every normalized entry is 1
-    table = moment_vector(lambda t: t ** 2 * np.exp(-t), 0.5, 6, QUAD,
-                          reference_sampler=lambda t: t ** 2 * np.exp(-t))
+    u = QUAD.nodes ** 2 * np.exp(-QUAD.nodes)
+    table = moment_vector(u, 0.5, 6, QUAD, reference=u)
     assert_allclose(table.normalized(), 1.0, rtol=1e-13)
     assert table.direct_ratio() == 1.0
 
 
 def test_moment_zero_signal_zero_table():
-    table = moment_vector(lambda t: np.zeros_like(t), 0.5, 8, QUAD,
-                          reference_sampler=lambda t: np.zeros_like(t))
+    zero = np.zeros_like(QUAD.nodes)
+    table = moment_vector(zero, 0.5, 8, QUAD, reference=zero)
     assert np.all(table.moments == 0.0)
     assert np.all(table.normalized() == 0.0)
     assert table.direct_ratio() == 0.0
@@ -308,7 +309,8 @@ def test_moment_zero_signal_zero_table():
 
 
 def test_moment_window_metadata():
-    table = moment_vector(lambda t: np.exp(-t) * t, 0.5, 3, QUAD, x_index=17)
+    table = moment_vector(np.exp(-QUAD.nodes) * QUAD.nodes, 0.5, 3, QUAD,
+                          x_index=17)
     assert table.window == (QUAD.t_min, QUAD.t_max)
     assert table.order_count == 4
     assert table.x_index == 17
@@ -318,33 +320,33 @@ def test_moment_small_t_amplification_guard():
     # |U(t_min)| t_min^{-1-a-M} ~ 10^{300}: reject before it overflows
     quad = LogQuadrature.log_uniform(1e-30, 1.0, 50)
     with pytest.raises(ValueError, match="widen the window"):
-        moment_vector(lambda t: np.ones_like(t), 0.5, 9, quad)
+        moment_vector(np.ones_like(quad.nodes), 0.5, 9, quad)
     # a signal that has decayed by t_min sails through
-    moment_vector(lambda t: t ** 12, 0.5, 9, quad)
+    moment_vector(quad.nodes ** 12, 0.5, 9, quad)
 
 
 def test_moment_input_validation():
     with pytest.raises(ValueError, match="non-negative integer"):
-        moment_vector(lambda t: t, 0.5, -1, QUAD)
+        moment_vector(QUAD.nodes, 0.5, -1, QUAD)
     with pytest.raises(ValueError, match="non-negative integer"):
-        moment_vector(lambda t: t, 0.5, 2.5, QUAD)
+        moment_vector(QUAD.nodes, 0.5, 2.5, QUAD)
     # True was read as M = 1: a table of two orders nobody asked for
     with pytest.raises(ValueError, match="non-negative integer"):
-        moment_vector(lambda t: t, 0.5, True, QUAD)
-    assert moment_vector(lambda t: t, 0.5, np.int64(2), QUAD).order_count == 3
+        moment_vector(QUAD.nodes, 0.5, True, QUAD)
+    assert moment_vector(QUAD.nodes, 0.5, np.int64(2), QUAD).order_count == 3
     with pytest.raises(ValueError, match="alpha"):
-        moment_vector(lambda t: t, 1.0, 2, QUAD)
+        moment_vector(QUAD.nodes, 1.0, 2, QUAD)
     with pytest.raises(ValueError, match="non-finite"):
-        moment_vector(lambda t: np.full_like(t, np.nan), 0.5, 2, QUAD)
+        moment_vector(np.full_like(QUAD.nodes, np.nan), 0.5, 2, QUAD)
     with pytest.raises(ValueError, match="shape"):
-        moment_vector(lambda t: t[:-1], 0.5, 2, QUAD)
+        moment_vector(QUAD.nodes[:-1], 0.5, 2, QUAD)
     with pytest.raises(ValueError, match="reference"):
-        moment_vector(lambda t: t, 0.5, 2, QUAD,
-                      reference_sampler=lambda t: np.full_like(t, np.inf))
+        moment_vector(QUAD.nodes, 0.5, 2, QUAD,
+                      reference=np.full_like(QUAD.nodes, np.inf))
 
 
 def test_vanishing_threshold_validation():
-    table = moment_vector(lambda t: np.exp(-t), 0.5, 2, QUAD)
+    table = moment_vector(np.exp(-QUAD.nodes), 0.5, 2, QUAD)
     with pytest.raises(ValueError, match="threshold"):
         vanishing_test(table, 0.0)
 
@@ -362,8 +364,9 @@ def test_vanishing_monotone_in_order_count(seed):
     def ref(t):
         return (1.0 + t) * np.exp(-t)
 
-    few = moment_vector(u, 0.5, 3, QUAD, reference_sampler=ref)
-    many = moment_vector(u, 0.5, 8, QUAD, reference_sampler=ref)
+    t = QUAD.nodes
+    few = moment_vector(u(t), 0.5, 3, QUAD, reference=ref(t))
+    many = moment_vector(u(t), 0.5, 8, QUAD, reference=ref(t))
     threshold = 10.0 ** rng.uniform(-6, 0)
     if vanishing_test(many, threshold):
         assert vanishing_test(few, threshold)
@@ -396,7 +399,7 @@ def test_heat_difference_guards(dec_base, dec_gauge, dec_rescaled, source,
                               int(config.w1_nodes[2]), 0.5)
     with pytest.raises(ValueError, match="out of range"):
         heat_difference_trace(dec_base, dec_gauge, source, 9999, 0.5)
-    for t in (-1.0, np.array([0.5, -1e-3])):
+    for t in (-1.0, np.array([0.5, -1e-3]), math.nan):
         with pytest.raises(ValueError, match="heat trace requires t >= 0"):
             heat_difference_trace(dec_base, dec_gauge, source, observer, t)
     # source sitting on the region where the metrics differ is dishonest
@@ -404,6 +407,27 @@ def test_heat_difference_guards(dec_base, dec_gauge, dec_rescaled, source,
     bad[config.omega_nodes] = 1.0
     with pytest.raises(ValueError, match="disagree"):
         heat_difference_trace(dec_base, dec_rescaled, bad, observer, 0.5)
+
+
+def test_heat_readers_sample_each_trace_once(dec_base, dec_gauge, source,
+                                             observer, monkeypatch):
+    # one heat series per decomposition: the moment table reads its first
+    # trace as a term of U and as the reference, sampled once
+    calls, series = [], recovery._heat_series
+
+    def spy(dec, modes, nodes, t):
+        calls.append(dec)
+        return series(dec, modes, nodes, t)
+
+    monkeypatch.setattr(recovery, "_heat_series", spy)
+    table = heat_moment_table(dec_base, dec_gauge, ALPHA, source, observer)
+    assert len(calls) == 2
+    assert calls[0] is dec_base and calls[1] is dec_gauge
+    calls.clear()
+    trace = heat_difference_trace(dec_base, dec_gauge, source, observer,
+                                  QUAD.nodes)
+    assert len(calls) == 2
+    assert np.array_equal(trace, table.samples)
 
 
 READ_AT_OBSERVER = {

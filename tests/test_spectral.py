@@ -1221,6 +1221,24 @@ def test_heat_rejects_negative_t(dec_1d_bump):
         heat_kernel(dec_1d_bump, 0.0, 0, 1)
 
 
+NAN_TIMES = {
+    "heat-apply": (lambda dec: heat_apply(dec, math.nan, np.ones(16)),
+                   "heat semigroup requires t >= 0"),
+    "heat-kernel": (lambda dec: heat_kernel(dec, math.nan, 0, 1),
+                    "heat kernel requires t > 0"),
+    "heat-kernel-one-time": (lambda dec: heat_kernel(
+        dec, np.array([0.5, math.nan]), 0, 1), "heat kernel requires t > 0"),
+}
+
+
+@pytest.mark.parametrize("case", NAN_TIMES)
+def test_heat_readers_refuse_a_nan_time(dec_1d_bump, case):
+    # a NaN time passed the `t < 0` guards and came back as NaN values
+    call, match = NAN_TIMES[case]
+    with pytest.raises(ValueError, match=match):
+        call(dec_1d_bump)
+
+
 @pytest.mark.parametrize("profile", [IdentityMetric(2), BUMP_2D, ANISO_2D])
 def test_stochastic_completeness(profile):
     grid = build_grid(2, 4.0, 10)

@@ -34,7 +34,9 @@ when it is built, so no module names ``perms``.  Both routes of
 columns cannot come back unnoticed.  ``recovery.PullbackProfile`` reads
 its map through four members, ``dim``, ``center``, ``radius`` and
 ``pullback``, so any map that has them serves, with no change to the
-profile.  Deletions leave nothing
+profile.  Heat factors e^{-t lam} of a decomposition's eigenvalues are
+formed in ``spectral.py`` alone: the other modules read the heat series
+through ``spectral._heat_series``.  Deletions leave nothing
 behind: every name a module lists in ``__all__`` is defined there, and
 every name it imports is read there.
 """
@@ -166,12 +168,12 @@ def test_block_vectors_are_read_only_where_they_are_stored(path):
 def test_block_vectors_guard_sees_a_stray_read():
     source = ("def _omega_blocks(dec):\n"
               "    return [b.vectors for b in dec.blocks]\n"
-              "def _trace_sampler(dec, x):\n"
+              "def _heat_trace(dec, x):\n"
               "    return dec.blocks[0].vectors[x]\n"
               "def _orbit_sums(dec, y):\n"
               "    return [(b.index, b.coef * y, b.columns) for b in dec.blocks]\n")
     assert _record_reads(ast.parse(source)) == [
-        (2, "_omega_blocks"), (4, "_trace_sampler")] + [(6, "_orbit_sums")] * 3
+        (2, "_omega_blocks"), (4, "_heat_trace")] + [(6, "_orbit_sums")] * 3
 
 
 def _perms_lines(tree):
@@ -332,6 +334,57 @@ def test_no_exp_minus_one(path):
 def test_exp_minus_one_guard_sees_both_spellings():
     for source in ("np.exp(-x) - 1.0", "exp(x) - 1"):
         assert _exp_minus_one_lines(ast.parse(source)) == [1]
+
+
+def _reads_eigenvalues(node, names=frozenset()) -> bool:
+    """Whether ``node`` reads ``.eigenvalues`` or one of ``names``."""
+    return any(isinstance(n, ast.Attribute) and n.attr == "eigenvalues"
+               or isinstance(n, ast.Name) and n.id in names
+               for n in ast.walk(node))
+
+
+def _heat_factor_calls(tree):
+    """(line, enclosing top-level definition) of every ``exp`` or ``expm1``
+    call whose argument reads ``.eigenvalues``, or a name that the same
+    definition binds to ``.eigenvalues`` (or a slice of it)."""
+    found = []
+    for top in tree.body:
+        bound = set()
+        for node in ast.walk(top):
+            if isinstance(node, ast.Assign):
+                value = node.value
+                while isinstance(value, ast.Subscript):
+                    value = value.value
+                if isinstance(value, ast.Attribute) and value.attr == "eigenvalues":
+                    bound |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+        found += [(node.lineno, getattr(top, "name", None))
+                  for node in ast.walk(top) if isinstance(node, ast.Call)
+                  and (getattr(node.func, "id", None)
+                       or getattr(node.func, "attr", None)) in ("exp", "expm1")
+                  and any(_reads_eigenvalues(arg, bound) for arg in node.args)]
+    return found
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_only_spectral_forms_heat_factors(path):
+    found = _heat_factor_calls(ast.parse(path.read_text(), filename=str(path)))
+    if path.name == "spectral.py":
+        assert found, "spectral.py forms no heat factor; update this guard"
+        return
+    assert not found, (f"{path.name} forms e^{{-t lam}} at {found}; read the "
+                       "heat series through spectral._heat_series instead")
+
+
+def test_heat_factor_guard_sees_both_spellings():
+    source = ("def _series(dec, t):\n"
+              "    return np.exp(-np.outer(t, dec.eigenvalues))\n"
+              "def _trace(dec, t):\n"
+              "    lam = dec.eigenvalues\n"
+              "    return np.exp(-t * lam)\n"
+              "def _weights(lam, quad):\n"
+              "    return np.expm1(-np.outer(lam, quad.nodes))\n")
+    assert _heat_factor_calls(ast.parse(source)) == [(2, "_series"),
+                                                     (5, "_trace")]
 
 
 def _loose_names(tree):
